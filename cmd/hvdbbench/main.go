@@ -56,6 +56,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"repro/internal/cliflag"
 	"repro/internal/experiment"
 )
 
@@ -102,9 +103,6 @@ const (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("hvdbbench: ")
-
 	var (
 		exp        = flag.String("exp", "", "experiment ID to run (default: all)")
 		quick      = flag.Bool("quick", false, "run reduced configurations")
@@ -120,36 +118,13 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to `file`")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		// flag stops parsing at the first positional argument, so a typo
-		// like `-json -quikc` would otherwise be silently ignored.
-		fmt.Fprintf(os.Stderr, "hvdbbench: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *parallel < 0 {
-		// Range-check up front: exit 2 with usage instead of handing the
-		// worker pool a nonsensical bound mid-run.
-		fmt.Fprintf(os.Stderr, "hvdbbench: -parallel must be non-negative (got %d)\n", *parallel)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "hvdbbench: -shards must be at least 1 (got %d)\n", *shards)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *maxNodes < 0 {
-		fmt.Fprintf(os.Stderr, "hvdbbench: -maxnodes must be non-negative (got %d)\n", *maxNodes)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *shards > runtime.NumCPU() {
-		// More shards than cores still runs correctly (results are
-		// shard-count independent); it just cannot speed anything up.
-		log.Printf("warning: -shards %d exceeds the %d available CPUs; extra shards add sync overhead without parallelism", *shards, runtime.NumCPU())
-	}
+	cli := cliflag.Parse("hvdbbench")
+
+	// Range-check up front: exit 2 with usage instead of handing the
+	// worker pool a nonsensical bound mid-run.
+	cli.Min(0, "parallel", "maxnodes")
+	cli.Min(1, "shards")
+	cli.WarnShards(*shards)
 
 	if *list {
 		for _, id := range experiment.IDs() {

@@ -35,7 +35,6 @@ func main() {
 		analyzers  = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 		timing     = flag.Bool("timing", false, "print per-analyzer, load, and summary wall time to stderr")
 		budget     = flag.Duration("budget", 0, "fail (exit 1) if whole-run wall time — load + summaries + analyzers — exceeds this duration (0 disables)")
-		shards     = flag.Int("shards", 1, "accepted for flag parity with the simulation tools (CI drives all four CLIs with a shared flag set); static analysis is shard-count independent")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: hvdblint [flags] [packages]\n\nAnalyzers:\n")
@@ -46,11 +45,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "hvdblint: -shards must be >= 1 (got %d)\n", *shards)
-		flag.Usage()
-		os.Exit(2)
-	}
 	selected, err := selectAnalyzers(*analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hvdblint: %v\n", err)
@@ -76,8 +70,7 @@ func main() {
 
 	if *timing {
 		fmt.Fprintf(os.Stderr, "hvdblint: load %v (%d packages)\n", loadTime.Round(time.Millisecond), len(pkgs))
-		fmt.Fprintf(os.Stderr, "hvdblint: summaries %v (cache: %d hit, %d miss)\n",
-			res.Timing.Summary.Round(time.Millisecond), res.Timing.CacheHits, res.Timing.CacheMisses)
+		fmt.Fprintf(os.Stderr, "hvdblint: summaries %v\n", res.Timing.Summary.Round(time.Millisecond))
 		names := make([]string, 0, len(res.Timing.PerAnalyzer))
 		for name := range res.Timing.PerAnalyzer {
 			names = append(names, name)

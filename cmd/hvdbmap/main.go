@@ -22,8 +22,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 
+	"repro/internal/cliflag"
 	"repro/internal/des"
 	"repro/internal/logicalid"
 	"repro/internal/runner"
@@ -33,9 +33,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("hvdbmap: ")
-
 	var (
 		seed     = flag.Uint64("seed", 1, "PRNG seed")
 		arena    = flag.Float64("arena", 2000, "arena side in meters")
@@ -49,34 +46,15 @@ func main() {
 		parallel = flag.Int("parallel", 0, "max concurrent trials (0 = GOMAXPROCS)")
 		shards   = flag.Int("shards", 1, "shard count for the sharded event kernel (1 = serial); the rendered backbone is identical at every setting")
 	)
-	flag.Parse()
+	cli := cliflag.Parse("hvdbmap")
 
 	// Range-check the numeric flags up front: exit 2 with usage instead
 	// of panicking in a constructor or looping on a degenerate sweep.
-	badFlag := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "hvdbmap: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
-	}
-	switch {
-	case *nodes < 0 || *fail < 0 || *cube < 0:
-		badFlag("-nodes, -fail, and -cube must be non-negative")
-	case *dim < 1:
-		badFlag("-dim must be >= 1 (got %d)", *dim)
-	case *trials < 1:
-		badFlag("-trials must be >= 1 (got %d)", *trials)
-	case *arena <= 0:
-		badFlag("-arena must be positive (got %g)", *arena)
-	case *warm < 0:
-		badFlag("-warmup must be non-negative (got %g)", *warm)
-	case *parallel < 0:
-		badFlag("-parallel must be non-negative (got %d)", *parallel)
-	case *shards < 1:
-		badFlag("-shards must be >= 1 (got %d)", *shards)
-	}
-	if *shards > runtime.NumCPU() {
-		log.Printf("warning: -shards %d exceeds the %d available CPUs", *shards, runtime.NumCPU())
-	}
+	// (-nodes 0 is allowed: an anchors-only map is a legitimate render.)
+	cli.Min(0, "nodes", "fail", "cube", "warmup", "parallel")
+	cli.Min(1, "dim", "trials", "shards")
+	cli.Positive("arena")
+	cli.WarnShards(*shards)
 	spec := scenario.DefaultSpec()
 	spec.Seed = *seed
 	spec.ArenaSize = *arena

@@ -35,9 +35,9 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
+	"repro/internal/cliflag"
 	"repro/internal/des"
 	"repro/internal/membership"
 	"repro/internal/network"
@@ -51,9 +51,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("hvdbsim: ")
-
 	var (
 		seed     = flag.Uint64("seed", 1, "PRNG seed")
 		arena    = flag.Float64("arena", 2000, "arena side in meters")
@@ -77,50 +74,18 @@ func main() {
 		traceCat = flag.String("trace", "", "comma-separated trace categories (sim,mobility,radio,cluster,routes,membership,multicast)")
 		shards   = flag.Int("shards", 1, "shard count for the sharded event kernel (1 = serial); results are identical at every setting")
 	)
-	flag.Parse()
+	cli := cliflag.Parse("hvdbsim")
 
 	// Range-check the numeric flags up front: a bad value must exit 2
 	// with a usage hint, not panic in a constructor or spin in a
 	// degenerate run loop.
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "hvdbsim: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
+	cli.Min(1, "nodes", "groups", "members", "trials", "dim", "packets", "payload", "shards")
+	cli.Min(0, "warmup", "parallel", "fuzz")
+	cli.Positive("arena", "cell")
+	if *loss < 0 || *loss > 1 {
+		cli.Fail("-loss must be within [0,1] (got %g)", *loss)
 	}
-	switch {
-	case *nodes < 1:
-		fail("-nodes must be >= 1 (got %d)", *nodes)
-	case *groups < 1:
-		fail("-groups must be >= 1 (got %d)", *groups)
-	case *members < 1:
-		fail("-members must be >= 1 (got %d)", *members)
-	case *loss < 0 || *loss > 1:
-		fail("-loss must be within [0,1] (got %g)", *loss)
-	case *trials < 1:
-		fail("-trials must be >= 1 (got %d)", *trials)
-	case *dim < 1:
-		fail("-dim must be >= 1 (got %d)", *dim)
-	case *arena <= 0 || *cell <= 0:
-		fail("-arena and -cell must be positive (got %g, %g)", *arena, *cell)
-	case *packets < 1:
-		fail("-packets must be >= 1 (got %d)", *packets)
-	case *payload < 1:
-		fail("-payload must be >= 1 (got %d)", *payload)
-	case *warm < 0:
-		fail("-warmup must be non-negative (got %g)", *warm)
-	case *parallel < 0:
-		fail("-parallel must be non-negative (got %d)", *parallel)
-	case *fuzzN < 0:
-		fail("-fuzz must be non-negative (got %d)", *fuzzN)
-	case *shards < 1:
-		fail("-shards must be >= 1 (got %d)", *shards)
-	}
-	if *shards > runtime.NumCPU() {
-		// Still correct (results are shard-count independent), just
-		// pointless: extra shards add barrier overhead with no cores to
-		// run them on.
-		log.Printf("warning: -shards %d exceeds the %d available CPUs", *shards, runtime.NumCPU())
-	}
+	cli.WarnShards(*shards)
 	if *shards > 1 && *traceCat != "" {
 		// The network refuses to shard with a tracer bound (lane-local
 		// emission would interleave nondeterministically); run serial
@@ -130,10 +95,10 @@ func main() {
 	}
 	if *fuzzN > 0 {
 		if *script != "" {
-			fail("-fuzz generates its own scripts; it is mutually exclusive with -script")
+			cli.Fail("-fuzz generates its own scripts; it is mutually exclusive with -script")
 		}
 		if *traceCat != "" {
-			fail("-fuzz does not support -trace")
+			cli.Fail("-fuzz does not support -trace")
 		}
 	}
 

@@ -139,14 +139,6 @@ type Backbone struct {
 	// data plane and the QoS admission path (see internal/route).
 	trees route.Cache
 
-	// meshMemo/cubeMemo memoize SharedMesh/SharedCube per cluster
-	// topology version (occupancy is the only dynamic input).
-	meshMemo struct {
-		stamp uint64 // cm.Version()+1; 0 = never filled
-		mesh  *meshtier.Mesh
-	}
-	cubeMemo []cubeMemoEntry
-
 	// beaconSlots is the reused, sorted slot list of one BeaconRound.
 	beaconSlots []logicalid.CHID
 
@@ -164,11 +156,6 @@ type Backbone struct {
 type nbrCacheEntry struct {
 	stamp uint64 // cm.Version()+1; 0 = never filled
 	ids   []logicalid.CHID
-}
-
-type cubeMemoEntry struct {
-	stamp uint64
-	cube  *hypercube.Cube
 }
 
 // New assembles a backbone. The mux must already be bound to the
@@ -262,7 +249,7 @@ func (b *Backbone) Trees() *route.Cache { return &b.trees }
 
 // Cube materializes the current (possibly incomplete) logical hypercube
 // h from the live CH set. The cube is freshly allocated and the caller
-// may modify it; hot paths use SharedCube instead.
+// may modify it.
 func (b *Backbone) Cube(h logicalid.HID) *hypercube.Cube {
 	c := hypercube.New(b.scheme.Dim())
 	for _, vc := range b.scheme.BlockVCs(h) {
@@ -273,25 +260,9 @@ func (b *Backbone) Cube(h logicalid.HID) *hypercube.Cube {
 	return c
 }
 
-// SharedCube returns the current hypercube h, memoized per cluster
-// topology version. The result is shared — callers must not modify it.
-func (b *Backbone) SharedCube(h logicalid.HID) *hypercube.Cube {
-	if b.cubeMemo == nil {
-		b.cubeMemo = make([]cubeMemoEntry, b.scheme.NumHypercubes())
-	}
-	e := &b.cubeMemo[h]
-	stamp := b.cm.Version() + 1
-	if e.stamp != stamp {
-		e.cube = b.Cube(h)
-		e.stamp = stamp
-	}
-	return e.cube
-}
-
 // Mesh materializes the current mesh tier: a mesh node is actual "only
 // when a logical hypercube exists in it", i.e. at least one CH in the
-// block. The mesh is freshly allocated and the caller may modify it;
-// hot paths use SharedMesh instead.
+// block. The mesh is freshly allocated and the caller may modify it.
 func (b *Backbone) Mesh() *meshtier.Mesh {
 	cols, rows := b.scheme.MeshSize()
 	m := meshtier.New(cols, rows)
@@ -304,17 +275,6 @@ func (b *Backbone) Mesh() *meshtier.Mesh {
 		}
 	}
 	return m
-}
-
-// SharedMesh returns the current mesh tier, memoized per cluster
-// topology version. The result is shared — callers must not modify it.
-func (b *Backbone) SharedMesh() *meshtier.Mesh {
-	stamp := b.cm.Version() + 1
-	if b.meshMemo.stamp != stamp {
-		b.meshMemo.mesh = b.Mesh()
-		b.meshMemo.stamp = stamp
-	}
-	return b.meshMemo.mesh
 }
 
 // LogicalNeighbors returns the CH slots one logical hop from the given

@@ -18,9 +18,9 @@
 // cache lines. The ladder splits events by distance from the clock:
 //
 //   - The imminent tier holds only the bucket currently being drained:
-//     a sorted run popped by advancing a head index, plus a small 4-ary
-//     side heap for events scheduled after the bucket started draining
-//     (the causality chains of the current instant). Pops are
+//     a sorted run popped by advancing a head index, plus a 4-ary side
+//     heap for events scheduled after the bucket started draining (the
+//     causality chains of the current instant). Pops are
 //     sequential reads over cache-resident entries instead of
 //     log-depth sifts over the whole pending set.
 //   - The near tier is an array of numBuckets FIFO buckets of width
@@ -31,14 +31,13 @@
 //     hop-delay quantum of the workload (see SetGrain; the network
 //     layer feeds it the radio processing-delay floor) and re-adapts
 //     to the observed per-bucket occupancy on every epoch roll.
-//   - The far tier is one unsorted overflow slice for events beyond the
-//     near horizon. When the near tier drains, the epoch rolls: the
-//     ladder re-bases at the earliest pending timestamp and the far
-//     tier is re-laddered into fresh buckets.
-//   - A 4-ary heap remains as the sparse fallback tier for events
-//     beyond farEpochs near-spans (long timeouts, Infinity sentinels),
-//     so pathological far-future events cannot bloat the re-ladder
-//     scans.
+//   - The spill tier is one 4-ary heap for everything beyond the near
+//     horizon (protocol timers, long timeouts, Infinity sentinels).
+//     When the near tier drains, the epoch rolls: the ladder re-bases
+//     at the heap's root, the earliest pending timestamp, and pops
+//     the events the new near window covers into fresh buckets. Under
+//     0.3% of inserts land here on every recorded workload (DESIGN.md,
+//     "Complexity ledger"), so one ordered tier suffices.
 //
 // The tiers preserve the exact total order a single heap would produce —
 // timestamp, then schedule sequence number — so runs are reproducible
@@ -64,7 +63,6 @@ package des
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is simulated time in seconds since the start of the run.
@@ -75,10 +73,6 @@ type Duration = Time
 
 // Infinity is a time later than any event the simulator will execute.
 const Infinity Time = Time(math.MaxFloat64)
-
-// FromReal converts a wall-clock duration to simulated seconds. It exists
-// so scenario code can be written with time.Second-style literals.
-func FromReal(d time.Duration) Duration { return Duration(d.Seconds()) }
 
 // event is one scheduled callback. Exactly one of fn or afn is set; afn
 // runs with arg (the ScheduleCall form). Records are pooled: gen
@@ -132,13 +126,12 @@ func (h Handle) Pending() bool {
 
 // Ladder geometry. numBuckets near-tier buckets of defaultWidth seconds
 // each cover roughly one second of simulated time at the default width;
-// the far tier absorbs everything up to farEpochs near-spans ahead, and
-// the sparse heap the rest. Width adapts between minWidth and maxWidth
-// (see roll) so both microsecond-scale delivery storms and sparse
-// timer-only phases keep bucket occupancy near occupancyTarget.
+// the spill heap absorbs everything beyond. Width adapts between
+// minWidth and maxWidth (see roll) so both microsecond-scale delivery
+// storms and sparse timer-only phases keep bucket occupancy near
+// occupancyTarget.
 const (
 	numBuckets      = 1024
-	farEpochs       = 8
 	defaultWidth    = 1e-3
 	minWidth        = 1e-7
 	maxWidth        = 0.25
@@ -163,21 +156,17 @@ type Simulator struct {
 
 	// Ladder state. Entries with bucket index <= cur live in the
 	// imminent tier (cb/side); buckets cur+1..numBuckets-1 hold the
-	// rest of the near tier; far holds [nearEnd, farLimit); spill
-	// holds >= farLimit.
-	width    float64
-	base     Time
-	nearEnd  Time
-	farLimit Time
-	cur      int
-	buckets  [][]entry
-	cb       []entry // imminent tier: the current bucket, sorted; drained by cbHead
-	cbHead   int
-	side     []entry // late imminent inserts: 4-ary min-heap by (at, seq)
-	far      []entry // unsorted overflow, re-laddered on epoch roll
-	farTmp   []entry // roll's reusable partition scratch
-	spill    []entry // sparse fallback tier: 4-ary min-heap by (at, seq)
-	count    int     // pending entries across all tiers
+	// rest of the near tier; spill holds >= nearEnd.
+	width   float64
+	base    Time
+	nearEnd Time
+	cur     int
+	buckets [][]entry
+	cb      []entry // imminent tier: the current bucket, sorted; drained by cbHead
+	cbHead  int
+	side    []entry // late imminent inserts: 4-ary min-heap by (at, seq)
+	spill   []entry // beyond the near horizon: 4-ary min-heap by (at, seq)
+	count   int     // pending entries across all tiers
 
 	// spares recycles burst-bucket arrays. A protocol round dumps a
 	// 10^5-entry burst into whichever bucket covers its delivery
@@ -205,7 +194,6 @@ func New() *Simulator {
 func (s *Simulator) rebase(t Time) {
 	s.base = t
 	s.nearEnd = t + Time(float64(numBuckets)*s.width)
-	s.farLimit = t + Time(float64(numBuckets)*s.width*farEpochs)
 	s.cur = 0
 }
 
@@ -241,7 +229,7 @@ func (s *Simulator) SetGrain(d Duration) {
 		// Empty queue: apply now, re-anchoring the window at the clock
 		// (the old base may lie far in the past after a long drain, and
 		// a window behind the clock would shunt every insert to the
-		// far/spill tiers until the first roll).
+		// spill heap until the first roll).
 		s.width = g
 		s.rebase(s.now)
 		return
@@ -386,34 +374,33 @@ func (a entry) less(b entry) bool {
 // that lets buckets drain strictly in index order.
 func (s *Simulator) insert(e entry) {
 	s.count++
-	switch {
-	case e.at >= s.farLimit:
+	if e.at >= s.nearEnd {
 		s.spill = heapPush(s.spill, e)
-	case e.at >= s.nearEnd:
-		s.far = append(s.far, e)
-	default:
-		idx := int(float64(e.at-s.base) / s.width)
-		if idx >= numBuckets {
-			idx = numBuckets - 1 // float boundary rounding
-		}
-		s.placed++
-		if idx <= s.cur {
-			// The clock already reached this bucket: the entry joins the
-			// imminent side heap directly (e.at >= now keeps order
-			// intact). The side heap stays small — it only ever holds
-			// events scheduled after their bucket started draining,
-			// i.e. the short causality chains of the current instant.
-			s.side = heapPush(s.side, e)
-		} else {
-			b := s.buckets[idx]
-			if len(b) == cap(b) && len(b) >= burstCap/2 {
-				// Burst growth: move to a pooled burst array instead of
-				// letting append allocate another one.
-				b = s.burstGrow(b)
-			}
-			s.buckets[idx] = append(b, e)
-		}
+		return
 	}
+	idx := int(float64(e.at-s.base) / s.width)
+	if idx >= numBuckets {
+		idx = numBuckets - 1 // float boundary rounding
+	}
+	s.placed++
+	if idx <= s.cur {
+		// The clock already reached this bucket: the entry joins the
+		// imminent side heap directly (e.at >= now keeps order
+		// intact). The side heap takes the events scheduled after
+		// their bucket started draining — the causality chains of the
+		// current instant. That is no rare path: 17–92% of all
+		// inserts across the recorded workloads (DESIGN.md,
+		// "Complexity ledger").
+		s.side = heapPush(s.side, e)
+		return
+	}
+	b := s.buckets[idx]
+	if len(b) == cap(b) && len(b) >= burstCap/2 {
+		// Burst growth: move to a pooled burst array instead of
+		// letting append allocate another one.
+		b = s.burstGrow(b)
+	}
+	s.buckets[idx] = append(b, e)
 }
 
 // burstGrow moves a full bucket into a pooled burst array when one
@@ -480,7 +467,7 @@ func (s *Simulator) front() *entry {
 			}
 			continue
 		}
-		if len(s.far) == 0 && len(s.spill) == 0 {
+		if len(s.spill) == 0 {
 			return nil
 		}
 		s.roll()
@@ -498,20 +485,12 @@ func sortedEntries(h []entry) bool {
 }
 
 // roll starts a new epoch: re-base the ladder at the earliest pending
-// timestamp, adapt the bucket width to the occupancy observed last
-// epoch (and any pending SetGrain hint), and re-ladder the far tier —
-// plus any sparse-tier events the new far limit now covers — into the
-// fresh buckets.
+// timestamp (the spill heap's root — the near tier is empty), adapt the
+// bucket width to the occupancy observed last epoch (and any pending
+// SetGrain hint), and pop the spill events the new near window covers
+// into the fresh buckets.
 func (s *Simulator) roll() {
-	earliest := Infinity
-	for _, e := range s.far {
-		if e.at < earliest {
-			earliest = e.at
-		}
-	}
-	if len(s.spill) > 0 && s.spill[0].at < earliest {
-		earliest = s.spill[0].at
-	}
+	earliest := s.spill[0].at
 
 	// Width feedback: halve when buckets ran hot, double when the epoch
 	// was sparse. placed counts near-tier placements since the last
@@ -539,15 +518,6 @@ func (s *Simulator) roll() {
 		// the entries at exactly that timestamp straight into the side
 		// heap (which orders them by sequence) so front() can serve
 		// them; later timestamps, if any, wait for the next roll.
-		kept := s.far[:0]
-		for _, e := range s.far {
-			if e.at == earliest {
-				s.side = heapPush(s.side, e)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		s.far = kept
 		for len(s.spill) > 0 && s.spill[0].at == earliest {
 			var e entry
 			s.spill, e = heapPop(s.spill)
@@ -555,25 +525,7 @@ func (s *Simulator) roll() {
 		}
 		return
 	}
-	// Re-ladder the far tier through the shared insert path; partition
-	// into the reusable scratch first so appends cannot alias the slice
-	// being scanned.
-	moved := s.farTmp[:0]
-	kept := s.far[:0]
-	for _, e := range s.far {
-		if e.at < s.nearEnd {
-			moved = append(moved, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	s.farTmp = moved
-	s.far = kept
-	for _, e := range moved {
-		s.count--
-		s.insert(e)
-	}
-	for len(s.spill) > 0 && s.spill[0].at < s.farLimit {
+	for len(s.spill) > 0 && s.spill[0].at < s.nearEnd {
 		var e entry
 		s.spill, e = heapPop(s.spill)
 		s.count--
@@ -636,7 +588,7 @@ func sortEntries(h []entry) {
 }
 
 // 4-ary min-heap of entries ordered by (at, seq), shared by the
-// imminent side tier and the sparse tier. The wide fan-out halves the
+// imminent side tier and the spill tier. The wide fan-out halves the
 // depth of a binary layout and the value entries keep sift loops in
 // cache.
 

@@ -3,7 +3,6 @@ package des
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -207,12 +206,6 @@ func TestPending(t *testing.T) {
 	s.Run()
 	if s.Pending() != 0 {
 		t.Fatalf("Pending after run=%d want 0", s.Pending())
-	}
-}
-
-func TestFromReal(t *testing.T) {
-	if FromReal(1500*time.Millisecond) != 1.5 {
-		t.Fatal("FromReal conversion wrong")
 	}
 }
 

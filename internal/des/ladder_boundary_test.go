@@ -6,12 +6,11 @@ import (
 )
 
 // TestLadderTierBoundaryInserts pins insert's tier assignment at the
-// exact epoch-roll horizons: an event at precisely nearEnd must take
-// the far tier (the near window is half-open), one at precisely
-// farLimit the spill heap, and ones a hair inside each horizon the
-// tier below — and all of them must still execute in exact (at, seq)
-// order against the reference heap once the epoch rolls re-ladder
-// them.
+// exact epoch-roll horizon: an event at precisely nearEnd must take
+// the spill heap (the near window is half-open) and one a hair inside
+// the horizon the near tier — and all of them must still execute in
+// exact (at, seq) order against the reference heap once the epoch
+// rolls pop them into fresh buckets.
 func TestLadderTierBoundaryInserts(t *testing.T) {
 	s := New()
 	s.SetGrain(1e-3) // empty queue: applies now, window re-anchored at 0
@@ -26,30 +25,33 @@ func TestLadderTierBoundaryInserts(t *testing.T) {
 		s.ScheduleCall(at, run, nextID)
 		nextID++
 	}
+	nearCount := func() int {
+		n := 0
+		for _, b := range s.buckets {
+			n += len(b)
+		}
+		return n
+	}
 
 	const eps = 1e-9
-	nearEnd, farLimit := s.nearEnd, s.farLimit
+	nearEnd := s.nearEnd
 
 	schedule(nearEnd) // exactly at the near horizon
-	if len(s.far) != 1 {
-		t.Fatalf("event at nearEnd placed outside the far tier (far=%d spill=%d)", len(s.far), len(s.spill))
+	if len(s.spill) != 1 || nearCount() != 0 {
+		t.Fatalf("event at nearEnd placed outside the spill heap (spill=%d near=%d)", len(s.spill), nearCount())
 	}
 	schedule(nearEnd - eps) // last representable instant of the near tier
-	if len(s.far) != 1 {
-		t.Fatalf("event below nearEnd leaked into the far tier")
+	if len(s.spill) != 1 || nearCount() != 1 {
+		t.Fatalf("event below nearEnd placed outside the near tier (spill=%d near=%d)", len(s.spill), nearCount())
 	}
-	schedule(farLimit) // exactly at the far horizon
-	if len(s.spill) != 1 {
-		t.Fatalf("event at farLimit placed outside the spill heap (far=%d spill=%d)", len(s.far), len(s.spill))
-	}
-	schedule(farLimit - eps) // last instant of the far tier
-	if len(s.far) != 2 || len(s.spill) != 1 {
-		t.Fatalf("event below farLimit misplaced (far=%d spill=%d)", len(s.far), len(s.spill))
+	schedule(8 * nearEnd) // several near-spans out: same single tier
+	if len(s.spill) != 2 {
+		t.Fatalf("event beyond nearEnd placed outside the spill heap (spill=%d)", len(s.spill))
 	}
 	// Ties at the boundary instants: sequence numbers must break them.
 	schedule(nearEnd)
-	schedule(farLimit)
-	// Background traffic on both sides of each horizon so the rolls
+	schedule(8 * nearEnd)
+	// Background traffic on both sides of the horizon so the rolls
 	// have near-tier work to drain between boundary events.
 	rng := xorshift(0xb0a710ad)
 	for i := 0; i < 2000; i++ {

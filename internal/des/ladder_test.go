@@ -55,10 +55,58 @@ func (x *xorshift) float() float64 { return float64(x.next()%1_000_000) / 1_000_
 // TestLadderMatchesHeapOrder drives 100k mixed schedule/cancel
 // operations through the ladder queue and a reference heap in lockstep
 // and asserts the pop order is identical: same event IDs at the same
-// timestamps, cancellations honored, across time scales that exercise
-// the imminent heap, in-epoch buckets, the far tier's epoch rolls, and
-// the sparse spill heap.
+// timestamps, cancellations honored. It runs two delay mixes: one
+// spanning six orders of magnitude so every tier gets traffic, and one
+// where most inserts land beyond the near horizon, so the spill heap
+// and the epoch roll carry the load (the shape the heap tier sees most
+// of at N=50k, where 390k inserts land beyond nearEnd).
 func TestLadderMatchesHeapOrder(t *testing.T) {
+	mixes := []struct {
+		name string
+		// delay maps a draw in [0,10) and a uniform [0,1) to a delay.
+		delay func(draw uint64, u float64) Duration
+		// minBeyond is the least share of inserts that must land at or
+		// beyond nearEnd for the mix to have tested what it claims.
+		minBeyond float64
+	}{
+		{"all-tiers", func(draw uint64, u float64) Duration {
+			// in-bucket (us), near-tier (ms), beyond-horizon (s, min).
+			switch draw {
+			case 0:
+				return Duration(u * 1e-6)
+			case 1, 2, 3, 4, 5:
+				return Duration(u * 2e-3)
+			case 6, 7:
+				return Duration(u * 0.8)
+			case 8:
+				return Duration(u * 20)
+			default:
+				return Duration(u * 300)
+			}
+		}, 0.05},
+		{"mostly-beyond-horizon", func(draw uint64, u float64) Duration {
+			// The long delays start past numBuckets*maxWidth (256 s), so
+			// they stay beyond the horizon however far the width adapts.
+			switch draw {
+			case 0:
+				return Duration(u * 1e-6)
+			case 1, 2:
+				return Duration(u * 2e-3)
+			case 3, 4, 5, 6:
+				return Duration(300 + u*3e3)
+			default:
+				return Duration(300 + u*3e4)
+			}
+		}, 0.5},
+	}
+	for _, mix := range mixes {
+		t.Run(mix.name, func(t *testing.T) {
+			testLadderMatchesHeapOrder(t, mix.delay, mix.minBeyond)
+		})
+	}
+}
+
+func testLadderMatchesHeapOrder(t *testing.T, delay func(uint64, float64) Duration, minBeyond float64) {
 	const ops = 100_000
 
 	s := New()
@@ -71,23 +119,9 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 	var entries []*refEntry // parallel: reference entry per scheduled id
 	var popped []int
 	scheduled := 0
+	beyond := 0 // inserts at or beyond nearEnd: the spill heap's share
 
-	// delay draws span six orders of magnitude so every tier gets
-	// traffic: in-bucket (us), near-tier (ms), far-tier (s), spill (min).
-	randDelay := func() Duration {
-		switch rng.next() % 10 {
-		case 0:
-			return Duration(rng.float() * 1e-6)
-		case 1, 2, 3, 4, 5:
-			return Duration(rng.float() * 2e-3)
-		case 6, 7:
-			return Duration(rng.float() * 0.8)
-		case 8:
-			return Duration(rng.float() * 20)
-		default:
-			return Duration(rng.float() * 300)
-		}
-	}
+	randDelay := func() Duration { return delay(rng.next()%10, rng.float()) }
 
 	var runOp func(any)
 	schedule := func(at Time) {
@@ -95,6 +129,9 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 		nextID++
 		e := &refEntry{at: at, seq: s.seq, id: id}
 		heap.Push(ref, e)
+		if at >= s.nearEnd {
+			beyond++
+		}
 		handles = append(handles, s.ScheduleCall(at, runOp, id))
 		entries = append(entries, e)
 		scheduled++
@@ -139,6 +176,9 @@ func TestLadderMatchesHeapOrder(t *testing.T) {
 
 	if scheduled < ops {
 		t.Fatalf("only %d of %d ops performed; op mix starved", scheduled, ops)
+	}
+	if share := float64(beyond) / float64(nextID); share < minBeyond {
+		t.Fatalf("%.1f%% of %d inserts landed beyond nearEnd, want >= %.0f%%", 100*share, nextID, 100*minBeyond)
 	}
 	var want []int
 	for e := ref.popLive(); e != nil; e = ref.popLive() {

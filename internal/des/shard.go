@@ -167,16 +167,6 @@ func (e *Sharded) InParallel() bool { return e.inParallel }
 // window.
 func (e *Sharded) LaneNow(i int) Time { return e.laneNow[i] }
 
-// LanePending returns the number of pending lane events across all
-// lanes (the wrapped Simulator's Pending does not include them).
-func (e *Sharded) LanePending() int {
-	n := 0
-	for i := range e.lanes {
-		n += len(e.lanes[i])
-	}
-	return n
-}
-
 // ScheduleLaneDirect schedules a lane event from serial context. It
 // draws the next sequence number from the wrapped Simulator's counter —
 // exactly the seq an ordinary AfterCallU at this moment would have

@@ -130,11 +130,6 @@ type Router struct {
 
 	consumers       map[string]DeliverFunc
 	fallbackDeliver DeliverFunc
-	// One-entry cache over consumer dispatch. Consumption is
-	// serial-only (see the package comment), so this state is safe on
-	// the Router itself.
-	lastConsKind string
-	lastCons     DeliverFunc
 	// Delivered counts inner packets consumed, for experiments
 	// (serial-only, like all consumption).
 	Delivered uint64
@@ -196,7 +191,6 @@ func (r *Router) Dropped() uint64 {
 // replacing any previous registration.
 func (r *Router) Deliver(kind string, fn DeliverFunc) {
 	r.consumers[kind] = fn
-	r.lastConsKind, r.lastCons = "", nil
 }
 
 // DeliverFallback registers the consumer for inner kinds with no exact
@@ -376,13 +370,8 @@ func (r *Router) consume(rl *rlane, n *network.Node, h *Header) {
 	if r.trOn {
 		r.tr.Eventf(trace.Routes, float64(rl.lane.Now()), "geo delivered %s uid=%d at %d", h.Inner.Kind, h.Inner.UID, n.ID)
 	}
-	var fn DeliverFunc
-	if h.Inner.Kind == r.lastConsKind && r.lastCons != nil {
-		fn = r.lastCons
-	} else if cfn, ok := r.consumers[h.Inner.Kind]; ok {
-		r.lastConsKind, r.lastCons = h.Inner.Kind, cfn //hvdb:serialonly same serial-only path as the Delivered count above
-		fn = cfn
-	} else {
+	fn, ok := r.consumers[h.Inner.Kind]
+	if !ok {
 		fn = r.fallbackDeliver
 	}
 	if fn != nil {

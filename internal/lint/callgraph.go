@@ -10,8 +10,8 @@ import (
 )
 
 // callgraph.go builds the interprocedural layer's raw material: one
-// FuncInfo of serializable facts per declared function, method, and
-// function literal in the module, with resolved static call edges.
+// FuncInfo of facts per declared function, method, and function
+// literal in the module, with resolved static call edges.
 // Resolution is deliberately conservative in the direction that keeps
 // diagnostics honest:
 //
@@ -30,15 +30,15 @@ import (
 //     discipline the analyzers enforce is about code *using* the
 //     kernel, not the kernel.
 //
-// Facts are position-addressed with plain file:line:col (Site), not
-// token.Pos, so a package's facts serialize into the summary cache and
-// diagnostics can be rebuilt without re-walking the AST (summary.go).
+// Facts are position-addressed with plain file:line:col (Site), the
+// form diagnostics and suppression matching use, so a fact from any
+// package reports through the call graph without its FileSet.
 
-// A Site is a serializable source position.
+// A Site is a resolved source position.
 type Site struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 }
 
 func (s Site) valid() bool { return s.File != "" && s.Line > 0 }
@@ -57,58 +57,58 @@ type FuncID string
 // package-level variable — the facts shardsafe combines with lane
 // reachability.
 type HubWrite struct {
-	Site Site   `json:"site"`
-	What string `json:"what"` // rendered description of the written object
+	Site Site
+	What string // rendered description of the written object
 }
 
 // A ParamPass records that a parameter flows, unmodified, into a
 // callee's parameter — the edge poolpair's consume propagation walks.
 type ParamPass struct {
-	Callee FuncID `json:"callee"`
-	Param  int    `json:"param"`
+	Callee FuncID
+	Param  int
 }
 
 // A ParamFact summarizes what one function does with one parameter.
 // Released and HandedOff are the direct facts; summary.go folds
 // PassedTo transitively into the final releases/hands-off verdict.
 type ParamFact struct {
-	Name      string      `json:"name,omitempty"`
-	Released  bool        `json:"released,omitempty"`
-	HandedOff bool        `json:"handed_off,omitempty"`
-	PassedTo  []ParamPass `json:"passed_to,omitempty"`
+	Name      string
+	Released  bool
+	HandedOff bool
+	PassedTo  []ParamPass
 }
 
 // A CallFact is one resolved outgoing edge.
 type CallFact struct {
-	Callee FuncID `json:"callee"`
-	Name   string `json:"name"` // callee display name, for call-path rendering
-	Site   Site   `json:"site"`
+	Callee FuncID
+	Name   string // callee display name, for call-path rendering
+	Site   Site
 	// Lane marks an edge that *enters* lane context regardless of the
 	// caller's own context: a function value or literal handed to
 	// ScheduleLaneDirect or LogIntent executes on a lane.
-	Lane bool `json:"lane,omitempty"`
+	Lane bool
 	// Deferred marks a function value handed to the serial ScheduleCall*
 	// family: it runs later on the serial loop, so lane reachability
 	// must NOT flow through this edge (the argument handoff still does,
 	// via ParamPass).
-	Deferred bool `json:"deferred,omitempty"`
+	Deferred bool
 }
 
 // A FuncInfo is the complete per-function fact record.
 type FuncInfo struct {
-	ID   FuncID `json:"id"`
-	Name string `json:"name"` // display name, e.g. "network.(*Network).unicastLS"
-	Pkg  string `json:"pkg"`  // import path
-	Decl Site   `json:"decl"`
+	ID   FuncID
+	Name string // display name, e.g. "network.(*Network).unicastLS"
+	Pkg  string // import path
+	Decl Site
 	// LaneRoot: the signature carries a lane-state type (laneState /
 	// rlane / Lane declared in a sharded package), or the function is a
 	// literal scheduled onto a lane — either way its body executes in
 	// lane context.
-	LaneRoot  bool        `json:"lane_root,omitempty"`
-	HubWrites []HubWrite  `json:"hub_writes,omitempty"`
-	Sinks     []string    `json:"sinks,omitempty"` // direct ordering-sensitive sinks (maporder's one-level follow)
-	Params    []ParamFact `json:"params,omitempty"`
-	Calls     []CallFact  `json:"calls,omitempty"`
+	LaneRoot  bool
+	HubWrites []HubWrite
+	Sinks     []string // direct ordering-sensitive sinks (maporder's one-level follow)
+	Params    []ParamFact
+	Calls     []CallFact
 }
 
 // scheduleArgFuncs maps the callback-taking scheduling entry points to
@@ -593,101 +593,4 @@ func isStatsAccumCallInfo(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	return strings.HasSuffix(named.Obj().Pkg().Path(), "internal/stats")
-}
-
-// --- strongly connected components -----------------------------------
-
-// condense runs Tarjan's algorithm over the call graph restricted to
-// ids present in funcs and returns the SCCs in reverse topological
-// order (callees before callers) — the order bottom-up summary
-// propagation consumes.
-func condense(funcs map[FuncID]*FuncInfo) [][]FuncID {
-	ids := make([]FuncID, 0, len(funcs))
-	for id := range funcs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	succs := func(id FuncID) []FuncID {
-		fi := funcs[id]
-		var out []FuncID
-		for _, c := range fi.Calls {
-			if _, ok := funcs[c.Callee]; ok {
-				out = append(out, c.Callee)
-			}
-		}
-		for _, p := range fi.Params {
-			for _, pass := range p.PassedTo {
-				if _, ok := funcs[pass.Callee]; ok {
-					out = append(out, pass.Callee)
-				}
-			}
-		}
-		return out
-	}
-
-	// Iterative Tarjan (explicit stack; module depth can exceed the
-	// goroutine stack comfort zone on deep helper chains).
-	index := map[FuncID]int{}
-	low := map[FuncID]int{}
-	onStack := map[FuncID]bool{}
-	var stack []FuncID
-	var sccs [][]FuncID
-	next := 0
-
-	type frame struct {
-		id    FuncID
-		succ  []FuncID
-		child int
-	}
-	for _, root := range ids {
-		if _, seen := index[root]; seen {
-			continue
-		}
-		frames := []frame{{id: root, succ: succs(root)}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.child < len(f.succ) {
-				w := f.succ[f.child]
-				f.child++
-				if _, seen := index[w]; !seen {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{id: w, succ: succs(w)})
-				} else if onStack[w] && index[w] < low[f.id] {
-					low[f.id] = index[w]
-				}
-				continue
-			}
-			// All successors done: close the node.
-			if low[f.id] == index[f.id] {
-				var scc []FuncID
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
-					if w == f.id {
-						break
-					}
-				}
-				sort.Slice(scc, func(i, j int) bool { return scc[i] < scc[j] })
-				sccs = append(sccs, scc)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[f.id] < low[p.id] {
-					low[p.id] = low[f.id]
-				}
-			}
-		}
-	}
-	return sccs
 }

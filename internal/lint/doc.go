@@ -64,14 +64,12 @@
 // bottom-up engine (callgraph.go, summary.go): one extraction pass
 // records per-function facts — hub writes, ordered sinks, per-param
 // release/handoff behavior, outgoing calls including closures handed
-// to the kernel's scheduling surface — then consume bits and lane
-// reachability propagate over the call graph's SCC condensation
-// (fixed point inside cycles). Unresolvable callees (other modules,
-// interface methods) degrade conservatively: they consume their
-// arguments and contribute no lane path. Facts serialize, so each
-// package's extraction is cached (keyed by a content hash; override
-// the location with HVDBLINT_CACHE) and warm runs skip straight to
-// propagation. MapOrder uses the same summaries to follow a loop body
+// to the kernel's scheduling surface — then consume bits propagate
+// over the call graph to their least fixed point (recursion cycles
+// included) and lane reachability by breadth-first search from the
+// lane roots. Unresolvable callees (other modules, interface methods)
+// degrade conservatively: they consume their arguments and contribute
+// no lane path. MapOrder uses the same summaries to follow a loop body
 // one call deep into module-local helpers.
 //
 // # Suppression annotations

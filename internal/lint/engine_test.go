@@ -63,70 +63,6 @@ func TestFaultSeedInterprocedural(t *testing.T) {
 	}
 }
 
-// TestSummaryCacheWarm exercises the summary cache's warm path: a
-// second load of the same package must take every function-fact record
-// from the cache (zero extractions) and produce identical diagnostics.
-func TestSummaryCacheWarm(t *testing.T) {
-	saved := summaryCacheDir
-	summaryCacheDir = t.TempDir()
-	defer func() { summaryCacheDir = saved }()
-
-	dir := filepath.Join("testdata", "poolpair")
-	load := func() *Result {
-		pkg, err := LoadDir("repro/internal/testdata/poolpair", dir)
-		if err != nil {
-			t.Fatalf("loading corpus: %v", err)
-		}
-		return Analyze([]*Package{pkg})
-	}
-	cold := load()
-	if cold.Timing.CacheMisses == 0 {
-		t.Fatalf("cold run should extract at least one package (misses=0, hits=%d)", cold.Timing.CacheHits)
-	}
-	warm := load()
-	if warm.Timing.CacheMisses != 0 || warm.Timing.CacheHits == 0 {
-		t.Errorf("warm run: hits=%d misses=%d, want all hits", warm.Timing.CacheHits, warm.Timing.CacheMisses)
-	}
-	if len(warm.Diags) != len(cold.Diags) {
-		t.Fatalf("warm diags %d != cold diags %d", len(warm.Diags), len(cold.Diags))
-	}
-	for i := range warm.Diags {
-		if warm.Diags[i].String() != cold.Diags[i].String() {
-			t.Errorf("diag %d differs:\ncold: %s\nwarm: %s", i, cold.Diags[i], warm.Diags[i])
-		}
-	}
-}
-
-// TestSummaryCacheKeyTracksContent: editing a source file must change
-// the package's cache key, so stale facts can never be served.
-func TestSummaryCacheKeyTracksContent(t *testing.T) {
-	tmp := t.TempDir()
-	src := filepath.Join(tmp, "a.go")
-	write := func(body string) {
-		if err := os.WriteFile(src, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("package p\n\nfunc A() {}\n")
-	pkg1, err := LoadDir("repro/internal/testdata/cachekey", tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1 := packageCacheKey(pkg1)
-	write("package p\n\nfunc A() { _ = 1 }\n")
-	pkg2, err := LoadDir("repro/internal/testdata/cachekey", tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2 := packageCacheKey(pkg2)
-	if k1 == "" || k2 == "" {
-		t.Fatalf("empty cache key (k1=%q k2=%q)", k1, k2)
-	}
-	if k1 == k2 {
-		t.Error("cache key unchanged after source edit")
-	}
-}
-
 func moduleRootDir(t *testing.T) string {
 	t.Helper()
 	dir, err := os.Getwd()

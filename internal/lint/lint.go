@@ -53,12 +53,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportSitef records a diagnostic at a serialized Site (interprocedural
-// facts carry positions as Sites, not token.Pos, so they survive the
-// summary cache). path renders into the diagnostic's CallPath; sites
-// are the call sites along it — a suppression annotation at any of
-// them (the lane-entry edge, an intermediate hop) covers the
-// diagnostic exactly as one at the reported position does.
+// ReportSitef records a diagnostic at a Site (interprocedural facts
+// carry positions as resolved Sites, not token.Pos, so a fact from any
+// package reports without its FileSet). path renders into the
+// diagnostic's CallPath; sites are the call sites along it — a
+// suppression annotation at any of them (the lane-entry edge, an
+// intermediate hop) covers the diagnostic exactly as one at the
+// reported position does.
 func (p *Pass) ReportSitef(site Site, path []string, sites []Site, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		File:     site.File,
@@ -117,14 +118,10 @@ type Result struct {
 // Timing is the per-phase wall-time breakdown of one Analyze call.
 type Timing struct {
 	// Summary is the interprocedural engine's build time (fact
-	// extraction or cache load, plus propagation).
+	// extraction plus propagation).
 	Summary time.Duration
 	// PerAnalyzer aggregates each analyzer's Run time across packages.
 	PerAnalyzer map[string]time.Duration
-	// CacheHits / CacheMisses count packages whose facts came from the
-	// summary cache vs. fresh extraction.
-	CacheHits   int
-	CacheMisses int
 }
 
 // Analyzers returns the full determinism suite in stable order.
@@ -212,8 +209,6 @@ func Analyze(pkgs []*Package, analyzers ...*Analyzer) *Result {
 
 	module := BuildModule(pkgs)
 	res.Timing.Summary = module.BuildTime
-	res.Timing.CacheHits = module.CacheHits
-	res.Timing.CacheMisses = module.CacheMiss
 
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {

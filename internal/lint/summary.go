@@ -1,12 +1,6 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -17,26 +11,16 @@ import (
 //
 //   - consume bits: a parameter is *consumed* (released or handed off)
 //     either directly or transitively through the callees it is passed
-//     to, computed bottom-up over the SCC condensation with a fixed
-//     point inside each cycle;
+//     to, iterated over the whole module to the least fixed point;
 //   - lane reachability: every function reachable from a lane root
 //     (without crossing a Deferred edge or descending into the des
 //     kernel) carries a deterministic shortest call path back to its
 //     root, which shardsafe renders into diagnostics.
 //
-// Extraction facts — everything callgraph.go records, nothing derived —
-// are cached per package as JSON keyed by a content hash of the
-// package's sources plus the engine version. Propagation is cheap
-// (linear in edges) and always re-runs, so a stale mix of cached and
-// fresh packages can never produce stale *derived* state.
-
-// summaryEngineVersion participates in the cache key; bump it whenever
-// extraction semantics change so old fact files are ignored.
-const summaryEngineVersion = "hvdblint-summary-v1"
-
-// summaryCacheDir overrides the cache location; empty means
-// $HVDBLINT_CACHE or the user cache dir. Tests point it at t.TempDir().
-var summaryCacheDir = ""
+// Both run from scratch on every Analyze: the whole phase is tens of
+// milliseconds of a whole-module run of several seconds that
+// type-checking dominates (DESIGN.md, "Complexity ledger"), so nothing
+// is cached between runs.
 
 // A Module holds the propagated interprocedural state for one Load.
 type Module struct {
@@ -55,11 +39,8 @@ type Module struct {
 	laneVia  map[FuncID]laneStep
 	laneRoot map[FuncID]bool
 
-	// Timing and cache accounting, surfaced by hvdblint -timing.
-	BuildTime  time.Duration
-	CacheHits  int
-	CacheMiss  int
-	CachedFrom string // resolved cache directory ("" if disabled)
+	// BuildTime is the phase's wall time, surfaced by hvdblint -timing.
+	BuildTime time.Duration
 }
 
 type laneStep struct {
@@ -67,32 +48,13 @@ type laneStep struct {
 	site Site
 }
 
-// BuildModule extracts (or loads cached) facts for every package and
-// runs propagation. It never fails the analysis: cache errors degrade
-// to re-extraction, and packages are assumed type-checked by Load.
+// BuildModule extracts the facts of every package and runs
+// propagation. Packages are assumed type-checked by Load.
 func BuildModule(pkgs []*Package) *Module {
 	start := time.Now()
 	m := &Module{Funcs: map[FuncID]*FuncInfo{}}
-	dir := resolveCacheDir()
-	m.CachedFrom = dir
 	for _, pkg := range pkgs {
-		var funcs []*FuncInfo
-		key := ""
-		if dir != "" {
-			key = packageCacheKey(pkg)
-			if cached, ok := readFactCache(dir, key); ok {
-				funcs = cached
-				m.CacheHits++
-			}
-		}
-		if funcs == nil {
-			funcs = extractPackage(pkg)
-			m.CacheMiss++
-			if dir != "" && key != "" {
-				writeFactCache(dir, key, funcs)
-			}
-		}
-		for _, fi := range funcs {
+		for _, fi := range extractPackage(pkg) {
 			m.Funcs[fi.ID] = fi
 		}
 	}
@@ -104,10 +66,11 @@ func BuildModule(pkgs []*Package) *Module {
 
 // --- propagation ------------------------------------------------------
 
-// propagateConsume computes the transitive released/consumed bits
-// bottom-up over the condensation; within an SCC the member functions
-// iterate to a fixed point (bits only ever turn on, so termination is
-// immediate: at most params×members flips).
+// propagateConsume computes the transitive released/consumed bits by
+// sweeping every function, in sorted id order, until a sweep changes
+// nothing. Bits only ever turn on, so the sweeps climb to the least
+// fixed point — the same one for any visiting order, recursion cycles
+// included — after at most one sweep per bit.
 func (m *Module) propagateConsume() {
 	m.consumed = map[FuncID][]bool{}
 	m.released = map[FuncID][]bool{}
@@ -147,19 +110,26 @@ func (m *Module) propagateConsume() {
 		}
 		return changed
 	}
-	for _, scc := range condense(m.Funcs) {
-		for changed := true; changed; {
-			changed = false
-			for _, id := range scc {
-				if apply(id) {
-					changed = true
-				}
-			}
-			if len(scc) == 1 {
-				break // no cycle: one pass suffices
+	ids := m.sortedIDs()
+	for changed := true; changed; {
+		changed = false
+		for _, id := range ids {
+			if apply(id) {
+				changed = true
 			}
 		}
 	}
+}
+
+// sortedIDs returns every function id in ascending order — the
+// deterministic visiting order both propagations use.
+func (m *Module) sortedIDs() []FuncID {
+	ids := make([]FuncID, 0, len(m.Funcs))
+	for id := range m.Funcs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // propagateLane runs a BFS from every lane root simultaneously,
@@ -172,11 +142,7 @@ func (m *Module) propagateLane() {
 	m.laneVia = map[FuncID]laneStep{}
 	m.laneRoot = map[FuncID]bool{}
 	var queue []FuncID
-	ids := make([]FuncID, 0, len(m.Funcs))
-	for id := range m.Funcs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := m.sortedIDs()
 	for _, id := range ids {
 		if m.Funcs[id].LaneRoot {
 			m.laneRoot[id] = true
@@ -278,72 +244,3 @@ func (m *Module) Func(id FuncID) *FuncInfo { return m.Funcs[id] }
 
 // RenderPath joins a LanePath name list into the diagnostic form.
 func RenderPath(names []string) string { return strings.Join(names, " → ") }
-
-// --- fact cache -------------------------------------------------------
-
-func resolveCacheDir() string {
-	if summaryCacheDir != "" {
-		return summaryCacheDir
-	}
-	if env := os.Getenv("HVDBLINT_CACHE"); env != "" {
-		return env
-	}
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(base, "hvdblint")
-}
-
-// packageCacheKey hashes the engine version, import path, and every
-// file's name and contents. Types and imports do not participate: a
-// dependency change that alters resolution also changes this package's
-// analysis inputs only through its own sources' meaning, and the
-// engine records only module-local resolved edges whose targets are
-// re-validated during propagation — an edge into a function that no
-// longer exists simply propagates nothing.
-func packageCacheKey(pkg *Package) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00", summaryEngineVersion, pkg.Types.Path())
-	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		fmt.Fprintf(h, "%s\x00", name)
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return "" // unreadable source (in-memory test package): no caching
-		}
-		h.Write(data)
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func readFactCache(dir, key string) ([]*FuncInfo, bool) {
-	if key == "" {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(dir, key+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var funcs []*FuncInfo
-	if err := json.Unmarshal(data, &funcs); err != nil {
-		return nil, false
-	}
-	return funcs, true
-}
-
-func writeFactCache(dir, key string, funcs []*FuncInfo) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	data, err := json.Marshal(funcs)
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(dir, key+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, filepath.Join(dir, key+".json"))
-}

@@ -7,7 +7,7 @@
 //	CHID — Cluster Head ID, one per virtual circle (1:1 with HNID),
 //	HNID — Hypercube Node ID, the label within a logical hypercube,
 //	HID  — Hypercube ID (many HNIDs to one HID),
-//	MNID — Mesh Node ID (1:1 with HID),
+//	MNID — Mesh Node ID (1:1 with HID, so HID serves as both),
 //
 // and the bidirectional mappings between them and grid geometry. The
 // label layout reproduces the paper's Figure 3 exactly: within a block
@@ -33,9 +33,6 @@ type CHID int
 // HID identifies one logical hypercube; it equals the linear mesh index
 // of the block, so the HID-MNID relation is one-to-one as required.
 type HID int
-
-// MNID identifies a mesh node. MNID == HID by construction.
-type MNID = HID
 
 // Scheme carries the system parameters of the mapping.
 type Scheme struct {

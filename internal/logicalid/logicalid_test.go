@@ -305,7 +305,7 @@ func TestGrayLabelsAdjacency(t *testing.T) {
 }
 
 // Property check mirroring §4.1: CHID<->HNID one-to-one within a block,
-// HNID->HID many-to-one, HID<->MNID one-to-one (MNID == HID by type).
+// HNID->HID many-to-one, HID<->MNID one-to-one (HID serves as the MNID).
 func TestIdentifierRelations(t *testing.T) {
 	s := scheme8x8(t)
 	labelsPerHID := map[HID]map[hypercube.Label]CHID{}

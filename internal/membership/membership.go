@@ -889,18 +889,6 @@ func (s *Service) CubeMembers(slot logicalid.CHID, g Group) []logicalid.CHID {
 	return network.SortedIDs(out)
 }
 
-// GroupsAt returns the groups the slot's MT view knows anywhere in the
-// network, sorted; useful for assertions and tooling.
-func (s *Service) GroupsAt(slot logicalid.CHID) []Group {
-	st := s.slot(slot)
-	out := make([]Group, 0, len(st.mtView))
-	for g := range st.mtView {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // HTGroupsKnown returns how many hypercube slots the MT view of the
 // given slot attributes to the group (coverage measure for convergence
 // experiments).

@@ -249,7 +249,7 @@ func (s *Service) versions() route.Versions {
 // behind first-wins caching. Callers must not modify the result.
 func (s *Service) MeshTreeAt(slot logicalid.CHID, root logicalid.HID, g membership.Group) route.MeshTree {
 	return s.bb.Trees().MeshTree(s.versions(), route.MeshKey{Group: int(g), Root: root, Slot: slot}, func() route.MeshTree {
-		mesh := s.bb.SharedMesh()
+		mesh := s.bb.Mesh()
 		// The destination order shapes the greedy tree: use the sorted
 		// slice view of the MT summary, never a map range.
 		hids := s.ms.MTSummaryHIDs(slot, g)

@@ -81,21 +81,9 @@ func (w *Network) lane(i int) *laneState {
 	return &w.aux[i-1]
 }
 
-// LaneCount returns the number of lanes: the shard count when sharding
-// is enabled, else 1.
-func (w *Network) LaneCount() int {
-	if w.eng == nil {
-		return 1
-	}
-	return w.eng.Shards()
-}
-
-// BaseLane returns lane 0's view. It is valid before EnableSharding —
-// routing layers bind to it unconditionally and gain extra lanes
-// through OnShard.
-func (w *Network) BaseLane() *Lane { return w.LaneAt(0) }
-
-// LaneAt returns the stable view of lane i.
+// LaneAt returns the stable view of lane i. Lane 0 is valid before
+// EnableSharding — routing layers bind to it unconditionally and gain
+// extra lanes through OnShard.
 func (w *Network) LaneAt(i int) *Lane {
 	for len(w.laneViews) <= i {
 		w.laneViews = append(w.laneViews, Lane{w: w, idx: len(w.laneViews)})

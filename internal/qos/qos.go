@@ -110,8 +110,8 @@ func (m *Manager) versions() route.Versions {
 // would cross from the given source slot: the mesh-tier tree over the
 // member-bearing hypercubes plus, within each crossed hypercube, the
 // hypercube-tier tree over member CH slots (mirroring Figure 6's two
-// tiers). The result is memoized per input version through the
-// backbone's route cache; callers must not modify the returned slice.
+// tiers). The result is memoized per input version in chMemo; callers
+// must not modify the returned slice.
 func (m *Manager) treeCHs(srcSlot logicalid.CHID, g membership.Group) []network.NodeID {
 	v := m.versions()
 	key := chKey{slot: srcSlot, group: g}
@@ -120,16 +120,15 @@ func (m *Manager) treeCHs(srcSlot logicalid.CHID, g membership.Group) []network.
 			return chs
 		}
 	}
-	chs := m.computeTreeCHs(v, srcSlot, g)
+	chs := m.computeTreeCHs(srcSlot, g)
 	if !m.bb.Trees().Bypassed() {
 		m.chMemo.Put(v, key, chs)
 	}
 	return chs
 }
 
-func (m *Manager) computeTreeCHs(v route.Versions, srcSlot logicalid.CHID, g membership.Group) []network.NodeID {
+func (m *Manager) computeTreeCHs(srcSlot logicalid.CHID, g membership.Group) []network.NodeID {
 	scheme := m.bb.Scheme()
-	trees := m.bb.Trees()
 	rootHID := scheme.CHIDToPlace(srcSlot).HID
 	// The mesh tree comes from the data plane's one shared construction
 	// (multicast.MeshTreeAt) through the same version-keyed cache entry
@@ -149,7 +148,7 @@ func (m *Manager) computeTreeCHs(v route.Versions, srcSlot logicalid.CHID, g mem
 	// independent and out is deduplicated and sorted below, so this is
 	// for clarity, not correctness.
 	for _, h := range sortedHIDs(meshTree) {
-		cube := m.bb.SharedCube(h)
+		cube := m.bb.Cube(h)
 		// Entry label: the source label in the root cube, else the
 		// geographically nearest CH slot (as the data plane picks).
 		entry := scheme.CHIDToPlace(srcSlot).HNID
@@ -166,11 +165,8 @@ func (m *Manager) computeTreeCHs(v route.Versions, srcSlot logicalid.CHID, g mem
 		// Members of this cube per the *cube-local* view at its entry
 		// slot; the admission view uses the source's MNT view for its
 		// own cube and the HT-derived existence for others.
-		tree := trees.CubeLabelTree(v, route.CubeKey{Cube: h, Entry: entrySlot, Group: int(g)}, func() route.LabelTree {
-			cubeDests := m.ms.CubeMembers(entrySlot, g) // sorted by construction
-			t, _ := cube.MulticastTree(entry, chidsToLabels(scheme, cubeDests))
-			return t
-		})
+		cubeDests := m.ms.CubeMembers(entrySlot, g) // sorted by construction
+		tree, _ := cube.MulticastTree(entry, chidsToLabels(scheme, cubeDests))
 		for l := range tree {
 			vc := scheme.VCAt(h, l)
 			if scheme.Grid().Valid(vc) {

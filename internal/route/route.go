@@ -1,9 +1,10 @@
 // Package route memoizes multicast-tree construction across the
-// protocol plane. The HVDB data plane (internal/multicast), the QoS
-// admission path (internal/qos), and the snapshot-tree baselines
-// (internal/baseline) all repeatedly rebuild trees whose inputs change
-// only when the backbone or the membership views change; this package
-// turns those rebuilds into lookups.
+// protocol plane. The HVDB data plane (internal/multicast) and the
+// snapshot-tree baselines (internal/baseline) repeatedly rebuild trees
+// whose inputs change only when the backbone or the membership views
+// change; this package turns those rebuilds into lookups. The QoS
+// admission path (internal/qos) shares the data plane's mesh-tree
+// entry and stamps its own derived memo with the same Versions.
 //
 // # Keying and the determinism argument
 //
@@ -34,10 +35,7 @@
 // and to keep the cache's footprint proportional to the live key set.
 package route
 
-import (
-	"repro/internal/hypercube"
-	"repro/internal/logicalid"
-)
+import "repro/internal/logicalid"
 
 // Versions is the pair of input-version stamps a memoized tree is
 // valid for.
@@ -70,10 +68,6 @@ type CubeKey struct {
 // MeshTree is a mesh-tier multicast tree as parent pointers over
 // hypercube IDs (the root maps to itself).
 type MeshTree = map[logicalid.HID]logicalid.HID
-
-// LabelTree is a cube-tier tree over hypercube labels — the admission
-// view's tree (hypercube.Cube.MulticastTree output).
-type LabelTree = map[hypercube.Label]hypercube.Label
 
 // SlotTree is a cube-tier tree over CH slots — the data plane's tree
 // spanning the intra-cube logical link graph.
@@ -130,7 +124,7 @@ func (m *Memo[K, V]) Invalidate(pred func(K) bool) int {
 // Len returns the number of live entries.
 func (m *Memo[K, V]) Len() int { return len(m.entries) }
 
-// Cache memoizes the three tree families of the protocol plane. The
+// Cache memoizes the two tree families of the data plane. The
 // zero value is ready to use. Returned trees are shared: callers must
 // treat them as immutable (every existing consumer does — trees are
 // walked, never edited).
@@ -138,7 +132,6 @@ type Cache struct {
 	bypass bool
 
 	mesh        Memo[MeshKey, MeshTree]
-	cubeLabel   Memo[CubeKey, LabelTree]
 	cubeLogical Memo[CubeKey, SlotTree]
 
 	// Hits and Misses count lookups; Invalidated counts entries dropped
@@ -172,22 +165,6 @@ func (c *Cache) MeshTree(v Versions, k MeshKey, compute func() MeshTree) MeshTre
 	return t
 }
 
-// CubeLabelTree returns the memoized label-graph cube tree for the key
-// (the admission path's view of Figure 6's hypercube tier).
-func (c *Cache) CubeLabelTree(v Versions, k CubeKey, compute func() LabelTree) LabelTree {
-	if c.bypass {
-		return compute()
-	}
-	if t, ok := c.cubeLabel.Get(v, k); ok {
-		c.Hits++
-		return t
-	}
-	c.Misses++
-	t := compute()
-	c.cubeLabel.Put(v, k, t)
-	return t
-}
-
 // CubeSlotTree returns the memoized logical-link-graph cube tree for
 // the key (the data plane's Figure 6 step 4 tree).
 func (c *Cache) CubeSlotTree(v Versions, k CubeKey, compute func() SlotTree) SlotTree {
@@ -208,7 +185,6 @@ func (c *Cache) CubeSlotTree(v Versions, k CubeKey, compute func() SlotTree) Slo
 // the Join/Leave hook.
 func (c *Cache) InvalidateGroup(g int) {
 	n := c.mesh.Invalidate(func(k MeshKey) bool { return k.Group == g })
-	n += c.cubeLabel.Invalidate(func(k CubeKey) bool { return k.Group == g })
 	n += c.cubeLogical.Invalidate(func(k CubeKey) bool { return k.Group == g })
 	c.Invalidated += uint64(n)
 }
@@ -217,12 +193,11 @@ func (c *Cache) InvalidateGroup(g int) {
 // partition/heal hook.
 func (c *Cache) InvalidateAll() {
 	n := c.mesh.Invalidate(func(MeshKey) bool { return true })
-	n += c.cubeLabel.Invalidate(func(CubeKey) bool { return true })
 	n += c.cubeLogical.Invalidate(func(CubeKey) bool { return true })
 	c.Invalidated += uint64(n)
 }
 
-// Len returns the number of live entries across all tree families.
+// Len returns the number of live entries across both tree families.
 func (c *Cache) Len() int {
-	return c.mesh.Len() + c.cubeLabel.Len() + c.cubeLogical.Len()
+	return c.mesh.Len() + c.cubeLogical.Len()
 }

@@ -51,14 +51,11 @@ func TestCacheKeysAreIndependent(t *testing.T) {
 	c.MeshTree(v, MeshKey{Group: 0, Root: 1, Slot: 4}, func() MeshTree { return MeshTree{1: 1} })
 	c.MeshTree(v, MeshKey{Group: 1, Root: 1, Slot: 4}, func() MeshTree { return MeshTree{1: 1} })
 	c.CubeSlotTree(v, CubeKey{Cube: 1, Entry: 4, Group: 0}, func() SlotTree { return SlotTree{4: 4} })
-	c.CubeLabelTree(v, CubeKey{Cube: 1, Entry: 4, Group: 0}, func() LabelTree { return LabelTree{0: 0} })
-	if c.Len() != 4 {
-		t.Fatalf("expected 4 independent entries, got %d", c.Len())
+	if c.Len() != 3 {
+		t.Fatalf("expected 3 independent entries, got %d", c.Len())
 	}
-	// The same CubeKey addresses different namespaces for the two cube
-	// tree families.
-	if c.Misses != 4 {
-		t.Fatalf("misses=%d want 4", c.Misses)
+	if c.Misses != 3 {
+		t.Fatalf("misses=%d want 3", c.Misses)
 	}
 }
 
@@ -96,20 +93,19 @@ func TestCacheInvalidation(t *testing.T) {
 	for g := 0; g < 3; g++ {
 		c.MeshTree(v, mk(g), func() MeshTree { return nil })
 		c.CubeSlotTree(v, ck(g), func() SlotTree { return nil })
-		c.CubeLabelTree(v, ck(g), func() LabelTree { return nil })
 	}
-	if c.Len() != 9 {
-		t.Fatalf("len=%d want 9", c.Len())
+	if c.Len() != 6 {
+		t.Fatalf("len=%d want 6", c.Len())
 	}
 	c.InvalidateGroup(1)
-	if c.Len() != 6 {
-		t.Fatalf("group eviction left len=%d want 6", c.Len())
+	if c.Len() != 4 {
+		t.Fatalf("group eviction left len=%d want 4", c.Len())
 	}
-	if c.Invalidated != 3 {
-		t.Fatalf("Invalidated=%d want 3", c.Invalidated)
+	if c.Invalidated != 2 {
+		t.Fatalf("Invalidated=%d want 2", c.Invalidated)
 	}
 	c.InvalidateAll()
-	if c.Len() != 0 || c.Invalidated != 9 {
+	if c.Len() != 0 || c.Invalidated != 6 {
 		t.Fatalf("InvalidateAll left len=%d invalidated=%d", c.Len(), c.Invalidated)
 	}
 	// Evicted keys recompute on next lookup.

@@ -1,8 +1,8 @@
 // Package stats provides the statistical accumulators the experiment
-// harness reports with: running mean/variance, percentiles, fixed-bin
-// histograms, Jain's fairness index (the paper's load-balancing claim is
-// quantified with it), and Student-t confidence intervals across
-// replicated runs.
+// harness reports with: running mean/variance, percentiles, the
+// streaming log-spaced histogram (loghist.go), Jain's fairness index
+// (the paper's load-balancing claim is quantified with it), and
+// Student-t confidence intervals across replicated runs.
 //
 // # The empty-sample contract
 //
@@ -16,7 +16,6 @@
 //   - JainIndex of no loads is 0 (no flows — fairness is undefined and
 //     reported as the out-of-range sentinel), while all-zero loads are
 //     perfectly even and report 1;
-//   - CoefficientOfVariation of an empty or zero-mean input is 0;
 //   - MeanCI of fewer than two samples has half-width 0.
 //
 // Consumers (scenario.RunScript, the experiment tables) rely on these
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Accumulator keeps running count, mean, and variance using Welford's
@@ -54,13 +52,6 @@ func (a *Accumulator) Add(x float64) {
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
-}
-
-// AddN records the observation x with weight n (n identical samples).
-func (a *Accumulator) AddN(x float64, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		a.Add(x)
-	}
 }
 
 // N returns the number of observations.
@@ -218,77 +209,6 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// CoefficientOfVariation returns std/mean of xs, another dispersion
-// measure reported alongside the Jain index.
-func CoefficientOfVariation(xs []float64) float64 {
-	var s Sample
-	for _, x := range xs {
-		s.Add(x)
-	}
-	m := s.Mean()
-	if m == 0 {
-		return 0
-	}
-	return s.Std() / m
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi); observations
-// outside the range are clamped into the edge bins so totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []uint64
-	count  uint64
-}
-
-// NewHistogram returns a histogram with the given bin count over
-// [lo, hi). It panics on a non-positive bin count or an empty range,
-// which are always configuration errors.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]uint64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-	h.count++
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// String renders a compact ASCII bar chart, one row per bin.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	width := h.Hi - h.Lo
-	var maxBin uint64
-	for _, c := range h.Bins {
-		if c > maxBin {
-			maxBin = c
-		}
-	}
-	for i, c := range h.Bins {
-		lo := h.Lo + width*float64(i)/float64(len(h.Bins))
-		hi := h.Lo + width*float64(i+1)/float64(len(h.Bins))
-		bar := 0
-		if maxBin > 0 {
-			bar = int(40 * c / maxBin)
-		}
-		fmt.Fprintf(&b, "[%8.3g,%8.3g) %8d %s\n", lo, hi, c, strings.Repeat("#", bar))
-	}
-	return b.String()
-}
-
 // MeanCI returns the mean of xs and the half-width of its two-sided 95%
 // Student-t confidence interval. With fewer than two samples the
 // half-width is 0.
@@ -322,69 +242,4 @@ func tCritical95(df int) float64 {
 		return table[df-1]
 	}
 	return 1.960
-}
-
-// TimeSeries accumulates (time, value) observations into fixed-width
-// windows, reporting per-window sums — the rate-over-time view used for
-// overhead and delivery plots. Observations before the start time are
-// folded into the first window; the series grows as needed.
-type TimeSeries struct {
-	Start, Width float64
-	sums         []float64
-	counts       []uint64
-}
-
-// NewTimeSeries returns a series with the given window width (seconds),
-// starting at start. It panics on a non-positive width.
-func NewTimeSeries(start, width float64) *TimeSeries {
-	if width <= 0 {
-		panic("stats: non-positive time series window")
-	}
-	return &TimeSeries{Start: start, Width: width}
-}
-
-// Add records a value at time t.
-func (ts *TimeSeries) Add(t, v float64) {
-	idx := 0
-	if t > ts.Start {
-		idx = int((t - ts.Start) / ts.Width)
-	}
-	for idx >= len(ts.sums) {
-		ts.sums = append(ts.sums, 0)
-		ts.counts = append(ts.counts, 0)
-	}
-	ts.sums[idx] += v
-	ts.counts[idx]++
-}
-
-// Windows returns the number of windows materialized so far.
-func (ts *TimeSeries) Windows() int { return len(ts.sums) }
-
-// Sum returns the total of window i (0 for untouched windows).
-func (ts *TimeSeries) Sum(i int) float64 {
-	if i < 0 || i >= len(ts.sums) {
-		return 0
-	}
-	return ts.sums[i]
-}
-
-// Count returns the number of observations in window i.
-func (ts *TimeSeries) Count(i int) uint64 {
-	if i < 0 || i >= len(ts.counts) {
-		return 0
-	}
-	return ts.counts[i]
-}
-
-// Rate returns window i's sum divided by the window width — the
-// per-second rate over that window.
-func (ts *TimeSeries) Rate(i int) float64 { return ts.Sum(i) / ts.Width }
-
-// Rates returns the per-second rate of every window.
-func (ts *TimeSeries) Rates() []float64 {
-	out := make([]float64, len(ts.sums))
-	for i := range ts.sums {
-		out[i] = ts.Rate(i)
-	}
-	return out
 }

@@ -38,17 +38,6 @@ func TestAccumulatorEmpty(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddN(t *testing.T) {
-	var a, b Accumulator
-	a.AddN(3, 5)
-	for i := 0; i < 5; i++ {
-		b.Add(3)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() {
-		t.Fatal("AddN should equal repeated Add")
-	}
-}
-
 func TestAccumulatorMergeMatchesCombined(t *testing.T) {
 	f := func(xs, ys []float64) bool {
 		clean := func(vs []float64) []float64 {
@@ -112,9 +101,6 @@ func TestSampleEmpty(t *testing.T) {
 	if s.N() != 0 {
 		t.Fatal("empty sample has observations")
 	}
-	if got := CoefficientOfVariation(nil); got != 0 {
-		t.Fatalf("empty CoV %v want 0", got)
-	}
 	if mean, hw := MeanCI(nil); mean != 0 || hw != 0 {
 		t.Fatalf("empty MeanCI (%v, %v) want zeros", mean, hw)
 	}
@@ -175,44 +161,6 @@ func TestJainIndexBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestCoefficientOfVariation(t *testing.T) {
-	if got := CoefficientOfVariation([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("constant CV %v want 0", got)
-	}
-	if got := CoefficientOfVariation(nil); got != 0 {
-		t.Errorf("empty CV %v want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1, 2.5, 5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("Count=%d", h.Count())
-	}
-	// -3 clamps into bin 0, 42 into bin 4.
-	if h.Bins[0] != 3 { // 0, 1, -3
-		t.Errorf("bin0=%d want 3", h.Bins[0])
-	}
-	if h.Bins[4] != 2 { // 9.99, 42
-		t.Errorf("bin4=%d want 2", h.Bins[4])
-	}
-	if h.String() == "" {
-		t.Error("String should render")
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestMeanCI(t *testing.T) {
 	mean, hw := MeanCI([]float64{10, 10, 10, 10})
 	if mean != 10 || hw != 0 {
@@ -243,40 +191,4 @@ func TestTCriticalMonotone(t *testing.T) {
 	if !math.IsNaN(tCritical95(0)) {
 		t.Fatal("df=0 should be NaN")
 	}
-}
-
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries(10, 2)
-	ts.Add(10, 4)   // window 0
-	ts.Add(11.9, 6) // window 0
-	ts.Add(12, 1)   // window 1
-	ts.Add(17, 3)   // window 3
-	ts.Add(5, 2)    // before start: folds into window 0
-	if ts.Windows() != 4 {
-		t.Fatalf("windows %d want 4", ts.Windows())
-	}
-	if ts.Sum(0) != 12 || ts.Count(0) != 3 {
-		t.Fatalf("window 0: sum %v count %d", ts.Sum(0), ts.Count(0))
-	}
-	if ts.Sum(1) != 1 || ts.Sum(2) != 0 || ts.Sum(3) != 3 {
-		t.Fatal("window sums wrong")
-	}
-	if ts.Rate(0) != 6 {
-		t.Fatalf("rate %v want 6", ts.Rate(0))
-	}
-	if got := ts.Rates(); len(got) != 4 || got[3] != 1.5 {
-		t.Fatalf("rates %v", got)
-	}
-	if ts.Sum(-1) != 0 || ts.Sum(9) != 0 || ts.Count(9) != 0 {
-		t.Fatal("out-of-range windows should read zero")
-	}
-}
-
-func TestTimeSeriesPanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	NewTimeSeries(0, 0)
 }

@@ -112,19 +112,3 @@ func (t *Writer) Events() uint64 {
 	defer t.mu.Unlock()
 	return t.events
 }
-
-// Counter counts events per category without formatting them; the
-// experiment harness uses it to assert protocol activity cheaply.
-type Counter struct {
-	Counts [NumCategories]uint64
-}
-
-// Enabled implements Tracer: a counter accepts every category.
-func (t *Counter) Enabled(Category) bool { return true }
-
-// Eventf implements Tracer.
-func (t *Counter) Eventf(c Category, _ float64, _ string, _ ...any) {
-	if c >= 0 && c < NumCategories {
-		t.Counts[c]++
-	}
-}

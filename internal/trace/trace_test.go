@@ -57,17 +57,3 @@ func TestCategoryString(t *testing.T) {
 		t.Fatalf("out-of-range category string %q", got)
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	if !c.Enabled(Radio) {
-		t.Fatal("counter accepts everything")
-	}
-	c.Eventf(Radio, 0, "x")
-	c.Eventf(Radio, 0, "y")
-	c.Eventf(Cluster, 0, "z")
-	c.Eventf(Category(-1), 0, "ignored")
-	if c.Counts[Radio] != 2 || c.Counts[Cluster] != 1 {
-		t.Fatalf("counts %v", c.Counts)
-	}
-}
