@@ -314,7 +314,11 @@ func BenchmarkNeighborQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkEndToEndMulticast(b *testing.B) {
+// endToEndWorld is the warmed static world of the end-to-end multicast
+// benchmark and of the data-plane allocation budget: 100 nodes, one
+// group of 10 members, every periodic plane running.
+func endToEndWorld(tb testing.TB) (*scenario.World, network.NodeID) {
+	tb.Helper()
 	spec := scenario.DefaultSpec()
 	spec.Nodes = 100
 	spec.Groups = 1
@@ -322,17 +326,61 @@ func BenchmarkEndToEndMulticast(b *testing.B) {
 	spec.Mobility = scenario.Static
 	w, err := scenario.Build(spec)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	w.Start()
 	w.WarmUp(12)
-	src := w.RandomSource()
+	return w, w.RandomSource()
+}
+
+func BenchmarkEndToEndMulticast(b *testing.B) {
+	w, src := endToEndWorld(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		uid := w.MC.Send(src, 0, 512)
 		w.Sim.RunUntil(w.Sim.Now() + 0.2)
 		w.MC.ForgetPacket(uid)
 	}
+}
+
+// TestDataPlaneAllocBudget holds one multicast send — source hop, both
+// tree tiers, local broadcasts, every delivery — to a fixed allocation
+// budget once trees are cached and pools are warm, so a regression in
+// the forwarding path fails here and not in the next benchmark run.
+// What a send may allocate is its flight record and one header per
+// forwarding CH (internal/multicast); packets, geo envelopes and events
+// are pooled. The periodic planes are stopped for the measurement (their
+// rounds allocate by design); it stays well inside the members' report
+// freshness window (membership LocalTTL, 2.5 s), and the delivery check
+// below would catch it if it did not.
+func TestDataPlaneAllocBudget(t *testing.T) {
+	const budget = 40 // allocations per send; measured 16 (235 before the flight record)
+	w, src := endToEndWorld(t)
+	w.Stop()
+	w.Sim.RunUntil(w.Sim.Now() + 0.3) // let control traffic in flight land
+	send := func() {
+		uid := w.MC.Send(src, 0, 512)
+		w.Sim.RunUntil(w.Sim.Now() + 0.15)
+		w.MC.ForgetPacket(uid)
+	}
+	send() // caches the trees
+	perSend := w.MC.Delivered
+	if perSend == 0 {
+		t.Fatal("warm-up send delivered to nobody: the budget would measure nothing")
+	}
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, send) // one more warm-up call, then runs
+	if got, want := w.MC.Delivered, perSend*(runs+2); got != want {
+		t.Fatalf("delivered %d over %d sends, want %d each: the measured sends did less work than the first", got, runs+2, perSend)
+	}
+	if w.MC.Flights() != 0 || w.Net.PooledInFlight() != 0 {
+		t.Fatalf("after the drains: %d flights indexed, %d pooled packets out", w.MC.Flights(), w.Net.PooledInFlight())
+	}
+	if allocs > budget {
+		t.Fatalf("one warmed send allocates %v objects, budget %d", allocs, budget)
+	}
+	t.Logf("one warmed send: %v allocations (budget %d), %d deliveries", allocs, budget, perSend)
 }
 
 // Ablation: GPS positioning error — the model assumes GPS; this sweeps

@@ -17,6 +17,16 @@
 //	uid := w.MC.Send(w.RandomSource(), 0, 512)
 //	w.Sim.RunUntil(w.Sim.Now() + 5)
 //	fmt.Println(w.MC.DeliveryCount(uid))
+//	w.MC.ForgetPacket(uid)         // see below
+//
+// w.MC indexes every sent uid so that DeliveryCount and DeliveredTo can
+// answer for it; that index is the only per-packet state the multicast
+// plane keeps, and ForgetPacket is what releases an entry. A caller that
+// sends many packets forgets each uid once it has read its result (the
+// scenario script engine does so on its own); forgetting is safe while
+// copies are still on the air, and after it both queries report nothing
+// for the uid. Delivery observers (w.MC.OnDeliver) and the Sent and
+// Delivered counters do not depend on the index.
 //
 // The experiment harness that regenerates every figure of the paper and
 // quantifies each of its claims is exposed through RunExperiment; see

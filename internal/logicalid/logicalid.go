@@ -45,6 +45,10 @@ type Scheme struct {
 	colBits        int // bits of the label taken from the column index
 	rowBits        int // bits of the label taken from the row index
 	useGray        bool
+
+	// blocks[h] is BlockVCs(h): static geometry, so it is enumerated
+	// once here instead of per inter-cube forward.
+	blocks [][]vcgrid.VC
 }
 
 // Option configures a Scheme.
@@ -74,6 +78,23 @@ func New(grid *vcgrid.Grid, dim int, opts ...Option) (*Scheme, error) {
 	s.meshRows = (grid.Rows() + s.blockH - 1) / s.blockH
 	for _, o := range opts {
 		o(s)
+	}
+	s.blocks = make([][]vcgrid.VC, s.NumHypercubes())
+	all := make([]vcgrid.VC, 0, grid.Count())
+	for h := range s.blocks {
+		mx, my := s.MeshCoord(HID(h))
+		start := len(all)
+		for by := 0; by < s.blockH; by++ {
+			for bx := 0; bx < s.blockW; bx++ {
+				v := vcgrid.VC{CX: mx*s.blockW + bx, CY: my*s.blockH + by}
+				if grid.Valid(v) {
+					all = append(all, v)
+				}
+			}
+		}
+		// Capacity-limited, so a caller's append copies instead of
+		// running into the next block.
+		s.blocks[h] = all[start:len(all):len(all)]
 	}
 	return s, nil
 }
@@ -232,20 +253,10 @@ func (s *Scheme) IsBorder(v vcgrid.VC) bool {
 }
 
 // BlockVCs returns the valid VCs of the hypercube h, i.e. the present
-// label slots of the (possibly incomplete at the grid edge) cube.
-func (s *Scheme) BlockVCs(h HID) []vcgrid.VC {
-	mx, my := s.MeshCoord(h)
-	var out []vcgrid.VC
-	for by := 0; by < s.blockH; by++ {
-		for bx := 0; bx < s.blockW; bx++ {
-			v := vcgrid.VC{CX: mx*s.blockW + bx, CY: my*s.blockH + by}
-			if s.grid.Valid(v) {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
+// label slots of the (possibly incomplete at the grid edge) cube, in
+// row-major order. The slice is the scheme's own table, shared by every
+// caller: read-only.
+func (s *Scheme) BlockVCs(h HID) []vcgrid.VC { return s.blocks[h] }
 
 // CHIDToPlace resolves a CHID to its full logical location.
 func (s *Scheme) CHIDToPlace(c CHID) Place {

@@ -1,6 +1,7 @@
 package logicalid
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -382,5 +383,51 @@ func TestHNIDUniquenessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBlockVCsTable pins the constructor-built BlockVCs table against
+// the enumeration it replaced (row-major over the block, invalid VCs
+// skipped) for every hypercube of ragged grids, and checks that a
+// caller appending to a returned slice cannot run into the next block.
+func TestBlockVCsTable(t *testing.T) {
+	for _, tc := range []struct {
+		w, h float64
+		dim  int
+	}{{1500, 1500, 4}, {1750, 1250, 3}, {2250, 750, 5}, {2000, 2000, 4}} {
+		g := vcgrid.New(geom.RectWH(0, 0, tc.w, tc.h), 250)
+		s, err := New(g, tc.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw, bh := s.BlockSize()
+		want := make([][]vcgrid.VC, s.NumHypercubes())
+		total := 0
+		for h := range want {
+			mx, my := s.MeshCoord(HID(h))
+			for by := 0; by < bh; by++ {
+				for bx := 0; bx < bw; bx++ {
+					if v := (vcgrid.VC{CX: mx*bw + bx, CY: my*bh + by}); g.Valid(v) {
+						want[h] = append(want[h], v)
+					}
+				}
+			}
+			total += len(want[h])
+		}
+		if total != g.Count() {
+			t.Fatalf("%vx%v dim %d: reference enumerates %d VCs of %d", tc.w, tc.h, tc.dim, total, g.Count())
+		}
+		check := func(when string) {
+			for h := range want {
+				if got := s.BlockVCs(HID(h)); !slices.Equal(got, want[h]) {
+					t.Fatalf("%vx%v dim %d %s: BlockVCs(%d) = %v want %v", tc.w, tc.h, tc.dim, when, h, got, want[h])
+				}
+			}
+		}
+		check("as built")
+		for h := range want {
+			_ = append(s.BlockVCs(HID(h)), vcgrid.VC{CX: -1, CY: -1})
+		}
+		check("after callers appended")
 	}
 }

@@ -355,23 +355,24 @@ func (s *Service) Leave(id network.NodeID, g Group) {
 	}
 }
 
+// IsMember reports whether the node has joined the group. It is the
+// data plane's per-listener filter: O(1), no allocation.
+func (s *Service) IsMember(id network.NodeID, g Group) bool {
+	st := s.members[id]
+	return st != nil && st.joined[g]
+}
+
 // GroupsOf returns the groups the node has joined, sorted.
 func (s *Service) GroupsOf(id network.NodeID) []Group {
 	st := s.members[id]
-	out := make([]Group, 0, len(st.joinedOrNil()))
-	for g := range st.joinedOrNil() {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// joinedOrNil tolerates absent member records.
-func (st *memberState) joinedOrNil() map[Group]bool {
 	if st == nil {
 		return nil
 	}
-	return st.joined
+	out := make([]Group, 0, len(st.joined))
+	for g := range st.joined {
+		out = append(out, g)
+	}
+	return network.SortedIDs(out)
 }
 
 // Start schedules the three periodic rounds.
@@ -592,16 +593,23 @@ func (s *Service) MNTSummary(slot logicalid.CHID) map[Group]int {
 }
 
 // LocalMembers returns the nodes of the slot's cluster known to have
-// joined the group — the delivery set of Figure 6 step 6.
+// joined the group — the delivery set of Figure 6 step 6 — sorted.
 func (s *Service) LocalMembers(slot logicalid.CHID, g Group) []network.NodeID {
-	st := s.slot(slot)
-	out := make([]network.NodeID, 0, len(st.localView[g]))
-	for id, seen := range st.localView[g] {
+	return s.AppendLocalMembers(nil, slot, g)
+}
+
+// AppendLocalMembers appends LocalMembers(slot, g) to dst, sorted, and
+// returns the extended slice (the usual append contract), so the data
+// plane can reuse one scratch buffer across CH visits.
+func (s *Service) AppendLocalMembers(dst []network.NodeID, slot logicalid.CHID, g Group) []network.NodeID {
+	mark := len(dst)
+	for id, seen := range s.slot(slot).localView[g] {
 		if s.fresh(seen) {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return network.SortedIDs(out)
+	network.SortedIDs(dst[mark:])
+	return dst
 }
 
 // MNTRound is Figure 5 step 3: every CH floods its MNT-Summary to all

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -97,6 +98,36 @@ func TestJoinLeaveGroupsOf(t *testing.T) {
 	}
 }
 
+func TestIsMember(t *testing.T) {
+	tb := newTestbed(t, DefaultConfig())
+	tb.ms.Join(3, 7)
+	tb.ms.Join(3, 9)
+	tb.ms.Leave(3, 9)
+	for _, tc := range []struct {
+		name string
+		id   network.NodeID
+		g    Group
+		want bool
+	}{
+		{"joined", 3, 7, true},
+		{"left", 3, 9, false},
+		{"unknown group", 3, 8, false},
+		{"unknown node", 4, 7, false},
+		{"no node", network.NoNode, 7, false},
+	} {
+		if got := tb.ms.IsMember(tc.id, tc.g); got != tc.want {
+			t.Errorf("%s: IsMember(%d, %d) = %v want %v", tc.name, tc.id, tc.g, got, tc.want)
+		}
+	}
+	if gs := tb.ms.GroupsOf(4); len(gs) != 0 {
+		t.Errorf("GroupsOf an unknown node = %v", gs)
+	}
+	// The data plane asks once per listener of every local broadcast.
+	if n := testing.AllocsPerRun(100, func() { tb.ms.IsMember(3, 7); tb.ms.IsMember(4, 7) }); n != 0 {
+		t.Errorf("IsMember allocates %v per call pair", n)
+	}
+}
+
 func TestLocalRoundBuildsMNTSummary(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
 	m1 := tb.addMember(0, 30, 0)
@@ -114,6 +145,11 @@ func TestLocalRoundBuildsMNTSummary(t *testing.T) {
 	members := tb.ms.LocalMembers(slotIdx(tb, 0, 0), 5)
 	if len(members) != 2 {
 		t.Fatalf("local members %v", members)
+	}
+	// The append form keeps what dst holds and adds the same sorted list.
+	got := tb.ms.AppendLocalMembers([]network.NodeID{99}, slotIdx(tb, 0, 0), 5)
+	if want := []network.NodeID{99, m1.ID, m2.ID}; !slices.Equal(got, want) {
+		t.Fatalf("AppendLocalMembers = %v want %v", got, want)
 	}
 }
 

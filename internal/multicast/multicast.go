@@ -19,9 +19,18 @@
 // Header sizes grow with the encoded trees, so the traffic accounting
 // reflects the encapsulation cost the paper's design accepts in exchange
 // for statelessness at intermediate CHs.
+//
+// Duplicate suppression — one entry per hypercube, one forward per CH
+// slot, one delivery per member — is simulator bookkeeping rather than
+// protocol state: it lives in a per-Send flight record that every copy
+// of the packet carries by pointer, so it costs no lookup keyed by uid,
+// allocates once per send and is garbage as soon as the last copy is
+// off the air.
 package multicast
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/logicalid"
@@ -58,30 +67,64 @@ func DefaultConfig() Config {
 	return Config{HeaderBase: 24, TreeEntry: 4, CacheTTL: 10}
 }
 
+// bitset is a dense set of small non-negative integers.
+type bitset []uint64
+
+func (b bitset) has(i int) bool {
+	w := uint(i) >> 6
+	return w < uint(len(b)) && b[w]&(1<<uint(i&63)) != 0
+}
+
+// add inserts i and reports whether it was absent. An index beyond the
+// set's size (flights size theirs at send time; a node may be added
+// while copies are on the air) grows the set.
+func (b *bitset) add(i int) bool {
+	w, bit := i>>6, uint64(1)<<uint(i&63)
+	for w >= len(*b) {
+		*b = append(*b, 0)
+	}
+	if (*b)[w]&bit != 0 {
+		return false
+	}
+	(*b)[w] |= bit
+	return true
+}
+
+// flight is the record of one Send, carried by pointer in the header of
+// every copy of the packet: what all copies have in common (group,
+// payload size) and what has already happened to the packet (the three
+// duplicate-suppression sets). The copies are the only strong holders,
+// so the record dies with the last one in flight; the service keeps a
+// uid index beside them solely to answer DeliveredTo/DeliveryCount (see
+// ForgetPacket). Writes happen in geo consumes and broadcast deliveries,
+// which are serial-lane events.
+type flight struct {
+	group   membership.Group
+	payload int // application payload in bytes
+
+	cubes     bitset // hypercubes entered, by HID (step 4 runs once per cube)
+	slots     bitset // CH slots that forwarded within their cube (step 5)
+	members   bitset // members delivered to, by node ID (step 6)
+	delivered int    // size of members
+}
+
 // header is the encapsulated routing state carried by DataKind packets.
+// Once the source CH has filled in the mesh tree a header is never
+// written again: all copies a CH sends onward share one.
 type header struct {
-	Group membership.Group
+	fl *flight
 	// MeshTree is parent pointers over hypercube IDs (step 2).
 	MeshTree map[logicalid.HID]logicalid.HID
-	// CubeHID and CubeTree are the hypercube-tier tree of the hypercube
-	// currently being traversed (step 4), as parent pointers over CH
-	// slots. The tree spans the cube's *logical link graph* — hypercube
-	// label edges plus grid-adjacency edges, exactly the 1-logical-hop
-	// routes of §4.1 — so it survives label-graph disconnection in
-	// incomplete cubes. IntraCube marks packets already traveling
-	// inside the cube.
-	CubeHID   logicalid.HID
+	// CubeTree is the hypercube-tier tree of the hypercube currently
+	// being traversed (step 4), as parent pointers over CH slots. The
+	// tree spans the cube's *logical link graph* — hypercube label edges
+	// plus grid-adjacency edges, exactly the 1-logical-hop routes of
+	// §4.1 — so it survives label-graph disconnection in incomplete
+	// cubes. IntraCube marks packets already traveling inside the cube.
 	CubeTree  map[logicalid.CHID]logicalid.CHID
 	IntraCube bool
 	// LogicalHops counts CH-to-CH logical forwards for metrics.
 	LogicalHops int
-	// PayloadSize is the application payload in bytes.
-	PayloadSize int
-}
-
-func (h *header) clone() *header {
-	c := *h
-	return &c
 }
 
 // DeliverFunc observes one member delivery.
@@ -89,13 +132,11 @@ type DeliverFunc func(member network.NodeID, uid uint64, born des.Time, logicalH
 
 type cachedMeshTree struct {
 	tree    map[logicalid.HID]logicalid.HID
-	root    logicalid.HID
 	expires des.Time
 }
 
 type cachedCubeTree struct {
 	tree    map[logicalid.CHID]logicalid.CHID
-	entry   logicalid.CHID
 	expires des.Time
 }
 
@@ -111,20 +152,26 @@ type Service struct {
 	ms  *membership.Service
 	cfg Config
 	tr  trace.Tracer
+	// trOn gates the trace calls on the forwarding path: their
+	// arguments box into an interface slice even when the tracer is Nop.
+	trOn bool
 
 	meshCache map[membership.Group]map[logicalid.HID]cachedMeshTree
 	cubeCache map[cubeKey]cachedCubeTree
 
-	seenCube  map[uint64]map[logicalid.HID]bool
-	seenSlot  map[uint64]map[logicalid.CHID]bool
-	seenLocal map[uint64]map[network.NodeID]bool
+	// flights indexes the flight records by uid for DeliveredTo and
+	// DeliveryCount until ForgetPacket; forwarding never reads it.
+	flights map[uint64]*flight
 
 	onDeliver []DeliverFunc
 
-	// childScratch is forwardWithinCube's reusable sorted-children
-	// buffer (forwarding is never reentrant: receptions arrive as
-	// separate simulator events).
+	// childScratch, meshScratch and localScratch are the reusable
+	// buffers of forwardWithinCube's sorted children, enterCube's sorted
+	// next-hop hypercubes and deliverLocal's member list (forwarding is
+	// never reentrant: receptions arrive as separate simulator events).
 	childScratch []logicalid.CHID
+	meshScratch  []logicalid.HID
+	localScratch []network.NodeID
 
 	// Counters for experiments.
 	Sent          uint64
@@ -147,9 +194,7 @@ func New(bb *core.Backbone, ms *membership.Service, mux *network.Mux, cfg Config
 		tr:        trace.Nop,
 		meshCache: make(map[membership.Group]map[logicalid.HID]cachedMeshTree),
 		cubeCache: make(map[cubeKey]cachedCubeTree),
-		seenCube:  make(map[uint64]map[logicalid.HID]bool),
-		seenSlot:  make(map[uint64]map[logicalid.CHID]bool),
-		seenLocal: make(map[uint64]map[network.NodeID]bool),
+		flights:   make(map[uint64]*flight),
 	}
 	bb.HandleInner(SourceKind, s.onSource)
 	bb.HandleInner(DataKind, s.onData)
@@ -163,6 +208,7 @@ func (s *Service) SetTracer(t trace.Tracer) {
 		t = trace.Nop
 	}
 	s.tr = t
+	s.trOn = t != trace.Nop
 }
 
 // OnDeliver registers an additional delivery observer; every observer
@@ -195,21 +241,46 @@ func (s *Service) Send(src network.NodeID, g membership.Group, payloadSize int) 
 	uid := net.NextUID()
 	now := net.Sim().Now()
 	s.Sent++
-	hdr := &header{Group: g, PayloadSize: payloadSize}
+	hdr := &header{fl: s.newFlight(g, payloadSize)}
+	s.flights[uid] = hdr.fl
 	if ch == src {
 		// The source is itself the CH: no radio hop to reach it.
 		slot := logicalid.CHID(grid.Index(vc))
 		s.enterMeshTier(slot, uid, now, hdr)
 		return uid
 	}
-	pkt := &network.Packet{
-		Kind: SourceKind, Src: src, Dst: ch, Group: int(g),
-		Size: payloadSize + s.cfg.HeaderBase, Born: now, UID: uid, Payload: hdr,
-	}
-	if !s.bb.Geo().Send(src, grid.Center(vc), ch, pkt) {
+	pkt := s.acquire(SourceKind, src, ch, payloadSize+s.cfg.HeaderBase, now, uid, hdr)
+	ok := s.bb.Geo().Send(src, grid.Center(vc), ch, pkt)
+	net.ReleasePacket(pkt)
+	if !ok {
+		delete(s.flights, uid) // no uid goes out, so nobody could forget it
 		return 0
 	}
 	return uid
+}
+
+// newFlight sizes a flight's sets for the world as it is now. One
+// allocation backs all three; the capacity limits keep a set that grows
+// from running into its neighbor.
+func (s *Service) newFlight(g membership.Group, payloadSize int) *flight {
+	scheme := s.bb.Scheme()
+	cw := (scheme.NumHypercubes() + 63) / 64
+	sw := cw + (scheme.Grid().Count()+63)/64
+	sets := make([]uint64, sw+(s.bb.Net().Len()+63)/64)
+	return &flight{group: g, payload: payloadSize, cubes: sets[:cw:cw], slots: sets[cw:sw:sw], members: sets[sw:]}
+}
+
+// acquire fills a pooled packet of the multicast plane. The caller
+// releases it right after handing it to the transport: in-flight
+// deliveries (and the geo envelopes that adopt it) keep it alive.
+func (s *Service) acquire(kind string, src, dst network.NodeID, size int, born des.Time, uid uint64, hdr *header) *network.Packet {
+	pkt := s.bb.Net().AcquirePacket()
+	pkt.Kind = kind
+	pkt.Src, pkt.Dst = src, dst
+	pkt.Group, pkt.Size = int(hdr.fl.group), size
+	pkt.Born, pkt.UID = born, uid
+	pkt.Payload = hdr
+	return pkt
 }
 
 // onSource runs at the CH that receives a source MN's message.
@@ -229,7 +300,7 @@ func (s *Service) onSource(n *network.Node, _ network.NodeID, pkt *network.Packe
 // distribution from the source CH's hypercube.
 func (s *Service) enterMeshTier(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
 	place := s.bb.Scheme().CHIDToPlace(slot)
-	hdr.MeshTree = s.meshTree(slot, place.HID, hdr.Group)
+	hdr.MeshTree = s.meshTree(slot, place.HID, hdr.fl.group)
 	s.enterCube(slot, uid, born, hdr)
 }
 
@@ -284,7 +355,7 @@ func (s *Service) meshTree(slot logicalid.CHID, root logicalid.HID, g membership
 		byRoot = make(map[logicalid.HID]cachedMeshTree)
 		s.meshCache[g] = byRoot
 	}
-	byRoot[root] = cachedMeshTree{tree: tree, root: root, expires: now + s.cfg.CacheTTL}
+	byRoot[root] = cachedMeshTree{tree: tree, expires: now + s.cfg.CacheTTL}
 	return tree
 }
 
@@ -292,41 +363,31 @@ func (s *Service) meshTree(slot logicalid.CHID, root logicalid.HID, g membership
 // hypercube. The entry CH forwards toward next-hop hypercubes and fans
 // out within its own.
 func (s *Service) enterCube(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
-	place := s.bb.Scheme().CHIDToPlace(slot)
-	hid := place.HID
-	if s.seenCube[uid] == nil {
-		s.seenCube[uid] = make(map[logicalid.HID]bool)
-	}
-	if s.seenCube[uid][hid] {
+	hid := s.bb.Scheme().CHIDToPlace(slot).HID
+	if !hdr.fl.cubes.add(int(hid)) {
 		return
 	}
-	s.seenCube[uid][hid] = true
 
-	// (1) Re-encapsulate toward next-hop hypercubes.
-	for _, child := range childrenHID(hdr.MeshTree, hid) {
-		s.forwardToCube(slot, child, uid, born, hdr)
+	// (1) Re-encapsulate toward next-hop hypercubes, in HID order:
+	// forwarding order must not depend on map iteration, because every
+	// transmission can draw from the sender's loss stream.
+	s.meshScratch = network.Children(hdr.MeshTree, hid, s.meshScratch[:0])
+	if len(s.meshScratch) > 0 {
+		out := &header{fl: hdr.fl, MeshTree: hdr.MeshTree, LogicalHops: hdr.LogicalHops + 1}
+		for _, child := range s.meshScratch {
+			s.forwardToCube(slot, child, uid, born, out)
+		}
 	}
 
 	// (2) Compute the hypercube-tier tree and fan out inside.
-	cubeHdr := hdr.clone()
-	cubeHdr.CubeHID = hid
-	cubeHdr.CubeTree = s.cubeTree(slot, hid, hdr.Group)
-	cubeHdr.IntraCube = true
-	s.forwardWithinCube(slot, uid, born, cubeHdr)
-	s.deliverLocal(slot, uid, born, cubeHdr)
+	s.forwardWithinCube(slot, uid, born, hdr, s.cubeTree(slot, hid, hdr.fl.group))
+	s.deliverLocal(slot, uid, born, hdr)
 }
 
-// childrenHID lists h's children in the mesh tree, in HID order:
-// forwarding order must not depend on map iteration, because every
-// transmission can draw from the sender's loss stream.
-func childrenHID(tree map[logicalid.HID]logicalid.HID, h logicalid.HID) []logicalid.HID {
-	return network.Children(tree, h, nil)
-}
-
-// forwardToCube sends the packet to an entry CH of the next-hop
-// hypercube by location-based unicast (Figure 6 step 3): the
-// geographically nearest CH slot of the target block.
-func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid uint64, born des.Time, hdr *header) {
+// forwardToCube sends the packet, under the header out, to an entry CH
+// of the next-hop hypercube by location-based unicast (Figure 6 step
+// 3): the geographically nearest CH slot of the target block.
+func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid uint64, born des.Time, out *header) {
 	scheme := s.bb.Scheme()
 	grid := scheme.Grid()
 	fromVC := grid.FromIndex(int(fromSlot))
@@ -341,19 +402,16 @@ func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid u
 		}
 	}
 	if best < 0 {
-		s.tr.Eventf(trace.Multicast, float64(s.bb.Net().Sim().Now()),
-			"uid %d: hypercube %d has no CH to enter", uid, to)
+		if s.trOn {
+			s.tr.Eventf(trace.Multicast, float64(s.bb.Net().Sim().Now()),
+				"uid %d: hypercube %d has no CH to enter", uid, to)
+		}
 		return
 	}
-	out := hdr.clone()
-	out.IntraCube = false
-	out.CubeTree = nil
-	out.LogicalHops++
-	pkt := &network.Packet{
-		Kind: DataKind, Src: s.bb.CHNodeOf(fromSlot), Dst: s.bb.CHNodeOf(best),
-		Group: int(hdr.Group), Size: s.packetSize(out), Born: born, UID: uid, Payload: out,
-	}
-	s.bb.Geo().Send(s.bb.CHNodeOf(fromSlot), grid.Center(grid.FromIndex(int(best))), s.bb.CHNodeOf(best), pkt)
+	from, dst := s.bb.CHNodeOf(fromSlot), s.bb.CHNodeOf(best)
+	pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, out)
+	s.bb.Geo().Send(from, grid.Center(grid.FromIndex(int(best))), dst, pkt)
+	s.bb.Net().ReleasePacket(pkt)
 }
 
 // cubeTree returns the (possibly cached) hypercube-tier tree for the
@@ -362,7 +420,7 @@ func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid u
 func (s *Service) cubeTree(slot logicalid.CHID, hid logicalid.HID, g membership.Group) map[logicalid.CHID]logicalid.CHID {
 	now := s.bb.Net().Sim().Now()
 	key := cubeKey{hid: hid, slot: slot, group: g}
-	if c, ok := s.cubeCache[key]; ok && c.expires >= now && c.entry == slot {
+	if c, ok := s.cubeCache[key]; ok && c.expires >= now {
 		s.TreeCacheHits++
 		return c.tree
 	}
@@ -371,7 +429,7 @@ func (s *Service) cubeTree(slot logicalid.CHID, hid logicalid.HID, g membership.
 		dests := s.ms.CubeMembers(slot, g) // sorted by construction
 		return s.logicalTreeWithin(hid, slot, dests)
 	})
-	s.cubeCache[key] = cachedCubeTree{tree: tree, entry: slot, expires: now + s.cfg.CacheTTL}
+	s.cubeCache[key] = cachedCubeTree{tree: tree, expires: now + s.cfg.CacheTTL}
 	return tree
 }
 
@@ -416,29 +474,34 @@ func (s *Service) logicalTreeWithin(hid logicalid.HID, root logicalid.CHID, dest
 	return tree
 }
 
-// forwardWithinCube is Figure 6 step 5: push the packet down the
-// hypercube-tier tree along 1-logical-hop routes. Children forward in
-// slot order (not map order) so the senders' loss streams see a
-// deterministic transmission sequence.
-func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
-	for _, childSlot := range s.cubeChildren(hdr.CubeTree, slot) {
-		if s.bb.CHNodeOf(childSlot) == network.NoNode {
+// forwardWithinCube is Figure 6 step 5: push the packet that arrived
+// under hdr down the hypercube-tier tree along 1-logical-hop routes.
+// Children forward in slot order (not map order) so the senders' loss
+// streams see a deterministic transmission sequence; they share one
+// outgoing header.
+func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Time, hdr *header, tree map[logicalid.CHID]logicalid.CHID) {
+	var out *header
+	from := s.bb.CHNodeOf(slot)
+	for _, childSlot := range s.cubeChildren(tree, slot) {
+		dst := s.bb.CHNodeOf(childSlot)
+		if dst == network.NoNode {
 			continue // CH vanished since the tree was computed
 		}
 		if s.cfg.MinBandwidth > 0 || s.cfg.MaxDelay > 0 {
 			if s.bb.BestRoute(slot, childSlot, s.cfg.MinBandwidth, s.cfg.MaxDelay) == nil {
-				s.tr.Eventf(trace.Multicast, float64(s.bb.Net().Sim().Now()),
-					"uid %d: QoS gate blocked %d -> %d", uid, slot, childSlot)
+				if s.trOn {
+					s.tr.Eventf(trace.Multicast, float64(s.bb.Net().Sim().Now()),
+						"uid %d: QoS gate blocked %d -> %d", uid, slot, childSlot)
+				}
 				continue
 			}
 		}
-		out := hdr.clone()
-		out.LogicalHops++
-		pkt := &network.Packet{
-			Kind: DataKind, Src: s.bb.CHNodeOf(slot), Dst: s.bb.CHNodeOf(childSlot),
-			Group: int(hdr.Group), Size: s.packetSize(out), Born: born, UID: uid, Payload: out,
+		if out == nil {
+			out = &header{fl: hdr.fl, MeshTree: hdr.MeshTree, CubeTree: tree, IntraCube: true, LogicalHops: hdr.LogicalHops + 1}
 		}
+		pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, out)
 		s.bb.SendLogical(slot, childSlot, pkt)
+		s.bb.Net().ReleasePacket(pkt)
 	}
 }
 
@@ -456,39 +519,35 @@ func (s *Service) onData(n *network.Node, _ network.NodeID, pkt *network.Packet)
 		s.enterCube(slot, pkt.UID, pkt.Born, hdr)
 		return
 	}
-	if s.seenSlot[pkt.UID] == nil {
-		s.seenSlot[pkt.UID] = make(map[logicalid.CHID]bool)
-	}
-	if s.seenSlot[pkt.UID][slot] {
+	if !hdr.fl.slots.add(int(slot)) {
 		return
 	}
-	s.seenSlot[pkt.UID][slot] = true
-	s.forwardWithinCube(slot, pkt.UID, pkt.Born, hdr)
+	s.forwardWithinCube(slot, pkt.UID, pkt.Born, hdr, hdr.CubeTree)
 	s.deliverLocal(slot, pkt.UID, pkt.Born, hdr)
 }
 
 // deliverLocal is Figure 6 step 6: when the MNT view shows local group
 // members, broadcast once into the cluster.
 func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
-	members := s.ms.LocalMembers(slot, hdr.Group)
+	s.localScratch = s.ms.AppendLocalMembers(s.localScratch[:0], slot, hdr.fl.group)
 	ch := s.bb.CHNodeOf(slot)
 	if ch == network.NoNode {
 		return
 	}
-	// The CH itself may be a member: deliver without radio traffic.
-	for _, m := range members {
-		if m == ch {
-			s.recordDelivery(m, uid, born, hdr)
-		}
+	// Read the scratch out before any delivery observer runs: an
+	// observer may Send, and that send may pass through here.
+	others := len(s.localScratch)
+	if slices.Contains(s.localScratch, ch) {
+		// The CH itself is a member: deliver without radio traffic.
+		others--
+		s.recordDelivery(ch, uid, born, hdr)
 	}
-	if len(members) == 0 || (len(members) == 1 && members[0] == ch) {
+	if others == 0 {
 		return
 	}
-	pkt := &network.Packet{
-		Kind: LocalKind, Src: ch, Dst: network.NoNode, Group: int(hdr.Group),
-		Size: hdr.PayloadSize + s.cfg.HeaderBase, Born: born, UID: uid, Payload: hdr,
-	}
+	pkt := s.acquire(LocalKind, ch, network.NoNode, hdr.fl.payload+s.cfg.HeaderBase, born, uid, hdr)
 	s.bb.Net().Broadcast(ch, pkt)
+	s.bb.Net().ReleasePacket(pkt)
 }
 
 // onLocal runs at every node hearing a cluster-local broadcast.
@@ -497,28 +556,16 @@ func (s *Service) onLocal(n *network.Node, _ network.NodeID, pkt *network.Packet
 	if !ok {
 		return
 	}
-	groups := s.ms.GroupsOf(n.ID)
-	joined := false
-	for _, g := range groups {
-		if g == hdr.Group {
-			joined = true
-			break
-		}
+	if s.ms.IsMember(n.ID, hdr.fl.group) {
+		s.recordDelivery(n.ID, pkt.UID, pkt.Born, hdr)
 	}
-	if !joined {
-		return
-	}
-	s.recordDelivery(n.ID, pkt.UID, pkt.Born, hdr)
 }
 
 func (s *Service) recordDelivery(member network.NodeID, uid uint64, born des.Time, hdr *header) {
-	if s.seenLocal[uid] == nil {
-		s.seenLocal[uid] = make(map[network.NodeID]bool)
-	}
-	if s.seenLocal[uid][member] {
+	if !hdr.fl.members.add(int(member)) {
 		return
 	}
-	s.seenLocal[uid][member] = true
+	hdr.fl.delivered++
 	s.Delivered++
 	for _, f := range s.onDeliver {
 		f(member, uid, born, hdr.LogicalHops)
@@ -528,25 +575,39 @@ func (s *Service) recordDelivery(member network.NodeID, uid uint64, born des.Tim
 // packetSize prices a DataKind packet: payload plus base header plus the
 // encoded trees.
 func (s *Service) packetSize(hdr *header) int {
-	size := hdr.PayloadSize + s.cfg.HeaderBase + len(hdr.MeshTree)*s.cfg.TreeEntry
+	size := hdr.fl.payload + s.cfg.HeaderBase + len(hdr.MeshTree)*s.cfg.TreeEntry
 	if hdr.IntraCube {
 		size += len(hdr.CubeTree) * s.cfg.TreeEntry
 	}
 	return size
 }
 
-// DeliveredTo reports whether the packet uid reached the member.
+// DeliveredTo reports whether the packet uid has reached the member so
+// far. It answers from the uid index, so it is false for every member
+// once the uid has been forgotten (see ForgetPacket).
 func (s *Service) DeliveredTo(uid uint64, member network.NodeID) bool {
-	return s.seenLocal[uid][member]
+	fl := s.flights[uid]
+	return fl != nil && fl.members.has(int(member))
 }
 
-// DeliveryCount returns how many distinct members received the uid.
-func (s *Service) DeliveryCount(uid uint64) int { return len(s.seenLocal[uid]) }
-
-// ForgetPacket releases dedup state for a uid (long experiments call it
-// to bound memory).
-func (s *Service) ForgetPacket(uid uint64) {
-	delete(s.seenCube, uid)
-	delete(s.seenSlot, uid)
-	delete(s.seenLocal, uid)
+// DeliveryCount returns how many distinct members have received the uid
+// so far; 0 once the uid has been forgotten.
+func (s *Service) DeliveryCount(uid uint64) int {
+	if fl := s.flights[uid]; fl != nil {
+		return fl.delivered
+	}
+	return 0
 }
+
+// ForgetPacket drops the uid from the index behind DeliveredTo and
+// DeliveryCount, which is the only per-packet state the service itself
+// holds: a caller that sends for long should forget each uid once it
+// has read what it wants, or the index grows with every Send. It is
+// safe at any time, also while copies are still on the air — they keep
+// suppressing duplicates through the record they carry, so forgetting
+// early neither re-forwards nor delivers twice; delivery observers and
+// the Delivered counter are unaffected.
+func (s *Service) ForgetPacket(uid uint64) { delete(s.flights, uid) }
+
+// Flights returns how many uids are indexed: sent and not yet forgotten.
+func (s *Service) Flights() int { return len(s.flights) }

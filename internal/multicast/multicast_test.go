@@ -1,6 +1,7 @@
 package multicast
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -353,16 +354,79 @@ func TestDeliveryAfterEntryCHFailure(t *testing.T) {
 	}
 }
 
+// TestForgetPacket forgets a uid while its copies are still crossing
+// the backbone: the index entry goes at once, and the run is otherwise
+// indistinguishable from a twin that never forgets — no copy is
+// re-forwarded (same executed-event count) and no member is delivered
+// twice or missed (same observed delivery sequence).
 func TestForgetPacket(t *testing.T) {
+	type outcome struct {
+		delivered uint64
+		observed  []network.NodeID
+		executed  uint64
+	}
+	run := func(forget bool) outcome {
+		tb := newTestbed(t, DefaultConfig())
+		// Members in three hypercubes (two of them sharing a cluster,
+		// so broadcasts overlap), the source in the fourth.
+		var members []*network.Node
+		for _, at := range []struct {
+			vc vcgrid.VC
+			dx float64
+		}{{vcgrid.VC{CX: 1, CY: 1}, 30}, {vcgrid.VC{CX: 1, CY: 1}, -30}, {vcgrid.VC{CX: 6, CY: 1}, 30}, {vcgrid.VC{CX: 1, CY: 6}, 30}} {
+			m := tb.addMember(tb.grid.Index(at.vc), at.dx, 0)
+			tb.ms.Join(m.ID, 9)
+			members = append(members, m)
+		}
+		src := tb.addMember(tb.grid.Index(vcgrid.VC{CX: 6, CY: 6}), 0, 0)
+		tb.prepare()
+		var out outcome
+		tb.mc.OnDeliver(func(m network.NodeID, _ uint64, _ des.Time, _ int) { out.observed = append(out.observed, m) })
+		uid := tb.mc.Send(src.ID, 9, 1024)
+		if uid == 0 || tb.mc.Flights() != 1 {
+			t.Fatalf("send: uid %d, %d flights indexed, want one", uid, tb.mc.Flights())
+		}
+		// Both twins schedule the probe, so they execute the same events.
+		tb.sim.After(0.004, func() {
+			if got := len(out.observed); got == len(members) {
+				t.Fatalf("probe ran after all %d deliveries: nothing in flight to test", got)
+			}
+			if forget {
+				tb.mc.ForgetPacket(uid)
+			}
+		})
+		tb.drain()
+		if forget {
+			if tb.mc.Flights() != 0 || tb.mc.DeliveryCount(uid) != 0 || tb.mc.DeliveredTo(uid, members[0].ID) {
+				t.Fatal("ForgetPacket left the uid indexed")
+			}
+		} else if tb.mc.DeliveryCount(uid) != len(members) {
+			t.Fatalf("delivered to %d of %d members", tb.mc.DeliveryCount(uid), len(members))
+		}
+		out.delivered, out.executed = tb.mc.Delivered, tb.sim.Executed()
+		return out
+	}
+	kept, forgot := run(false), run(true)
+	if kept.delivered != forgot.delivered || kept.executed != forgot.executed || !slices.Equal(kept.observed, forgot.observed) {
+		t.Fatalf("forgetting in flight changed the run:\n kept   %+v\n forgot %+v", kept, forgot)
+	}
+	if int(kept.delivered) != len(kept.observed) || len(kept.observed) != 4 {
+		t.Fatalf("twin delivered %d, observed %v; want each of 4 members once", kept.delivered, kept.observed)
+	}
+}
+
+// TestSendFailureLeavesNoFlight: a send that cannot reach its CH
+// returns no uid, so it must not leave an index entry nobody can forget.
+func TestSendFailureLeavesNoFlight(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
-	a := tb.addMember(0, 30, 0)
-	src := tb.addMember(9, 20, 0)
-	tb.ms.Join(a.ID, 5)
+	// Out of every CH's radio range.
+	far := tb.net.AddNode(&mobility.Static{P: geom.Pt(9000, 9000)}, radio.DefaultMN, nil, false)
+	tb.mux.BindNode(far)
 	tb.prepare()
-	uid := tb.mc.Send(src.ID, 5, 64)
-	tb.drain()
-	tb.mc.ForgetPacket(uid)
-	if tb.mc.DeliveryCount(uid) != 0 {
-		t.Fatal("ForgetPacket left state")
+	if uid := tb.mc.Send(far.ID, 5, 64); uid != 0 {
+		t.Fatalf("send from an isolated node returned uid %d", uid)
+	}
+	if tb.mc.Flights() != 0 {
+		t.Fatalf("%d flights indexed after a failed send", tb.mc.Flights())
 	}
 }

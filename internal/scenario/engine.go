@@ -63,6 +63,12 @@ type ScriptResult struct {
 	// fully accounted or on TTL expiry), mirroring the
 	// PooledInFlight()==0 pool-leak check.
 	AudiencePeak, AudienceOpen int
+	// FlightsOpen is how many packets the world's HVDB multicast plane
+	// still indexed at teardown (multicast.Service.Flights). The engine
+	// forgets a packet when its audience entry closes, so on a world
+	// whose sends all went through scripts this is always 0 as well:
+	// per-packet state does not outlive the script.
+	FlightsOpen int
 	// DelaySamples is how many deliveries the delay histogram absorbed
 	// (always equal to Delivered), and DelayDigest its full-state
 	// fingerprint — the scengen harness asserts both are rerun-,
@@ -187,6 +193,7 @@ func (w *World) RunScript(stk protocol.Stack, sc *Script) (*ScriptResult, error)
 	// mirroring the pooled-packet teardown check.
 	r.expireAudience(w.Sim.Now())
 	r.res.AudienceOpen = len(r.audience)
+	r.res.FlightsOpen = w.MC.Flights()
 
 	r.res.Elapsed = w.Sim.Now() - start
 	if n := w.Net.Len(); n > 0 && r.res.Elapsed > 0 {
@@ -213,11 +220,20 @@ func (r *scriptRun) onDeliver(member network.NodeID, uid uint64, born des.Time, 
 		r.delays.Add(float64(r.w.Sim.Now() - born))
 		delete(e.members, member)
 		if len(e.members) == 0 {
-			delete(r.audience, uid) // fully accounted
+			r.closeAudience(uid) // fully accounted
 		}
 	} else {
 		r.res.Stale++
 	}
+}
+
+// closeAudience releases a packet's audience entry and, with it, the
+// uid the HVDB multicast plane indexes for delivery queries (a no-op on
+// the other arms, and for an entry already closed). Copies still on
+// the air are unaffected: they carry their duplicate suppression.
+func (r *scriptRun) closeAudience(uid uint64) {
+	delete(r.audience, uid)
+	r.w.MC.ForgetPacket(uid)
 }
 
 // send originates one script packet and snapshots its audience: the
@@ -252,7 +268,7 @@ func (r *scriptRun) send(src network.NodeID, g membership.Group, payload int) {
 // window too.
 func (r *scriptRun) expireAudience(now des.Time) {
 	for r.audHead < len(r.audQ) && r.audQ[r.audHead].expire <= now {
-		delete(r.audience, r.audQ[r.audHead].uid)
+		r.closeAudience(r.audQ[r.audHead].uid)
 		r.audHead++
 	}
 	if r.audHead > 64 && r.audHead*2 >= len(r.audQ) {

@@ -41,6 +41,11 @@ func TestAudienceBoundedAndReleasedAtTeardown(t *testing.T) {
 	if res.AudienceOpen != 0 {
 		t.Errorf("audience entries leaked: %d still tracked at teardown", res.AudienceOpen)
 	}
+	// Closing an audience entry forgets the packet at the multicast
+	// plane, so its per-packet index is empty too.
+	if res.FlightsOpen != 0 || w.MC.Flights() != 0 {
+		t.Errorf("multicast plane still indexes %d packets at teardown (result says %d)", w.MC.Flights(), res.FlightsOpen)
+	}
 	if res.AudiencePeak == 0 {
 		t.Error("AudiencePeak = 0: sends were not tracked at all")
 	}
