@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cliflag"
 	"repro/internal/des"
+	"repro/internal/hypercube"
 	"repro/internal/logicalid"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -53,7 +54,9 @@ func main() {
 	// (-nodes 0 is allowed: an anchors-only map is a legitimate render.)
 	cli.Min(0, "nodes", "fail", "cube", "warmup", "parallel")
 	cli.Min(1, "dim", "trials", "shards")
-	cli.Positive("arena")
+	cli.Max(hypercube.MaxDim, "dim")
+	cli.Max(cliflag.MaxWarmup, "warmup")
+	cli.Max(cliflag.MaxTrials, "trials")
 	cli.WarnShards(*shards)
 	spec := scenario.DefaultSpec()
 	spec.Seed = *seed
@@ -66,6 +69,9 @@ func main() {
 	} else {
 		spec.Mobility = scenario.Waypoint
 		spec.MaxSpeed = *speed
+	}
+	if err := spec.Validate(); err != nil {
+		cli.Fail("%v", err)
 	}
 
 	renderMap(spec, *warm, *fail, *cube)

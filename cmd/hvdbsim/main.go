@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/cliflag"
 	"repro/internal/des"
+	"repro/internal/hypercube"
 	"repro/internal/membership"
 	"repro/internal/network"
 	"repro/internal/protocol"
@@ -81,7 +82,10 @@ func main() {
 	// degenerate run loop.
 	cli.Min(1, "nodes", "groups", "members", "trials", "dim", "packets", "payload", "shards")
 	cli.Min(0, "warmup", "parallel", "fuzz")
-	cli.Positive("arena", "cell")
+	cli.Max(hypercube.MaxDim, "dim")
+	cli.Max(cliflag.MaxWarmup, "warmup")
+	cli.Max(cliflag.MaxPackets, "packets")
+	cli.Max(cliflag.MaxTrials, "trials")
 	if *loss < 0 || *loss > 1 {
 		cli.Fail("-loss must be within [0,1] (got %g)", *loss)
 	}
@@ -142,6 +146,11 @@ func main() {
 		baseSpec.Mobility = scenario.Waypoint
 		baseSpec.MinSpeed = 1
 		baseSpec.MaxSpeed = *speed
+	}
+	// -arena and -cell, and the ceilings that span flags (-arena over
+	// -cell, -groups x -members), are the spec's to judge.
+	if err := baseSpec.Validate(); err != nil {
+		cli.Fail("%v", err)
 	}
 
 	if *fuzzN > 0 {

@@ -12,6 +12,16 @@ import (
 	"runtime"
 )
 
+// Ceilings for the flags that scale a run's length (a world's size is
+// scenario.Spec.Validate's): well past the largest values on record —
+// the 1M world warms up for 150 simulated seconds, bench's data-1k
+// sends 12,000 packets — and far short of a run that never returns.
+const (
+	MaxWarmup  = 3600    // simulated seconds
+	MaxPackets = 100_000 // per group
+	MaxTrials  = 10_000
+)
+
 // CLI is one command's parsed flag set; its methods report bad flag
 // values in the shared form.
 type CLI struct{ name string }
@@ -47,11 +57,12 @@ func (c CLI) Min(min float64, names ...string) {
 	}
 }
 
-// Positive fails unless every named int or float64 flag is above zero.
-func (c CLI) Positive(names ...string) {
+// Max fails unless every named int or float64 flag is at most max.
+func (c CLI) Max(max float64, names ...string) {
 	for _, name := range names {
-		if v := value(name); v <= 0 {
-			c.Fail("-%s must be positive (got %g)", name, v)
+		// Negated so that a NaN fails closed.
+		if v := value(name); !(v <= max) {
+			c.Fail("-%s must be <= %g (got %g)", name, max, v)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 // after silently dropping flags, not 1 from a mid-run failure — and
 // print a usage line on standard error.
 func TestBadInvocationsExitTwo(t *testing.T) {
+	const flagUndefined = "flag provided but not defined: "
 	all := []string{"hvdbsim", "hvdbmap", "hvdbbench"}
 	cases := []struct {
 		name string
@@ -28,6 +29,18 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{"zero nodes", []string{"-nodes", "0"}, "-nodes must be >= 1", []string{"hvdbsim"}}, // hvdbmap renders anchors-only maps
 		{"zero shards", []string{"-shards", "0"}, "-shards must be >= 1", all},
 		{"negative parallel", []string{"-parallel", "-1"}, "-parallel must be >= 0", all},
+		{"zero arena", []string{"-arena", "0"}, "scenario: arena side 0 m", []string{"hvdbsim", "hvdbmap"}},
+		// Oversize worlds and runs are refused before anything is
+		// allocated or simulated: on the parent these died in the
+		// runtime's out-of-memory trace, exited 1 from a constructor,
+		// and never returned, in that order.
+		{"oversize grid", []string{"-nodes", "20", "-arena", "1e7", "-cell", "10"}, "scenario: arena 1e+07 m over cell 10 m", []string{"hvdbsim"}},
+		{"oversize dim", []string{"-dim", "40"}, "-dim must be <= 20", []string{"hvdbsim", "hvdbmap"}},
+		{"oversize warmup", []string{"-warmup", "1e308"}, "-warmup must be <= 3600", []string{"hvdbsim", "hvdbmap"}},
+		// The host-timing modes are gone (bench/ is the one recorder);
+		// the flag package itself refuses them.
+		{"removed perfsmoke", []string{"-perfsmoke"}, flagUndefined + "-perfsmoke", []string{"hvdbbench"}},
+		{"removed scalemem", []string{"-scalemem"}, flagUndefined + "-scalemem", []string{"hvdbbench"}},
 	}
 
 	dir := t.TempDir()
@@ -52,7 +65,11 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 				if !strings.Contains(stderr.String(), "Usage of ") {
 					t.Errorf("%s %v: no usage line on stderr:\n%s", cmd, tc.args, &stderr)
 				}
-				if !strings.Contains(stderr.String(), cmd+": "+tc.want) {
+				want := cmd + ": " + tc.want
+				if strings.HasPrefix(tc.want, flagUndefined) {
+					want = tc.want // package flag's own line carries no command prefix
+				}
+				if !strings.Contains(stderr.String(), want) {
 					t.Errorf("%s %v: stderr does not name the error %q:\n%s", cmd, tc.args, tc.want, &stderr)
 				}
 			})

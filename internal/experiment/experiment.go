@@ -31,8 +31,7 @@ type Options struct {
 	// MaxNodes caps the population of the scale sweep; 0 means
 	// DefaultMaxNodes (100k). The sweep's node counts ascend, so the cap
 	// drops a suffix of points and never disturbs the positional seeds
-	// of the rest — raising it (the nightly 1M knob) adds rows without
-	// changing existing ones.
+	// of the rest — raising it adds rows without changing existing ones.
 	MaxNodes int
 }
 
@@ -85,13 +84,19 @@ func Run(id string, o Options) ([]*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown id %q (have %v)", id, IDs())
 	}
+	return e.run(o.withDefaults()), nil
+}
+
+// withDefaults fills the zero Scale and Seed with the full-size,
+// seed-1 configuration.
+func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	return e.run(o), nil
+	return o
 }
 
 // must unwraps constructor errors; experiment configurations are static

@@ -5,15 +5,14 @@ package experiment
 // internal/des and internal/network (pooled event heap, incremental
 // spatial index, interned accounting) exists precisely to open
 // 10,000-node scenarios. The "scale" experiment reports the
-// deterministic protocol-side metrics per population; ScaleBench wraps
-// the same worlds with wall-clock and allocation measurement for the
-// BENCH_scale.json baseline emitted by `hvdbbench -json`.
+// deterministic protocol-side metrics per population; RecordScale is
+// the same sweep as the machine-readable rows `hvdbbench -json` prints
+// and BENCH_scale.json commits. Everything here is a pure function of
+// the seed: host-side timing of these worlds belongs to bench/.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"repro/internal/des"
 	"repro/internal/membership"
@@ -34,10 +33,8 @@ type scaleConfig struct {
 	cell float64
 }
 
-// DefaultMaxNodes caps the scale sweep at the largest population the
-// standard CI environment is provisioned for. The 1M point runs only
-// when a caller raises Options.MaxNodes (the nightly job's -maxnodes
-// knob).
+// DefaultMaxNodes caps the scale sweep; the 1M point runs only when a
+// caller raises Options.MaxNodes (hvdbbench -maxnodes).
 const DefaultMaxNodes = 100000
 
 // scaleConfigs returns the sweep: the paper's population up to the 10k
@@ -125,27 +122,43 @@ func scaleTiming(c scaleConfig) (warm, drain des.Duration) {
 	return warm, drain
 }
 
-// scaleResult carries the deterministic outcomes of one scale world.
+// ScaleRecord is the scale sweep as `hvdbbench -json` prints it and
+// BENCH_scale.json commits it: the options that select the worlds and
+// one ScalePoint per population. Every field is a pure function of the
+// seed, so a re-run on any machine must reproduce the committed file
+// exactly (TestScaleRecordReproduces).
+type ScaleRecord struct {
+	Seed   uint64       `json:"seed"`
+	Scale  float64      `json:"scale"`
+	Points []ScalePoint `json:"points"`
+}
+
+// ScalePoint is one population's row of a ScaleRecord.
+type ScalePoint struct {
+	Nodes         int     `json:"nodes"`
+	TotalNodes    int     `json:"total_nodes"` // including anchors
+	ArenaM        float64 `json:"arena_m"`
+	SimSeconds    float64 `json:"sim_seconds"`
+	Events        uint64  `json:"events"`
+	DeliveryRatio float64 `json:"delivery_ratio"`
+}
+
+// scaleResult is one scale world's outcome: the recorded point plus the
+// columns only the table shows.
 type scaleResult struct {
-	total    int // nodes including anchors
-	clusters int
-	events   uint64
-	m        *runMetrics
-	ctrlPNS  float64 // control bytes/node/second over the whole run
-	simEnd   des.Time
+	ScalePoint
+	clusters  int
+	delayMean float64 // seconds
+	ctrlPNS   float64 // control bytes/node/second over the whole run
 }
 
 // runScaleWorld drives one population end to end. Everything it returns
 // is a pure function of (seed, config) — independent of shards, which
-// only changes how the same event sequence is scheduled onto cores, and
-// of sample, which only changes how often the host observes the run —
-// so the sweep parallelizes with byte-identical tables at any worker or
-// shard count, sampled or not.
-//
-// A non-nil sample is invoked at ~1-simulated-second barriers (the
-// kernel contract makes chunked RunUntil event-identical to a single
-// call); benchScalePoint uses it to track peak heap.
-func runScaleWorld(seed uint64, c scaleConfig, shards int, sample func()) scaleResult {
+// only changes how the same event sequence is scheduled onto cores —
+// and holds no reference to the world, so the sweep parallelizes with
+// byte-identical tables at any worker or shard count and each world is
+// collectable as soon as its point finishes.
+func runScaleWorld(seed uint64, c scaleConfig, shards int) scaleResult {
 	w := must(scenario.Build(scaleSpec(seed, c, shards)))
 	if shards > 1 && w.Eng == nil {
 		panic(fmt.Sprintf("experiment: scale world declined shards=%d: %s", shards, w.ShardNote))
@@ -153,7 +166,7 @@ func runScaleWorld(seed uint64, c scaleConfig, shards int, sample func()) scaleR
 	stk := must(w.Protocol("hvdb"))
 	stk.Start()
 	warm, drain := scaleTiming(c)
-	runSampled(w, warm, sample) // no traffic reset: ctrlPNS covers the whole run
+	w.RunUntil(warm) // no traffic reset: ctrlPNS covers the whole run
 	m := newRunMetrics(w.Sim)
 	stk.Deliveries(m.observe)
 	src := w.RandomSource()
@@ -163,49 +176,34 @@ func runScaleWorld(seed uint64, c scaleConfig, shards int, sample func()) scaleR
 		m.expect(uid, len(w.Members[g]))
 		return uid
 	}, scaleGap, scalePackets)
-	runSampled(w, w.Sim.Now()+scaleGap*des.Duration(scalePackets)+drain, sample)
+	w.RunUntil(w.Sim.Now() + scaleGap*des.Duration(scalePackets) + drain)
 	stk.Stop()
 	return scaleResult{
-		total:    w.Net.Len(),
-		clusters: len(w.CM.Heads()),
-		events:   w.Sim.Executed(),
-		m:        m,
-		ctrlPNS:  controlPerNodeSecond(w, w.Sim.Now()),
-		simEnd:   w.Sim.Now(),
+		ScalePoint: ScalePoint{
+			Nodes:         c.nodes,
+			TotalNodes:    w.Net.Len(),
+			ArenaM:        c.arena,
+			SimSeconds:    float64(w.Sim.Now()),
+			Events:        w.Sim.Executed(),
+			DeliveryRatio: m.pdr(),
+		},
+		clusters:  len(w.CM.Heads()),
+		delayMean: m.delays.Mean(),
+		ctrlPNS:   controlPerNodeSecond(w, w.Sim.Now()),
 	}
 }
 
-// runSampled advances the world to deadline, in ~1-simulated-second
-// chunks when a sampler is installed so the host can observe memory at
-// quiet barriers. The chunking itself is invisible to the simulation:
-// RunUntil(a); RunUntil(b) executes the identical event sequence as
-// RunUntil(b).
-func runSampled(w *scenario.World, deadline des.Time, sample func()) {
-	if sample == nil {
-		w.RunUntil(deadline)
-		return
-	}
-	const step = des.Duration(1)
-	for t := w.Sim.Now() + step; t < deadline; t += step {
-		w.RunUntil(t)
-		sample()
-	}
-	w.RunUntil(deadline)
-	sample()
+// scaleSweep runs every population of the sweep across the worker
+// budget; the table and the JSON rows are two renderings of its result.
+func scaleSweep(o Options) []scaleResult {
+	return parSweep(o, scaleConfigs(o), func(r runner.Run, c scaleConfig) scaleResult {
+		return runScaleWorld(r.Seed, c, o.Shards)
+	})
 }
 
 // Scale regenerates the scale table: protocol behavior as the world
 // grows from the paper's population to 10,000 nodes.
 func Scale(o Options) []*Table {
-	configs := scaleConfigs(o)
-	rows := parSweep(o, configs, func(r runner.Run, c scaleConfig) []string {
-		res := runScaleWorld(r.Seed, c, o.Shards, nil)
-		return []string{
-			I(c.nodes), I(res.total), I(int(c.arena)), I(res.clusters),
-			U(res.events), Pct(res.m.pdr()),
-			F(res.m.delays.Mean() * 1000), F(res.ctrlPNS),
-		}
-	})
 	t := &Table{
 		ID:    "scale",
 		Title: "simulator scale sweep: 10 CBR multicast packets per population",
@@ -214,135 +212,26 @@ func Scale(o Options) []*Table {
 			"events", "pdr", "delay_ms", "ctrl_B/node/s",
 		},
 	}
-	addRows(t, rows)
+	for _, res := range scaleSweep(o) {
+		t.AddRow(
+			I(res.Nodes), I(res.TotalNodes), I(int(res.ArenaM)), I(res.clusters),
+			U(res.Events), Pct(res.DeliveryRatio),
+			F(res.delayMean*1000), F(res.ctrlPNS),
+		)
+	}
 	t.Note("arena grows with population (constant density ~%d nodes/km^2); events = kernel events over %gs simulated at arenas <= %gm, warmup/drain scaling with arena side beyond it", 50, float64(scaleWarmBase)+float64(scalePackets)*float64(scaleGap)+float64(scaleDrainBase), scaleRefArena)
-	t.Note("wall-clock and allocation figures for the same worlds come from `hvdbbench -json` (BENCH_scale.json)")
+	t.Note("`hvdbbench -json` prints these rows as JSON (committed as BENCH_scale.json); wall-clock, allocation and heap figures are bench/'s (bench/BASELINE.json)")
 	return []*Table{t}
 }
 
-// ScalePoint is one measured entry of the scale benchmark: the
-// deterministic world outcomes plus the host-side performance of
-// simulating it (these vary by machine and are therefore not part of
-// the experiment's table contract). Shards and GoMaxProcs record the
-// kernel configuration the point was measured under; Events must be
-// identical across points that differ only in those two fields — the
-// perf-smoke gate enforces exactly that.
-type ScalePoint struct {
-	Nodes          int     `json:"nodes"`
-	TotalNodes     int     `json:"total_nodes"`
-	ArenaM         float64 `json:"arena_m"`
-	Shards         int     `json:"shards"`
-	GoMaxProcs     int     `json:"go_max_procs"`
-	SimSeconds     float64 `json:"sim_seconds"`
-	Events         uint64  `json:"events"`
-	DeliveryRatio  float64 `json:"delivery_ratio"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-	BytesPerEvent  float64 `json:"bytes_per_event"`
-	// PeakHeapBytes is the highest live-heap growth over the pre-run
-	// baseline observed at ~1-simulated-second barriers (and at the end
-	// of the run); BytesPerNode divides it by the total node count. Both
-	// are host-side figures like WallSeconds, outside the table contract.
-	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
-	BytesPerNode  float64 `json:"bytes_per_node"`
-}
-
-// benchShardCounts is the shard axis of the BENCH_scale.json baseline:
-// the serial kernel and the default sharded configuration.
-var benchShardCounts = []int{1, 4}
-
-// ScaleBench runs the scale sweep serially (one world at a time, so
-// wall-clock and allocation deltas are attributable) and returns the
-// per-population performance baseline. With o.Shards zero every
-// population is measured at each benchShardCounts setting (the baseline
-// contract: a serial and a shards=4 point per N); a positive o.Shards
-// measures only that configuration.
-func ScaleBench(o Options) []ScalePoint {
-	counts := benchShardCounts
-	if o.Shards > 0 {
-		counts = []int{o.Shards}
+// RecordScale runs the scale sweep — the worlds, seeds and worker
+// fan-out of Run("scale", o) — and returns its rows in population
+// order.
+func RecordScale(o Options) ScaleRecord {
+	o = o.withDefaults()
+	rec := ScaleRecord{Seed: o.Seed, Scale: o.Scale}
+	for _, res := range scaleSweep(o) {
+		rec.Points = append(rec.Points, res.ScalePoint)
 	}
-	var out []ScalePoint
-	for i, c := range scaleConfigs(normalizeScaleOpts(o)) {
-		for _, k := range counts {
-			o.Shards = k
-			out = append(out, benchScalePoint(o, i, c))
-		}
-	}
-	return out
-}
-
-// ScaleBenchN runs the single sweep point with the given mobile-node
-// population at o.Shards (0 or 1 = serial) — the CI perf-smoke gate
-// measures the N=1000 and N=5000 worlds at both baseline shard counts.
-// The point's seed is derived from its position in the full sweep, so
-// the measured world is identical to that row of ScaleBench (and to the
-// committed BENCH_scale.json entry).
-func ScaleBenchN(o Options, nodes int) (ScalePoint, error) {
-	for i, c := range scaleConfigs(normalizeScaleOpts(o)) {
-		if c.nodes == nodes {
-			return benchScalePoint(o, i, c), nil
-		}
-	}
-	return ScalePoint{}, fmt.Errorf("experiment: no scale sweep point with %d nodes", nodes)
-}
-
-func normalizeScaleOpts(o Options) Options {
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// benchScalePoint measures one sweep point: deterministic world
-// outcomes plus wall-clock and allocation deltas around the run.
-func benchScalePoint(o Options, i int, c scaleConfig) ScalePoint {
-	o = normalizeScaleOpts(o)
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	seed := runner.DeriveSeed(o.Seed, i)
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	peak := m0.HeapAlloc
-	sample := func() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > peak {
-			peak = ms.HeapAlloc
-		}
-	}
-	start := time.Now() //hvdb:wallclock benchmark timing around a finished run; wall/events-per-second never feeds simulation state or the deterministic table columns
-	res := runScaleWorld(seed, c, shards, sample)
-	wall := time.Since(start).Seconds() //hvdb:wallclock benchmark timing, pairs with the start stamp above
-	runtime.ReadMemStats(&m1)
-	p := ScalePoint{
-		Nodes:         c.nodes,
-		TotalNodes:    res.total,
-		ArenaM:        c.arena,
-		Shards:        shards,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		SimSeconds:    float64(res.simEnd),
-		Events:        res.events,
-		DeliveryRatio: res.m.pdr(),
-		WallSeconds:   wall,
-	}
-	if wall > 0 {
-		p.EventsPerSec = float64(res.events) / wall
-	}
-	if res.events > 0 {
-		p.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(res.events)
-		p.BytesPerEvent = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.events)
-	}
-	p.PeakHeapBytes = peak - m0.HeapAlloc
-	if res.total > 0 {
-		p.BytesPerNode = float64(p.PeakHeapBytes) / float64(res.total)
-	}
-	return p
+	return rec
 }

@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"repro/internal/membership"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -91,29 +94,30 @@ func TestScaleConfigsMaxNodesSuffix(t *testing.T) {
 	}
 }
 
-// TestScaleBenchShape checks ScaleBench fills the performance fields
-// the BENCH_scale.json baseline publishes: one serial and one shards=4
-// point per population, with identical event counts inside each pair.
-func TestScaleBenchShape(t *testing.T) {
-	pts := ScaleBench(QuickOptions())
-	if want := len(scaleConfigs(QuickOptions())) * len(benchShardCounts); len(pts) != want {
-		t.Fatalf("%d bench points, want %d (one per population per shard count)", len(pts), want)
+// TestScaleRecordReproduces re-runs the two smallest rows of the
+// committed BENCH_scale.json at their positional seeds and requires
+// every recorded field back exactly: the record holds only outcomes
+// that are a pure function of the seed, so a mismatch means simulated
+// behaviour changed and the file (and the EXPERIMENTS.md tables) must be
+// re-recorded with `hvdbbench -json`.
+func TestScaleRecordReproduces(t *testing.T) {
+	buf, err := os.ReadFile("../../BENCH_scale.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	events := map[int]uint64{}
-	for _, p := range pts {
-		if p.Events == 0 || p.WallSeconds <= 0 || p.EventsPerSec <= 0 {
-			t.Fatalf("bench point %+v missing performance measurements", p)
+	var rec ScaleRecord
+	if err := json.Unmarshal(buf, &rec); err != nil {
+		t.Fatalf("parsing BENCH_scale.json: %v", err)
+	}
+	configs := scaleConfigs(Options{Scale: rec.Scale})
+	if len(rec.Points) != len(configs) {
+		t.Fatalf("record has %d rows, the default sweep %d", len(rec.Points), len(configs))
+	}
+	for i, want := range rec.Points[:2] {
+		got := runScaleWorld(runner.DeriveSeed(rec.Seed, i), configs[i], 1).ScalePoint
+		if got != want {
+			t.Errorf("row %d re-ran as %+v, committed %+v", i, got, want)
 		}
-		if p.TotalNodes < p.Nodes {
-			t.Fatalf("bench point %+v: total below mobile population", p)
-		}
-		if p.Shards < 1 || p.GoMaxProcs < 1 {
-			t.Fatalf("bench point %+v missing kernel configuration", p)
-		}
-		if prev, ok := events[p.Nodes]; ok && prev != p.Events {
-			t.Fatalf("N=%d events differ across shard counts: %d vs %d", p.Nodes, prev, p.Events)
-		}
-		events[p.Nodes] = p.Events
 	}
 }
 
@@ -123,32 +127,10 @@ func TestScaleBenchShape(t *testing.T) {
 // metrics to the last bit.
 func TestScaleShardEventEquality(t *testing.T) {
 	cfg := scaleConfigs(QuickOptions())[1] // 250 nodes: big enough for real traffic
-	type fp struct {
-		events uint64
-		pdr    float64
-		ctrl   float64
-	}
-	var base fp
-	for i, k := range []int{1, 2, 4} {
-		res := runScaleWorld(1, cfg, k, nil)
-		got := fp{events: res.events, pdr: res.m.pdr(), ctrl: res.ctrlPNS}
-		if i == 0 {
-			base = got
-			continue
-		}
-		if got != base {
+	base := runScaleWorld(1, cfg, 1)
+	for _, k := range []int{2, 4} {
+		if got := runScaleWorld(1, cfg, k); got != base {
 			t.Fatalf("shards=%d diverged: %+v vs serial %+v", k, got, base)
 		}
-	}
-	// The memory sampler chunks RunUntil at ~1 s barriers; the chunking
-	// must be invisible to the simulation.
-	calls := 0
-	res := runScaleWorld(1, cfg, 1, func() { calls++ })
-	got := fp{events: res.events, pdr: res.m.pdr(), ctrl: res.ctrlPNS}
-	if got != base {
-		t.Fatalf("sampled run diverged: %+v vs unsampled %+v", got, base)
-	}
-	if calls == 0 {
-		t.Fatal("sampler never invoked")
 	}
 }

@@ -11,6 +11,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cluster"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/georoute"
 	"repro/internal/gps"
+	"repro/internal/hypercube"
 	"repro/internal/logicalid"
 	"repro/internal/membership"
 	"repro/internal/mobility"
@@ -102,6 +104,37 @@ func DefaultSpec() Spec {
 	}
 }
 
+// World-size ceilings: twice the population and twice the grid side of
+// the largest world this repository has built (the scale sweep's 1M
+// point, 1,003,136 nodes on a 56x56 VC grid). Past them a spec is a
+// mistyped flag or script field, not a world.
+const (
+	MaxNodes     = 2_000_000 // Spec.Nodes, and Groups x MembersPerGroup
+	MaxGridCells = 112 * 112 // VCs: ceil(ArenaSize/CellSize) squared
+)
+
+// Validate reports why Build would refuse the spec, or nil, reading
+// only the spec: a command can exit with usage before any allocation.
+func (s Spec) Validate() error {
+	// Negated comparisons so that NaN fails closed too.
+	if !(s.ArenaSize > 0) || !(s.CellSize > 0) {
+		return fmt.Errorf("scenario: arena side %v m and cell side %v m must be positive", s.ArenaSize, s.CellSize)
+	}
+	if side := math.Ceil(s.ArenaSize / s.CellSize); !(side*side <= MaxGridCells) {
+		return fmt.Errorf("scenario: arena %v m over cell %v m is a %gx%g VC grid, above the %d-cell ceiling",
+			s.ArenaSize, s.CellSize, side, side, MaxGridCells)
+	}
+	if s.Dim < 1 || s.Dim > hypercube.MaxDim {
+		return fmt.Errorf("scenario: hypercube dimension %d out of range [1,%d]", s.Dim, hypercube.MaxDim)
+	}
+	// Each factor is bounded before the product, so it cannot overflow.
+	if s.Nodes > MaxNodes || s.Groups > MaxNodes || s.MembersPerGroup > MaxNodes || s.Groups*s.MembersPerGroup > MaxNodes {
+		return fmt.Errorf("scenario: %d nodes, %d groups x %d members: above the ceiling of %d nodes or memberships",
+			s.Nodes, s.Groups, s.MembersPerGroup, MaxNodes)
+	}
+	return nil
+}
+
 // World is a fully wired simulation.
 type World struct {
 	Spec   Spec
@@ -136,10 +169,11 @@ type World struct {
 	group *mobility.Group
 }
 
-// Build wires a world from the spec.
+// Build wires a world from the spec, or returns Spec.Validate's error
+// before allocating anything.
 func Build(spec Spec) (*World, error) {
-	if spec.ArenaSize <= 0 || spec.CellSize <= 0 {
-		return nil, fmt.Errorf("scenario: invalid arena %v cell %v", spec.ArenaSize, spec.CellSize)
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	w := &World{Spec: spec, Members: make(map[membership.Group][]network.NodeID)}
 	w.Sim = des.New()

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/des"
@@ -32,16 +33,32 @@ func TestBuildDefault(t *testing.T) {
 	}
 }
 
+// TestBuildValidation: every out-of-range spec is refused with an
+// error — the oversize ones before Build allocates, or this test would
+// take the machine down rather than fail.
 func TestBuildValidation(t *testing.T) {
-	bad := DefaultSpec()
-	bad.ArenaSize = 0
-	if _, err := Build(bad); err == nil {
-		t.Fatal("zero arena should fail")
+	for name, mutate := range map[string]func(*Spec){
+		"zero arena":         func(s *Spec) { s.ArenaSize = 0 },
+		"NaN arena":          func(s *Spec) { s.ArenaSize = math.NaN() },
+		"infinite arena":     func(s *Spec) { s.ArenaSize = math.Inf(1) },
+		"absurd dimension":   func(s *Spec) { s.Dim = 99 },
+		"zero dimension":     func(s *Spec) { s.Dim = 0 },
+		"10^12-cell grid":    func(s *Spec) { s.ArenaSize, s.CellSize = 1e7, 10 },
+		"10^12 nodes":        func(s *Spec) { s.Nodes = 1e12 },
+		"10^12 memberships":  func(s *Spec) { s.Groups, s.MembersPerGroup = 1e6, 1e6 },
+		"overflowing groups": func(s *Spec) { s.Groups, s.MembersPerGroup = math.MaxInt, math.MaxInt },
+	} {
+		bad := DefaultSpec()
+		mutate(&bad)
+		if _, err := Build(bad); err == nil {
+			t.Errorf("%s: Build accepted %+v", name, bad)
+		}
 	}
-	bad = DefaultSpec()
-	bad.Dim = 99
-	if _, err := Build(bad); err == nil {
-		t.Fatal("absurd dimension should fail")
+	// The largest world the repository records stays buildable.
+	mega := DefaultSpec()
+	mega.Nodes, mega.ArenaSize, mega.CellSize = 1000000, 140000, 2500
+	if err := mega.Validate(); err != nil {
+		t.Errorf("the scale sweep's 1M world is refused: %v", err)
 	}
 }
 
