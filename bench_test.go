@@ -9,8 +9,10 @@ package hvdb
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/experiment"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/multicast"
 	"repro/internal/network"
+	"repro/internal/protocol"
 	"repro/internal/scenario"
 	"repro/internal/vcgrid"
 	"repro/internal/xrand"
@@ -381,6 +384,84 @@ func TestDataPlaneAllocBudget(t *testing.T) {
 		t.Fatalf("one warmed send allocates %v objects, budget %d", allocs, budget)
 	}
 	t.Logf("one warmed send: %v allocations (budget %d), %d deliveries", allocs, budget, perSend)
+}
+
+// TestBaselineStateBounded holds the comparison arms to the state
+// contract the HVDB data plane already meets: what a flood or a send
+// learns about itself rides its packets and dies with them. First, the
+// dsm control plane alone (64 static nodes, every one flooding its
+// position each 2 s round) must hold no more live heap after thirty
+// rounds than after ten — with a uid-keyed dedup table that nothing
+// deletes from, it grows by one 64-entry map per node per round, 3.1 MB
+// over these forty seconds. Second, after a churn-storm script
+// drains (failed sends, downed sources, departed members) no arm still
+// tracks a packet.
+func TestBaselineStateBounded(t *testing.T) {
+	spec := scenario.DefaultSpec()
+	spec.ArenaSize = 1000 // dense enough that every flood reaches every node
+	spec.Nodes = 64
+	spec.AnchorCHs = false
+	spec.Groups = 1
+	spec.MembersPerGroup = 8
+	spec.Mobility = scenario.Static
+	w, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk, err := w.Protocol("dsm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.Start()
+	liveAt := func(at des.Time) uint64 {
+		w.RunUntil(at) // one second past a round: its floods have landed
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	after10, after30 := liveAt(21), liveAt(61)
+	stk.Stop()
+	if tx := w.Net.Stats().KindTx[baseline.DSMPositionKind]; tx < 30*64 {
+		t.Fatalf("%d position transmissions in 30 rounds of 64 floods: the control plane did not run", tx)
+	}
+	const slack = 256 << 10
+	if after30 > after10+slack {
+		t.Errorf("live heap grew from %d to %d bytes between 10 and 30 dsm position rounds (slack %d): flood state outlives its flood", after10, after30, slack)
+	}
+	t.Logf("live heap after 10 rounds %d B, after 30 rounds %d B", after10, after30)
+
+	for _, arm := range protocol.Names() {
+		spec := scenario.DefaultSpec()
+		spec.Nodes = 64
+		spec.Groups = 1
+		spec.MembersPerGroup = 8
+		w, err := scenario.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stk, err := w.Protocol(arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := scenario.BuiltinScript("churn-storm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stk.Start()
+		w.WarmUp(10)
+		res, err := w.RunScript(stk, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stk.Stop()
+		if res.Sent == 0 {
+			t.Errorf("%s: the script sent nothing", arm)
+		}
+		if stk.Tracked() != 0 || res.FlightsOpen != 0 {
+			t.Errorf("%s still tracks %d packets after the script drained (result says %d)", arm, stk.Tracked(), res.FlightsOpen)
+		}
+	}
 }
 
 // Ablation: GPS positioning error — the model assumes GPS; this sweeps

@@ -28,6 +28,11 @@
 // for the uid. Delivery observers (w.MC.OnDeliver) and the Sent and
 // Delivered counters do not depend on the index.
 //
+// The same contract holds for every arm built with World.Protocol, HVDB
+// or baseline: Protocol.Forget(uid) releases the arm's index entry
+// (on the hvdb arm it is w.MC.ForgetPacket) and Protocol.Tracked()
+// counts the sent uids not yet forgotten.
+//
 // The experiment harness that regenerates every figure of the paper and
 // quantifies each of its claims is exposed through RunExperiment; see
 // DESIGN.md for the experiment index and EXPERIMENTS.md for recorded

@@ -51,6 +51,13 @@ type Protocol interface {
 	Send(src network.NodeID, g Group, payloadSize int) uint64
 	// OnDeliver registers the delivery observer.
 	OnDeliver(f DeliverFunc)
+	// Forget drops uid from the index behind DeliveryCount, the only
+	// per-packet state a scheme keeps; Tracked is how many sent uids are
+	// still indexed. A caller that sends for long forgets each uid once
+	// it has read what it wants. Forgetting is safe while copies are on
+	// the air: they carry their duplicate suppression with them.
+	Forget(uid uint64)
+	Tracked() int
 	// Start and Stop control periodic control planes (no-ops for
 	// stateless schemes).
 	Start()
@@ -92,32 +99,111 @@ func (m *membershipStore) members(net *network.Network, g Group) []network.NodeI
 	return out
 }
 
-// deliveryLog is shared per-uid per-member dedup plus callback dispatch.
-type deliveryLog struct {
-	seen      map[uint64]map[network.NodeID]bool
-	onDeliver DeliverFunc
-	delivered uint64
+// nodeSet is a dense set of node IDs.
+type nodeSet []uint64
+
+func newNodeSet(net *network.Network) nodeSet {
+	return make(nodeSet, (net.Len()+63)/64)
 }
 
-func newDeliveryLog() *deliveryLog {
-	return &deliveryLog{seen: make(map[uint64]map[network.NodeID]bool)}
-}
-
-func (d *deliveryLog) record(member network.NodeID, uid uint64, born des.Time, hops int) {
-	if d.seen[uid] == nil {
-		d.seen[uid] = make(map[network.NodeID]bool)
+// add inserts id and reports whether it was absent. Sets are sized when
+// a packet originates; an ID beyond that (a node added while copies are
+// on the air) grows the set.
+func (s *nodeSet) add(id network.NodeID) bool {
+	w, bit := int(id)>>6, uint64(1)<<uint(id&63)
+	for w >= len(*s) {
+		*s = append(*s, 0)
 	}
-	if d.seen[uid][member] {
+	if (*s)[w]&bit != 0 {
+		return false
+	}
+	(*s)[w] |= bit
+	return true
+}
+
+// flight is the record of one originated packet — a data Send or one
+// control flood — carried by pointer in the Payload of every copy, so
+// Clone and per-hop headers share it: what has already happened to the
+// packet. The copies are the only strong holders. A control flood's
+// record is collected with its last copy in flight and no table ever
+// hears of it; a data send's is also indexed by uid in the deliveryLog,
+// solely to answer DeliveryCount, until Forget.
+type flight struct {
+	relayed   nodeSet // flood kinds: nodes that have broadcast their copy
+	delivered nodeSet // data kinds: members delivered to
+	count     int     // size of delivered
+}
+
+// flood makes fl the record of a flood originating at src, which counts
+// as having broadcast.
+func (fl *flight) flood(net *network.Network, src network.NodeID) *flight {
+	fl.relayed = newNodeSet(net)
+	fl.relayed.add(src)
+	return fl
+}
+
+// relayFlood is the receive side of every flood: it reports whether this
+// is the first copy to reach n, which the caller then rebroadcasts.
+func relayFlood(n *network.Node, pkt *network.Packet) (*flight, bool) {
+	fl, ok := pkt.Payload.(*flight)
+	return fl, ok && fl.relayed.add(n.ID)
+}
+
+// rebroadcastFlood is the whole handler of a control flood kind: the
+// contents feed the snapshot oracle, so there is nothing to store.
+func rebroadcastFlood(n *network.Node, _ network.NodeID, pkt *network.Packet) {
+	if _, first := relayFlood(n, pkt); first {
+		n.Net().Broadcast(n.ID, pkt.Clone())
+	}
+}
+
+// deliveryLog is the delivery side every scheme embeds: it dispatches
+// member deliveries, deduplicated through the flight the copies carry,
+// and indexes the flights of data sends by uid.
+type deliveryLog struct {
+	net       *network.Network
+	flights   map[uint64]*flight
+	onDeliver DeliverFunc
+}
+
+func newDeliveryLog(net *network.Network) *deliveryLog {
+	return &deliveryLog{net: net, flights: make(map[uint64]*flight)}
+}
+
+// OnDeliver implements Protocol.
+func (d *deliveryLog) OnDeliver(f DeliverFunc) { d.onDeliver = f }
+
+// open starts the record of the data send uid and indexes it.
+func (d *deliveryLog) open(uid uint64) *flight {
+	fl := &flight{delivered: newNodeSet(d.net)}
+	d.flights[uid] = fl
+	return fl
+}
+
+func (d *deliveryLog) record(fl *flight, member network.NodeID, uid uint64, born des.Time, hops int) {
+	if !fl.delivered.add(member) {
 		return
 	}
-	d.seen[uid][member] = true
-	d.delivered++
+	fl.count++
 	if d.onDeliver != nil {
 		d.onDeliver(member, uid, born, hops)
 	}
 }
 
-func (d *deliveryLog) count(uid uint64) int { return len(d.seen[uid]) }
+// DeliveryCount returns how many members have received uid so far; 0
+// once the uid has been forgotten.
+func (d *deliveryLog) DeliveryCount(uid uint64) int {
+	if fl := d.flights[uid]; fl != nil {
+		return fl.count
+	}
+	return 0
+}
+
+// Forget implements Protocol.
+func (d *deliveryLog) Forget(uid uint64) { delete(d.flights, uid) }
+
+// Tracked implements Protocol.
+func (d *deliveryLog) Tracked() int { return len(d.flights) }
 
 // unitDiscBFS computes a BFS tree over the current unit-disc graph from
 // root, as parent pointers, visiting only live nodes. It is the
@@ -126,10 +212,12 @@ func (d *deliveryLog) count(uid uint64) int { return len(d.seen[uid]) }
 func unitDiscBFS(net *network.Network, root network.NodeID) map[network.NodeID]network.NodeID {
 	parent := map[network.NodeID]network.NodeID{root: root}
 	frontier := []network.NodeID{root}
+	var nbrs []network.NodeID
 	for len(frontier) > 0 {
 		var next []network.NodeID
 		for _, u := range frontier {
-			for _, v := range net.Neighbors(u) {
+			nbrs = net.NeighborsAppend(u, nbrs[:0])
+			for _, v := range nbrs {
 				if _, ok := parent[v]; ok {
 					continue
 				}

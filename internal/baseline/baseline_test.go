@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -52,7 +53,7 @@ func TestFloodingNoDuplicateDeliveries(t *testing.T) {
 	if got := f.DeliveryCount(uid); got != 1 {
 		t.Fatalf("delivery count %d want 1", got)
 	}
-	f.ForgetPacket(uid)
+	f.Forget(uid)
 	if f.DeliveryCount(uid) != 0 {
 		t.Fatal("forget failed")
 	}
@@ -292,5 +293,76 @@ func TestSendFromDownNodeFailsAcrossProtocols(t *testing.T) {
 	d := NewDSM(net, network.NewMux())
 	if d.Send(0, 1, 10) != 0 {
 		t.Fatal("dsm accepted down source")
+	}
+}
+
+// TestForgetMidFlight forgets a uid while its copies are still on the
+// air, on every scheme: the index entry goes at once, and the run is
+// otherwise indistinguishable from a twin that never forgets — no copy
+// is forwarded again (same executed-event count) and no member is
+// delivered twice or missed (same observed delivery sequence) — because
+// the copies carry their flight with them.
+func TestForgetMidFlight(t *testing.T) {
+	type scheme interface {
+		Protocol
+		DeliveryCount(uid uint64) int
+	}
+	schemes := []func(*network.Network, *network.Mux) scheme{
+		func(n *network.Network, m *network.Mux) scheme { return NewFlooding(n, m) },
+		func(n *network.Network, m *network.Mux) scheme { return NewDSM(n, m) },
+		func(n *network.Network, m *network.Mux) scheme { return NewPBM(n, m) },
+		func(n *network.Network, m *network.Mux) scheme { return NewSPBM(n, m) },
+		func(n *network.Network, m *network.Mux) scheme { return NewCBT(n, m) },
+	}
+	members := []network.NodeID{0, 5, 10, 15}
+	for _, build := range schemes {
+		var name string
+		run := func(forget bool) (observed []network.NodeID, executed uint64) {
+			sim, net, mux := grid16(17)
+			p := build(net, mux)
+			name = p.Name()
+			for _, m := range members {
+				p.Join(m, 1)
+			}
+			p.OnDeliver(func(m network.NodeID, _ uint64, _ des.Time, _ int) { observed = append(observed, m) })
+			p.Start()
+			sim.RunUntil(3) // one control round
+			uid := p.Send(0, 1, 100)
+			if uid == 0 || p.Tracked() != 1 {
+				t.Fatalf("%s send: uid %d, %d uids tracked, want one", name, uid, p.Tracked())
+			}
+			// Both twins schedule the probe, so they execute the same events.
+			atProbe := -1
+			sim.After(0.001, func() {
+				atProbe = len(observed)
+				if forget {
+					p.Forget(uid)
+				}
+			})
+			sim.RunUntil(3.5)
+			p.Stop()
+			sim.Run()
+			if atProbe < 0 || len(observed) <= atProbe {
+				t.Fatalf("%s: %d deliveries at the probe, %d at the end: nothing was in flight to test", name, atProbe, len(observed))
+			}
+			if forget {
+				if p.Tracked() != 0 || p.DeliveryCount(uid) != 0 {
+					t.Fatalf("%s: Forget left the uid indexed", name)
+				}
+			} else if p.DeliveryCount(uid) != len(observed) {
+				t.Fatalf("%s counts %d deliveries, observer saw %d", name, p.DeliveryCount(uid), len(observed))
+			}
+			return observed, sim.Executed()
+		}
+		kept, keptN := run(false)
+		forgot, forgotN := run(true)
+		if keptN != forgotN || !slices.Equal(kept, forgot) {
+			t.Errorf("%s: forgetting in flight changed the run:\n kept   %v (%d events)\n forgot %v (%d events)", name, kept, keptN, forgot, forgotN)
+		}
+		once := slices.Clone(kept)
+		slices.Sort(once)
+		if len(slices.Compact(once)) != len(kept) {
+			t.Errorf("%s: observed %v; want each member at most once", name, kept)
+		}
 	}
 }

@@ -24,7 +24,7 @@ type CBT struct {
 	net *network.Network
 	geo *georoute.Router
 	ms  *membershipStore
-	log *deliveryLog
+	*deliveryLog
 
 	// Core is the rendezvous node; pick with ChooseCore or set directly.
 	Core network.NodeID
@@ -40,6 +40,7 @@ type CBT struct {
 
 // cbtHeader carries the core tree for downstream forwarding.
 type cbtHeader struct {
+	fl          *flight
 	Tree        map[network.NodeID]network.NodeID
 	PayloadSize int
 }
@@ -49,7 +50,7 @@ func NewCBT(net *network.Network, mux *network.Mux) *CBT {
 	c := &CBT{
 		net:         net,
 		ms:          newMembershipStore(),
-		log:         newDeliveryLog(),
+		deliveryLog: newDeliveryLog(net),
 		Core:        network.NoNode,
 		Period:      2,
 		SnapshotTTL: 2,
@@ -74,9 +75,6 @@ func (c *CBT) Join(id network.NodeID, g Group) { c.ms.join(id, g) }
 
 // Leave implements Protocol.
 func (c *CBT) Leave(id network.NodeID, g Group) { c.ms.leave(id, g) }
-
-// OnDeliver implements Protocol.
-func (c *CBT) OnDeliver(fn DeliverFunc) { c.log.onDeliver = fn }
 
 // ChooseCore picks the live node nearest the arena center, the standard
 // static core placement.
@@ -151,19 +149,20 @@ func (c *CBT) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	}
 	now := c.net.Sim().Now()
 	uid := c.net.NextUID()
+	hdr := &cbtHeader{fl: c.open(uid), PayloadSize: payloadSize}
 	if c.ms.isMember(src, g) {
-		c.log.record(src, uid, now, 0)
+		c.record(hdr.fl, src, uid, now, 0)
 	}
 	inner := &network.Packet{
 		Kind: CBTDataKind, Src: src, Dst: c.Core, Group: int(g),
-		Size: payloadSize + 8, Born: now, UID: uid,
-		Payload: &cbtHeader{PayloadSize: payloadSize},
+		Size: payloadSize + 8, Born: now, UID: uid, Payload: hdr,
 	}
 	if src == c.Core {
 		c.atCore(n, inner)
 		return uid
 	}
 	if !c.geo.Send(src, c.corePos(), c.Core, inner) {
+		c.Forget(uid) // no uid goes back to the caller, who could not
 		return 0
 	}
 	return uid
@@ -172,6 +171,10 @@ func (c *CBT) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 // atCore runs when a data packet reaches the core: compute or reuse the
 // shared tree and forward downstream.
 func (c *CBT) atCore(n *network.Node, inner *network.Packet) {
+	hdr, ok := inner.Payload.(*cbtHeader)
+	if !ok {
+		return
+	}
 	g := Group(inner.Group)
 	now := c.net.Sim().Now()
 	// The snapshot memo reproduces CBT's staleness window on the shared
@@ -179,13 +182,9 @@ func (c *CBT) atCore(n *network.Node, inner *network.Packet) {
 	tree := c.trees.Get(now, c.SnapshotTTL, g, func() map[network.NodeID]network.NodeID {
 		return prunedTree(unitDiscBFS(c.net, c.Core), c.Core, c.ms.members(c.net, g))
 	})
-	hdr, _ := inner.Payload.(*cbtHeader)
-	if hdr == nil {
-		hdr = &cbtHeader{PayloadSize: inner.Size}
-	}
 	hdr.Tree = tree
 	if c.ms.isMember(c.Core, g) {
-		c.log.record(c.Core, inner.UID, inner.Born, inner.Hops)
+		c.record(hdr.fl, c.Core, inner.UID, inner.Born, inner.Hops)
 	}
 	c.forward(c.Core, inner.Src, g, inner.UID, inner.Born, hdr)
 }
@@ -208,10 +207,7 @@ func (c *CBT) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 		return
 	}
 	if c.ms.isMember(n.ID, Group(pkt.Group)) {
-		c.log.record(n.ID, pkt.UID, pkt.Born, pkt.Hops)
+		c.record(hdr.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
 	}
 	c.forward(n.ID, pkt.Src, Group(pkt.Group), pkt.UID, pkt.Born, hdr)
 }
-
-// DeliveryCount returns how many members received uid.
-func (c *CBT) DeliveryCount(uid uint64) int { return c.log.count(uid) }

@@ -27,7 +27,7 @@ const (
 type DSM struct {
 	net *network.Network
 	ms  *membershipStore
-	log *deliveryLog
+	*deliveryLog
 
 	// Period is the position-flood interval; SnapshotTTL is how long a
 	// computed tree is reused (staleness window).
@@ -36,7 +36,6 @@ type DSM struct {
 	// PositionSize is the position report size in bytes.
 	PositionSize int
 
-	seen   map[uint64]map[network.NodeID]bool // flood dedup
 	trees  route.SnapshotMemo[treeKey, map[network.NodeID]network.NodeID]
 	ticker *des.Ticker
 }
@@ -51,13 +50,12 @@ func NewDSM(net *network.Network, mux *network.Mux) *DSM {
 	d := &DSM{
 		net:          net,
 		ms:           newMembershipStore(),
-		log:          newDeliveryLog(),
+		deliveryLog:  newDeliveryLog(net),
 		Period:       2,
 		SnapshotTTL:  2,
 		PositionSize: 20,
-		seen:         make(map[uint64]map[network.NodeID]bool),
 	}
-	mux.Handle(DSMPositionKind, d.onPosition)
+	mux.Handle(DSMPositionKind, rebroadcastFlood)
 	mux.Handle(DSMDataKind, d.onData)
 	return d
 }
@@ -70,9 +68,6 @@ func (d *DSM) Join(id network.NodeID, g Group) { d.ms.join(id, g) }
 
 // Leave implements Protocol.
 func (d *DSM) Leave(id network.NodeID, g Group) { d.ms.leave(id, g) }
-
-// OnDeliver implements Protocol.
-func (d *DSM) OnDeliver(fn DeliverFunc) { d.log.onDeliver = fn }
 
 // Start launches the periodic position floods.
 func (d *DSM) Start() {
@@ -93,39 +88,18 @@ func (d *DSM) PositionRound() {
 		if !n.Up() {
 			continue
 		}
-		uid := d.net.NextUID()
 		pkt := &network.Packet{
 			Kind: DSMPositionKind, Src: n.ID, Dst: network.NoNode,
-			Size: d.PositionSize, Control: true, Born: d.net.Sim().Now(), UID: uid,
+			Size: d.PositionSize, Control: true, Born: d.net.Sim().Now(), UID: d.net.NextUID(),
+			Payload: new(flight).flood(d.net, n.ID),
 		}
-		d.markSeen(uid, n.ID)
 		d.net.Broadcast(n.ID, pkt)
 	}
 }
 
-func (d *DSM) markSeen(uid uint64, id network.NodeID) bool {
-	m := d.seen[uid]
-	if m == nil {
-		m = make(map[network.NodeID]bool)
-		d.seen[uid] = m
-	}
-	if m[id] {
-		return false
-	}
-	m[id] = true
-	return true
-}
-
-func (d *DSM) onPosition(n *network.Node, _ network.NodeID, pkt *network.Packet) {
-	if !d.markSeen(pkt.UID, n.ID) {
-		return
-	}
-	d.net.Broadcast(n.ID, pkt.Clone())
-	// Position contents feed the snapshot oracle; nothing to store.
-}
-
 // dsmHeader carries the source-encoded tree.
 type dsmHeader struct {
+	fl          *flight
 	Tree        map[network.NodeID]network.NodeID
 	PayloadSize int
 }
@@ -145,9 +119,9 @@ func (d *DSM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 		return prunedTree(unitDiscBFS(d.net, src), src, d.ms.members(d.net, g))
 	})
 	uid := d.net.NextUID()
-	hdr := &dsmHeader{Tree: tree, PayloadSize: payloadSize}
+	hdr := &dsmHeader{fl: d.open(uid), Tree: tree, PayloadSize: payloadSize}
 	if d.ms.isMember(src, g) {
-		d.log.record(src, uid, now, 0)
+		d.record(hdr.fl, src, uid, now, 0)
 	}
 	d.forward(src, src, g, uid, now, hdr)
 	return uid
@@ -173,10 +147,7 @@ func (d *DSM) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 		return
 	}
 	if d.ms.isMember(n.ID, Group(pkt.Group)) {
-		d.log.record(n.ID, pkt.UID, pkt.Born, pkt.Hops)
+		d.record(hdr.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
 	}
 	d.forward(n.ID, pkt.Src, Group(pkt.Group), pkt.UID, pkt.Born, hdr)
 }
-
-// DeliveryCount returns how many members received uid.
-func (d *DSM) DeliveryCount(uid uint64) int { return d.log.count(uid) }

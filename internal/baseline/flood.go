@@ -14,19 +14,12 @@ const FloodKind = "flood-data"
 type Flooding struct {
 	net *network.Network
 	ms  *membershipStore
-	log *deliveryLog
-
-	seen map[uint64]map[network.NodeID]bool // rebroadcast dedup
+	*deliveryLog
 }
 
 // NewFlooding attaches the protocol to the network's mux.
 func NewFlooding(net *network.Network, mux *network.Mux) *Flooding {
-	f := &Flooding{
-		net:  net,
-		ms:   newMembershipStore(),
-		log:  newDeliveryLog(),
-		seen: make(map[uint64]map[network.NodeID]bool),
-	}
+	f := &Flooding{net: net, ms: newMembershipStore(), deliveryLog: newDeliveryLog(net)}
 	mux.Handle(FloodKind, f.onPacket)
 	return f
 }
@@ -39,9 +32,6 @@ func (f *Flooding) Join(id network.NodeID, g Group) { f.ms.join(id, g) }
 
 // Leave implements Protocol.
 func (f *Flooding) Leave(id network.NodeID, g Group) { f.ms.leave(id, g) }
-
-// OnDeliver implements Protocol.
-func (f *Flooding) OnDeliver(fn DeliverFunc) { f.log.onDeliver = fn }
 
 // Start implements Protocol (no control plane).
 func (f *Flooding) Start() {}
@@ -56,46 +46,25 @@ func (f *Flooding) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 		return 0
 	}
 	uid := f.net.NextUID()
+	fl := f.open(uid).flood(f.net, src)
 	pkt := &network.Packet{
 		Kind: FloodKind, Src: src, Dst: network.NoNode, Group: int(g),
-		Size: payloadSize + 8, Born: f.net.Sim().Now(), UID: uid,
+		Size: payloadSize + 8, Born: f.net.Sim().Now(), UID: uid, Payload: fl,
 	}
-	f.mark(uid, src)
 	if f.ms.isMember(src, g) {
-		f.log.record(src, uid, pkt.Born, 0)
+		f.record(fl, src, uid, pkt.Born, 0)
 	}
 	f.net.Broadcast(src, pkt)
 	return uid
 }
 
-func (f *Flooding) mark(uid uint64, id network.NodeID) bool {
-	m := f.seen[uid]
-	if m == nil {
-		m = make(map[network.NodeID]bool)
-		f.seen[uid] = m
-	}
-	if m[id] {
-		return false
-	}
-	m[id] = true
-	return true
-}
-
 func (f *Flooding) onPacket(n *network.Node, _ network.NodeID, pkt *network.Packet) {
-	if !f.mark(pkt.UID, n.ID) {
+	fl, first := relayFlood(n, pkt)
+	if !first {
 		return
 	}
 	if f.ms.isMember(n.ID, Group(pkt.Group)) {
-		f.log.record(n.ID, pkt.UID, pkt.Born, pkt.Hops)
+		f.record(fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
 	}
 	f.net.Broadcast(n.ID, pkt.Clone())
-}
-
-// DeliveryCount returns how many members received uid.
-func (f *Flooding) DeliveryCount(uid uint64) int { return f.log.count(uid) }
-
-// ForgetPacket drops dedup state for a uid.
-func (f *Flooding) ForgetPacket(uid uint64) {
-	delete(f.seen, uid)
-	delete(f.log.seen, uid)
 }

@@ -30,17 +30,17 @@ type PBM struct {
 	net *network.Network
 	geo *georoute.Router
 	ms  *membershipStore
-	log *deliveryLog
+	*deliveryLog
 
 	Period     des.Duration
 	ReportSize int
 
-	seen   map[uint64]map[network.NodeID]bool
 	ticker *des.Ticker
 }
 
 // pbmHeader carries the remaining destinations of one packet copy.
 type pbmHeader struct {
+	fl          *flight
 	Dests       []network.NodeID
 	Targets     []geom.Point // positions fixed at send time, per dest
 	PayloadSize int
@@ -50,21 +50,20 @@ type pbmHeader struct {
 // geo-routing layer for stuck-destination recovery.
 func NewPBM(net *network.Network, mux *network.Mux) *PBM {
 	p := &PBM{
-		net:        net,
-		ms:         newMembershipStore(),
-		log:        newDeliveryLog(),
-		Period:     2,
-		ReportSize: 16,
-		seen:       make(map[uint64]map[network.NodeID]bool),
+		net:         net,
+		ms:          newMembershipStore(),
+		deliveryLog: newDeliveryLog(net),
+		Period:      2,
+		ReportSize:  16,
 	}
 	p.geo = georoute.Attach(net, mux)
 	p.geo.Deliver(PBMRecoverKind, func(n *network.Node, inner *network.Packet) {
 		// Perimeter-recovered single-destination copy arrived.
-		if p.ms.isMember(n.ID, Group(inner.Group)) {
-			p.log.record(n.ID, inner.UID, inner.Born, inner.Hops)
+		if fl, ok := inner.Payload.(*flight); ok && p.ms.isMember(n.ID, Group(inner.Group)) {
+			p.record(fl, n.ID, inner.UID, inner.Born, inner.Hops)
 		}
 	})
-	mux.Handle(PBMReportKind, p.onReport)
+	mux.Handle(PBMReportKind, rebroadcastFlood)
 	mux.Handle(PBMDataKind, p.onData)
 	return p
 }
@@ -77,9 +76,6 @@ func (p *PBM) Join(id network.NodeID, g Group) { p.ms.join(id, g) }
 
 // Leave implements Protocol.
 func (p *PBM) Leave(id network.NodeID, g Group) { p.ms.leave(id, g) }
-
-// OnDeliver implements Protocol.
-func (p *PBM) OnDeliver(fn DeliverFunc) { p.log.onDeliver = fn }
 
 // Start launches periodic member position-report floods.
 func (p *PBM) Start() {
@@ -100,34 +96,13 @@ func (p *PBM) ReportRound() {
 		if n == nil || !n.Up() {
 			continue
 		}
-		uid := p.net.NextUID()
 		pkt := &network.Packet{
 			Kind: PBMReportKind, Src: id, Dst: network.NoNode,
-			Size: p.ReportSize, Control: true, Born: p.net.Sim().Now(), UID: uid,
+			Size: p.ReportSize, Control: true, Born: p.net.Sim().Now(), UID: p.net.NextUID(),
+			Payload: new(flight).flood(p.net, id),
 		}
-		p.markSeen(uid, id)
 		p.net.Broadcast(id, pkt)
 	}
-}
-
-func (p *PBM) markSeen(uid uint64, id network.NodeID) bool {
-	m := p.seen[uid]
-	if m == nil {
-		m = make(map[network.NodeID]bool)
-		p.seen[uid] = m
-	}
-	if m[id] {
-		return false
-	}
-	m[id] = true
-	return true
-}
-
-func (p *PBM) onReport(n *network.Node, _ network.NodeID, pkt *network.Packet) {
-	if !p.markSeen(pkt.UID, n.ID) {
-		return
-	}
-	p.net.Broadcast(n.ID, pkt.Clone())
 }
 
 // Send implements Protocol.
@@ -138,17 +113,15 @@ func (p *PBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	}
 	now := p.net.Sim().Now()
 	uid := p.net.NextUID()
-	var dests []network.NodeID
-	var targets []geom.Point
+	hdr := &pbmHeader{fl: p.open(uid), PayloadSize: payloadSize}
 	for _, m := range p.ms.members(p.net, g) {
 		if m == src {
-			p.log.record(src, uid, now, 0)
+			p.record(hdr.fl, src, uid, now, 0)
 			continue
 		}
-		dests = append(dests, m)
-		targets = append(targets, p.net.Node(m).TruePos())
+		hdr.Dests = append(hdr.Dests, m)
+		hdr.Targets = append(hdr.Targets, p.net.Node(m).TruePos())
 	}
-	hdr := &pbmHeader{Dests: dests, Targets: targets, PayloadSize: payloadSize}
 	p.forward(src, src, g, uid, now, hdr)
 	return uid
 }
@@ -182,14 +155,14 @@ func (p *PBM) forward(u, origin network.NodeID, g Group, uid uint64, born des.Ti
 			// destination.
 			inner := &network.Packet{
 				Kind: PBMRecoverKind, Src: origin, Dst: dest, Group: int(g),
-				Size: hdr.PayloadSize + 16, Born: born, UID: uid,
+				Size: hdr.PayloadSize + 16, Born: born, UID: uid, Payload: hdr.fl,
 			}
 			p.geo.Send(u, target, dest, inner)
 			continue
 		}
 		h := bySucc[best]
 		if h == nil {
-			h = &pbmHeader{PayloadSize: hdr.PayloadSize}
+			h = &pbmHeader{fl: hdr.fl, PayloadSize: hdr.PayloadSize}
 			bySucc[best] = h
 		}
 		h.Dests = append(h.Dests, dest)
@@ -222,13 +195,10 @@ func (p *PBM) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	if p.ms.isMember(n.ID, g) {
 		for _, d := range hdr.Dests {
 			if d == n.ID {
-				p.log.record(n.ID, pkt.UID, pkt.Born, pkt.Hops)
+				p.record(hdr.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
 				break
 			}
 		}
 	}
 	p.forward(n.ID, pkt.Src, g, pkt.UID, pkt.Born, hdr)
 }
-
-// DeliveryCount returns how many members received uid.
-func (p *PBM) DeliveryCount(uid uint64) int { return p.log.count(uid) }

@@ -35,7 +35,7 @@ type SPBM struct {
 	net *network.Network
 	geo *georoute.Router
 	ms  *membershipStore
-	log *deliveryLog
+	*deliveryLog
 
 	// Square0 is the level-0 square side in meters; Levels is the
 	// quad-tree height above level 0.
@@ -49,6 +49,7 @@ type SPBM struct {
 
 // spbmHeader routes one copy toward a target level-0 square.
 type spbmHeader struct {
+	fl          *flight
 	Square      geom.Point // center of the target level-0 square
 	PayloadSize int
 }
@@ -56,13 +57,13 @@ type spbmHeader struct {
 // NewSPBM attaches the protocol to the network's mux.
 func NewSPBM(net *network.Network, mux *network.Mux) *SPBM {
 	s := &SPBM{
-		net:        net,
-		ms:         newMembershipStore(),
-		log:        newDeliveryLog(),
-		Square0:    250,
-		Levels:     3,
-		Period:     2,
-		UpdateSize: 12,
+		net:         net,
+		ms:          newMembershipStore(),
+		deliveryLog: newDeliveryLog(net),
+		Square0:     250,
+		Levels:      3,
+		Period:      2,
+		UpdateSize:  12,
 	}
 	s.geo = georoute.Attach(net, mux)
 	s.geo.Deliver(SPBMDataKind, func(n *network.Node, inner *network.Packet) {
@@ -85,9 +86,6 @@ func (s *SPBM) Join(id network.NodeID, g Group) { s.ms.join(id, g) }
 
 // Leave implements Protocol.
 func (s *SPBM) Leave(id network.NodeID, g Group) { s.ms.leave(id, g) }
-
-// OnDeliver implements Protocol.
-func (s *SPBM) OnDeliver(fn DeliverFunc) { s.log.onDeliver = fn }
 
 // Start launches the per-level periodic membership updates.
 func (s *SPBM) Start() {
@@ -179,8 +177,9 @@ func (s *SPBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	}
 	now := s.net.Sim().Now()
 	uid := s.net.NextUID()
+	fl := s.open(uid)
 	if s.ms.isMember(src, g) {
-		s.log.record(src, uid, now, 0)
+		s.record(fl, src, uid, now, 0)
 	}
 	squares := make(map[geom.Point]bool)
 	for _, m := range s.ms.members(s.net, g) {
@@ -195,7 +194,7 @@ func (s *SPBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	}
 	sortPoints(targets)
 	for _, c := range targets {
-		hdr := &spbmHeader{Square: c, PayloadSize: payloadSize}
+		hdr := &spbmHeader{fl: fl, Square: c, PayloadSize: payloadSize}
 		inner := &network.Packet{
 			Kind: SPBMDataKind, Src: src, Dst: network.NoNode, Group: int(g),
 			Size: payloadSize + 8 + 16*len(squares), Born: now, UID: uid, Payload: hdr,
@@ -209,23 +208,20 @@ func (s *SPBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 // local-broadcast into the square.
 func (s *SPBM) deliverSquare(n *network.Node, inner *network.Packet, hdr *spbmHeader) {
 	if s.ms.isMember(n.ID, Group(inner.Group)) {
-		s.log.record(n.ID, inner.UID, inner.Born, inner.Hops)
+		s.record(hdr.fl, n.ID, inner.UID, inner.Born, inner.Hops)
 	}
 	pkt := &network.Packet{
 		Kind: SPBMLocalKind, Src: n.ID, Dst: network.NoNode, Group: inner.Group,
-		Size: hdr.PayloadSize + 8, Born: inner.Born, UID: inner.UID,
+		Size: hdr.PayloadSize + 8, Born: inner.Born, UID: inner.UID, Payload: hdr.fl,
 	}
 	s.net.Broadcast(n.ID, pkt)
 }
 
 func (s *SPBM) onLocal(n *network.Node, _ network.NodeID, pkt *network.Packet) {
-	if s.ms.isMember(n.ID, Group(pkt.Group)) {
-		s.log.record(n.ID, pkt.UID, pkt.Born, pkt.Hops)
+	if fl, ok := pkt.Payload.(*flight); ok && s.ms.isMember(n.ID, Group(pkt.Group)) {
+		s.record(fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
 	}
 }
-
-// DeliveryCount returns how many members received uid.
-func (s *SPBM) DeliveryCount(uid uint64) int { return s.log.count(uid) }
 
 // sortPoints orders square centers by (X, Y) so per-square
 // transmissions happen in a deterministic sequence.

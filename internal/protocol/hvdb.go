@@ -83,6 +83,8 @@ func (s *hvdbStack) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 }
 
 func (s *hvdbStack) Deliveries(f DeliverFunc) { s.on = f }
+func (s *hvdbStack) Forget(uid uint64)        { s.d.MC.ForgetPacket(uid) }
+func (s *hvdbStack) Tracked() int             { return s.d.MC.Flights() }
 
 func (s *hvdbStack) observe(member network.NodeID, uid uint64, born des.Time, hops int) {
 	s.stx.Delivered++

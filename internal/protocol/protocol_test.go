@@ -1,6 +1,8 @@
 package protocol_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -118,4 +120,79 @@ func TestHVDBQoSPlane(t *testing.T) {
 		t.Fatalf("Stats().QoSAdmitted = %d want 1", got)
 	}
 	stk.Stop()
+}
+
+// orderRun sends eight packets half a second apart from one source on a
+// 64-node mobile, lossy world (128 radios with the anchor grid, so a
+// per-packet node bitset spans two words), optionally forgetting each
+// uid 3 ms after its send, while copies are still on the air. It
+// returns the executed-event count, the arm's Delivered counter and an
+// FNV-1a hash of the observed (member, uid) delivery sequence.
+func orderRun(t *testing.T, arm string, forget bool) [3]uint64 {
+	t.Helper()
+	spec := scenario.DefaultSpec()
+	spec.Seed = 5
+	spec.Nodes = 64
+	spec.Groups = 1
+	spec.MembersPerGroup = 8
+	spec.LossProb = 0.05
+	w, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk, err := w.Protocol(arm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.Start()
+	w.WarmUp(6)
+	h := fnv.New64a()
+	stk.Deliveries(func(member network.NodeID, uid uint64, _ des.Time, _ int) {
+		var b [16]byte
+		binary.LittleEndian.PutUint64(b[:8], uint64(member))
+		binary.LittleEndian.PutUint64(b[8:], uid)
+		h.Write(b[:])
+	})
+	src := w.RandomSource()
+	for i := 0; i < 8; i++ {
+		uid := stk.Send(src, 0, 256)
+		w.Sim.RunUntil(w.Sim.Now() + 0.003)
+		if forget {
+			stk.Forget(uid)
+		}
+		w.Sim.RunUntil(w.Sim.Now() + 0.497)
+	}
+	w.Sim.RunUntil(w.Sim.Now() + 3)
+	stk.Stop()
+	tracked := 8
+	if forget {
+		tracked = 0
+	}
+	if stk.Tracked() != tracked {
+		t.Errorf("%s tracks %d uids after 8 sends (forget=%v), want %d", arm, stk.Tracked(), forget, tracked)
+	}
+	return [3]uint64{w.Sim.Executed(), stk.Stats().Delivered, h.Sum64()}
+}
+
+// TestBaselineOrderIdentity pins the three flooding arms' event count,
+// delivery count and delivery order to the values recorded on abb977d,
+// when duplicate suppression was a uid → map[NodeID]bool table per
+// protocol: the per-packet bitsets that replaced the tables must take
+// the same decisions in the same order (every rebroadcast draws from the
+// sender's loss stream, so one flipped decision moves all three) — and
+// keep taking them when the sender forgets each uid in mid-flight.
+func TestBaselineOrderIdentity(t *testing.T) {
+	want := map[string][3]uint64{
+		"flooding": {8476, 64, 0xa4395bd600342e25},
+		"dsm":      {724872, 62, 0x8d9758e7a9584e53},
+		"pbm":      {46395, 53, 0xd5e601f583fd37ae},
+	}
+	for _, arm := range []string{"flooding", "dsm", "pbm"} {
+		for _, forget := range []bool{false, true} {
+			if got := orderRun(t, arm, forget); got != want[arm] {
+				t.Errorf("%s (forget=%v): executed/delivered/sequence hash = {%d, %d, %#x}, recorded {%d, %d, %#x}",
+					arm, forget, got[0], got[1], got[2], want[arm][0], want[arm][1], want[arm][2])
+			}
+		}
+	}
 }

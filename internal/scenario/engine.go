@@ -63,11 +63,11 @@ type ScriptResult struct {
 	// fully accounted or on TTL expiry), mirroring the
 	// PooledInFlight()==0 pool-leak check.
 	AudiencePeak, AudienceOpen int
-	// FlightsOpen is how many packets the world's HVDB multicast plane
-	// still indexed at teardown (multicast.Service.Flights). The engine
-	// forgets a packet when its audience entry closes, so on a world
-	// whose sends all went through scripts this is always 0 as well:
-	// per-packet state does not outlive the script.
+	// FlightsOpen is how many sent packets the arm still tracked at
+	// teardown (protocol.Stack.Tracked). The engine forgets a packet
+	// when its audience entry closes, so on a stack whose sends all went
+	// through scripts this is always 0 as well, on every arm: per-packet
+	// state does not outlive the script.
 	FlightsOpen int
 	// DelaySamples is how many deliveries the delay histogram absorbed
 	// (always equal to Delivered), and DelayDigest its full-state
@@ -193,7 +193,7 @@ func (w *World) RunScript(stk protocol.Stack, sc *Script) (*ScriptResult, error)
 	// mirroring the pooled-packet teardown check.
 	r.expireAudience(w.Sim.Now())
 	r.res.AudienceOpen = len(r.audience)
-	r.res.FlightsOpen = w.MC.Flights()
+	r.res.FlightsOpen = stk.Tracked()
 
 	r.res.Elapsed = w.Sim.Now() - start
 	if n := w.Net.Len(); n > 0 && r.res.Elapsed > 0 {
@@ -228,12 +228,12 @@ func (r *scriptRun) onDeliver(member network.NodeID, uid uint64, born des.Time, 
 }
 
 // closeAudience releases a packet's audience entry and, with it, the
-// uid the HVDB multicast plane indexes for delivery queries (a no-op on
-// the other arms, and for an entry already closed). Copies still on
-// the air are unaffected: they carry their duplicate suppression.
+// uid the arm indexes for delivery queries (a no-op for an entry
+// already closed). Copies still on the air are unaffected: they carry
+// their duplicate suppression.
 func (r *scriptRun) closeAudience(uid uint64) {
 	delete(r.audience, uid)
-	r.w.MC.ForgetPacket(uid)
+	r.stk.Forget(uid)
 }
 
 // send originates one script packet and snapshots its audience: the

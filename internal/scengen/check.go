@@ -76,7 +76,8 @@ const (
 	// InvStream: the streaming-metrics contract — every audience entry
 	// is released by script teardown (ScriptResult.AudienceOpen == 0,
 	// the audience-map analogue of the pool-leak check) and with it the
-	// multicast plane's per-packet index (FlightsOpen == 0), and the delay
+	// arm's per-packet index, whichever arm ran (FlightsOpen == 0, read
+	// from protocol.Stack.Tracked), and the delay
 	// histogram absorbed exactly one observation per counted delivery
 	// (DelaySamples == Delivered). The histogram's full-state digest is
 	// part of the fingerprint, so its rerun/worker/shard invariance is
@@ -174,7 +175,7 @@ func streamContract(res *scenario.ScriptResult) string {
 		return fmt.Sprintf("%d audience entries still tracked at teardown", res.AudienceOpen)
 	}
 	if res.FlightsOpen != 0 {
-		return fmt.Sprintf("%d packets still indexed by the multicast plane at teardown", res.FlightsOpen)
+		return fmt.Sprintf("%d packets still tracked by the arm at teardown", res.FlightsOpen)
 	}
 	if res.DelaySamples != res.Delivered {
 		return fmt.Sprintf("delay histogram absorbed %d samples for %d deliveries", res.DelaySamples, res.Delivered)
