@@ -235,15 +235,15 @@ func BenchmarkAblationTreeCache(b *testing.B) {
 			mcfg := multicast.DefaultConfig()
 			mcfg.CacheTTL = ttl
 			w.MC = multicast.New(w.BB, w.MS, w.Mux, mcfg)
-			w.Start()
+			stk := startHVDB(b, w)
 			w.WarmUp(12)
 			src := w.RandomSource()
 			for p := 0; p < 10; p++ {
-				w.MC.Send(src, 0, 256)
+				stk.Send(src, 0, 256)
 				w.Sim.RunUntil(w.Sim.Now() + 0.3)
 			}
 			w.Sim.RunUntil(w.Sim.Now() + 3)
-			w.Stop()
+			stk.Stop()
 			computes = w.MC.TreeComputes
 		}
 		b.ReportMetric(float64(computes), "tree-computes")
@@ -320,7 +320,7 @@ func BenchmarkNeighborQuery(b *testing.B) {
 // endToEndWorld is the warmed static world of the end-to-end multicast
 // benchmark and of the data-plane allocation budget: 100 nodes, one
 // group of 10 members, every periodic plane running.
-func endToEndWorld(tb testing.TB) (*scenario.World, network.NodeID) {
+func endToEndWorld(tb testing.TB) (*scenario.World, protocol.Stack, network.NodeID) {
 	tb.Helper()
 	spec := scenario.DefaultSpec()
 	spec.Nodes = 100
@@ -331,19 +331,30 @@ func endToEndWorld(tb testing.TB) (*scenario.World, network.NodeID) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w.Start()
+	stk := startHVDB(tb, w)
 	w.WarmUp(12)
-	return w, w.RandomSource()
+	return w, stk, w.RandomSource()
+}
+
+// startHVDB builds and starts the hvdb arm on w.
+func startHVDB(tb testing.TB, w *scenario.World) protocol.Stack {
+	tb.Helper()
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stk.Start()
+	return stk
 }
 
 func BenchmarkEndToEndMulticast(b *testing.B) {
-	w, src := endToEndWorld(b)
+	w, stk, src := endToEndWorld(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		uid := w.MC.Send(src, 0, 512)
+		uid := stk.Send(src, 0, 512)
 		w.Sim.RunUntil(w.Sim.Now() + 0.2)
-		w.MC.ForgetPacket(uid)
+		stk.Forget(uid)
 	}
 }
 
@@ -359,13 +370,13 @@ func BenchmarkEndToEndMulticast(b *testing.B) {
 // below would catch it if it did not.
 func TestDataPlaneAllocBudget(t *testing.T) {
 	const budget = 40 // allocations per send; measured 16 (235 before the flight record)
-	w, src := endToEndWorld(t)
-	w.Stop()
+	w, stk, src := endToEndWorld(t)
+	stk.Stop()
 	w.Sim.RunUntil(w.Sim.Now() + 0.3) // let control traffic in flight land
 	send := func() {
-		uid := w.MC.Send(src, 0, 512)
+		uid := stk.Send(src, 0, 512)
 		w.Sim.RunUntil(w.Sim.Now() + 0.15)
-		w.MC.ForgetPacket(uid)
+		stk.Forget(uid)
 	}
 	send() // caches the trees
 	perSend := w.MC.Delivered
@@ -484,23 +495,17 @@ func BenchmarkAblationGPSError(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				w.Start()
+				stk := startHVDB(b, w)
 				w.WarmUp(12)
-				delivered := 0
-				w.MC.OnDeliver(func(network.NodeID, uint64, des.Time, int) { delivered++ })
-				sent := 0
+				m := w.Meter(stk, 5)
 				src := w.RandomSource()
 				for p := 0; p < 8; p++ {
-					if w.MC.Send(src, 0, 256) != 0 {
-						sent++
-					}
+					m.Send(src, 0, 256)
 					w.Sim.RunUntil(w.Sim.Now() + 0.5)
 				}
 				w.Sim.RunUntil(w.Sim.Now() + 5)
-				w.Stop()
-				if sent > 0 {
-					pdr = float64(delivered) / float64(sent*10)
-				}
+				pdr = m.Close().PDR()
+				stk.Stop()
 				chChanges = float64(w.CM.Changes())
 			}
 			b.ReportMetric(pdr, "pdr")

@@ -92,7 +92,11 @@ func renderMap(spec scenario.Spec, warm float64, fail, cube int) {
 			cube, n-1)
 		os.Exit(2)
 	}
-	w.Start()
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		log.Fatal(err)
+	}
+	stk.Start()
 	w.RunUntil(des.Time(warm))
 
 	fmt.Println(viz.Summary(w.BB, w.CM))
@@ -118,7 +122,7 @@ func renderMap(spec scenario.Spec, warm float64, fail, cube int) {
 		fmt.Println("mesh tier:")
 		fmt.Print(viz.MeshView(w.BB))
 	}
-	w.Stop()
+	stk.Stop()
 }
 
 // health is the backbone condition of one trial.
@@ -137,7 +141,11 @@ func aggregate(base scenario.Spec, warm float64, fail, trials, parallel int) {
 			if err != nil {
 				return health{}, err
 			}
-			w.Start()
+			stk, err := w.Protocol("hvdb")
+			if err != nil {
+				return health{}, err
+			}
+			stk.Start()
 			w.RunUntil(des.Time(warm))
 			if fail > 0 {
 				w.FailRandomAnchors(fail)
@@ -153,7 +161,7 @@ func aggregate(base scenario.Spec, warm float64, fail, trials, parallel int) {
 				}
 			}
 			h.meshNodes = float64(w.BB.Mesh().Count())
-			w.Stop()
+			stk.Stop()
 			return h, nil
 		})
 	if err != nil {

@@ -41,7 +41,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/hypercube"
 	"repro/internal/membership"
-	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/radio"
 	"repro/internal/runner"
@@ -246,29 +245,20 @@ type trialConfig struct {
 	payload int
 }
 
-// trialResult is everything one scenario run reports.
+// trialResult is everything one scenario run reports: the traffic
+// phase's meter counts (scripted or CBR, the same accounting) plus the
+// world-level figures around them.
 type trialResult struct {
+	scenario.Counts
 	desc                 string
 	grid                 string
 	proto                string
 	script               string
 	clusters             int
 	endTime              float64
-	expected, delivered  int
-	stale                int
-	meanDelay, p95Delay  float64
-	ctlPerNodeS          float64
 	dataBytes            uint64
-	jain                 float64
 	energyJ, energyMaxJ  float64
 	chChanges, elections uint64
-}
-
-func (r trialResult) pdr() float64 {
-	if r.expected == 0 {
-		return 0
-	}
-	return float64(r.delivered) / float64(r.expected)
 }
 
 // runTrial builds one world, drives the warm-up and traffic phases
@@ -307,44 +297,30 @@ func runTrial(spec scenario.Spec, cfg trialConfig, traceCat string, verbose bool
 		fmt.Printf("warm-up done at t=%.1fs: %d clusters headed\n", float64(w.Sim.Now()), res.clusters)
 	}
 
-	var delays stats.LogHist
 	if cfg.script != nil {
 		res.script = cfg.script.Name
 		sr, err := w.RunScript(stk, cfg.script)
 		if err != nil {
 			return trialResult{}, err
 		}
-		res.expected, res.delivered, res.stale = sr.Expected, sr.Delivered, sr.Stale
-		res.meanDelay, res.p95Delay = sr.MeanDelay, sr.P95Delay
+		res.Counts = sr.Counts
 	} else {
-		// Traffic phase: CBR per group from a random source.
-		stk.Deliveries(func(member network.NodeID, uid uint64, born des.Time, hops int) {
-			res.delivered++
-			delays.Add(float64(w.Sim.Now() - born))
-		})
+		// Traffic phase: CBR per group from a random source, then a
+		// drain that is also the meter's release window.
+		const gap, drain des.Duration = 0.5, 5
+		m := w.Meter(stk, drain)
 		for g := 0; g < spec.Groups; g++ {
 			g := membership.Group(g)
 			src := w.RandomSource()
-			w.CBR(func() uint64 {
-				uid := stk.Send(src, g, cfg.payload)
-				if uid != 0 {
-					res.expected += len(w.Members[g])
-				}
-				return uid
-			}, 0.5, cfg.packets)
+			w.CBR(func() uint64 { return m.Send(src, g, cfg.payload) }, gap, cfg.packets)
 		}
-		w.RunUntil(w.Sim.Now() + des.Duration(cfg.packets)*0.5 + 5)
-		res.meanDelay = delays.Mean()
-		res.p95Delay = delays.Percentile(95)
+		w.RunUntil(w.Sim.Now() + des.Duration(cfg.packets)*gap + drain)
+		res.Counts = m.Close()
 	}
 	stk.Stop()
 
-	st := w.Net.Stats()
-	elapsed := float64(w.Sim.Now()) - cfg.warm
 	res.endTime = float64(w.Sim.Now())
-	res.ctlPerNodeS = float64(st.ControlBytes) / float64(w.Net.Len()) / elapsed
-	res.dataBytes = st.DataBytes
-	res.jain = stats.JainIndex(w.Net.ForwardLoads())
+	res.dataBytes = w.Net.Stats().DataBytes
 	for _, n := range w.Net.Nodes() {
 		j := radio.DefaultEnergy.Consumed(n.TxBytes, n.RxBytes())
 		res.energyJ += j
@@ -390,17 +366,17 @@ func printSingle(r trialResult) {
 	} else {
 		fmt.Printf("\nresults at t=%.1fs:\n", r.endTime)
 	}
-	if r.expected > 0 {
+	if r.Expected > 0 {
 		fmt.Printf("  delivery ratio      %.1f%% (%d of %d member deliveries)\n",
-			100*r.pdr(), r.delivered, r.expected)
+			100*r.PDR(), r.Delivered, r.Expected)
 	}
-	if r.stale > 0 {
-		fmt.Printf("  stale deliveries    %d (to members that had left)\n", r.stale)
+	if r.Stale > 0 {
+		fmt.Printf("  stale deliveries    %d (to members that had left)\n", r.Stale)
 	}
-	fmt.Printf("  mean delay          %.2f ms (p95 %.2f ms)\n", r.meanDelay*1000, r.p95Delay*1000)
-	fmt.Printf("  control overhead    %.0f bytes/node/s\n", r.ctlPerNodeS)
+	fmt.Printf("  mean delay          %.2f ms (p95 %.2f ms)\n", r.MeanDelay*1000, r.P95Delay*1000)
+	fmt.Printf("  control overhead    %.0f bytes/node/s\n", r.CtrlPerNodeS)
 	fmt.Printf("  data traffic        %d bytes total\n", r.dataBytes)
-	fmt.Printf("  forwarding fairness %.3f (Jain index)\n", r.jain)
+	fmt.Printf("  forwarding fairness %.3f (Jain index)\n", r.Jain)
 	fmt.Printf("  radio energy        %.3f J total, %.3f J at the busiest node\n", r.energyJ, r.energyMaxJ)
 	fmt.Printf("  cluster stability   %d CH changes over %d elections\n", r.chChanges, r.elections)
 }
@@ -425,21 +401,21 @@ func printAggregate(seed uint64, results []trialResult) {
 	}
 	anyExpected := false
 	for _, r := range results {
-		if r.expected > 0 {
+		if r.Expected > 0 {
 			anyExpected = true
 			break
 		}
 	}
 	if anyExpected {
-		metric("delivery ratio", "%", func(r trialResult) float64 { return 100 * r.pdr() })
+		metric("delivery ratio", "%", func(r trialResult) float64 { return 100 * r.PDR() })
 	}
 	if results[0].script != "" {
-		metric("stale deliveries", "", func(r trialResult) float64 { return float64(r.stale) })
+		metric("stale deliveries", "", func(r trialResult) float64 { return float64(r.Stale) })
 	}
-	metric("mean delay", "ms", func(r trialResult) float64 { return r.meanDelay * 1000 })
-	metric("p95 delay", "ms", func(r trialResult) float64 { return r.p95Delay * 1000 })
-	metric("control overhead", "B/node/s", func(r trialResult) float64 { return r.ctlPerNodeS })
-	metric("forwarding fairness", "(Jain)", func(r trialResult) float64 { return r.jain })
+	metric("mean delay", "ms", func(r trialResult) float64 { return r.MeanDelay * 1000 })
+	metric("p95 delay", "ms", func(r trialResult) float64 { return r.P95Delay * 1000 })
+	metric("control overhead", "B/node/s", func(r trialResult) float64 { return r.CtrlPerNodeS })
+	metric("forwarding fairness", "(Jain)", func(r trialResult) float64 { return r.Jain })
 	metric("radio energy", "J", func(r trialResult) float64 { return r.energyJ })
 	metric("CH changes", "", func(r trialResult) float64 { return float64(r.chChanges) })
 	fmt.Printf("\n(± is the 95%% confidence half-width over %d trials)\n", len(results))

@@ -8,7 +8,7 @@ import (
 )
 
 // Example reproduces the paper's running configuration and multicasts
-// one packet through the full HVDB stack.
+// one metered packet through the full HVDB stack.
 func Example() {
 	spec := hvdb.DefaultSpec()
 	spec.Nodes = 60
@@ -20,14 +20,20 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w.Start()
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		log.Fatal(err)
+	}
+	stk.Start()
 	w.WarmUp(12)
 
-	uid := w.MC.Send(w.RandomSource(), 0, 256)
-	w.Sim.RunUntil(w.Sim.Now() + 5)
-	w.Stop()
+	m := w.Meter(stk, 5)
+	m.Send(w.RandomSource(), 0, 256)
+	w.RunUntil(w.Sim.Now() + 5)
+	got := m.Close()
+	stk.Stop()
 
-	fmt.Println("delivered to all members:", w.MC.DeliveryCount(uid) == len(w.Members[0]))
+	fmt.Println("delivered to all members:", got.Delivered == len(w.Members[0]))
 	// Output: delivered to all members: true
 }
 

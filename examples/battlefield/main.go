@@ -30,43 +30,37 @@ func main() {
 	fmt.Printf("battlefield: %d vehicle anchors, %d dismounted nodes, command net of %d\n",
 		len(w.Anchors), len(w.Ordinary), spec.MembersPerGroup)
 
-	w.Start()
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		log.Fatal(err)
+	}
+	stk.Start()
 	w.WarmUp(15)
 
-	delivered := map[bool]int{} // phase: false=before failures, true=after
-	phase := false
-	w.MC.OnDeliver(func(member hvdb.NodeID, uid uint64, born hvdb.Time, hops int) {
-		delivered[phase]++
-	})
-
-	send := func(n int) int {
-		sent := 0
+	// One meter per phase: n packets half a second apart, a 5 s drain,
+	// and the deliveries counted against the members up at each send.
+	send := func(n int) hvdb.Counts {
+		m := w.Meter(stk, 5)
 		src := w.RandomSource()
 		for i := 0; i < n; i++ {
-			if w.MC.Send(src, 0, 256) != 0 {
-				sent++
-			}
-			w.Sim.RunUntil(w.Sim.Now() + 0.5)
+			m.Send(src, 0, 256)
+			w.RunUntil(w.Sim.Now() + 0.5)
 		}
-		w.Sim.RunUntil(w.Sim.Now() + 5)
-		return sent
+		w.RunUntil(w.Sim.Now() + 5)
+		return m.Close()
 	}
 
-	members := len(w.Members[0])
-	sentBefore := send(10)
-	fmt.Printf("phase 1 (intact backbone): %d/%d deliveries\n",
-		delivered[false], sentBefore*members)
+	before := send(10)
+	fmt.Printf("phase 1 (intact backbone): %d/%d deliveries\n", before.Delivered, before.Expected)
 
 	// Combat losses: a fifth of the vehicle anchors go down at once.
 	lost := w.FailRandomAnchors(len(w.Anchors) / 5)
 	fmt.Printf("\n*** %d anchor CHs destroyed ***\n", len(lost))
-	phase = true
 	// Give the backbone a few seconds to re-elect and re-beacon.
-	w.Sim.RunUntil(w.Sim.Now() + 8)
+	w.RunUntil(w.Sim.Now() + 8)
 
-	sentAfter := send(10)
-	w.Stop()
-	fmt.Printf("phase 2 (degraded backbone): %d/%d deliveries\n",
-		delivered[true], sentAfter*members)
+	after := send(10)
+	stk.Stop()
+	fmt.Printf("phase 2 (degraded backbone): %d/%d deliveries\n", after.Delivered, after.Expected)
 	fmt.Printf("\nthe incomplete hypercube's spare logical routes kept the command net alive\n")
 }

@@ -34,12 +34,18 @@ func main() {
 	w.MC = multicast.New(w.BB, w.MS, w.Mux, mcfg)
 
 	fmt.Printf("disaster relief: %d nodes, coordination group + QoS video group\n", w.Net.Len())
-	w.Start()
+	stk, err := w.Protocol("hvdb") // picks up the re-wired multicast plane
+	if err != nil {
+		log.Fatal(err)
+	}
+	stk.Start()
 	w.WarmUp(15)
 
+	// Membership changes and sends go through one meter, so every
+	// delivery is judged against the group as it stood when its packet
+	// left.
+	m := w.Meter(stk, 5)
 	byGroup := map[hvdb.Group]int{}
-	deliveries := 0
-	w.MC.OnDeliver(func(hvdb.NodeID, uint64, hvdb.Time, int) { deliveries++ })
 
 	// Membership churn: every 4 s one rescuer leaves the coordination
 	// group and another joins.
@@ -50,30 +56,30 @@ func main() {
 				return
 			}
 			leaver := w.Members[0][0]
-			w.MS.Leave(leaver, 0)
+			m.Leave(leaver, 0)
 			joiner := w.Ordinary[w.Rng.Pick(len(w.Ordinary))]
-			w.MS.Join(joiner, 0)
+			m.Join(joiner, 0)
 			churn++
 		})
 	}
 
 	// Traffic: coordination messages and the video feed interleaved.
-	sent := 0
 	src := w.RandomSource()
 	for i := 0; i < 20; i++ {
 		g := hvdb.Group(i % 2)
 		w.Sim.After(hvdb.Time(i)*1.2, func() {
-			if w.MC.Send(src, g, 800) != 0 {
-				sent++
+			if m.Send(src, g, 800) != 0 {
 				byGroup[g]++
 			}
 		})
 	}
-	w.Sim.RunUntil(w.Sim.Now() + 30)
-	w.Stop()
+	w.RunUntil(w.Sim.Now() + 30)
+	got := m.Close()
+	stk.Stop()
 
 	fmt.Printf("sent %d packets (%d coordination, %d video) through %d membership changes\n",
-		sent, byGroup[0], byGroup[1], churn)
-	fmt.Printf("total member deliveries: %d\n", deliveries)
+		got.Sent, byGroup[0], byGroup[1], churn)
+	fmt.Printf("member deliveries: %d of %d owed to current members, %d to members that had left\n",
+		got.Delivered, got.Expected, got.Stale)
 	fmt.Printf("QoS gate held every video hop to >= 500 kb/s residual bandwidth\n")
 }

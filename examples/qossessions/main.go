@@ -25,10 +25,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w.Start()
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		log.Fatal(err)
+	}
+	stk.Start()
 	w.WarmUp(14)
 
-	qm := hvdb.NewQoS(w)
+	// The stack's own session manager: the one its cluster-head-change
+	// hook reconciles, so reservations never outlive a demoted CH.
+	qm := hvdb.QoS(stk)
 	src := w.RandomSource()
 
 	// Hard admission: 2 Mb/s video sessions until the backbone refuses.
@@ -63,5 +69,5 @@ func main() {
 	}
 	fmt.Printf("\nafter closing the hard sessions: utilization %.1f%%, %d active\n",
 		qm.Utilization()*100, qm.Active())
-	w.Stop()
+	stk.Stop()
 }

@@ -28,13 +28,17 @@ func main() {
 
 	// Start clustering, route maintenance, and membership planes; let
 	// them converge.
-	w.Start()
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		log.Fatal(err)
+	}
+	stk.Start()
 	w.WarmUp(15)
 	fmt.Printf("after warm-up: %d clusters have heads\n", len(w.CM.Heads()))
 
 	// Observe deliveries.
 	delivered := 0
-	w.MC.OnDeliver(func(member hvdb.NodeID, uid uint64, born hvdb.Time, hops int) {
+	stk.Deliveries(func(member hvdb.NodeID, uid uint64, born hvdb.Time, hops int) {
 		delivered++
 		fmt.Printf("  delivery: member %d got packet %d after %.1f ms (%d logical hops)\n",
 			member, uid, float64(w.Sim.Now()-born)*1000, hops)
@@ -44,13 +48,18 @@ func main() {
 	src := w.RandomSource()
 	sent := 0
 	for i := 0; i < 5; i++ {
-		if uid := w.MC.Send(src, 0, 512); uid != 0 {
+		uid := stk.Send(src, 0, 512)
+		w.RunUntil(w.Sim.Now() + 1)
+		if uid != 0 {
 			sent++
+			// The observer above is how this demo reads results, so the
+			// arm's per-packet index entry can go (a Meter does this on
+			// its own; see examples/battlefield).
+			stk.Forget(uid)
 		}
-		w.Sim.RunUntil(w.Sim.Now() + 1)
 	}
-	w.Sim.RunUntil(w.Sim.Now() + 5)
-	w.Stop()
+	w.RunUntil(w.Sim.Now() + 5)
+	stk.Stop()
 
 	members := len(w.Members[0])
 	fmt.Printf("\nsent %d packets to a %d-member group: %d deliveries (%.0f%% of %d expected)\n",

@@ -12,26 +12,37 @@
 //	spec.Groups = 2
 //	w, err := hvdb.Build(spec)
 //	if err != nil { ... }
-//	w.Start()                      // clustering + route + membership planes
+//	stk, err := w.Protocol("hvdb") // or flooding, dsm, pbm, spbm, cbt
+//	if err != nil { ... }
+//	stk.Start()                    // clustering + route + membership planes
 //	w.WarmUp(15)                   // simulated seconds
-//	uid := w.MC.Send(w.RandomSource(), 0, 512)
-//	w.Sim.RunUntil(w.Sim.Now() + 5)
-//	fmt.Println(w.MC.DeliveryCount(uid))
-//	w.MC.ForgetPacket(uid)         // see below
+//	m := w.Meter(stk, 5)           // 5 = the drain below, in seconds
+//	m.Send(w.RandomSource(), 0, 512)
+//	w.RunUntil(w.Sim.Now() + 5)
+//	got := m.Close()
+//	stk.Stop()
+//	fmt.Println(got.Delivered, "of", got.Expected, "members reached")
 //
-// w.MC indexes every sent uid so that DeliveryCount and DeliveredTo can
-// answer for it; that index is the only per-packet state the multicast
-// plane keeps, and ForgetPacket is what releases an entry. A caller that
-// sends many packets forgets each uid once it has read its result (the
-// scenario script engine does so on its own); forgetting is safe while
-// copies are still on the air, and after it both queries report nothing
-// for the uid. Delivery observers (w.MC.OnDeliver) and the Sent and
-// Delivered counters do not depend on the index.
+// World.Protocol is the one way to a running stack, for HVDB and the
+// baselines alike: it wires the arm's planes together (on hvdb, the
+// cluster-head-change hook that reconciles QoS reservations and
+// releases memoized trees) and counts what the arm sent and delivered.
+// World.Meter is the one delivery meter: sends made through it are
+// judged against the group as it stood when the packet left — the
+// members current and up — and come back from Close as a Counts
+// (deliveries, stale deliveries, delay, control overhead, fairness).
+// Group changes during a measurement go through Meter.Join and
+// Meter.Leave so the audience stays right. World.RunScript is a client
+// of the same meter.
 //
-// The same contract holds for every arm built with World.Protocol, HVDB
-// or baseline: Protocol.Forget(uid) releases the arm's index entry
-// (on the hvdb arm it is w.MC.ForgetPacket) and Protocol.Tracked()
-// counts the sent uids not yet forgotten.
+// An arm indexes every sent uid; that index is the only per-packet
+// state it keeps, Protocol.Forget(uid) is what releases an entry, and
+// Protocol.Tracked() counts the uids not yet forgotten. The meter
+// forgets each packet once its audience is accounted for or its drain
+// window has passed, so metered traffic leaves nothing behind; a caller
+// that sends on the Protocol directly and reads results from
+// Protocol.Deliveries forgets its own uids. Forgetting is safe while
+// copies are still on the air, and changes no delivery or counter.
 //
 // The experiment harness that regenerates every figure of the paper and
 // quantifies each of its claims is exposed through RunExperiment; see
@@ -40,12 +51,12 @@
 //
 // Architecture (bottom-up; DESIGN.md expands every entry):
 //
-//	internal/des        discrete-event kernel (pooled event heap)
+//	internal/des        discrete-event kernel (ladder queue, pooled events; sharded variant)
 //	internal/geom       plane geometry
 //	internal/xrand      deterministic PRNG
-//	internal/stats      samples, confidence intervals, Jain index
+//	internal/stats      samples, streaming log-spaced histogram, confidence intervals, Jain index
 //	internal/trace      category-tagged protocol event tracing
-//	internal/mobility   random waypoint / walk / Gauss-Markov / group
+//	internal/mobility   random waypoint / walk / Gauss-Markov / group / Manhattan
 //	internal/radio      unit-disc radio, delay and bandwidth model
 //	internal/network    nodes, packets, incremental neighbor index
 //	internal/gps        positioning service (oracle + noisy)
@@ -55,16 +66,20 @@
 //	internal/logicalid  CHID/HNID/HID/MNID identifier algebra (§4.1)
 //	internal/meshtier   incomplete 2-D mesh tier (§3)
 //	internal/georoute   greedy + perimeter location-based unicast ([11])
+//	internal/route      version-keyed multicast-tree memos
 //	internal/core       the HVDB backbone + Figure 4 route maintenance
 //	internal/membership Figure 5 summary-based membership update
 //	internal/multicast  Figure 6 logical location-based multicast
 //	internal/qos        session admission over backbone routes
 //	internal/baseline   flooding, DSM-, PBM-, SPBM-, CBT-like schemes
 //	internal/protocol   uniform Stack interface + arm registry
-//	internal/scenario   world construction, traffic, scenario scripts
+//	internal/scenario   world construction, the delivery meter, scenario scripts
 //	internal/runner     parallel run harness (positional seeding)
 //	internal/experiment figure/claim/scale/stress regeneration harness
+//	internal/scengen    generated-script invariant fuzzing (hvdbsim -fuzz)
 //	internal/viz        ASCII backbone renderings (cmd/hvdbmap)
+//	internal/cliflag    shared flag range checks and exit-2 usage for cmd/
+//	internal/lint       determinism analyzers (cmd/hvdblint)
 package hvdb
 
 import (
@@ -128,8 +143,15 @@ const (
 	SoftQoS = qos.Soft
 )
 
-// NewQoS returns a session manager over the world's protocol stack.
-func NewQoS(w *World) *QoSManager { return qos.NewManager(w.BB, w.MS, w.MC) }
+// QoS returns the session manager of an arm built with World.Protocol
+// — the one the arm reconciles when a cluster head changes — or nil for
+// an arm without an admission plane (every arm but hvdb).
+func QoS(p Protocol) *QoSManager {
+	if q, ok := p.(protocol.QoSCapable); ok {
+		return q.QoS()
+	}
+	return nil
+}
 
 // SessionID identifies an admitted QoS session.
 type SessionID = qos.SessionID
@@ -155,6 +177,13 @@ type Directive = scenario.Directive
 
 // ScriptResult reports the measured outcome of one script run.
 type ScriptResult = scenario.ScriptResult
+
+// Meter measures the traffic sent through it on one Protocol; build one
+// with World.Meter. Counts is what its Close returns.
+type (
+	Meter  = scenario.Meter
+	Counts = scenario.Counts
+)
 
 // ParseScript decodes and validates a JSON scenario script.
 func ParseScript(data []byte) (*Script, error) { return scenario.ParseScript(data) }

@@ -5,7 +5,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/stats"
 )
 
 // ClaimChurn evaluates dynamic group membership — the axis on which the
@@ -17,11 +16,8 @@ import (
 // the staleness-induced leakage (deliveries to nodes that had already
 // left).
 //
-// The scenario engine implements the same send-time-audience semantics
-// for scripted runs (scenario.RunScript: scheduleMemberChurn plus the
-// audience snapshot in scriptRun.send/onDeliver); this experiment keeps
-// its hand-rolled loop so its recorded tables stay byte-stable. Changes
-// to either audience model should be mirrored in the other.
+// The accounting is the scenario meter's, the one scripted runs use:
+// audience = the members current and up when the packet left.
 func ClaimChurn(o Options) []*Table {
 	t := &Table{
 		ID:    "C6",
@@ -43,81 +39,44 @@ func ClaimChurn(o Options) []*Table {
 		stk.Start()
 		w.WarmUp(14)
 
-		// Membership set mirrors the service's ground truth.
-		current := map[network.NodeID]bool{}
-		for _, id := range w.Members[0] {
-			current[id] = true
-		}
 		// Churn: every churnPeriod seconds one member leaves and one
 		// non-member joins.
 		churnRate := 0.0
 		if churnPeriod > 0 {
 			churnRate = 2 / churnPeriod // one leave + one join
-			var tick func()
-			tick = func() {
-				// Deterministic leaver: the lowest current member ID
-				// (map iteration order would break reproducibility).
-				var leaver network.NodeID = network.NoNode
-				for id := range current {
-					if leaver == network.NoNode || id < leaver {
-						leaver = id
+		}
+		c := measure(w, stk, des.Duration(packets), 6, func(m *scenario.Meter) {
+			if churnPeriod > 0 {
+				current := m.Members(0)
+				var tick func()
+				tick = func() {
+					// Deterministic leaver: the lowest current member ID
+					// (map iteration order would break reproducibility).
+					var leaver network.NodeID = network.NoNode
+					for id := range current {
+						if leaver == network.NoNode || id < leaver {
+							leaver = id
+						}
 					}
-				}
-				if leaver != network.NoNode {
-					stk.Leave(leaver, 0)
-					delete(current, leaver)
-				}
-				for tries := 0; tries < 50; tries++ {
-					cand := w.Ordinary[w.Rng.Pick(len(w.Ordinary))]
-					if !current[cand] {
-						stk.Join(cand, 0)
-						current[cand] = true
-						break
+					if leaver != network.NoNode {
+						m.Leave(leaver, 0)
 					}
+					for tries := 0; tries < 50; tries++ {
+						cand := w.Ordinary[w.Rng.Pick(len(w.Ordinary))]
+						if !current[cand] {
+							m.Join(cand, 0)
+							break
+						}
+					}
+					w.Sim.After(des.Duration(churnPeriod), tick)
 				}
 				w.Sim.After(des.Duration(churnPeriod), tick)
 			}
-			w.Sim.After(des.Duration(churnPeriod), tick)
-		}
-
-		// Per-send audience snapshot.
-		audience := map[uint64]map[network.NodeID]bool{}
-		delivered, stale := 0, 0
-		var delays stats.LogHist
-		stk.Deliveries(func(member network.NodeID, uid uint64, born des.Time, hops int) {
-			aud, ok := audience[uid]
-			if !ok {
-				return
-			}
-			if aud[member] {
-				delivered++
-				delays.Add(float64(w.Sim.Now() - born))
-			} else {
-				stale++
-			}
+			src := w.RandomSource()
+			w.CBR(func() uint64 { return m.Send(src, 0, 256) }, 1, packets)
 		})
-		expected := 0
-		src := w.RandomSource()
-		w.CBR(func() uint64 {
-			uid := stk.Send(src, 0, 256)
-			if uid != 0 {
-				snap := make(map[network.NodeID]bool, len(current))
-				for id := range current {
-					snap[id] = true
-				}
-				audience[uid] = snap
-				expected += len(snap)
-			}
-			return uid
-		}, 1, packets)
-		w.Sim.RunUntil(w.Sim.Now() + des.Duration(packets) + 6)
 		stk.Stop()
-
-		pdr := 0.0
-		if expected > 0 {
-			pdr = float64(delivered) / float64(expected)
-		}
-		return []string{F(churnRate), Pct(pdr), I(stale), F(delays.Mean() * 1000)}
+		return []string{F(churnRate), Pct(c.PDR()), I(c.Stale), F(c.MeanDelay * 1000)}
 	})
 	addRows(t, rows)
 	t.Note("membership refresh cadence: local 1 s, MNT 2 s, HT 8 s; churned joins propagate within ~1 MNT period in-cube")

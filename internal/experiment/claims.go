@@ -227,34 +227,34 @@ func ClaimLoadBalance(o Options) []*Table {
 	// The two protocol arms run on identically specced (but separately
 	// built) worlds, so they fan out as independent runs. One shared
 	// drive keeps the traffic pattern identical between arms.
-	drive := func(w *scenario.World, stk protocol.Stack) *runMetrics {
+	drive := func(w *scenario.World, stk protocol.Stack) scenario.Counts {
 		stk.Start()
 		w.WarmUp(12)
-		m := newRunMetrics(w.Sim)
-		stk.Deliveries(m.observe)
-		for s := 0; s < sources; s++ {
-			src := w.RandomSource()
-			for p := 0; p < packets; p++ {
-				uid := stk.Send(src, 0, 512)
-				m.expect(uid, len(w.Members[0]))
-				w.Sim.RunUntil(w.Sim.Now() + 0.3)
+		// The sends are spaced by running the world between them, so
+		// when play returns only the drain remains.
+		c := measure(w, stk, 0, 5, func(m *scenario.Meter) {
+			for s := 0; s < sources; s++ {
+				src := w.RandomSource()
+				for p := 0; p < packets; p++ {
+					m.Send(src, 0, 512)
+					w.RunUntil(w.Sim.Now() + 0.3)
+				}
 			}
-		}
-		w.Sim.RunUntil(w.Sim.Now() + 5)
+		})
 		stk.Stop()
-		return m
+		return c
 	}
 	rows := parSweep(o, []string{"hvdb", "cbt"}, func(_ runner.Run, proto string) []string {
 		w := build()
-		m := drive(w, must(w.Protocol(proto)))
-		return loadRow(proto, w, m)
+		c := drive(w, must(w.Protocol(proto)))
+		return loadRow(proto, w, c)
 	})
 	addRows(t, rows)
 	t.Note("jain index near 1 = even load; the rendezvous core concentrates traffic by design")
 	return []*Table{t}
 }
 
-func loadRow(name string, w *scenario.World, m *runMetrics) []string {
+func loadRow(name string, w *scenario.World, c scenario.Counts) []string {
 	loads := w.Net.ForwardLoads()
 	var acc stats.Accumulator
 	for _, l := range loads {
@@ -264,7 +264,7 @@ func loadRow(name string, w *scenario.World, m *runMetrics) []string {
 	if acc.Mean() > 0 {
 		maxMean = acc.Max() / acc.Mean()
 	}
-	return []string{name, F(stats.JainIndex(loads)), F(maxMean), F(acc.Max()), Pct(m.pdr())}
+	return []string{name, F(c.Jain), F(maxMean), F(acc.Max()), Pct(c.PDR())}
 }
 
 // ClaimScalability quantifies the paper's central scalability argument:
@@ -440,15 +440,9 @@ func ClaimComparison(o Options) []*Table {
 		stk := must(w.Protocol(a.proto))
 		stk.Start()
 		w.WarmUp(warm)
-		m := stackTraffic(w, stk, 0, packets, 512, 0.5)
+		c := cbrTraffic(w, stk, 0, packets, 512, 0.5, 5)
 		stk.Stop()
-		elapsed := w.Sim.Now() - warm
-		return cell{
-			pdr:   Pct(m.pdr()),
-			delay: F(m.delays.Mean() * 1000),
-			ctl:   F(controlPerNodeSecond(w, elapsed)),
-			jain:  F(stats.JainIndex(w.Net.ForwardLoads())),
-		}
+		return cell{pdr: Pct(c.PDR()), delay: F(c.MeanDelay * 1000), ctl: F(c.CtrlPerNodeS), jain: F(c.Jain)}
 	})
 	for pi, proto := range protos {
 		pdrRow := []string{proto}

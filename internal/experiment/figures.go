@@ -22,9 +22,10 @@ func Figure1(o Options) []*Table {
 	spec.Seed = o.Seed
 	spec.Nodes = scaleInt(300, o.Scale, 40)
 	w := must(scenario.Build(spec))
-	w.Start()
+	stk := must(w.Protocol("hvdb"))
+	stk.Start()
 	w.Sim.RunUntil(10)
-	w.Stop()
+	stk.Stop()
 
 	heads := w.CM.Heads()
 	bch, ich := 0, 0
@@ -410,9 +411,9 @@ func Figure6(o Options) []*Table {
 		stk := must(w.Protocol("hvdb"))
 		stk.Start()
 		w.WarmUp(12)
-		m := stackTraffic(w, stk, 0, packets, 512, 0.5)
+		c := cbrTraffic(w, stk, 0, packets, 512, 0.5, 5)
 		stk.Stop()
-		return []string{I(size), Pct(m.pdr()), F(m.delays.Mean() * 1000), F(m.delays.Percentile(95) * 1000), F(m.hops.Mean())}
+		return []string{I(size), Pct(c.PDR()), F(c.MeanDelay * 1000), F(c.P95Delay * 1000), F(c.MeanHops)}
 	})
 	addRows(t, rows)
 	t.Note("trees cached per the paper; intermediate CHs keep no per-session state")

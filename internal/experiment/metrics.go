@@ -1,73 +1,40 @@
 package experiment
 
 import (
+	"fmt"
+
 	"repro/internal/des"
 	"repro/internal/membership"
-	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
-	"repro/internal/stats"
 )
 
-// runMetrics accumulates delivery statistics for one traffic phase.
-// Delays and hop counts stream into log-spaced histograms at delivery
-// time (exact means, bounded-error percentiles), so the retained metric
-// state is O(1) in the packet count.
-type runMetrics struct {
-	sim      *des.Simulator
-	expected map[uint64]int // uid -> audience size at send time
-
-	delivered int
-	delays    stats.LogHist
-	hops      stats.LogHist
-}
-
-func newRunMetrics(sim *des.Simulator) *runMetrics {
-	return &runMetrics{sim: sim, expected: make(map[uint64]int)}
-}
-
-// observe is wired into delivery observers.
-func (m *runMetrics) observe(_ network.NodeID, uid uint64, born des.Time, hops int) {
-	if _, ok := m.expected[uid]; !ok {
-		return // warm-up or foreign packet
+// measure runs one traffic phase through the scenario meter: play
+// starts the sends (through m), the world then runs span — how long the
+// sends play schedules take to leave — plus drain, which is also the
+// meter's release TTL, and the meter closes. A phase that ends with
+// per-packet state still held, by the meter or by the arm, is a
+// bookkeeping bug, so it panics (the package's must convention) instead
+// of letting an experiment leak quietly.
+func measure(w *scenario.World, stk protocol.Stack, span, drain des.Duration, play func(m *scenario.Meter)) scenario.Counts {
+	m := w.Meter(stk, drain)
+	play(m)
+	w.RunUntil(w.Sim.Now() + span + drain)
+	c := m.Close()
+	if c.AudienceOpen != 0 || c.FlightsOpen != 0 {
+		panic(fmt.Sprintf("experiment: %s traffic phase leaked per-packet state: %d audience entries, %d flights still tracked",
+			stk.Name(), c.AudienceOpen, c.FlightsOpen))
 	}
-	m.delivered++
-	m.delays.Add(float64(m.sim.Now() - born))
-	m.hops.Add(float64(hops))
+	return c
 }
 
-// expect registers a sent packet and its audience size.
-func (m *runMetrics) expect(uid uint64, audience int) {
-	if uid != 0 {
-		m.expected[uid] = audience
-	}
-}
-
-// pdr returns delivered / expected deliveries.
-func (m *runMetrics) pdr() float64 {
-	total := 0
-	for _, n := range m.expected {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(m.delivered) / float64(total)
-}
-
-// stackTraffic drives count CBR packets from one random source to group
-// g over any protocol arm and returns the metrics after draining.
-func stackTraffic(w *scenario.World, stk protocol.Stack, g membership.Group, count, payload int, interval des.Duration) *runMetrics {
-	m := newRunMetrics(w.Sim)
-	stk.Deliveries(m.observe)
-	src := w.RandomSource()
-	w.CBR(func() uint64 {
-		uid := stk.Send(src, g, payload)
-		m.expect(uid, len(w.Members[g]))
-		return uid
-	}, interval, count)
-	w.RunUntil(w.Sim.Now() + interval*des.Duration(count) + 5)
-	return m
+// cbrTraffic drives count CBR packets from one random source to group
+// g over any protocol arm and returns the counts after draining.
+func cbrTraffic(w *scenario.World, stk protocol.Stack, g membership.Group, count, payload int, interval, drain des.Duration) scenario.Counts {
+	return measure(w, stk, interval*des.Duration(count), drain, func(m *scenario.Meter) {
+		src := w.RandomSource()
+		w.CBR(func() uint64 { return m.Send(src, g, payload) }, interval, count)
+	})
 }
 
 // controlPerNodeSecond reads control overhead normalized by node count

@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"repro/internal/des"
-	"repro/internal/membership"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
@@ -167,16 +166,7 @@ func runScaleWorld(seed uint64, c scaleConfig, shards int) scaleResult {
 	stk.Start()
 	warm, drain := scaleTiming(c)
 	w.RunUntil(warm) // no traffic reset: ctrlPNS covers the whole run
-	m := newRunMetrics(w.Sim)
-	stk.Deliveries(m.observe)
-	src := w.RandomSource()
-	g := membership.Group(0)
-	w.CBR(func() uint64 {
-		uid := stk.Send(src, g, scalePayload)
-		m.expect(uid, len(w.Members[g]))
-		return uid
-	}, scaleGap, scalePackets)
-	w.RunUntil(w.Sim.Now() + scaleGap*des.Duration(scalePackets) + drain)
+	got := cbrTraffic(w, stk, 0, scalePackets, scalePayload, scaleGap, drain)
 	stk.Stop()
 	return scaleResult{
 		ScalePoint: ScalePoint{
@@ -185,10 +175,10 @@ func runScaleWorld(seed uint64, c scaleConfig, shards int) scaleResult {
 			ArenaM:        c.arena,
 			SimSeconds:    float64(w.Sim.Now()),
 			Events:        w.Sim.Executed(),
-			DeliveryRatio: m.pdr(),
+			DeliveryRatio: got.PDR(),
 		},
 		clusters:  len(w.CM.Heads()),
-		delayMean: m.delays.Mean(),
+		delayMean: got.MeanDelay,
 		ctrlPNS:   controlPerNodeSecond(w, w.Sim.Now()),
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/membership"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 )
@@ -25,19 +24,11 @@ func TestScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Start()
+	stk := must(w.Protocol("hvdb"))
+	stk.Start()
 	w.WarmUp(15)
-	m := newRunMetrics(w.Sim)
-	w.MC.OnDeliver(m.observe)
-	src := w.RandomSource()
-	g := membership.Group(0)
-	w.CBR(func() uint64 {
-		uid := w.MC.Send(src, g, 512)
-		m.expect(uid, len(w.Members[g]))
-		return uid
-	}, 1.0, 30)
-	w.Sim.RunUntil(60)
-	w.Stop()
+	got := cbrTraffic(w, stk, 0, 30, 512, 1.0, 15) // 15 + 30 + 15 = 60 s
+	stk.Stop()
 
 	if got := w.Net.Len(); got < 13000 {
 		t.Fatalf("world has %d nodes, want >= 13000", got)
@@ -51,11 +42,11 @@ func TestScaleSmoke(t *testing.T) {
 	if len(w.CM.Heads()) == 0 {
 		t.Fatal("no clusters formed")
 	}
-	if m.delivered == 0 {
+	if got.Delivered == 0 {
 		t.Fatal("no multicast deliveries in 60 simulated seconds")
 	}
 	t.Logf("10k world: %d events, %d clusters, pdr %.1f%%",
-		w.Sim.Executed(), len(w.CM.Heads()), 100*m.pdr())
+		w.Sim.Executed(), len(w.CM.Heads()), 100*got.PDR())
 }
 
 // TestScaleQuickTable checks the structural contract of the scale

@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"testing"
+
+	"repro/internal/protocol"
+	"repro/internal/scenario"
 )
 
 // The all-experiment smoke pass lives in TestAllExperimentsQuick
@@ -38,4 +41,26 @@ func TestChurnExperimentShape(t *testing.T) {
 	if first[1] != "100.0%" {
 		t.Fatalf("zero-churn PDR %s want 100%%", first[1])
 	}
+}
+
+// leakyStack is an arm that ignores Forget, so every sent uid stays
+// tracked.
+type leakyStack struct{ protocol.Stack }
+
+func (leakyStack) Forget(uint64) {}
+
+// TestMeasureFailsClosedOnLeak: a traffic phase that ends with
+// per-packet state still held must panic, not return counts.
+func TestMeasureFailsClosedOnLeak(t *testing.T) {
+	spec := scenario.DefaultSpec()
+	spec.Nodes = 30
+	spec.Mobility = scenario.Static
+	w := must(scenario.Build(spec))
+	stk := must(w.Protocol("flooding"))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("measure returned from a phase that left flights tracked")
+		}
+	}()
+	cbrTraffic(w, leakyStack{stk}, 0, 3, 64, 0.5, 5)
 }

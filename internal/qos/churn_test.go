@@ -12,7 +12,6 @@ import (
 // — instead of leaking it on a route that no longer exists.
 func TestReconcileReleasesDeadRoutes(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	src := w.RandomSource()
 
 	hard, err := m.Open(src, 0, 50e3, qos.Hard)
@@ -75,7 +74,6 @@ func TestReconcileReleasesDeadRoutes(t *testing.T) {
 // reservation rides on the role, so it must be released too.
 func TestReconcileReleasesDemotedCH(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	s, err := m.Open(w.RandomSource(), 0, 50e3, qos.Soft)
 	if err != nil {
 		t.Fatalf("admission: %v", err)

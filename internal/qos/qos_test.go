@@ -11,7 +11,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// buildWorld wires a converged world with one group spanning two cubes.
+// buildWorld wires a converged world with one group spanning two cubes,
+// its hvdb stack running until the test ends, and a manager of the
+// test's own: unlike the stack's, no cluster-head-change hook reconciles
+// it, so the tests drive Reconcile by hand.
 func buildWorld(t *testing.T) (*scenario.World, *qos.Manager) {
 	t.Helper()
 	spec := scenario.DefaultSpec()
@@ -24,14 +27,18 @@ func buildWorld(t *testing.T) (*scenario.World, *qos.Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Start()
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.Start()
+	t.Cleanup(stk.Stop)
 	w.WarmUp(14)
 	return w, qos.NewManager(w.BB, w.MS, w.MC)
 }
 
 func TestHardAdmissionAndRelease(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	src := w.RandomSource()
 	s, err := m.Open(src, 0, 100e3, qos.Hard)
 	if err != nil {
@@ -62,7 +69,6 @@ func TestHardAdmissionAndRelease(t *testing.T) {
 
 func TestHardAdmissionExhaustsCapacity(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	src := w.RandomSource()
 	// CH radios carry 11 Mb/s; sessions of 4 Mb/s exhaust a CH after
 	// two. Keep opening until rejection.
@@ -86,7 +92,6 @@ func TestHardAdmissionExhaustsCapacity(t *testing.T) {
 
 func TestHardRejectionRollsBack(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	src := w.RandomSource()
 	// Fill to rejection.
 	for i := 0; i < 10; i++ {
@@ -106,7 +111,6 @@ func TestHardRejectionRollsBack(t *testing.T) {
 
 func TestSoftAdmissionAlwaysAdmits(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	src := w.RandomSource()
 	// Saturate hard first.
 	for i := 0; i < 10; i++ {
@@ -125,7 +129,6 @@ func TestSoftAdmissionAlwaysAdmits(t *testing.T) {
 
 func TestImpossibleRateRejectedHard(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	if _, err := m.Open(w.RandomSource(), 0, 1e12, qos.Hard); err == nil {
 		t.Fatal("absurd rate admitted")
 	}
@@ -133,7 +136,6 @@ func TestImpossibleRateRejectedHard(t *testing.T) {
 
 func TestOpenFromDownSource(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	src := w.RandomSource()
 	w.Net.Node(src).Fail()
 	if _, err := m.Open(src, 0, 1000, qos.Hard); err == nil {
@@ -143,7 +145,6 @@ func TestOpenFromDownSource(t *testing.T) {
 
 func TestTreeCHsSpanMemberCubes(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	src := w.RandomSource()
 	grid := w.Grid
 	vc := grid.VCOf(w.Net.Node(src).TruePos())
@@ -166,7 +167,6 @@ func TestTreeCHsSpanMemberCubes(t *testing.T) {
 // scratch.
 func TestHardAdmissionDeterministic(t *testing.T) {
 	w, m := buildWorld(t)
-	defer w.Stop()
 	w.FailRandomAnchors(6)
 	w.Sim.RunUntil(w.Sim.Now() + 10) // let elections and summaries settle
 	src := w.RandomSource()

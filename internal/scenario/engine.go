@@ -9,7 +9,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/runner"
-	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -22,89 +21,18 @@ const scriptSeedSalt = 0x5c71b7e1a9d2f04d
 // the script's horizon so in-flight packets settle.
 const drainMargin des.Duration = 5
 
-// audienceTTL bounds how long a packet's send-time audience entry is
-// retained: an entry is released once every audience member has been
-// accounted for, or this long after the send — whichever comes first.
-// Deliveries settle well inside the drain margin (that is what
-// drainMargin exists for), so the TTL reuses it; since every send
-// happens at or before the script horizon (Directive.end bounds each
-// generator), every entry expires by the end of the drain and the
-// audience map is empty at teardown. This keeps live audience state
-// proportional to the send rate over one TTL window instead of the
-// total packet count of the run.
-const audienceTTL = drainMargin
-
-// ScriptResult reports the measured outcome of one script run.
+// ScriptResult reports the measured outcome of one script run: the
+// script's name and what the run's Meter counted.
 type ScriptResult struct {
-	// Script is the script's name.
 	Script string
-	// Sent counts successful sends; Expected the audience-member
-	// deliveries those sends could have produced (live current members
-	// at each send); Delivered those that arrived; Stale deliveries to
-	// nodes outside the packet's send-time audience (e.g. members that
-	// had already left).
-	Sent, Expected, Delivered, Stale int
-	// MeanDelay, P50Delay, and P95Delay summarize end-to-end delivery
-	// delay in seconds.
-	MeanDelay, P50Delay, P95Delay float64
-	// CtrlPerNodeS is control overhead in bytes/node/second over the
-	// script window.
-	CtrlPerNodeS float64
-	// Jain is the forwarding-load fairness index over live nodes,
-	// covering traffic since the last counter reset.
-	Jain float64
-	// Elapsed is the simulated span of the run including the drain.
-	Elapsed des.Duration
-	// AudiencePeak is the high-water mark of concurrently tracked
-	// audience entries — the engine's retained per-packet state is
-	// bounded by the send rate over one audienceTTL window, not by the
-	// total packet count. AudienceOpen is how many entries were still
-	// tracked at teardown; it is always 0 (entries are released when
-	// fully accounted or on TTL expiry), mirroring the
-	// PooledInFlight()==0 pool-leak check.
-	AudiencePeak, AudienceOpen int
-	// FlightsOpen is how many sent packets the arm still tracked at
-	// teardown (protocol.Stack.Tracked). The engine forgets a packet
-	// when its audience entry closes, so on a stack whose sends all went
-	// through scripts this is always 0 as well, on every arm: per-packet
-	// state does not outlive the script.
-	FlightsOpen int
-	// DelaySamples is how many deliveries the delay histogram absorbed
-	// (always equal to Delivered), and DelayDigest its full-state
-	// fingerprint — the scengen harness asserts both are rerun-,
-	// worker-, and shard-count-invariant.
-	DelaySamples int
-	DelayDigest  uint64
+	Counts
 }
 
-// PDR returns Delivered / Expected.
-func (r *ScriptResult) PDR() float64 {
-	if r.Expected == 0 {
-		return 0
-	}
-	return float64(r.Delivered) / float64(r.Expected)
-}
-
-// scriptRun is the live state of one script execution.
+// scriptRun is the live state of one script execution. Sends and
+// membership changes go through the meter, which does the accounting.
 type scriptRun struct {
-	w   *World
-	stk protocol.Stack
-	res ScriptResult
-
-	// current mirrors the engine-driven membership per group; audience
-	// snapshots the live current members of each sent packet. Entries
-	// are released when fully accounted or on TTL expiry (audienceTTL);
-	// audQ[audHead:] is the pending-expiry FIFO in send order, so expiry
-	// is a deterministic O(1) front pop (send times are nondecreasing).
-	current  map[membership.Group]map[network.NodeID]bool
-	audience map[uint64]*audEntry
-	audQ     []audPending
-	audHead  int
-	// delays streams into a log-spaced histogram at delivery time: the
-	// engine retains O(1) metric state per run, not one float64 per
-	// delivery. Mean stays exact; P50/P95 carry the histogram's bounded
-	// relative error (stats.LogHist.Percentile).
-	delays stats.LogHist
+	w *World
+	m *Meter
 
 	// Radio-loss window bookkeeping, shared across (possibly
 	// overlapping) radio-loss directives: lossBase holds each node's
@@ -115,19 +43,6 @@ type scriptRun struct {
 	// final close restores the base values exactly.
 	lossBase   []float64
 	lossActive []float64
-}
-
-// audEntry is the retained state of one in-flight script packet: the
-// members still owed a delivery. The member bit clears as each delivery
-// is counted, so len(members)==0 means fully accounted.
-type audEntry struct {
-	members map[network.NodeID]bool
-}
-
-// audPending queues one packet for TTL expiry.
-type audPending struct {
-	uid    uint64
-	expire des.Time
 }
 
 type churnVictim struct {
@@ -161,121 +76,18 @@ func (w *World) RunScript(stk protocol.Stack, sc *Script) (*ScriptResult, error)
 				sc.Name, i, d.Group, len(w.Members))
 		}
 	}
-	r := &scriptRun{
-		w:        w,
-		stk:      stk,
-		res:      ScriptResult{Script: sc.Name},
-		current:  make(map[membership.Group]map[network.NodeID]bool),
-		audience: make(map[uint64]*audEntry),
-	}
-	for g, members := range w.Members {
-		set := make(map[network.NodeID]bool, len(members))
-		for _, id := range members {
-			set[id] = true
-		}
-		r.current[g] = set
-	}
-	stk.Deliveries(r.onDeliver)
-
+	// The meter's release TTL is the drain: every send happens at or
+	// before the script horizon (Directive.end bounds each generator),
+	// so every audience entry has expired by the end of the drain.
+	r := &scriptRun{w: w, m: w.Meter(stk, drainMargin)}
 	start := w.Sim.Now()
-	ctrl0 := w.Net.Stats().ControlBytes
 	for i := range sc.Directives {
 		d := sc.Directives[i]
 		rng := xrand.New(runner.DeriveSeed(w.Spec.Seed^scriptSeedSalt, i))
 		r.schedule(start, d, rng)
 	}
 	w.RunUntil(start + des.Duration(sc.Horizon()) + drainMargin)
-	stk.Deliveries(nil)
-
-	// Every send happened at or before the horizon, so every surviving
-	// entry has expired by now; the sweep leaves the map empty unless
-	// the release bookkeeping has a leak — which AudienceOpen reports,
-	// mirroring the pooled-packet teardown check.
-	r.expireAudience(w.Sim.Now())
-	r.res.AudienceOpen = len(r.audience)
-	r.res.FlightsOpen = stk.Tracked()
-
-	r.res.Elapsed = w.Sim.Now() - start
-	if n := w.Net.Len(); n > 0 && r.res.Elapsed > 0 {
-		r.res.CtrlPerNodeS = float64(w.Net.Stats().ControlBytes-ctrl0) / float64(n) / float64(r.res.Elapsed)
-	}
-	r.res.Jain = stats.JainIndex(w.Net.ForwardLoads())
-	r.res.MeanDelay = r.delays.Mean()
-	r.res.P50Delay = r.delays.Percentile(50)
-	r.res.P95Delay = r.delays.Percentile(95)
-	r.res.DelaySamples = r.delays.N()
-	r.res.DelayDigest = r.delays.Fingerprint()
-	return &r.res, nil
-}
-
-// onDeliver classifies one delivery against the packet's send-time
-// audience and releases the entry once every member is accounted for.
-func (r *scriptRun) onDeliver(member network.NodeID, uid uint64, born des.Time, _ int) {
-	e, ok := r.audience[uid]
-	if !ok {
-		return // not a script packet (or already released)
-	}
-	if e.members[member] {
-		r.res.Delivered++
-		r.delays.Add(float64(r.w.Sim.Now() - born))
-		delete(e.members, member)
-		if len(e.members) == 0 {
-			r.closeAudience(uid) // fully accounted
-		}
-	} else {
-		r.res.Stale++
-	}
-}
-
-// closeAudience releases a packet's audience entry and, with it, the
-// uid the arm indexes for delivery queries (a no-op for an entry
-// already closed). Copies still on the air are unaffected: they carry
-// their duplicate suppression.
-func (r *scriptRun) closeAudience(uid uint64) {
-	delete(r.audience, uid)
-	r.stk.Forget(uid)
-}
-
-// send originates one script packet and snapshots its audience: the
-// current members of the group that are up right now.
-func (r *scriptRun) send(src network.NodeID, g membership.Group, payload int) {
-	now := r.w.Sim.Now()
-	r.expireAudience(now)
-	uid := r.stk.Send(src, g, payload)
-	if uid == 0 {
-		return // source down or unreachable: nothing on the air
-	}
-	r.res.Sent++
-	aud := make(map[network.NodeID]bool)
-	for id := range r.current[g] {
-		if n := r.w.Net.Node(id); n != nil && n.Up() {
-			aud[id] = true
-		}
-	}
-	r.audience[uid] = &audEntry{members: aud}
-	r.audQ = append(r.audQ, audPending{uid: uid, expire: now + audienceTTL})
-	if open := len(r.audience); open > r.res.AudiencePeak {
-		r.res.AudiencePeak = open
-	}
-	r.res.Expected += len(aud)
-}
-
-// expireAudience releases audience entries whose TTL has passed. Sends
-// happen at nondecreasing times, so the pending queue is scanned from
-// the front only; entries already released as fully accounted make the
-// delete a no-op. The spent queue prefix is compacted once it dominates
-// the backing array, keeping the queue itself bounded by the live
-// window too.
-func (r *scriptRun) expireAudience(now des.Time) {
-	for r.audHead < len(r.audQ) && r.audQ[r.audHead].expire <= now {
-		r.closeAudience(r.audQ[r.audHead].uid)
-		r.audHead++
-	}
-	if r.audHead > 64 && r.audHead*2 >= len(r.audQ) {
-		n := copy(r.audQ, r.audQ[r.audHead:])
-		r.audQ = r.audQ[:n]
-		r.audHead = 0
-	}
+	return &ScriptResult{Script: sc.Name, Counts: r.m.Close()}, nil
 }
 
 // schedule installs one directive's events on the simulator.
@@ -360,19 +172,16 @@ func (r *scriptRun) scheduleMemberChurn(at des.Time, d Directive, rng *xrand.Ran
 		for i := 0; i < d.Count; i++ {
 			// Deterministic leaver: the lowest current member ID.
 			leaver := network.NoNode
-			for id := range r.current[g] {
+			for id := range r.m.Members(g) {
 				if leaver == network.NoNode || id < leaver {
 					leaver = id
 				}
 			}
 			if leaver != network.NoNode {
-				r.stk.Leave(leaver, g)
-				delete(r.current[g], leaver)
+				r.m.Leave(leaver, g)
 			}
-			// RunScript validated the group, so r.current[g] exists.
-			if joiner := r.pickOrdinary(rng, r.current[g]); joiner != network.NoNode {
-				r.stk.Join(joiner, g)
-				r.current[g][joiner] = true
+			if joiner := r.pickOrdinary(rng, r.m.Members(g)); joiner != network.NoNode {
+				r.m.Join(joiner, g)
 			}
 		}
 		tick++
@@ -401,7 +210,7 @@ func (r *scriptRun) scheduleTraffic(at des.Time, d Directive, rng *xrand.Rand) {
 						return
 					}
 				}
-				r.send(src, g, d.Payload)
+				r.m.Send(src, g, d.Payload)
 				sent++
 				if sent < d.Packets {
 					r.w.Sim.After(des.Duration(d.Interval), fire)
@@ -438,7 +247,7 @@ func (r *scriptRun) scheduleTraffic(at des.Time, d Directive, rng *xrand.Rand) {
 				r.w.Sim.Schedule(resume, fire)
 				return
 			}
-			r.send(src, g, d.Payload)
+			r.m.Send(src, g, d.Payload)
 			sent++
 			if sent >= d.Packets {
 				return

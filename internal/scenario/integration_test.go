@@ -49,19 +49,19 @@ func TestMemberMigratesAcrossHypercubes(t *testing.T) {
 	w.Mux.BindNode(src)
 	w.MS.Join(mover.ID, 3)
 
-	w.Start()
+	stk := startHVDB(t, w)
 	w.WarmUp(15) // membership converged; mover still in cube 0
 
 	if got := w.Scheme.PlaceAt(mover.TruePos()).HID; got != 0 {
 		t.Fatalf("mover should still be in cube 0 at t=15, got %d", got)
 	}
 	deliveries := 0
-	w.MC.OnDeliver(func(member network.NodeID, uid uint64, born des.Time, hops int) {
+	stk.Deliveries(func(member network.NodeID, uid uint64, born des.Time, hops int) {
 		if member == mover.ID {
 			deliveries++
 		}
 	})
-	if w.MC.Send(src.ID, 3, 128) == 0 {
+	if stk.Send(src.ID, 3, 128) == 0 {
 		t.Fatal("send 1 failed")
 	}
 	w.Sim.RunUntil(w.Sim.Now() + 5)
@@ -75,11 +75,11 @@ func TestMemberMigratesAcrossHypercubes(t *testing.T) {
 	if got := w.Scheme.PlaceAt(mover.TruePos()).HID; got != 1 {
 		t.Fatalf("mover should be in cube 1 at t=60, got %d", got)
 	}
-	if w.MC.Send(src.ID, 3, 128) == 0 {
+	if stk.Send(src.ID, 3, 128) == 0 {
 		t.Fatal("send 2 failed")
 	}
 	w.Sim.RunUntil(w.Sim.Now() + 5)
-	w.Stop()
+	stk.Stop()
 	if deliveries != 2 {
 		t.Fatalf("delivery after migration failed: %d deliveries total", deliveries)
 	}
@@ -102,21 +102,21 @@ func TestMulticastUnderContinuousMobility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Start()
+	stk := startHVDB(t, w)
 	w.WarmUp(15)
 
 	delivered := 0
-	w.MC.OnDeliver(func(network.NodeID, uint64, des.Time, int) { delivered++ })
+	stk.Deliveries(func(network.NodeID, uint64, des.Time, int) { delivered++ })
 	sent := 0
 	for i := 0; i < 12; i++ {
 		g := membership.Group(i % 2)
-		if w.MC.Send(w.RandomSource(), g, 256) != 0 {
+		if stk.Send(w.RandomSource(), g, 256) != 0 {
 			sent++
 		}
 		w.Sim.RunUntil(w.Sim.Now() + 2)
 	}
 	w.Sim.RunUntil(w.Sim.Now() + 5)
-	w.Stop()
+	stk.Stop()
 
 	expected := sent * spec.MembersPerGroup
 	if expected == 0 {
@@ -143,10 +143,10 @@ func TestBackboneSurvivesMassAnchorFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Start()
+	stk := startHVDB(t, w)
 	w.WarmUp(15)
 	delivered := 0
-	w.MC.OnDeliver(func(network.NodeID, uint64, des.Time, int) { delivered++ })
+	stk.Deliveries(func(network.NodeID, uint64, des.Time, int) { delivered++ })
 
 	w.FailRandomAnchors(len(w.Anchors) / 3)
 	w.Sim.RunUntil(w.Sim.Now() + 12) // re-elect, re-beacon, re-summarize
@@ -166,13 +166,13 @@ func TestBackboneSurvivesMassAnchorFailure(t *testing.T) {
 	}
 	sent := 0
 	for i := 0; i < 5; i++ {
-		if w.MC.Send(w.RandomSource(), 0, 128) != 0 {
+		if stk.Send(w.RandomSource(), 0, 128) != 0 {
 			sent++
 		}
 		w.Sim.RunUntil(w.Sim.Now() + 1)
 	}
 	w.Sim.RunUntil(w.Sim.Now() + 5)
-	w.Stop()
+	stk.Stop()
 	if sent == 0 {
 		t.Fatal("no sends succeeded")
 	}

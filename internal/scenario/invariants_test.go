@@ -29,9 +29,9 @@ func TestSystemInvariantsAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Start()
+		stk := startHVDB(t, w)
 		w.Sim.RunUntil(8)
-		w.Stop()
+		stk.Stop()
 
 		headsOf := map[network.NodeID]int{}
 		for vc, ch := range w.CM.Heads() {
@@ -106,19 +106,19 @@ func TestDeterministicEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Start()
+		stk := startHVDB(t, w)
 		w.WarmUp(10)
 		var traceLog []uint64
-		w.MC.OnDeliver(func(member network.NodeID, uid uint64, born des.Time, hops int) {
+		stk.Deliveries(func(member network.NodeID, uid uint64, born des.Time, hops int) {
 			traceLog = append(traceLog, uint64(member)<<32|uid&0xffffffff)
 		})
 		src := w.Ordinary[3]
 		for i := 0; i < 5; i++ {
-			w.MC.Send(src, 0, 200)
+			stk.Send(src, 0, 200)
 			w.Sim.RunUntil(w.Sim.Now() + 1)
 		}
 		w.Sim.RunUntil(w.Sim.Now() + 5)
-		w.Stop()
+		stk.Stop()
 		return traceLog
 	}
 	a, b := run(), run()

@@ -299,20 +299,6 @@ func (w *World) buildMobility(arena geom.Rect) mobility.Model {
 	}
 }
 
-// Start launches the full periodic protocol stack.
-func (w *World) Start() {
-	w.CM.Start()
-	w.BB.Start()
-	w.MS.Start()
-}
-
-// Stop cancels the periodic stack.
-func (w *World) Stop() {
-	w.CM.Stop()
-	w.BB.Stop()
-	w.MS.Stop()
-}
-
 // WarmUp runs the stack for d simulated seconds and then clears traffic
 // counters, so measurements start from a converged state.
 func (w *World) WarmUp(d des.Duration) {
@@ -320,9 +306,8 @@ func (w *World) WarmUp(d des.Duration) {
 	w.Net.ResetTraffic()
 }
 
-// CBR schedules constant-bit-rate multicast traffic: the source sends a
-// payload of size bytes to the group every interval, count times, using
-// the provided send function (HVDB's MC.Send or a baseline's Send).
+// CBR schedules constant-bit-rate multicast traffic: the provided send
+// function (a Meter.Send closure) fires every interval, count times.
 // Returns a slice that accumulates the UIDs of sent packets.
 func (w *World) CBR(send func() uint64, interval des.Duration, count int) *[]uint64 {
 	uids := &[]uint64{}

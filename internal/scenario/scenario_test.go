@@ -139,7 +139,7 @@ func TestStartStopAndWarmUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Start()
+	stk := startHVDB(t, w)
 	w.WarmUp(5)
 	if w.Sim.Now() != 5 {
 		t.Fatalf("warm-up ended at %v", w.Sim.Now())
@@ -147,7 +147,7 @@ func TestStartStopAndWarmUp(t *testing.T) {
 	if w.Net.Stats().ControlBytes != 0 {
 		t.Fatal("WarmUp should reset traffic counters")
 	}
-	w.Stop()
+	stk.Stop()
 	// Let in-flight packets drain, then the periodic planes must be
 	// quiet: no new events in a later window.
 	w.Sim.RunUntil(10)
@@ -283,13 +283,13 @@ func TestGPSErrorSpec(t *testing.T) {
 		t.Fatalf("only %d/%d noisy fixes differ from truth", differs, w.Net.Len())
 	}
 	// The stack must still converge and deliver despite the error.
-	w.Start()
+	stk := startHVDB(t, w)
 	w.WarmUp(12)
 	delivered := 0
-	w.MC.OnDeliver(func(network.NodeID, uint64, des.Time, int) { delivered++ })
-	w.MC.Send(w.RandomSource(), 0, 128)
+	stk.Deliveries(func(network.NodeID, uint64, des.Time, int) { delivered++ })
+	stk.Send(w.RandomSource(), 0, 128)
 	w.Sim.RunUntil(w.Sim.Now() + 5)
-	w.Stop()
+	stk.Stop()
 	if delivered == 0 {
 		t.Fatal("no delivery under 20 m GPS error")
 	}

@@ -3,6 +3,9 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 // assertNoPacketLeaks drains the simulator and checks the pooled-packet
@@ -13,6 +16,17 @@ func assertNoPacketLeaks(t *testing.T, w *World) {
 	if n := w.Net.PooledInFlight(); n != 0 {
 		t.Fatalf("pooled-packet leak: %d packets still checked out after teardown", n)
 	}
+}
+
+// startHVDB builds and starts the hvdb arm on w.
+func startHVDB(t testing.TB, w *World) protocol.Stack {
+	t.Helper()
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.Start()
+	return stk
 }
 
 func TestScriptValidate(t *testing.T) {
@@ -232,36 +246,76 @@ func TestRunScriptRejectsUnknownGroup(t *testing.T) {
 	}
 }
 
+// TestScriptMemberChurnTracksAudience: flooding reaches every connected
+// node, so delivery against the *current* membership must stay
+// near-perfect while one member a second is swapped out — whether the
+// churn is a script directive or done by hand through the meter, the
+// way experiment c6 does it.
 func TestScriptMemberChurnTracksAudience(t *testing.T) {
-	sc := &Script{Name: "churny", Directives: []Directive{
-		{At: 0, Kind: KindTraffic, Pattern: PatternCBR, Interval: 1, Packets: 8, Payload: 128},
-		{At: 0.5, Kind: KindMemberChurn, Count: 1, Period: 1, Duration: 6},
-	}}
-	spec := DefaultSpec()
-	spec.Seed = 11
-	spec.Nodes = 60
-	spec.Groups = 1
-	spec.MembersPerGroup = 8
-	spec.Mobility = Static
-	w, err := Build(spec)
-	if err != nil {
-		t.Fatal(err)
+	drivers := []struct {
+		name string
+		play func(t *testing.T, w *World, stk protocol.Stack) Counts
+	}{
+		{"script", func(t *testing.T, w *World, stk protocol.Stack) Counts {
+			res, err := w.RunScript(stk, &Script{Name: "churny", Directives: []Directive{
+				{At: 0, Kind: KindTraffic, Pattern: PatternCBR, Interval: 1, Packets: 8, Payload: 128},
+				{At: 0.5, Kind: KindMemberChurn, Count: 1, Period: 1, Duration: 6},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Counts
+		}},
+		{"meter", func(t *testing.T, w *World, stk protocol.Stack) Counts {
+			m := w.Meter(stk, drainMargin)
+			src := w.RandomSource()
+			w.CBR(func() uint64 { return m.Send(src, 0, 128) }, 1, 8)
+			next := 0 // ordinary nodes join in build order
+			churn := w.Sim.Every(0.5, 1, func() {
+				leaver := network.NoNode
+				for id := range m.Members(0) {
+					if leaver == network.NoNode || id < leaver {
+						leaver = id
+					}
+				}
+				m.Leave(leaver, 0)
+				for m.Members(0)[w.Ordinary[next]] {
+					next++
+				}
+				m.Join(w.Ordinary[next], 0)
+			})
+			w.RunUntil(w.Sim.Now() + 8 + drainMargin)
+			churn.Stop()
+			return m.Close()
+		}},
 	}
-	stk, err := w.Protocol("flooding")
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			spec := DefaultSpec()
+			spec.Seed = 11
+			spec.Nodes = 60
+			spec.Groups = 1
+			spec.MembersPerGroup = 8
+			spec.Mobility = Static
+			w, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stk, err := w.Protocol("flooding")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stk.Start()
+			w.WarmUp(2)
+			res := d.play(t, w, stk)
+			stk.Stop()
+			if res.Sent != 8 || res.Expected != 8*8 {
+				t.Fatalf("%d sends expecting %d deliveries; want 8 sends to a group that stays at 8", res.Sent, res.Expected)
+			}
+			if res.PDR() < 0.9 {
+				t.Fatalf("flooding PDR %.2f under member churn (%d/%d)", res.PDR(), res.Delivered, res.Expected)
+			}
+			assertNoPacketLeaks(t, w)
+		})
 	}
-	stk.Start()
-	w.WarmUp(2)
-	res, err := w.RunScript(stk, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stk.Stop()
-	// Flooding reaches every connected node, so delivery against the
-	// *current* membership must stay near-perfect through the churn.
-	if res.PDR() < 0.9 {
-		t.Fatalf("flooding PDR %.2f under member churn (%d/%d)", res.PDR(), res.Delivered, res.Expected)
-	}
-	assertNoPacketLeaks(t, w)
 }

@@ -124,7 +124,7 @@ func TestBroadcastStraddlesShardCorners(t *testing.T) {
 		if shards > 1 && w.Eng == nil {
 			t.Fatalf("sharding declined: %s", w.ShardNote)
 		}
-		w.Start()
+		startHVDB(t, w)
 		w.RunUntil(15)
 		// The periodic beacon/hello planes broadcast continuously; after a
 		// window the per-kind byte ledger captures every broadcast
