@@ -1,10 +1,9 @@
-// Benchmarks: one target per reproduced figure and evaluated claim
-// (BenchmarkFig*/BenchmarkClaim*), ablation benches for the design
-// choices DESIGN.md calls out (BenchmarkAblation*), and micro-benches of
-// the hot computational kernels. Figure/claim benches run the reduced
-// (Quick) experiment configurations so -bench completes in minutes; the
-// full-size runs are produced by cmd/hvdbbench and recorded in
-// EXPERIMENTS.md.
+// Benchmarks of what bench/ does not report: ablations of the design
+// choices DESIGN.md calls out (BenchmarkAblation*, paper-level metrics
+// via ReportMetric) and two hypercube micro-benches. Timing of the
+// experiments and of the per-layer kernels is bench/'s
+// (experiment.suite_wall_s and the drills); the two state-budget tests
+// at the end ride here because they share the end-to-end world.
 package hvdb
 
 import (
@@ -15,7 +14,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/experiment"
 	"repro/internal/geom"
 	"repro/internal/hypercube"
 	"repro/internal/logicalid"
@@ -27,37 +25,6 @@ import (
 	"repro/internal/vcgrid"
 	"repro/internal/xrand"
 )
-
-// benchExperiment runs one experiment per iteration at quick scale.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	o := experiment.QuickOptions()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o.Seed = uint64(i + 1)
-		if _, err := experiment.Run(id, o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Figure benches — one per paper figure (see DESIGN.md experiment index).
-
-func BenchmarkFig1ModelConstruction(b *testing.B) { benchExperiment(b, "f1") }
-func BenchmarkFig2GridDecomposition(b *testing.B) { benchExperiment(b, "f2") }
-func BenchmarkFig3LabelLayout(b *testing.B)       { benchExperiment(b, "f3") }
-func BenchmarkFig4RouteMaintenance(b *testing.B)  { benchExperiment(b, "f4") }
-func BenchmarkFig5Membership(b *testing.B)        { benchExperiment(b, "f5") }
-func BenchmarkFig6Multicast(b *testing.B)         { benchExperiment(b, "f6") }
-
-// Claim benches — one per evaluated claim.
-
-func BenchmarkClaimAvailability(b *testing.B)  { benchExperiment(b, "c1") }
-func BenchmarkClaimLoadBalance(b *testing.B)   { benchExperiment(b, "c2") }
-func BenchmarkClaimScalability(b *testing.B)   { benchExperiment(b, "c3") }
-func BenchmarkClaimDiameter(b *testing.B)      { benchExperiment(b, "c4") }
-func BenchmarkProtocolComparison(b *testing.B) { benchExperiment(b, "c5") }
-func BenchmarkClaimChurn(b *testing.B)         { benchExperiment(b, "c6") }
 
 // Ablation: plain-binary (the paper's Figure 3 layout) vs Gray-coded
 // grid-to-label mapping. The metric is the mean physical length (in
@@ -270,56 +237,15 @@ func BenchmarkHypercubeRoute(b *testing.B) {
 	}
 }
 
-func BenchmarkHypercubeMulticastTree(b *testing.B) {
-	c := hypercube.Complete(8)
-	rng := xrand.New(2)
-	dests := make([]hypercube.Label, 20)
-	for i := range dests {
-		dests[i] = hypercube.Label(rng.Intn(c.Size()))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.MulticastTree(hypercube.Label(i%c.Size()), dests)
-	}
-}
-
 func BenchmarkDisjointPaths(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hypercube.DisjointPaths(0, hypercube.Label(i%63+1), 6)
 	}
 }
 
-func BenchmarkDESThroughput(b *testing.B) {
-	sim := des.New()
-	n := 0
-	var chain func()
-	chain = func() {
-		n++
-		if n < b.N {
-			sim.After(0.001, chain)
-		}
-	}
-	b.ResetTimer()
-	sim.Schedule(0, chain)
-	sim.Run()
-}
-
-func BenchmarkNeighborQuery(b *testing.B) {
-	spec := scenario.DefaultSpec()
-	spec.Nodes = 500
-	w, err := scenario.Build(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Net.Neighbors(network.NodeID(i % w.Net.Len()))
-	}
-}
-
-// endToEndWorld is the warmed static world of the end-to-end multicast
-// benchmark and of the data-plane allocation budget: 100 nodes, one
-// group of 10 members, every periodic plane running.
+// endToEndWorld is the warmed static world of the data-plane allocation
+// budget: 100 nodes, one group of 10 members, every periodic plane
+// running.
 func endToEndWorld(tb testing.TB) (*scenario.World, protocol.Stack, network.NodeID) {
 	tb.Helper()
 	spec := scenario.DefaultSpec()
@@ -345,17 +271,6 @@ func startHVDB(tb testing.TB, w *scenario.World) protocol.Stack {
 	}
 	stk.Start()
 	return stk
-}
-
-func BenchmarkEndToEndMulticast(b *testing.B) {
-	w, stk, src := endToEndWorld(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		uid := stk.Send(src, 0, 512)
-		w.Sim.RunUntil(w.Sim.Now() + 0.2)
-		stk.Forget(uid)
-	}
 }
 
 // TestDataPlaneAllocBudget holds one multicast send — source hop, both

@@ -13,7 +13,7 @@
 //	hvdblint ./...
 //	hvdblint -suppressed ./internal/qos
 //	hvdblint -json ./... | jq '.[].file'
-//	hvdblint -analyzers shardsafe,poolpair -timing ./...
+//	hvdblint -analyzers shardsafe,poolpair ./...
 package main
 
 import (
@@ -21,9 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/lint"
 )
@@ -33,8 +31,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit diagnostics as a JSON array for tooling")
 		suppressed = flag.Bool("suppressed", false, "also list annotated (suppressed) sites with their reasons")
 		analyzers  = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		timing     = flag.Bool("timing", false, "print per-analyzer, load, and summary wall time to stderr")
-		budget     = flag.Duration("budget", 0, "fail (exit 1) if whole-run wall time — load + summaries + analyzers — exceeds this duration (0 disables)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: hvdblint [flags] [packages]\n\nAnalyzers:\n")
@@ -57,30 +53,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hvdblint: %v\n", err)
 		os.Exit(2)
 	}
-	start := time.Now()
 	pkgs, err := lint.Load(dir, flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hvdblint: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	loadTime := time.Since(start)
 	res := lint.Analyze(pkgs, selected...)
-	total := time.Since(start)
-
-	if *timing {
-		fmt.Fprintf(os.Stderr, "hvdblint: load %v (%d packages)\n", loadTime.Round(time.Millisecond), len(pkgs))
-		fmt.Fprintf(os.Stderr, "hvdblint: summaries %v\n", res.Timing.Summary.Round(time.Millisecond))
-		names := make([]string, 0, len(res.Timing.PerAnalyzer))
-		for name := range res.Timing.PerAnalyzer {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "hvdblint: analyzer %-12s %v\n", name, res.Timing.PerAnalyzer[name].Round(time.Millisecond))
-		}
-		fmt.Fprintf(os.Stderr, "hvdblint: total %v\n", total.Round(time.Millisecond))
-	}
 
 	out := res.Diags
 	if *suppressed {
@@ -108,11 +87,6 @@ func main() {
 	exit := 0
 	if len(res.Diags) > 0 {
 		fmt.Fprintf(os.Stderr, "hvdblint: %d unsuppressed diagnostic(s) in %d package(s)\n", len(res.Diags), len(pkgs))
-		exit = 1
-	}
-	if *budget > 0 && total > *budget {
-		fmt.Fprintf(os.Stderr, "hvdblint: analysis took %v, over the %v budget (load %v, summaries %v)\n",
-			total.Round(time.Millisecond), *budget, loadTime.Round(time.Millisecond), res.Timing.Summary.Round(time.Millisecond))
 		exit = 1
 	}
 	os.Exit(exit)

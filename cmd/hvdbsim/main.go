@@ -35,6 +35,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/cliflag"
@@ -71,7 +72,7 @@ func main() {
 		fuzzN    = flag.Int("fuzz", 0, "fuzz mode: generate and invariant-check this many scripts (see -fuzzseed, -fuzzout)")
 		fuzzSeed = flag.Uint64("fuzzseed", 1, "campaign base seed for -fuzz (same seed: same scripts, same verdicts)")
 		fuzzOut  = flag.String("fuzzout", ".", "directory for minimized failing scripts written by -fuzz")
-		traceCat = flag.String("trace", "", "comma-separated trace categories (sim,mobility,radio,cluster,routes,membership,multicast)")
+		traceCat = flag.String("trace", "", "comma-separated trace categories ("+strings.Join(traceCategories(), ",")+")")
 		shards   = flag.Int("shards", 1, "shard count for the sharded event kernel (1 = serial); results are identical at every setting")
 	)
 	cli := cliflag.Parse("hvdbsim")
@@ -333,21 +334,26 @@ func runTrial(spec scenario.Spec, cfg trialConfig, traceCat string, verbose bool
 	return res, nil
 }
 
+// traceCategories lists the names -trace accepts, in category order.
+func traceCategories() []string {
+	names := make([]string, trace.NumCategories)
+	for c := range names {
+		names[c] = trace.Category(c).String()
+	}
+	return names
+}
+
 // wireTracer installs the requested trace categories; the protocol
 // plane tracers only exist on the hvdb arm.
 func wireTracer(w *scenario.World, proto, traceCat string) error {
 	var cats []trace.Category
+	known := traceCategories()
 	for _, name := range strings.Split(traceCat, ",") {
-		found := false
-		for c := trace.Category(0); c < trace.NumCategories; c++ {
-			if c.String() == strings.TrimSpace(name) {
-				cats = append(cats, c)
-				found = true
-			}
-		}
-		if !found {
+		c := slices.Index(known, strings.TrimSpace(name))
+		if c < 0 {
 			return fmt.Errorf("unknown trace category %q", name)
 		}
+		cats = append(cats, trace.Category(c))
 	}
 	tr := trace.NewWriter(os.Stderr, cats...)
 	w.Net.SetTracer(tr)

@@ -3,11 +3,36 @@ package cliflag_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// bin maps each command to its binary, built once for every test here.
+var bin = map[string]string{}
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "cliflag")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	for _, cmd := range []string{"hvdbsim", "hvdbmap", "hvdbbench", "hvdblint"} {
+		bin[cmd] = filepath.Join(dir, cmd)
+		if out, err := exec.Command("go", "build", "-o", bin[cmd], "repro/cmd/"+cmd).CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "building %s: %v\n%s", cmd, err, out)
+			os.Exit(1)
+		}
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 // TestBadInvocationsExitTwo pins the fail-closed contract of the three
 // simulation CLIs end to end: each bad invocation must exit 2 — not 0
@@ -43,14 +68,6 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{"removed scalemem", []string{"-scalemem"}, flagUndefined + "-scalemem", []string{"hvdbbench"}},
 	}
 
-	dir := t.TempDir()
-	bin := map[string]string{}
-	for _, cmd := range all {
-		bin[cmd] = filepath.Join(dir, cmd)
-		if out, err := exec.Command("go", "build", "-o", bin[cmd], "repro/cmd/"+cmd).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", cmd, err, out)
-		}
-	}
 	for _, tc := range cases {
 		for _, cmd := range tc.cmds {
 			t.Run(cmd+"/"+tc.name, func(t *testing.T) {
@@ -74,5 +91,62 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// usageFlag matches one flag of package flag's usage output.
+var usageFlag = regexp.MustCompile(`(?m)^  -([A-Za-z0-9]+)`)
+
+// TestDocumentedCommandLinesUseDefinedFlags reads every command line in
+// a fenced block of README.md, DESIGN.md and EXPERIMENTS.md that runs
+// one of the four commands (by name, by path or through `go run`) and
+// requires each flag on it to be one the command's own -h lists: a
+// removed flag cannot stay behind in the documents.
+func TestDocumentedCommandLinesUseDefinedFlags(t *testing.T) {
+	defined := map[string]map[string]bool{}
+	for cmd, exe := range bin {
+		usage, _ := exec.Command(exe, "-h").CombinedOutput() // -h exits non-zero on some commands; the text is what counts
+		defined[cmd] = map[string]bool{}
+		for _, m := range usageFlag.FindAllStringSubmatch(string(usage), -1) {
+			defined[cmd][m[1]] = true
+		}
+		if len(defined[cmd]) == 0 {
+			t.Fatalf("%s -h lists no flags:\n%s", cmd, usage)
+		}
+	}
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inFence := false
+		for _, line := range strings.Split(strings.ReplaceAll(string(data), "\\\n", " "), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				inFence = !inFence
+				continue
+			}
+			if !inFence {
+				continue
+			}
+			line, _, _ = strings.Cut(line, "#") // trailing shell comment
+			cmd := ""
+			for _, tok := range strings.Fields(line) {
+				switch {
+				case strings.ContainsAny(tok[:1], "|>;&)"):
+					cmd = "" // what follows belongs to another command
+				case cmd == "" && defined[path.Base(tok)] != nil:
+					cmd = path.Base(tok)
+				case cmd != "" && len(tok) > 1 && tok[0] == '-' && (tok[1] < '0' || tok[1] > '9'):
+					checked++
+					if name, _, _ := strings.Cut(tok[1:], "="); !defined[cmd][name] {
+						t.Errorf("%s: `%s`: %s defines no flag -%s", doc, strings.TrimSpace(line), cmd, name)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no documented flag found; the extractor is likely broken")
 	}
 }

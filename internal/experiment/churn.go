@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"repro/internal/des"
+	"repro/internal/membership"
 	"repro/internal/network"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -79,7 +80,9 @@ func ClaimChurn(o Options) []*Table {
 		return []string{F(churnRate), Pct(c.PDR()), I(c.Stale), F(c.MeanDelay * 1000)}
 	})
 	addRows(t, rows)
-	t.Note("membership refresh cadence: local 1 s, MNT 2 s, HT 8 s; churned joins propagate within ~1 MNT period in-cube")
+	cad := membership.DefaultConfig()
+	t.Note("membership refresh cadence: local %g s, MNT %g s, HT %g s; churned joins propagate within ~1 MNT period in-cube",
+		float64(cad.LocalPeriod), float64(cad.MNTPeriod), float64(cad.HTPeriod))
 	t.Note("stale deliveries = packets reaching nodes that had left (bounded by the refresh cadence)")
 	return []*Table{t}
 }

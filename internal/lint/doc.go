@@ -97,8 +97,7 @@
 // from source (dependencies with bodies ignored), so the suite needs
 // no network and no external modules. Analyze runs analyzers over the
 // loaded packages and resolves suppressions. cmd/hvdblint is the CLI
-// (-analyzers selects a subset, -timing prints the phase breakdown,
-// -budget gates wall time); TestRepoLintClean in this package asserts
+// (-analyzers selects a subset); TestRepoLintClean in this package asserts
 // zero unsuppressed diagnostics over ./... on every `go test`, so the
 // lint is enforced even off-CI. See DESIGN.md "Determinism lint" for
 // the sink model and for how to add a new analyzer.

@@ -7,7 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // An Analyzer is one static check. It mirrors the golang.org/x/tools
@@ -111,17 +110,6 @@ type Result struct {
 	Diags []Diagnostic
 	// Suppressed are diagnostics covered by a reasoned annotation.
 	Suppressed []Diagnostic
-	// Timing breaks down where the wall time went (hvdblint -timing).
-	Timing Timing
-}
-
-// Timing is the per-phase wall-time breakdown of one Analyze call.
-type Timing struct {
-	// Summary is the interprocedural engine's build time (fact
-	// extraction plus propagation).
-	Summary time.Duration
-	// PerAnalyzer aggregates each analyzer's Run time across packages.
-	PerAnalyzer map[string]time.Duration
 }
 
 // Analyzers returns the full determinism suite in stable order.
@@ -183,7 +171,7 @@ func Analyze(pkgs []*Package, analyzers ...*Analyzer) *Result {
 	if len(analyzers) == 0 {
 		analyzers = Analyzers()
 	}
-	res := &Result{Timing: Timing{PerAnalyzer: map[string]time.Duration{}}}
+	res := &Result{}
 	// keys are the suppression keys whose usage this run can audit (the
 	// selected analyzers); allKeys is the full registry — an annotation
 	// for a non-selected analyzer is legitimate, just not auditable in
@@ -208,7 +196,6 @@ func Analyze(pkgs []*Package, analyzers ...*Analyzer) *Result {
 	}
 
 	module := BuildModule(pkgs)
-	res.Timing.Summary = module.BuildTime
 
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -220,9 +207,7 @@ func Analyze(pkgs []*Package, analyzers ...*Analyzer) *Result {
 				Info:     pkg.Info,
 				Module:   module,
 			}
-			start := time.Now()
 			a.Run(pass)
-			res.Timing.PerAnalyzer[a.Name] += time.Since(start)
 			for _, d := range pass.diags {
 				if s := matchSuppression(sups, a.SuppressKey, d); s != nil && s.reason != "" {
 					d.Suppressed, d.Reason = true, s.reason

@@ -3,7 +3,6 @@ package lint
 import (
 	"sort"
 	"strings"
-	"time"
 )
 
 // summary.go turns the per-function facts of callgraph.go into the
@@ -38,9 +37,6 @@ type Module struct {
 	// root; laneRoot[id] is true for the roots themselves.
 	laneVia  map[FuncID]laneStep
 	laneRoot map[FuncID]bool
-
-	// BuildTime is the phase's wall time, surfaced by hvdblint -timing.
-	BuildTime time.Duration
 }
 
 type laneStep struct {
@@ -51,7 +47,6 @@ type laneStep struct {
 // BuildModule extracts the facts of every package and runs
 // propagation. Packages are assumed type-checked by Load.
 func BuildModule(pkgs []*Package) *Module {
-	start := time.Now()
 	m := &Module{Funcs: map[FuncID]*FuncInfo{}}
 	for _, pkg := range pkgs {
 		for _, fi := range extractPackage(pkg) {
@@ -60,7 +55,6 @@ func BuildModule(pkgs []*Package) *Module {
 	}
 	m.propagateConsume()
 	m.propagateLane()
-	m.BuildTime = time.Since(start)
 	return m
 }
 

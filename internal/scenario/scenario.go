@@ -182,8 +182,17 @@ func Build(spec Spec) (*World, error) {
 	w.Net = network.New(w.Sim, arena, w.Rng.Split())
 	w.Grid = vcgrid.New(arena, spec.CellSize)
 
+	// One-hop clusters by construction (DESIGN.md "Model premises"): local
+	// delivery is one CH broadcast, so a VC wider than the default CH
+	// disc gets both radio classes scaled by the smallest factor that
+	// puts the whole VC inside it. Cells up to 350·√2 ≈ 495 m keep the
+	// defaults bit-exactly.
 	chRadio := radio.DefaultCH
 	mnRadio := radio.DefaultMN
+	if r := w.Grid.Radius(); r > chRadio.Range {
+		mnRadio.Range *= r / chRadio.Range
+		chRadio.Range = r
+	}
 	mnRadio.LossProb = spec.LossProb
 
 	receiver := func() gps.Receiver {

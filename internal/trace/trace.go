@@ -18,22 +18,18 @@ import (
 // Category classifies a trace event by subsystem.
 type Category int
 
-// Trace categories, one per protocol subsystem.
+// Trace categories, one per subsystem that emits events.
 const (
-	Sim Category = iota
-	Mobility
-	Radio
+	Radio Category = iota
 	Cluster
 	Routes
 	Membership
 	Multicast
-	Baseline
 	NumCategories
 )
 
 var categoryNames = [NumCategories]string{
-	"sim", "mobility", "radio", "cluster", "routes", "membership",
-	"multicast", "baseline",
+	"radio", "cluster", "routes", "membership", "multicast",
 }
 
 // String implements fmt.Stringer.

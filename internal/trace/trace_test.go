@@ -50,7 +50,7 @@ func TestWriterFiltered(t *testing.T) {
 }
 
 func TestCategoryString(t *testing.T) {
-	if Sim.String() != "sim" || Membership.String() != "membership" {
+	if Radio.String() != "radio" || Membership.String() != "membership" {
 		t.Fatal("category names wrong")
 	}
 	if got := Category(99).String(); !strings.Contains(got, "99") {
