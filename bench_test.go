@@ -277,14 +277,17 @@ func startHVDB(tb testing.TB, w *scenario.World) protocol.Stack {
 // tree tiers, local broadcasts, every delivery — to a fixed allocation
 // budget once trees are cached and pools are warm, so a regression in
 // the forwarding path fails here and not in the next benchmark run.
-// What a send may allocate is its flight record and one header per
-// forwarding CH (internal/multicast); packets, geo envelopes and events
-// are pooled. The periodic planes are stopped for the measurement (their
-// rounds allocate by design); it stays well inside the members' report
-// freshness window (membership LocalTTL, 2.5 s), and the delivery check
-// below would catch it if it did not.
+// What a send may allocate is fixed by its shape, not by how many CHs
+// forward it (internal/multicast): its flight record (the record and
+// its bitsets, two objects), the mesh-tier header, and one header per
+// hypercube it enters; every copy's hop count rides its pooled packet,
+// and packets, geo envelopes and events are pooled. The periodic planes
+// are stopped for the measurement (their rounds allocate by design); it
+// stays well inside the members' report freshness window (membership
+// LocalTTL, 2.5 s), and the delivery check below would catch it if it
+// did not.
 func TestDataPlaneAllocBudget(t *testing.T) {
-	const budget = 40 // allocations per send; measured 16 (235 before the flight record)
+	const budget = 9 // allocations per send; measured 7: 2 + 1 + this world's 4 hypercubes
 	w, stk, src := endToEndWorld(t)
 	stk.Stop()
 	w.Sim.RunUntil(w.Sim.Now() + 0.3) // let control traffic in flight land

@@ -110,7 +110,11 @@ type flight struct {
 
 // header is the encapsulated routing state carried by DataKind packets.
 // Once the source CH has filled in the mesh tree a header is never
-// written again: all copies a CH sends onward share one.
+// written again, and it is the same for every copy in one tier of one
+// send: the mesh tier travels under the Send's own header, and each
+// entered hypercube under one header its entry CH builds, which every
+// CH inside passes on. What differs per copy, the logical hop count,
+// rides the packet itself (network.Packet.Relays).
 type header struct {
 	fl *flight
 	// MeshTree is parent pointers over hypercube IDs (step 2).
@@ -123,8 +127,6 @@ type header struct {
 	// cubes. IntraCube marks packets already traveling inside the cube.
 	CubeTree  map[logicalid.CHID]logicalid.CHID
 	IntraCube bool
-	// LogicalHops counts CH-to-CH logical forwards for metrics.
-	LogicalHops int
 }
 
 // DeliverFunc observes one member delivery.
@@ -240,22 +242,22 @@ func (s *Service) Send(src network.NodeID, g membership.Group, payloadSize int) 
 	}
 	uid := net.NextUID()
 	now := net.Sim().Now()
-	s.Sent++
 	hdr := &header{fl: s.newFlight(g, payloadSize)}
 	s.flights[uid] = hdr.fl
 	if ch == src {
 		// The source is itself the CH: no radio hop to reach it.
 		slot := logicalid.CHID(grid.Index(vc))
-		s.enterMeshTier(slot, uid, now, hdr)
-		return uid
+		s.enterMeshTier(slot, uid, now, 0, hdr)
+	} else {
+		pkt := s.acquire(SourceKind, src, ch, payloadSize+s.cfg.HeaderBase, now, uid, 0, hdr)
+		ok := s.bb.Geo().Send(src, grid.Center(vc), ch, pkt)
+		net.ReleasePacket(pkt)
+		if !ok {
+			delete(s.flights, uid) // no uid goes out, so nobody could forget it
+			return 0
+		}
 	}
-	pkt := s.acquire(SourceKind, src, ch, payloadSize+s.cfg.HeaderBase, now, uid, hdr)
-	ok := s.bb.Geo().Send(src, grid.Center(vc), ch, pkt)
-	net.ReleasePacket(pkt)
-	if !ok {
-		delete(s.flights, uid) // no uid goes out, so nobody could forget it
-		return 0
-	}
+	s.Sent++ // only sends that started: Sent matches the uids handed out
 	return uid
 }
 
@@ -270,15 +272,17 @@ func (s *Service) newFlight(g membership.Group, payloadSize int) *flight {
 	return &flight{group: g, payload: payloadSize, cubes: sets[:cw:cw], slots: sets[cw:sw:sw], members: sets[sw:]}
 }
 
-// acquire fills a pooled packet of the multicast plane. The caller
-// releases it right after handing it to the transport: in-flight
-// deliveries (and the geo envelopes that adopt it) keep it alive.
-func (s *Service) acquire(kind string, src, dst network.NodeID, size int, born des.Time, uid uint64, hdr *header) *network.Packet {
+// acquire fills a pooled packet of the multicast plane, stamping the
+// copy's logical hop count on it. The caller releases it right after
+// handing it to the transport: in-flight deliveries (and the geo
+// envelopes that adopt it) keep it alive.
+func (s *Service) acquire(kind string, src, dst network.NodeID, size int, born des.Time, uid uint64, hops int32, hdr *header) *network.Packet {
 	pkt := s.bb.Net().AcquirePacket()
 	pkt.Kind = kind
 	pkt.Src, pkt.Dst = src, dst
 	pkt.Group, pkt.Size = int(hdr.fl.group), size
 	pkt.Born, pkt.UID = born, uid
+	pkt.Relays = hops
 	pkt.Payload = hdr
 	return pkt
 }
@@ -293,15 +297,15 @@ func (s *Service) onSource(n *network.Node, _ network.NodeID, pkt *network.Packe
 	if slot < 0 {
 		return // CH role moved while the packet was in flight
 	}
-	s.enterMeshTier(slot, pkt.UID, pkt.Born, hdr)
+	s.enterMeshTier(slot, pkt.UID, pkt.Born, pkt.Relays, hdr)
 }
 
 // enterMeshTier is Figure 6 step 2: compute the mesh-tier tree and start
 // distribution from the source CH's hypercube.
-func (s *Service) enterMeshTier(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
+func (s *Service) enterMeshTier(slot logicalid.CHID, uid uint64, born des.Time, hops int32, hdr *header) {
 	place := s.bb.Scheme().CHIDToPlace(slot)
 	hdr.MeshTree = s.meshTree(slot, place.HID, hdr.fl.group)
-	s.enterCube(slot, uid, born, hdr)
+	s.enterCube(slot, uid, born, hops, hdr)
 }
 
 // versions stamps the inputs tree construction reads: CH occupancy and
@@ -359,10 +363,11 @@ func (s *Service) meshTree(slot logicalid.CHID, root logicalid.HID, g membership
 	return tree
 }
 
-// enterCube is Figure 6 step 4: first arrival of the packet in a
-// hypercube. The entry CH forwards toward next-hop hypercubes and fans
-// out within its own.
-func (s *Service) enterCube(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
+// enterCube is Figure 6 step 4: first arrival of the packet, under the
+// mesh-tier header hdr, in a hypercube. The entry CH forwards toward
+// next-hop hypercubes under that same header and fans out within its
+// own.
+func (s *Service) enterCube(slot logicalid.CHID, uid uint64, born des.Time, hops int32, hdr *header) {
 	hid := s.bb.Scheme().CHIDToPlace(slot).HID
 	if !hdr.fl.cubes.add(int(hid)) {
 		return
@@ -372,22 +377,20 @@ func (s *Service) enterCube(slot logicalid.CHID, uid uint64, born des.Time, hdr 
 	// forwarding order must not depend on map iteration, because every
 	// transmission can draw from the sender's loss stream.
 	s.meshScratch = network.Children(hdr.MeshTree, hid, s.meshScratch[:0])
-	if len(s.meshScratch) > 0 {
-		out := &header{fl: hdr.fl, MeshTree: hdr.MeshTree, LogicalHops: hdr.LogicalHops + 1}
-		for _, child := range s.meshScratch {
-			s.forwardToCube(slot, child, uid, born, out)
-		}
+	for _, child := range s.meshScratch {
+		s.forwardToCube(slot, child, uid, born, hops+1, hdr)
 	}
 
 	// (2) Compute the hypercube-tier tree and fan out inside.
-	s.forwardWithinCube(slot, uid, born, hdr, s.cubeTree(slot, hid, hdr.fl.group))
-	s.deliverLocal(slot, uid, born, hdr)
+	s.forwardWithinCube(slot, uid, born, hops, hdr, s.cubeTree(slot, hid, hdr.fl.group))
+	s.deliverLocal(slot, uid, born, hops, hdr)
 }
 
-// forwardToCube sends the packet, under the header out, to an entry CH
-// of the next-hop hypercube by location-based unicast (Figure 6 step
-// 3): the geographically nearest CH slot of the target block.
-func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid uint64, born des.Time, out *header) {
+// forwardToCube sends the packet, under the mesh-tier header out and
+// with hops logical hops behind it on arrival, to an entry CH of the
+// next-hop hypercube by location-based unicast (Figure 6 step 3): the
+// geographically nearest CH slot of the target block.
+func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid uint64, born des.Time, hops int32, out *header) {
 	scheme := s.bb.Scheme()
 	grid := scheme.Grid()
 	fromVC := grid.FromIndex(int(fromSlot))
@@ -409,7 +412,7 @@ func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid u
 		return
 	}
 	from, dst := s.bb.CHNodeOf(fromSlot), s.bb.CHNodeOf(best)
-	pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, out)
+	pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, hops, out)
 	s.bb.Geo().Send(from, grid.Center(grid.FromIndex(int(best))), dst, pkt)
 	s.bb.Net().ReleasePacket(pkt)
 }
@@ -475,12 +478,13 @@ func (s *Service) logicalTreeWithin(hid logicalid.HID, root logicalid.CHID, dest
 }
 
 // forwardWithinCube is Figure 6 step 5: push the packet that arrived
-// under hdr down the hypercube-tier tree along 1-logical-hop routes.
-// Children forward in slot order (not map order) so the senders' loss
-// streams see a deterministic transmission sequence; they share one
-// outgoing header.
-func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Time, hdr *header, tree map[logicalid.CHID]logicalid.CHID) {
-	var out *header
+// under hdr, hops logical hops from its source CH, down the
+// hypercube-tier tree along 1-logical-hop routes. Children forward in
+// slot order (not map order) so the senders' loss streams see a
+// deterministic transmission sequence. Only the entry CH builds a
+// header, the cube's one; every CH inside passes on the one it got.
+func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Time, hops int32, hdr *header, tree map[logicalid.CHID]logicalid.CHID) {
+	out := hdr
 	from := s.bb.CHNodeOf(slot)
 	for _, childSlot := range s.cubeChildren(tree, slot) {
 		dst := s.bb.CHNodeOf(childSlot)
@@ -496,10 +500,10 @@ func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Ti
 				continue
 			}
 		}
-		if out == nil {
-			out = &header{fl: hdr.fl, MeshTree: hdr.MeshTree, CubeTree: tree, IntraCube: true, LogicalHops: hdr.LogicalHops + 1}
+		if !out.IntraCube {
+			out = &header{fl: hdr.fl, MeshTree: hdr.MeshTree, CubeTree: tree, IntraCube: true}
 		}
-		pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, out)
+		pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, hops+1, out)
 		s.bb.SendLogical(slot, childSlot, pkt)
 		s.bb.Net().ReleasePacket(pkt)
 	}
@@ -516,19 +520,19 @@ func (s *Service) onData(n *network.Node, _ network.NodeID, pkt *network.Packet)
 		return
 	}
 	if !hdr.IntraCube {
-		s.enterCube(slot, pkt.UID, pkt.Born, hdr)
+		s.enterCube(slot, pkt.UID, pkt.Born, pkt.Relays, hdr)
 		return
 	}
 	if !hdr.fl.slots.add(int(slot)) {
 		return
 	}
-	s.forwardWithinCube(slot, pkt.UID, pkt.Born, hdr, hdr.CubeTree)
-	s.deliverLocal(slot, pkt.UID, pkt.Born, hdr)
+	s.forwardWithinCube(slot, pkt.UID, pkt.Born, pkt.Relays, hdr, hdr.CubeTree)
+	s.deliverLocal(slot, pkt.UID, pkt.Born, pkt.Relays, hdr)
 }
 
 // deliverLocal is Figure 6 step 6: when the MNT view shows local group
 // members, broadcast once into the cluster.
-func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, hdr *header) {
+func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, hops int32, hdr *header) {
 	s.localScratch = s.ms.AppendLocalMembers(s.localScratch[:0], slot, hdr.fl.group)
 	ch := s.bb.CHNodeOf(slot)
 	if ch == network.NoNode {
@@ -540,12 +544,12 @@ func (s *Service) deliverLocal(slot logicalid.CHID, uid uint64, born des.Time, h
 	if slices.Contains(s.localScratch, ch) {
 		// The CH itself is a member: deliver without radio traffic.
 		others--
-		s.recordDelivery(ch, uid, born, hdr)
+		s.recordDelivery(ch, uid, born, hops, hdr)
 	}
 	if others == 0 {
 		return
 	}
-	pkt := s.acquire(LocalKind, ch, network.NoNode, hdr.fl.payload+s.cfg.HeaderBase, born, uid, hdr)
+	pkt := s.acquire(LocalKind, ch, network.NoNode, hdr.fl.payload+s.cfg.HeaderBase, born, uid, hops, hdr)
 	s.bb.Net().Broadcast(ch, pkt)
 	s.bb.Net().ReleasePacket(pkt)
 }
@@ -557,18 +561,18 @@ func (s *Service) onLocal(n *network.Node, _ network.NodeID, pkt *network.Packet
 		return
 	}
 	if s.ms.IsMember(n.ID, hdr.fl.group) {
-		s.recordDelivery(n.ID, pkt.UID, pkt.Born, hdr)
+		s.recordDelivery(n.ID, pkt.UID, pkt.Born, pkt.Relays, hdr)
 	}
 }
 
-func (s *Service) recordDelivery(member network.NodeID, uid uint64, born des.Time, hdr *header) {
+func (s *Service) recordDelivery(member network.NodeID, uid uint64, born des.Time, hops int32, hdr *header) {
 	if !hdr.fl.members.add(int(member)) {
 		return
 	}
 	hdr.fl.delivered++
 	s.Delivered++
 	for _, f := range s.onDeliver {
-		f(member, uid, born, hdr.LogicalHops)
+		f(member, uid, born, int(hops))
 	}
 }
 

@@ -416,17 +416,27 @@ func TestForgetPacket(t *testing.T) {
 }
 
 // TestSendFailureLeavesNoFlight: a send that cannot reach its CH
-// returns no uid, so it must not leave an index entry nobody can forget.
+// returns no uid, so it must not leave an index entry nobody can forget,
+// nor count as sent.
 func TestSendFailureLeavesNoFlight(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
 	// Out of every CH's radio range.
 	far := tb.net.AddNode(&mobility.Static{P: geom.Pt(9000, 9000)}, radio.DefaultMN, nil, false)
 	tb.mux.BindNode(far)
 	tb.prepare()
+	// The node's position maps to a headed VC, so Send gets past the
+	// CH lookup and fails at the geo-routed hop to that CH.
+	if tb.cm.CHOf(tb.grid.VCOf(far.Fix().Pos)) == network.NoNode {
+		t.Fatal("the isolated node's VC has no CH: the send would fail before the geo hop")
+	}
+	sent := tb.mc.Sent
 	if uid := tb.mc.Send(far.ID, 5, 64); uid != 0 {
 		t.Fatalf("send from an isolated node returned uid %d", uid)
 	}
 	if tb.mc.Flights() != 0 {
 		t.Fatalf("%d flights indexed after a failed send", tb.mc.Flights())
+	}
+	if tb.mc.Sent != sent {
+		t.Fatalf("Sent went from %d to %d on a send that did not start", sent, tb.mc.Sent)
 	}
 }

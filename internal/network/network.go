@@ -88,6 +88,10 @@ type Packet struct {
 	Size int
 	// Control marks protocol overhead as opposed to application data.
 	Control bool
+	// Relays is a per-copy counter the protocol defines (multicast counts
+	// logical CH-to-CH forwards in it); the network never touches it. It
+	// sits in Control's padding, so it costs the packet no size.
+	Relays int32
 	// Hops counts physical transmissions so far; the network increments
 	// it on every delivery.
 	Hops int

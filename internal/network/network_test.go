@@ -3,6 +3,7 @@ package network
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/geom"
@@ -262,14 +263,35 @@ func TestAdoptPacketReleasesChildOnRecycle(t *testing.T) {
 }
 
 func TestPacketClone(t *testing.T) {
-	p := &Packet{Kind: "x", Size: 10, UID: 99, Hops: 2}
+	p := &Packet{Kind: "x", Size: 10, UID: 99, Hops: 2, Relays: 3}
 	q := p.Clone()
 	q.Hops = 5
 	if p.Hops != 2 {
 		t.Fatal("clone aliases original")
 	}
-	if q.UID != 99 || q.Kind != "x" {
+	if q.UID != 99 || q.Kind != "x" || q.Relays != 3 {
 		t.Fatal("clone dropped fields")
+	}
+}
+
+// TestRecycledPacketZeroesRelays: the protocol's per-copy counter must
+// not leak from one pooled packet's life into the next, and it must fit
+// in the padding it was given.
+func TestRecycledPacketZeroesRelays(t *testing.T) {
+	_, net := testNet()
+	p := net.AcquirePacket()
+	p.Relays = 7
+	net.ReleasePacket(p)
+	q := net.AcquirePacket()
+	if q != p {
+		t.Fatal("the pool did not hand the released packet back")
+	}
+	if q.Relays != 0 {
+		t.Fatalf("recycled packet carries Relays %d", q.Relays)
+	}
+	net.ReleasePacket(q)
+	if size := unsafe.Sizeof(Packet{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 112 {
+		t.Fatalf("Packet is %d bytes, want 112", size)
 	}
 }
 

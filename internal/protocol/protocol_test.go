@@ -196,3 +196,66 @@ func TestBaselineOrderIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestHVDBHopIdentity pins the hvdb arm's event count, delivery count
+// and (member, uid, logical hops) delivery sequence to the values
+// recorded on 8a0dff4, when every forwarding CH allocated a header to
+// carry the hop count. The world has no anchors, so mobile CH-capable
+// nodes hand cluster heads over while the traffic is on the air, and it
+// spans four hypercubes with lossy radios: every tier of the forwarding
+// path, cube entry, intra-cube relay and local broadcast, has to carry
+// each copy's own count.
+func TestHVDBHopIdentity(t *testing.T) {
+	spec := scenario.DefaultSpec()
+	spec.Seed = 3
+	spec.Nodes = 160
+	spec.AnchorCHs = false
+	spec.CHCapableFrac = 0.5
+	spec.MaxSpeed = 10
+	spec.Pause = 0
+	spec.Groups = 1
+	spec.MembersPerGroup = 16
+	spec.LossProb = 0.05
+	w, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Scheme.NumHypercubes() < 2 {
+		t.Fatalf("%d hypercubes: the mesh tier would carry nothing", w.Scheme.NumHypercubes())
+	}
+	stk, err := w.Protocol("hvdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk.Start()
+	w.WarmUp(10)
+	h := fnv.New64a()
+	maxHops := 0
+	stk.Deliveries(func(member network.NodeID, uid uint64, _ des.Time, hops int) {
+		var b [24]byte
+		binary.LittleEndian.PutUint64(b[:8], uint64(member))
+		binary.LittleEndian.PutUint64(b[8:16], uid)
+		binary.LittleEndian.PutUint64(b[16:], uint64(hops))
+		h.Write(b[:])
+		maxHops = max(maxHops, hops)
+	})
+	changes := w.CM.Changes()
+	for i := 0; i < 24; i++ {
+		stk.Send(w.RandomSource(), 0, 256)
+		w.Sim.RunUntil(w.Sim.Now() + 0.5)
+	}
+	w.Sim.RunUntil(w.Sim.Now() + 3)
+	stk.Stop()
+	if w.CM.Changes() == changes {
+		t.Fatal("no cluster head changed during the traffic: the handover case is not exercised")
+	}
+	if maxHops < 2 {
+		t.Fatalf("longest delivery took %d logical hops: no copy was relayed", maxHops)
+	}
+	got := [3]uint64{w.Sim.Executed(), w.MC.Delivered, h.Sum64()}
+	want := [3]uint64{203680, 177, 0x91e16a7d3159f22c}
+	if got != want {
+		t.Errorf("executed/delivered/sequence hash = {%d, %d, %#x}, recorded {%d, %d, %#x}",
+			got[0], got[1], got[2], want[0], want[1], want[2])
+	}
+}

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"slices"
+
 	"repro/internal/des"
 	"repro/internal/membership"
 	"repro/internal/network"
@@ -87,14 +89,15 @@ type Meter struct {
 	c     Counts
 
 	// current mirrors the membership per group; audience holds, per sent
-	// packet, the members still owed a delivery (snapshotted at the send,
-	// cleared as each delivery is counted, so an empty set means fully
-	// accounted). Entries are released when fully accounted or ttl after
-	// the send, whichever comes first; audQ[audHead:] is the
-	// pending-expiry FIFO in send order, so expiry is a deterministic
-	// O(1) front pop (send times are nondecreasing).
+	// packet, the members still owed a delivery as one sorted slice
+	// (snapshotted at the send, each member removed as its delivery is
+	// counted, so an empty slice means fully accounted). Entries are
+	// released when fully accounted or ttl after the send, whichever
+	// comes first; audQ[audHead:] is the pending-expiry FIFO in send
+	// order, so expiry is a deterministic O(1) front pop (send times are
+	// nondecreasing).
 	current  map[membership.Group]map[network.NodeID]bool
-	audience map[uint64]map[network.NodeID]bool
+	audience map[uint64][]network.NodeID
 	audQ     []audPending
 	audHead  int
 	// delays streams into a log-spaced histogram at delivery time: the
@@ -126,7 +129,7 @@ func (w *World) Meter(stk protocol.Stack, ttl des.Duration) *Meter {
 		start:    w.Sim.Now(),
 		ctrl0:    w.Net.Stats().ControlBytes,
 		current:  make(map[membership.Group]map[network.NodeID]bool),
-		audience: make(map[uint64]map[network.NodeID]bool),
+		audience: make(map[uint64][]network.NodeID),
 	}
 	for g, members := range w.Members {
 		set := make(map[network.NodeID]bool, len(members))
@@ -170,13 +173,14 @@ func (m *Meter) Send(src network.NodeID, g membership.Group, payload int) uint64
 		return 0
 	}
 	m.c.Sent++
-	aud := make(map[network.NodeID]bool)
-	for id := range m.current[g] {
+	members := m.current[g]
+	aud := make([]network.NodeID, 0, len(members))
+	for id := range members {
 		if n := m.w.Net.Node(id); n != nil && n.Up() {
-			aud[id] = true
+			aud = append(aud, id)
 		}
 	}
-	m.audience[uid] = aud
+	m.audience[uid] = network.SortedIDs(aud)
 	m.audQ = append(m.audQ, audPending{uid: uid, expire: now + m.ttl})
 	if open := len(m.audience); open > m.c.AudiencePeak {
 		m.c.AudiencePeak = open
@@ -192,16 +196,18 @@ func (m *Meter) onDeliver(member network.NodeID, uid uint64, born des.Time, hops
 	if !ok {
 		return // not this meter's packet (or already released)
 	}
-	if aud[member] {
-		m.c.Delivered++
-		m.delays.Add(float64(m.w.Sim.Now() - born))
-		m.hops += hops
-		delete(aud, member)
-		if len(aud) == 0 {
-			m.release(uid) // fully accounted
-		}
+	i, owed := slices.BinarySearch(aud, member)
+	if !owed {
+		m.c.Stale++ // outside the audience, or already counted
+		return
+	}
+	m.c.Delivered++
+	m.delays.Add(float64(m.w.Sim.Now() - born))
+	m.hops += hops
+	if aud = slices.Delete(aud, i, i+1); len(aud) == 0 {
+		m.release(uid) // fully accounted
 	} else {
-		m.c.Stale++
+		m.audience[uid] = aud
 	}
 }
 

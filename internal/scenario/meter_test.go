@@ -76,6 +76,13 @@ func TestMeterAccounting(t *testing.T) {
 			m.c.Expected, m.c.Delivered, m.c.Stale)
 	}
 
+	// A member already counted is no longer owed the packet: a second
+	// delivery to it is stale as well.
+	fs.deliver(w, members[1], first)
+	if m.c.Delivered != 1 || m.c.Stale != 2 {
+		t.Fatalf("after a repeat delivery: delivered %d stale %d; want 1, 2", m.c.Delivered, m.c.Stale)
+	}
+
 	// Two members never get it. Once the TTL has passed the next send
 	// releases the entry and forgets the uid, and a straggler no longer
 	// counts.
@@ -103,8 +110,8 @@ func TestMeterAccounting(t *testing.T) {
 	if fs.forgets[second] != 1 {
 		t.Fatalf("TTL expiry forgot an already released uid again (%d forgets)", fs.forgets[second])
 	}
-	if got.Sent != 3 || got.Expected != 9 || got.Delivered != 4 || got.Stale != 1 {
-		t.Fatalf("counts %+v; want 3 sent, 9 expected, 4 delivered, 1 stale", got)
+	if got.Sent != 3 || got.Expected != 9 || got.Delivered != 4 || got.Stale != 2 {
+		t.Fatalf("counts %+v; want 3 sent, 9 expected, 4 delivered, 2 stale", got)
 	}
 	if got.AudienceOpen != 1 || got.FlightsOpen != 1 {
 		t.Fatalf("closed inside the last packet's TTL: %d audience entries, %d flights open; want 1 and 1",
