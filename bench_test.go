@@ -292,9 +292,8 @@ func TestDataPlaneAllocBudget(t *testing.T) {
 	stk.Stop()
 	w.Sim.RunUntil(w.Sim.Now() + 0.3) // let control traffic in flight land
 	send := func() {
-		uid := stk.Send(src, 0, 512)
+		stk.Send(src, 0, 512)
 		w.Sim.RunUntil(w.Sim.Now() + 0.15)
-		stk.Forget(uid)
 	}
 	send() // caches the trees
 	perSend := w.MC.Delivered
@@ -306,8 +305,8 @@ func TestDataPlaneAllocBudget(t *testing.T) {
 	if got, want := w.MC.Delivered, perSend*(runs+2); got != want {
 		t.Fatalf("delivered %d over %d sends, want %d each: the measured sends did less work than the first", got, runs+2, perSend)
 	}
-	if w.MC.Flights() != 0 || w.Net.PooledInFlight() != 0 {
-		t.Fatalf("after the drains: %d flights indexed, %d pooled packets out", w.MC.Flights(), w.Net.PooledInFlight())
+	if n := w.Net.PooledInFlight(); n != 0 {
+		t.Fatalf("after the drains: %d pooled packets out", n)
 	}
 	if allocs > budget {
 		t.Fatalf("one warmed send allocates %v objects, budget %d", allocs, budget)
@@ -322,9 +321,14 @@ func TestDataPlaneAllocBudget(t *testing.T) {
 // position each 2 s round) must hold no more live heap after thirty
 // rounds than after ten — with a uid-keyed dedup table that nothing
 // deletes from, it grows by one 64-entry map per node per round, 3.1 MB
-// over these forty seconds. Second, after a churn-storm script
-// drains (failed sends, downed sources, departed members) no arm still
-// tracks a packet.
+// over these forty seconds. Second, no arm keeps a record per data
+// send: on a static world, a drained phase of many sends leaves no more
+// live heap objects than a short one, within a slack that one object
+// kept per send would exceed. The second check counts objects, not
+// bytes, because the event kernel's ladder buckets keep the capacity
+// they grew to: on these worlds that adds up to 1.4 KB of live heap per
+// send (hvdb) without adding an object, which hides any byte slack a
+// 100-byte record per send would exceed.
 func TestBaselineStateBounded(t *testing.T) {
 	spec := scenario.DefaultSpec()
 	spec.ArenaSize = 1000 // dense enough that every flood reaches every node
@@ -342,12 +346,15 @@ func TestBaselineStateBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	stk.Start()
-	liveAt := func(at des.Time) uint64 {
-		w.RunUntil(at) // one second past a round: its floods have landed
+	live := func() runtime.MemStats {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return ms
+	}
+	liveAt := func(at des.Time) uint64 {
+		w.RunUntil(at) // one second past a round: its floods have landed
+		return live().HeapAlloc
 	}
 	after10, after30 := liveAt(21), liveAt(61)
 	stk.Stop()
@@ -360,11 +367,13 @@ func TestBaselineStateBounded(t *testing.T) {
 	}
 	t.Logf("live heap after 10 rounds %d B, after 30 rounds %d B", after10, after30)
 
+	const gap, drain, sends = 0.02, 5, 2000
 	for _, arm := range protocol.Names() {
 		spec := scenario.DefaultSpec()
 		spec.Nodes = 64
 		spec.Groups = 1
 		spec.MembersPerGroup = 8
+		spec.Mobility = scenario.Static
 		w, err := scenario.Build(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -373,23 +382,25 @@ func TestBaselineStateBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc, err := scenario.BuiltinScript("churn-storm")
-		if err != nil {
-			t.Fatal(err)
-		}
 		stk.Start()
 		w.WarmUp(10)
-		res, err := w.RunScript(stk, sc)
-		if err != nil {
-			t.Fatal(err)
+		src := w.RandomSource()
+		phase := func(n int) uint64 {
+			m := w.Meter(stk, drain)
+			w.CBR(func() uint64 { return m.Send(src, 0, 64) }, gap, n)
+			w.RunUntil(w.Sim.Now() + gap*des.Duration(n) + drain)
+			if c := m.Close(); c.Sent != n || c.Delivered == 0 {
+				t.Fatalf("%s: %d of %d sends started, %d deliveries: the phase measured nothing", arm, c.Sent, n, c.Delivered)
+			}
+			return live().HeapObjects
 		}
+		before := phase(sends / 10)
+		after := phase(sends)
 		stk.Stop()
-		if res.Sent == 0 {
-			t.Errorf("%s: the script sent nothing", arm)
+		if after > before+sends/2 {
+			t.Errorf("%s: live heap objects grew from %d to %d over %d drained sends (slack %d): per-send state outlives its packet", arm, before, after, sends, sends/2)
 		}
-		if stk.Tracked() != 0 || res.FlightsOpen != 0 {
-			t.Errorf("%s still tracks %d packets after the script drained (result says %d)", arm, stk.Tracked(), res.FlightsOpen)
-		}
+		t.Logf("%s: %d live heap objects after %d sends, %d after %d more", arm, before, sends/10, after, sends)
 	}
 }
 

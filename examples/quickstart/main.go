@@ -52,10 +52,6 @@ func main() {
 		w.RunUntil(w.Sim.Now() + 1)
 		if uid != 0 {
 			sent++
-			// The observer above is how this demo reads results, so the
-			// arm's per-packet index entry can go (a Meter does this on
-			// its own; see examples/battlefield).
-			stk.Forget(uid)
 		}
 	}
 	w.RunUntil(w.Sim.Now() + 5)

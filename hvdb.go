@@ -35,14 +35,8 @@
 // Meter.Leave so the audience stays right. World.RunScript is a client
 // of the same meter.
 //
-// An arm indexes every sent uid; that index is the only per-packet
-// state it keeps, Protocol.Forget(uid) is what releases an entry, and
-// Protocol.Tracked() counts the uids not yet forgotten. The meter
-// forgets each packet once its audience is accounted for or its drain
-// window has passed, so metered traffic leaves nothing behind; a caller
-// that sends on the Protocol directly and reads results from
-// Protocol.Deliveries forgets its own uids. Forgetting is safe while
-// copies are still on the air, and changes no delivery or counter.
+// An arm keeps no per-packet state: a send's record rides its copies
+// and is collected with the last one.
 //
 // The experiment harness that regenerates every figure of the paper and
 // quantifies each of its claims is exposed through RunExperiment; see

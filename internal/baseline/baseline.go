@@ -51,13 +51,6 @@ type Protocol interface {
 	Send(src network.NodeID, g Group, payloadSize int) uint64
 	// OnDeliver registers the delivery observer.
 	OnDeliver(f DeliverFunc)
-	// Forget drops uid from the index behind DeliveryCount, the only
-	// per-packet state a scheme keeps; Tracked is how many sent uids are
-	// still indexed. A caller that sends for long forgets each uid once
-	// it has read what it wants. Forgetting is safe while copies are on
-	// the air: they carry their duplicate suppression with them.
-	Forget(uid uint64)
-	Tracked() int
 	// Start and Stop control periodic control planes (no-ops for
 	// stateless schemes).
 	Start()
@@ -124,14 +117,11 @@ func (s *nodeSet) add(id network.NodeID) bool {
 // flight is the record of one originated packet — a data Send or one
 // control flood — carried by pointer in the Payload of every copy, so
 // Clone and per-hop headers share it: what has already happened to the
-// packet. The copies are the only strong holders. A control flood's
-// record is collected with its last copy in flight and no table ever
-// hears of it; a data send's is also indexed by uid in the deliveryLog,
-// solely to answer DeliveryCount, until Forget.
+// packet. The copies are the only strong holders, so the record is
+// collected with its last copy in flight and no table ever hears of it.
 type flight struct {
 	relayed   nodeSet // flood kinds: nodes that have broadcast their copy
 	delivered nodeSet // data kinds: members delivered to
-	count     int     // size of delivered
 }
 
 // flood makes fl the record of a flood originating at src, which counts
@@ -158,52 +148,32 @@ func rebroadcastFlood(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 }
 
 // deliveryLog is the delivery side every scheme embeds: it dispatches
-// member deliveries, deduplicated through the flight the copies carry,
-// and indexes the flights of data sends by uid.
+// member deliveries, deduplicated through the flight the copies carry.
 type deliveryLog struct {
 	net       *network.Network
-	flights   map[uint64]*flight
 	onDeliver DeliverFunc
 }
 
 func newDeliveryLog(net *network.Network) *deliveryLog {
-	return &deliveryLog{net: net, flights: make(map[uint64]*flight)}
+	return &deliveryLog{net: net}
 }
 
 // OnDeliver implements Protocol.
 func (d *deliveryLog) OnDeliver(f DeliverFunc) { d.onDeliver = f }
 
-// open starts the record of the data send uid and indexes it.
-func (d *deliveryLog) open(uid uint64) *flight {
-	fl := &flight{delivered: newNodeSet(d.net)}
-	d.flights[uid] = fl
-	return fl
+// open starts the record of a data send.
+func (d *deliveryLog) open() *flight {
+	return &flight{delivered: newNodeSet(d.net)}
 }
 
 func (d *deliveryLog) record(fl *flight, member network.NodeID, uid uint64, born des.Time, hops int) {
 	if !fl.delivered.add(member) {
 		return
 	}
-	fl.count++
 	if d.onDeliver != nil {
 		d.onDeliver(member, uid, born, hops)
 	}
 }
-
-// DeliveryCount returns how many members have received uid so far; 0
-// once the uid has been forgotten.
-func (d *deliveryLog) DeliveryCount(uid uint64) int {
-	if fl := d.flights[uid]; fl != nil {
-		return fl.count
-	}
-	return 0
-}
-
-// Forget implements Protocol.
-func (d *deliveryLog) Forget(uid uint64) { delete(d.flights, uid) }
-
-// Tracked implements Protocol.
-func (d *deliveryLog) Tracked() int { return len(d.flights) }
 
 // unitDiscBFS computes a BFS tree over the current unit-disc graph from
 // root, as parent pointers, visiting only live nodes. It is the

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -27,15 +26,24 @@ func grid16(seed uint64) (*des.Simulator, *network.Network, *network.Mux) {
 	return sim, net, mux
 }
 
+// observe registers an observer on p that counts member deliveries per
+// uid, the record the tests read deliveries from.
+func observe(p Protocol) map[uint64]int {
+	got := make(map[uint64]int)
+	p.OnDeliver(func(_ network.NodeID, uid uint64, _ des.Time, _ int) { got[uid]++ })
+	return got
+}
+
 func TestFloodingDeliversToAllMembers(t *testing.T) {
 	sim, net, mux := grid16(1)
 	f := NewFlooding(net, mux)
 	f.Join(5, 1)
 	f.Join(15, 1)
 	f.Join(0, 1) // the source itself
+	delivered := observe(f)
 	uid := f.Send(0, 1, 100)
 	sim.Run()
-	if got := f.DeliveryCount(uid); got != 3 {
+	if got := delivered[uid]; got != 3 {
 		t.Fatalf("delivered to %d members want 3", got)
 	}
 	// Every node transmits once: 16 transmissions of the data kind.
@@ -48,14 +56,11 @@ func TestFloodingNoDuplicateDeliveries(t *testing.T) {
 	sim, net, mux := grid16(2)
 	f := NewFlooding(net, mux)
 	f.Join(10, 1)
+	delivered := observe(f)
 	uid := f.Send(0, 1, 50)
 	sim.Run()
-	if got := f.DeliveryCount(uid); got != 1 {
+	if got := delivered[uid]; got != 1 {
 		t.Fatalf("delivery count %d want 1", got)
-	}
-	f.Forget(uid)
-	if f.DeliveryCount(uid) != 0 {
-		t.Fatal("forget failed")
 	}
 }
 
@@ -67,9 +72,10 @@ func TestFloodingPartitionLimitsDelivery(t *testing.T) {
 	mux := network.Bind(net)
 	f := NewFlooding(net, mux)
 	f.Join(1, 1)
+	delivered := observe(f)
 	uid := f.Send(0, 1, 50)
 	sim.Run()
-	if f.DeliveryCount(uid) != 0 {
+	if delivered[uid] != 0 {
 		t.Fatal("flood crossed a partition")
 	}
 }
@@ -90,9 +96,10 @@ func TestDSMDeliveryAndOverhead(t *testing.T) {
 	if tx := net.Stats().KindTx[DSMPositionKind]; tx < 16*16 {
 		t.Fatalf("position transmissions %d want >= 256 (two rounds, N^2 each)", tx)
 	}
+	delivered := observe(d)
 	uid := d.Send(0, 2, 200)
 	sim.Run()
-	if got := d.DeliveryCount(uid); got != 2 {
+	if got := delivered[uid]; got != 2 {
 		t.Fatalf("delivered %d want 2", got)
 	}
 }
@@ -101,9 +108,10 @@ func TestDSMTreeIsSourceRooted(t *testing.T) {
 	sim, net, mux := grid16(5)
 	d := NewDSM(net, mux)
 	d.Join(15, 1)
+	delivered := observe(d)
 	uid := d.Send(0, 1, 100)
 	sim.Run()
-	if d.DeliveryCount(uid) != 1 {
+	if delivered[uid] != 1 {
 		t.Fatal("corner-to-corner delivery failed")
 	}
 	// Only tree nodes forward: far fewer than flooding's 16.
@@ -118,9 +126,10 @@ func TestPBMDelivery(t *testing.T) {
 	p.Join(15, 1)
 	p.Join(12, 1)
 	p.Join(0, 1)
+	delivered := observe(p)
 	uid := p.Send(0, 1, 100)
 	sim.Run()
-	if got := p.DeliveryCount(uid); got != 3 {
+	if got := delivered[uid]; got != 3 {
 		t.Fatalf("delivered %d want 3", got)
 	}
 }
@@ -129,11 +138,12 @@ func TestPBMSplitsTowardDivergingDestinations(t *testing.T) {
 	sim, net, mux := grid16(7)
 	p := NewPBM(net, mux)
 	// Destinations at opposite corners from a center source.
-	p.Join(3, 1)             // (700,100)
-	p.Join(12, 1)            // (100,700)
+	p.Join(3, 1)  // (700,100)
+	p.Join(12, 1) // (100,700)
+	delivered := observe(p)
 	uid := p.Send(5, 1, 100) // (300,300)
 	sim.Run()
-	if got := p.DeliveryCount(uid); got != 2 {
+	if got := delivered[uid]; got != 2 {
 		t.Fatalf("delivered %d want 2", got)
 	}
 }
@@ -157,9 +167,10 @@ func TestSPBMDelivery(t *testing.T) {
 	s := NewSPBM(net, mux)
 	s.Join(15, 1)
 	s.Join(5, 1)
+	delivered := observe(s)
 	uid := s.Send(0, 1, 100)
 	sim.Run()
-	if got := s.DeliveryCount(uid); got != 2 {
+	if got := delivered[uid]; got != 2 {
 		t.Fatalf("delivered %d want 2", got)
 	}
 }
@@ -189,9 +200,10 @@ func TestCBTDeliveryViaCore(t *testing.T) {
 	core := c.ChooseCore()
 	c.Join(0, 1)
 	c.Join(15, 1)
+	delivered := observe(c)
 	uid := c.Send(3, 1, 100)
 	sim.Run()
-	if got := c.DeliveryCount(uid); got != 2 {
+	if got := delivered[uid]; got != 2 {
 		t.Fatalf("delivered %d want 2", got)
 	}
 	// The core must have forwarded traffic (hot spot by construction).
@@ -236,9 +248,10 @@ func TestCBTSendFromCore(t *testing.T) {
 	c := NewCBT(net, mux)
 	core := c.ChooseCore()
 	c.Join(0, 1)
+	delivered := observe(c)
 	uid := c.Send(core, 1, 64)
 	sim.Run()
-	if c.DeliveryCount(uid) != 1 {
+	if delivered[uid] != 1 {
 		t.Fatal("core-originated send failed")
 	}
 }
@@ -293,76 +306,5 @@ func TestSendFromDownNodeFailsAcrossProtocols(t *testing.T) {
 	d := NewDSM(net, network.NewMux())
 	if d.Send(0, 1, 10) != 0 {
 		t.Fatal("dsm accepted down source")
-	}
-}
-
-// TestForgetMidFlight forgets a uid while its copies are still on the
-// air, on every scheme: the index entry goes at once, and the run is
-// otherwise indistinguishable from a twin that never forgets — no copy
-// is forwarded again (same executed-event count) and no member is
-// delivered twice or missed (same observed delivery sequence) — because
-// the copies carry their flight with them.
-func TestForgetMidFlight(t *testing.T) {
-	type scheme interface {
-		Protocol
-		DeliveryCount(uid uint64) int
-	}
-	schemes := []func(*network.Network, *network.Mux) scheme{
-		func(n *network.Network, m *network.Mux) scheme { return NewFlooding(n, m) },
-		func(n *network.Network, m *network.Mux) scheme { return NewDSM(n, m) },
-		func(n *network.Network, m *network.Mux) scheme { return NewPBM(n, m) },
-		func(n *network.Network, m *network.Mux) scheme { return NewSPBM(n, m) },
-		func(n *network.Network, m *network.Mux) scheme { return NewCBT(n, m) },
-	}
-	members := []network.NodeID{0, 5, 10, 15}
-	for _, build := range schemes {
-		var name string
-		run := func(forget bool) (observed []network.NodeID, executed uint64) {
-			sim, net, mux := grid16(17)
-			p := build(net, mux)
-			name = p.Name()
-			for _, m := range members {
-				p.Join(m, 1)
-			}
-			p.OnDeliver(func(m network.NodeID, _ uint64, _ des.Time, _ int) { observed = append(observed, m) })
-			p.Start()
-			sim.RunUntil(3) // one control round
-			uid := p.Send(0, 1, 100)
-			if uid == 0 || p.Tracked() != 1 {
-				t.Fatalf("%s send: uid %d, %d uids tracked, want one", name, uid, p.Tracked())
-			}
-			// Both twins schedule the probe, so they execute the same events.
-			atProbe := -1
-			sim.After(0.001, func() {
-				atProbe = len(observed)
-				if forget {
-					p.Forget(uid)
-				}
-			})
-			sim.RunUntil(3.5)
-			p.Stop()
-			sim.Run()
-			if atProbe < 0 || len(observed) <= atProbe {
-				t.Fatalf("%s: %d deliveries at the probe, %d at the end: nothing was in flight to test", name, atProbe, len(observed))
-			}
-			if forget {
-				if p.Tracked() != 0 || p.DeliveryCount(uid) != 0 {
-					t.Fatalf("%s: Forget left the uid indexed", name)
-				}
-			} else if p.DeliveryCount(uid) != len(observed) {
-				t.Fatalf("%s counts %d deliveries, observer saw %d", name, p.DeliveryCount(uid), len(observed))
-			}
-			return observed, sim.Executed()
-		}
-		kept, keptN := run(false)
-		forgot, forgotN := run(true)
-		if keptN != forgotN || !slices.Equal(kept, forgot) {
-			t.Errorf("%s: forgetting in flight changed the run:\n kept   %v (%d events)\n forgot %v (%d events)", name, kept, keptN, forgot, forgotN)
-		}
-		once := slices.Clone(kept)
-		slices.Sort(once)
-		if len(slices.Compact(once)) != len(kept) {
-			t.Errorf("%s: observed %v; want each member at most once", name, kept)
-		}
 	}
 }

@@ -149,7 +149,7 @@ func (c *CBT) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	}
 	now := c.net.Sim().Now()
 	uid := c.net.NextUID()
-	hdr := &cbtHeader{fl: c.open(uid), PayloadSize: payloadSize}
+	hdr := &cbtHeader{fl: c.open(), PayloadSize: payloadSize}
 	if c.ms.isMember(src, g) {
 		c.record(hdr.fl, src, uid, now, 0)
 	}
@@ -162,7 +162,6 @@ func (c *CBT) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 		return uid
 	}
 	if !c.geo.Send(src, c.corePos(), c.Core, inner) {
-		c.Forget(uid) // no uid goes back to the caller, who could not
 		return 0
 	}
 	return uid

@@ -119,7 +119,7 @@ func (d *DSM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 		return prunedTree(unitDiscBFS(d.net, src), src, d.ms.members(d.net, g))
 	})
 	uid := d.net.NextUID()
-	hdr := &dsmHeader{fl: d.open(uid), Tree: tree, PayloadSize: payloadSize}
+	hdr := &dsmHeader{fl: d.open(), Tree: tree, PayloadSize: payloadSize}
 	if d.ms.isMember(src, g) {
 		d.record(hdr.fl, src, uid, now, 0)
 	}

@@ -46,7 +46,7 @@ func (f *Flooding) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 		return 0
 	}
 	uid := f.net.NextUID()
-	fl := f.open(uid).flood(f.net, src)
+	fl := f.open().flood(f.net, src)
 	pkt := &network.Packet{
 		Kind: FloodKind, Src: src, Dst: network.NoNode, Group: int(g),
 		Size: payloadSize + 8, Born: f.net.Sim().Now(), UID: uid, Payload: fl,

@@ -113,7 +113,7 @@ func (p *PBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	}
 	now := p.net.Sim().Now()
 	uid := p.net.NextUID()
-	hdr := &pbmHeader{fl: p.open(uid), PayloadSize: payloadSize}
+	hdr := &pbmHeader{fl: p.open(), PayloadSize: payloadSize}
 	for _, m := range p.ms.members(p.net, g) {
 		if m == src {
 			p.record(hdr.fl, src, uid, now, 0)

@@ -177,7 +177,7 @@ func (s *SPBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	}
 	now := s.net.Sim().Now()
 	uid := s.net.NextUID()
-	fl := s.open(uid)
+	fl := s.open()
 	if s.ms.isMember(src, g) {
 		s.record(fl, src, uid, now, 0)
 	}

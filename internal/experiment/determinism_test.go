@@ -71,8 +71,8 @@ func runAndRender(t *testing.T, id string, o Options) string {
 // testdata/quick_tables.sum: the byte-identical-tables contract, held
 // against the committed record instead of a manual cmp. Every traffic
 // phase in these runs goes through measure, which panics on leaked
-// per-packet state, so the sweep also holds Tracked() == 0 after each
-// phase on every arm. The heavier sweeps are skipped with -short.
+// audience entries, so the sweep also holds AudienceOpen == 0 after
+// each phase on every arm. The heavier sweeps are skipped with -short.
 func TestAllExperimentsQuick(t *testing.T) {
 	sums := quickTableSums(t)
 	heavy := map[string]bool{"c3": true, "c5": true, "c6": true, "f5": true, "stress": true}

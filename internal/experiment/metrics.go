@@ -13,17 +13,16 @@ import (
 // starts the sends (through m), the world then runs span — how long the
 // sends play schedules take to leave — plus drain, which is also the
 // meter's release TTL, and the meter closes. A phase that ends with
-// per-packet state still held, by the meter or by the arm, is a
-// bookkeeping bug, so it panics (the package's must convention) instead
-// of letting an experiment leak quietly.
+// audience entries still held by the meter is a bookkeeping bug, so it
+// panics (the package's must convention) instead of letting an
+// experiment leak quietly.
 func measure(w *scenario.World, stk protocol.Stack, span, drain des.Duration, play func(m *scenario.Meter)) scenario.Counts {
 	m := w.Meter(stk, drain)
 	play(m)
 	w.RunUntil(w.Sim.Now() + span + drain)
 	c := m.Close()
-	if c.AudienceOpen != 0 || c.FlightsOpen != 0 {
-		panic(fmt.Sprintf("experiment: %s traffic phase leaked per-packet state: %d audience entries, %d flights still tracked",
-			stk.Name(), c.AudienceOpen, c.FlightsOpen))
+	if c.AudienceOpen != 0 {
+		panic(fmt.Sprintf("experiment: %s traffic phase leaked %d audience entries", stk.Name(), c.AudienceOpen))
 	}
 	return c
 }

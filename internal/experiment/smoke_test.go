@@ -3,7 +3,6 @@ package experiment
 import (
 	"testing"
 
-	"repro/internal/protocol"
 	"repro/internal/scenario"
 )
 
@@ -43,24 +42,35 @@ func TestChurnExperimentShape(t *testing.T) {
 	}
 }
 
-// leakyStack is an arm that ignores Forget, so every sent uid stays
-// tracked.
-type leakyStack struct{ protocol.Stack }
-
-func (leakyStack) Forget(uint64) {}
-
-// TestMeasureFailsClosedOnLeak: a traffic phase that ends with
-// per-packet state still held must panic, not return counts.
+// TestMeasureFailsClosedOnLeak: a traffic phase that ends with audience
+// entries still open must panic, not return counts. The phase's one
+// send leaves after span and one of its members goes down at once, so
+// at Close the entry is neither fully accounted nor past its TTL.
 func TestMeasureFailsClosedOnLeak(t *testing.T) {
 	spec := scenario.DefaultSpec()
 	spec.Nodes = 30
 	spec.Mobility = scenario.Static
 	w := must(scenario.Build(spec))
 	stk := must(w.Protocol("flooding"))
+	src := w.RandomSource()
+	gone := w.Members[0][0]
+	if gone == src {
+		gone = w.Members[0][1]
+	}
 	defer func() {
-		if recover() == nil {
-			t.Fatal("measure returned from a phase that left flights tracked")
+		r := recover()
+		if r == nil {
+			t.Fatal("measure returned from a phase that left an audience entry open")
 		}
+		t.Log(r)
 	}()
-	cbrTraffic(w, leakyStack{stk}, 0, 3, 64, 0.5, 5)
+	const span, drain = 1, 5
+	measure(w, stk, span, drain, func(m *scenario.Meter) {
+		w.Sim.After(span+1, func() {
+			if m.Send(src, 0, 64) == 0 {
+				t.Fatal("the late send did not start")
+			}
+			w.Net.Node(gone).Fail()
+		})
+	})
 }

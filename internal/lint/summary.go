@@ -28,10 +28,6 @@ type Module struct {
 	// consumed[id][i]: parameter i of id is transitively released or
 	// handed off on at least one path.
 	consumed map[FuncID][]bool
-	// released[id][i]: parameter i of id is transitively *released*
-	// (strictly stronger than consumed; poolpair distinguishes the two
-	// in messages).
-	released map[FuncID][]bool
 
 	// laneVia[id]: the predecessor edge on a shortest path from a lane
 	// root; laneRoot[id] is true for the roots themselves.
@@ -60,23 +56,19 @@ func BuildModule(pkgs []*Package) *Module {
 
 // --- propagation ------------------------------------------------------
 
-// propagateConsume computes the transitive released/consumed bits by
+// propagateConsume computes the transitive consumed bits by
 // sweeping every function, in sorted id order, until a sweep changes
 // nothing. Bits only ever turn on, so the sweeps climb to the least
 // fixed point — the same one for any visiting order, recursion cycles
 // included — after at most one sweep per bit.
 func (m *Module) propagateConsume() {
 	m.consumed = map[FuncID][]bool{}
-	m.released = map[FuncID][]bool{}
 	for id, fi := range m.Funcs {
 		c := make([]bool, len(fi.Params))
-		r := make([]bool, len(fi.Params))
 		for i, p := range fi.Params {
-			r[i] = p.Released
 			c[i] = p.Released || p.HandedOff
 		}
 		m.consumed[id] = c
-		m.released[id] = r
 	}
 	apply := func(id FuncID) bool {
 		changed := false
@@ -94,10 +86,6 @@ func (m *Module) propagateConsume() {
 				}
 				if cc[pass.Param] && !m.consumed[id][i] {
 					m.consumed[id][i] = true
-					changed = true
-				}
-				if rr := m.released[pass.Callee]; pass.Param < len(rr) && rr[pass.Param] && !m.released[id][i] {
-					m.released[id][i] = true
 					changed = true
 				}
 			}
@@ -220,17 +208,6 @@ func (m *Module) Consumes(id FuncID, param int) bool {
 		return true
 	}
 	return c[param]
-}
-
-// Releases reports whether callee id transitively releases its
-// param'th parameter (false for unknown ids — only a positive release
-// fact earns the stronger wording).
-func (m *Module) Releases(id FuncID, param int) bool {
-	r, ok := m.released[id]
-	if !ok || param >= len(r) {
-		return false
-	}
-	return r[param]
 }
 
 // Func returns the fact record for id, or nil.

@@ -43,7 +43,7 @@ func TestDeliveryWhenLabelGraphDisconnected(t *testing.T) {
 	tb.prepare()
 	uid := tb.mc.Send(src.ID, 5, 128)
 	tb.drain()
-	if !tb.mc.DeliveredTo(uid, member.ID) {
+	if !tb.deliveredTo(uid, member.ID) {
 		t.Fatal("delivery failed despite surviving grid-adjacency logical links")
 	}
 }

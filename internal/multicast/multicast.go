@@ -70,11 +70,6 @@ func DefaultConfig() Config {
 // bitset is a dense set of small non-negative integers.
 type bitset []uint64
 
-func (b bitset) has(i int) bool {
-	w := uint(i) >> 6
-	return w < uint(len(b)) && b[w]&(1<<uint(i&63)) != 0
-}
-
 // add inserts i and reports whether it was absent. An index beyond the
 // set's size (flights size theirs at send time; a node may be added
 // while copies are on the air) grows the set.
@@ -94,18 +89,15 @@ func (b *bitset) add(i int) bool {
 // every copy of the packet: what all copies have in common (group,
 // payload size) and what has already happened to the packet (the three
 // duplicate-suppression sets). The copies are the only strong holders,
-// so the record dies with the last one in flight; the service keeps a
-// uid index beside them solely to answer DeliveredTo/DeliveryCount (see
-// ForgetPacket). Writes happen in geo consumes and broadcast deliveries,
-// which are serial-lane events.
+// so the record dies with the last one in flight. Writes happen in geo
+// consumes and broadcast deliveries, which are serial-lane events.
 type flight struct {
 	group   membership.Group
 	payload int // application payload in bytes
 
-	cubes     bitset // hypercubes entered, by HID (step 4 runs once per cube)
-	slots     bitset // CH slots that forwarded within their cube (step 5)
-	members   bitset // members delivered to, by node ID (step 6)
-	delivered int    // size of members
+	cubes   bitset // hypercubes entered, by HID (step 4 runs once per cube)
+	slots   bitset // CH slots that forwarded within their cube (step 5)
+	members bitset // members delivered to, by node ID (step 6)
 }
 
 // header is the encapsulated routing state carried by DataKind packets.
@@ -161,10 +153,6 @@ type Service struct {
 	meshCache map[membership.Group]map[logicalid.HID]cachedMeshTree
 	cubeCache map[cubeKey]cachedCubeTree
 
-	// flights indexes the flight records by uid for DeliveredTo and
-	// DeliveryCount until ForgetPacket; forwarding never reads it.
-	flights map[uint64]*flight
-
 	onDeliver []DeliverFunc
 
 	// childScratch, meshScratch and localScratch are the reusable
@@ -196,7 +184,6 @@ func New(bb *core.Backbone, ms *membership.Service, mux *network.Mux, cfg Config
 		tr:        trace.Nop,
 		meshCache: make(map[membership.Group]map[logicalid.HID]cachedMeshTree),
 		cubeCache: make(map[cubeKey]cachedCubeTree),
-		flights:   make(map[uint64]*flight),
 	}
 	bb.HandleInner(SourceKind, s.onSource)
 	bb.HandleInner(DataKind, s.onData)
@@ -243,7 +230,6 @@ func (s *Service) Send(src network.NodeID, g membership.Group, payloadSize int) 
 	uid := net.NextUID()
 	now := net.Sim().Now()
 	hdr := &header{fl: s.newFlight(g, payloadSize)}
-	s.flights[uid] = hdr.fl
 	if ch == src {
 		// The source is itself the CH: no radio hop to reach it.
 		slot := logicalid.CHID(grid.Index(vc))
@@ -253,7 +239,6 @@ func (s *Service) Send(src network.NodeID, g membership.Group, payloadSize int) 
 		ok := s.bb.Geo().Send(src, grid.Center(vc), ch, pkt)
 		net.ReleasePacket(pkt)
 		if !ok {
-			delete(s.flights, uid) // no uid goes out, so nobody could forget it
 			return 0
 		}
 	}
@@ -569,7 +554,6 @@ func (s *Service) recordDelivery(member network.NodeID, uid uint64, born des.Tim
 	if !hdr.fl.members.add(int(member)) {
 		return
 	}
-	hdr.fl.delivered++
 	s.Delivered++
 	for _, f := range s.onDeliver {
 		f(member, uid, born, int(hops))
@@ -585,33 +569,3 @@ func (s *Service) packetSize(hdr *header) int {
 	}
 	return size
 }
-
-// DeliveredTo reports whether the packet uid has reached the member so
-// far. It answers from the uid index, so it is false for every member
-// once the uid has been forgotten (see ForgetPacket).
-func (s *Service) DeliveredTo(uid uint64, member network.NodeID) bool {
-	fl := s.flights[uid]
-	return fl != nil && fl.members.has(int(member))
-}
-
-// DeliveryCount returns how many distinct members have received the uid
-// so far; 0 once the uid has been forgotten.
-func (s *Service) DeliveryCount(uid uint64) int {
-	if fl := s.flights[uid]; fl != nil {
-		return fl.delivered
-	}
-	return 0
-}
-
-// ForgetPacket drops the uid from the index behind DeliveredTo and
-// DeliveryCount, which is the only per-packet state the service itself
-// holds: a caller that sends for long should forget each uid once it
-// has read what it wants, or the index grows with every Send. It is
-// safe at any time, also while copies are still on the air — they keep
-// suppressing duplicates through the record they carry, so forgetting
-// early neither re-forwards nor delivers twice; delivery observers and
-// the Delivered counter are unaffected.
-func (s *Service) ForgetPacket(uid uint64) { delete(s.flights, uid) }
-
-// Flights returns how many uids are indexed: sent and not yet forgotten.
-func (s *Service) Flights() int { return len(s.flights) }

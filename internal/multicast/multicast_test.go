@@ -32,6 +32,9 @@ type testbed struct {
 	mux    *network.Mux
 
 	members []*network.Node
+	// delivered lists each uid's member deliveries in order, as the
+	// service's delivery observer reports them.
+	delivered map[uint64][]network.NodeID
 }
 
 func newTestbed(t *testing.T, cfg Config) *testbed {
@@ -63,7 +66,16 @@ func (tb *testbed) cfgStack(cfg Config) {
 	mcfg.LocalTTL = 0 // report freshness is exercised in package membership
 	tb.ms = membership.New(tb.bb, mcfg)
 	tb.mc = New(tb.bb, tb.ms, tb.mux, cfg)
+	tb.delivered = make(map[uint64][]network.NodeID)
+	tb.mc.OnDeliver(func(m network.NodeID, uid uint64, _ des.Time, _ int) {
+		tb.delivered[uid] = append(tb.delivered[uid], m)
+	})
 	tb.cm.Elect()
+}
+
+// deliveredTo reports whether the observer saw uid delivered to member.
+func (tb *testbed) deliveredTo(uid uint64, member network.NodeID) bool {
+	return slices.Contains(tb.delivered[uid], member)
 }
 
 func (tb *testbed) addMember(vcIdx int, dx, dy float64) *network.Node {
@@ -104,11 +116,11 @@ func TestSingleCubeDelivery(t *testing.T) {
 		t.Fatal("send failed")
 	}
 	tb.drain()
-	if !tb.mc.DeliveredTo(uid, a.ID) || !tb.mc.DeliveredTo(uid, b.ID) {
-		t.Fatalf("delivery incomplete: a=%v b=%v", tb.mc.DeliveredTo(uid, a.ID), tb.mc.DeliveredTo(uid, b.ID))
+	if !tb.deliveredTo(uid, a.ID) || !tb.deliveredTo(uid, b.ID) {
+		t.Fatalf("delivery incomplete: a=%v b=%v", tb.deliveredTo(uid, a.ID), tb.deliveredTo(uid, b.ID))
 	}
-	if tb.mc.DeliveryCount(uid) != 2 {
-		t.Fatalf("delivered to %d nodes want 2", tb.mc.DeliveryCount(uid))
+	if len(tb.delivered[uid]) != 2 {
+		t.Fatalf("delivered to %d nodes want 2", len(tb.delivered[uid]))
 	}
 }
 
@@ -126,7 +138,7 @@ func TestCrossCubeDelivery(t *testing.T) {
 	uid := tb.mc.Send(src.ID, 9, 1024)
 	tb.drain()
 	for i, m := range []*network.Node{a, b, c} {
-		if !tb.mc.DeliveredTo(uid, m.ID) {
+		if !tb.deliveredTo(uid, m.ID) {
 			t.Fatalf("member %d in another cube not reached", i)
 		}
 	}
@@ -141,7 +153,7 @@ func TestSourceIsCH(t *testing.T) {
 	ch := tb.cm.CHOf(vcgrid.VC{CX: 0, CY: 0})
 	uid := tb.mc.Send(ch, 5, 256)
 	tb.drain()
-	if !tb.mc.DeliveredTo(uid, a.ID) {
+	if !tb.deliveredTo(uid, a.ID) {
 		t.Fatal("CH-originated multicast not delivered")
 	}
 }
@@ -155,7 +167,7 @@ func TestCHMemberDeliveredWithoutRadio(t *testing.T) {
 	tb.prepare()
 	uid := tb.mc.Send(src.ID, 5, 128)
 	tb.drain()
-	if !tb.mc.DeliveredTo(uid, ch) {
+	if !tb.deliveredTo(uid, ch) {
 		t.Fatal("CH member not delivered")
 	}
 	// No local broadcast should have been needed for a CH-only member.
@@ -173,10 +185,10 @@ func TestNonMembersDoNotReceive(t *testing.T) {
 	tb.prepare()
 	uid := tb.mc.Send(src.ID, 5, 100)
 	tb.drain()
-	if tb.mc.DeliveredTo(uid, bystander.ID) {
+	if tb.deliveredTo(uid, bystander.ID) {
 		t.Fatal("non-member received delivery")
 	}
-	if !tb.mc.DeliveredTo(uid, member.ID) {
+	if !tb.deliveredTo(uid, member.ID) {
 		t.Fatal("member missed delivery")
 	}
 }
@@ -189,7 +201,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	tb.prepare()
 	uid := tb.mc.Send(src.ID, 5, 64)
 	tb.drain()
-	if got := tb.mc.DeliveryCount(uid); got != 1 {
+	if got := len(tb.delivered[uid]); got != 1 {
 		t.Fatalf("delivery count %d want 1 (dedup)", got)
 	}
 	if tb.mc.Delivered != 1 {
@@ -278,7 +290,7 @@ func TestQoSGateBlocksImpossibleDemand(t *testing.T) {
 	// gate, so intra-cube forwarding is blocked.
 	uid := tb.mc.Send(src.ID, 5, 64)
 	tb.drain()
-	if tb.mc.DeliveredTo(uid, a.ID) {
+	if tb.deliveredTo(uid, a.ID) {
 		t.Fatal("QoS gate failed to block impossible demand")
 	}
 }
@@ -298,7 +310,7 @@ func TestQoSGatePassesWithRoutes(t *testing.T) {
 	}
 	uid := tb.mc.Send(src.ID, 5, 64)
 	tb.drain()
-	if !tb.mc.DeliveredTo(uid, a.ID) {
+	if !tb.deliveredTo(uid, a.ID) {
 		t.Fatal("QoS gate blocked a satisfiable demand")
 	}
 }
@@ -341,7 +353,7 @@ func TestDeliveryAfterEntryCHFailure(t *testing.T) {
 	tb.prepare()
 	uid := tb.mc.Send(src.ID, 5, 64)
 	tb.drain()
-	if !tb.mc.DeliveredTo(uid, a.ID) {
+	if !tb.deliveredTo(uid, a.ID) {
 		t.Fatal("baseline delivery failed")
 	}
 	// Kill an intermediate CH: (1,1) = the diagonal stepping stone.
@@ -349,75 +361,13 @@ func TestDeliveryAfterEntryCHFailure(t *testing.T) {
 	tb.cm.Elect()
 	uid2 := tb.mc.Send(src.ID, 5, 64)
 	tb.drain()
-	if !tb.mc.DeliveredTo(uid2, a.ID) {
+	if !tb.deliveredTo(uid2, a.ID) {
 		t.Fatal("delivery not restored around failed CH")
 	}
 }
 
-// TestForgetPacket forgets a uid while its copies are still crossing
-// the backbone: the index entry goes at once, and the run is otherwise
-// indistinguishable from a twin that never forgets — no copy is
-// re-forwarded (same executed-event count) and no member is delivered
-// twice or missed (same observed delivery sequence).
-func TestForgetPacket(t *testing.T) {
-	type outcome struct {
-		delivered uint64
-		observed  []network.NodeID
-		executed  uint64
-	}
-	run := func(forget bool) outcome {
-		tb := newTestbed(t, DefaultConfig())
-		// Members in three hypercubes (two of them sharing a cluster,
-		// so broadcasts overlap), the source in the fourth.
-		var members []*network.Node
-		for _, at := range []struct {
-			vc vcgrid.VC
-			dx float64
-		}{{vcgrid.VC{CX: 1, CY: 1}, 30}, {vcgrid.VC{CX: 1, CY: 1}, -30}, {vcgrid.VC{CX: 6, CY: 1}, 30}, {vcgrid.VC{CX: 1, CY: 6}, 30}} {
-			m := tb.addMember(tb.grid.Index(at.vc), at.dx, 0)
-			tb.ms.Join(m.ID, 9)
-			members = append(members, m)
-		}
-		src := tb.addMember(tb.grid.Index(vcgrid.VC{CX: 6, CY: 6}), 0, 0)
-		tb.prepare()
-		var out outcome
-		tb.mc.OnDeliver(func(m network.NodeID, _ uint64, _ des.Time, _ int) { out.observed = append(out.observed, m) })
-		uid := tb.mc.Send(src.ID, 9, 1024)
-		if uid == 0 || tb.mc.Flights() != 1 {
-			t.Fatalf("send: uid %d, %d flights indexed, want one", uid, tb.mc.Flights())
-		}
-		// Both twins schedule the probe, so they execute the same events.
-		tb.sim.After(0.004, func() {
-			if got := len(out.observed); got == len(members) {
-				t.Fatalf("probe ran after all %d deliveries: nothing in flight to test", got)
-			}
-			if forget {
-				tb.mc.ForgetPacket(uid)
-			}
-		})
-		tb.drain()
-		if forget {
-			if tb.mc.Flights() != 0 || tb.mc.DeliveryCount(uid) != 0 || tb.mc.DeliveredTo(uid, members[0].ID) {
-				t.Fatal("ForgetPacket left the uid indexed")
-			}
-		} else if tb.mc.DeliveryCount(uid) != len(members) {
-			t.Fatalf("delivered to %d of %d members", tb.mc.DeliveryCount(uid), len(members))
-		}
-		out.delivered, out.executed = tb.mc.Delivered, tb.sim.Executed()
-		return out
-	}
-	kept, forgot := run(false), run(true)
-	if kept.delivered != forgot.delivered || kept.executed != forgot.executed || !slices.Equal(kept.observed, forgot.observed) {
-		t.Fatalf("forgetting in flight changed the run:\n kept   %+v\n forgot %+v", kept, forgot)
-	}
-	if int(kept.delivered) != len(kept.observed) || len(kept.observed) != 4 {
-		t.Fatalf("twin delivered %d, observed %v; want each of 4 members once", kept.delivered, kept.observed)
-	}
-}
-
 // TestSendFailureLeavesNoFlight: a send that cannot reach its CH
-// returns no uid, so it must not leave an index entry nobody can forget,
-// nor count as sent.
+// returns no uid and does not count as sent.
 func TestSendFailureLeavesNoFlight(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
 	// Out of every CH's radio range.
@@ -432,9 +382,6 @@ func TestSendFailureLeavesNoFlight(t *testing.T) {
 	sent := tb.mc.Sent
 	if uid := tb.mc.Send(far.ID, 5, 64); uid != 0 {
 		t.Fatalf("send from an isolated node returned uid %d", uid)
-	}
-	if tb.mc.Flights() != 0 {
-		t.Fatalf("%d flights indexed after a failed send", tb.mc.Flights())
 	}
 	if tb.mc.Sent != sent {
 		t.Fatalf("Sent went from %d to %d on a send that did not start", sent, tb.mc.Sent)

@@ -1350,16 +1350,6 @@ func (w *Network) releasePacketLS(ls *laneState, p *Packet) {
 	}
 }
 
-// RetainPacket adds a reference to a pooled packet, for a holder that
-// keeps it alive across scheduling boundaries the network cannot see
-// (e.g. a routing envelope carrying it over several hops). Each Retain
-// needs a matching ReleasePacket. No-op for nil or unpooled packets.
-func (w *Network) RetainPacket(p *Packet) {
-	if p != nil && p.pooled {
-		p.refs++
-	}
-}
-
 // AdoptPacket makes a pooled parent keep child alive: child gains a
 // reference now and loses it when the parent recycles. An encapsulating
 // protocol uses this to pin its payload packet to the envelope's

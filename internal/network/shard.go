@@ -65,10 +65,6 @@ func (l *Lane) AcquirePacket() *Packet { return l.w.acquirePacketLS(l.w.lane(l.i
 // ReleasePacket returns a reference to the lane's pool.
 func (l *Lane) ReleasePacket(p *Packet) { l.w.releasePacketLS(l.w.lane(l.idx), p) }
 
-// RetainPacket adds a reference (no lane state involved; a packet is
-// only ever reachable from one in-flight event at a time).
-func (l *Lane) RetainPacket(p *Packet) { l.w.RetainPacket(p) }
-
 // AdoptPacket pins child to parent's lifetime (see Network.AdoptPacket).
 func (l *Lane) AdoptPacket(parent, child *Packet) { l.w.AdoptPacket(parent, child) }
 

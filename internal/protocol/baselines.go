@@ -44,8 +44,6 @@ func (s *baselineStack) Send(src network.NodeID, g Group, payloadSize int) uint6
 }
 
 func (s *baselineStack) Deliveries(f DeliverFunc) { s.on = f }
-func (s *baselineStack) Forget(uid uint64)        { s.p.Forget(uid) }
-func (s *baselineStack) Tracked() int             { return s.p.Tracked() }
 
 func (s *baselineStack) observe(member network.NodeID, uid uint64, born des.Time, hops int) {
 	s.stx.Delivered++

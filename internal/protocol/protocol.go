@@ -59,14 +59,6 @@ type Stack interface {
 	Send(src network.NodeID, g Group, payloadSize int) uint64
 	// Deliveries registers the delivery observer (nil clears it).
 	Deliveries(f DeliverFunc)
-	// Forget releases the per-packet state the arm keeps for a sent uid
-	// (its delivery index); Tracked is how many sent uids still hold
-	// some. Whoever sends owns the uid and forgets it once done, or the
-	// index grows with every Send. Forgetting is safe while copies are
-	// on the air — they carry their duplicate suppression with them — so
-	// it changes no delivery, observer call or counter.
-	Forget(uid uint64)
-	Tracked() int
 	// Stats returns the arm's counter snapshot.
 	Stats() Stats
 }

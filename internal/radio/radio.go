@@ -116,17 +116,6 @@ func (p Precomp) HopDelay2(sizeBytes int, d2 float64) float64 {
 	return float64(sizeBytes)*p.SecPerByte + math.Sqrt(d2)*invLightSpeed + p.ProcDelay
 }
 
-// LinkQuality is a soft link metric in [0, 1]: 1 close by, falling to 0
-// at the range edge. The clustering tier uses it to prefer central
-// nodes; it is a standard received-power proxy (quadratic path loss).
-func (m Model) LinkQuality(d float64) float64 {
-	if d >= m.Range {
-		return 0
-	}
-	frac := d / m.Range
-	return 1 - frac*frac
-}
-
 // Capacity tracks residual bandwidth on a node for QoS admission: the
 // paper's routes carry bandwidth state, and multicast sessions reserve a
 // rate on each logical link they cross.

@@ -69,22 +69,6 @@ func TestLost(t *testing.T) {
 	}
 }
 
-func TestLinkQuality(t *testing.T) {
-	m := Model{Range: 100}
-	if q := m.LinkQuality(0); q != 1 {
-		t.Errorf("quality at distance 0 = %v want 1", q)
-	}
-	if q := m.LinkQuality(100); q != 0 {
-		t.Errorf("quality at range edge = %v want 0", q)
-	}
-	if q := m.LinkQuality(150); q != 0 {
-		t.Errorf("quality beyond range = %v want 0", q)
-	}
-	if q50, q80 := m.LinkQuality(50), m.LinkQuality(80); q50 <= q80 {
-		t.Errorf("quality should decrease with distance: %v <= %v", q50, q80)
-	}
-}
-
 func TestCapacityReserveRelease(t *testing.T) {
 	c := NewCapacity(1000)
 	if c.Total() != 1000 || c.Free() != 1000 {

@@ -39,12 +39,6 @@ type Counts struct {
 	// released when fully accounted or on TTL expiry), mirroring the
 	// PooledInFlight()==0 pool-leak check.
 	AudiencePeak, AudienceOpen int
-	// FlightsOpen is how many sent packets the arm still tracked at
-	// Close (protocol.Stack.Tracked). The meter forgets a packet when
-	// its audience entry closes, so on a stack whose sends all went
-	// through meters this is 0 as well, on every arm: per-packet state
-	// does not outlive the measurement.
-	FlightsOpen int
 	// DelaySamples is how many deliveries the delay histogram absorbed
 	// (always equal to Delivered), and DelayDigest its full-state
 	// fingerprint — the scengen harness asserts both are rerun-,
@@ -65,9 +59,7 @@ func (c Counts) PDR() float64 {
 // send through Meter.Send on a protocol.Stack, and the paper's
 // evaluation metrics — member deliveries against the group as it stood
 // when the packet left, delay, control overhead, fairness — come out of
-// Close. It also owns the packets' lifetime at the arm: releasing an
-// audience entry forgets the uid (Stack.Forget), so metered traffic
-// leaves no per-packet state behind.
+// Close.
 //
 // Join and Leave pass through to the stack and keep the meter's
 // membership mirror, which starts as the world's preassigned groups; a
@@ -205,22 +197,10 @@ func (m *Meter) onDeliver(member network.NodeID, uid uint64, born des.Time, hops
 	m.delays.Add(float64(m.w.Sim.Now() - born))
 	m.hops += hops
 	if aud = slices.Delete(aud, i, i+1); len(aud) == 0 {
-		m.release(uid) // fully accounted
+		delete(m.audience, uid) // fully accounted
 	} else {
 		m.audience[uid] = aud
 	}
-}
-
-// release drops a packet's audience entry and, with it, the uid the
-// arm indexes for delivery queries (a no-op for an entry already
-// released). Copies still on the air are unaffected: they carry their
-// duplicate suppression.
-func (m *Meter) release(uid uint64) {
-	if _, ok := m.audience[uid]; !ok {
-		return
-	}
-	delete(m.audience, uid)
-	m.stk.Forget(uid)
 }
 
 // expire releases audience entries whose TTL has passed. Sends happen
@@ -230,7 +210,7 @@ func (m *Meter) release(uid uint64) {
 // too.
 func (m *Meter) expire(now des.Time) {
 	for m.audHead < len(m.audQ) && m.audQ[m.audHead].expire <= now {
-		m.release(m.audQ[m.audHead].uid)
+		delete(m.audience, m.audQ[m.audHead].uid)
 		m.audHead++
 	}
 	if m.audHead > 64 && m.audHead*2 >= len(m.audQ) {
@@ -249,7 +229,6 @@ func (m *Meter) Close() Counts {
 	m.expire(now)
 	c := m.c
 	c.AudienceOpen = len(m.audience)
-	c.FlightsOpen = m.stk.Tracked()
 	c.Elapsed = now - m.start
 	if n := m.w.Net.Len(); n > 0 && c.Elapsed > 0 {
 		c.CtrlPerNodeS = float64(m.w.Net.Stats().ControlBytes-m.ctrl0) / float64(n) / float64(c.Elapsed)

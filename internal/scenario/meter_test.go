@@ -8,16 +8,10 @@ import (
 )
 
 // fakeStack is a protocol.Stack that puts nothing on the air: the test
-// makes the deliveries by hand and reads back what the meter forgot.
+// makes the deliveries by hand.
 type fakeStack struct {
-	on      protocol.DeliverFunc
-	uids    uint64
-	tracked map[uint64]bool
-	forgets map[uint64]int
-}
-
-func newFakeStack() *fakeStack {
-	return &fakeStack{tracked: map[uint64]bool{}, forgets: map[uint64]int{}}
+	on   protocol.DeliverFunc
+	uids uint64
 }
 
 func (f *fakeStack) Name() string                         { return "fake" }
@@ -26,18 +20,11 @@ func (f *fakeStack) Stop()                                {}
 func (f *fakeStack) Join(network.NodeID, protocol.Group)  {}
 func (f *fakeStack) Leave(network.NodeID, protocol.Group) {}
 func (f *fakeStack) Deliveries(on protocol.DeliverFunc)   { f.on = on }
-func (f *fakeStack) Tracked() int                         { return len(f.tracked) }
 func (f *fakeStack) Stats() protocol.Stats                { return protocol.Stats{} }
 
 func (f *fakeStack) Send(network.NodeID, protocol.Group, int) uint64 {
 	f.uids++
-	f.tracked[f.uids] = true
 	return f.uids
-}
-
-func (f *fakeStack) Forget(uid uint64) {
-	f.forgets[uid]++
-	delete(f.tracked, uid)
 }
 
 // deliver reports uid as having reached member, as an arm would.
@@ -59,7 +46,7 @@ func TestMeterAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := newFakeStack()
+	fs := &fakeStack{}
 	const ttl = 5
 	m := w.Meter(fs, ttl)
 	members := w.Members[0]
@@ -84,38 +71,32 @@ func TestMeterAccounting(t *testing.T) {
 	}
 
 	// Two members never get it. Once the TTL has passed the next send
-	// releases the entry and forgets the uid, and a straggler no longer
-	// counts.
+	// releases the entry, and a straggler no longer counts.
 	w.RunUntil(w.Sim.Now() + ttl)
 	second := m.Send(src, 0, 64)
-	if fs.forgets[first] != 1 || fs.Tracked() != 1 {
-		t.Fatalf("after the TTL: first uid forgotten %d times, %d uids tracked; want 1 and 1", fs.forgets[first], fs.Tracked())
+	if open := len(m.audience); open != 1 {
+		t.Fatalf("after the TTL: %d audience entries open, want 1", open)
 	}
 	fs.deliver(w, members[2], first)
 	if m.c.Delivered != 1 {
 		t.Fatalf("a delivery after the TTL was counted: delivered %d", m.c.Delivered)
 	}
 
-	// A fully accounted packet is forgotten at its last delivery, and not
-	// a second time when its TTL comes round.
+	// A fully accounted packet is released at its last delivery.
 	for _, id := range members[1:] {
 		fs.deliver(w, id, second)
 	}
-	if fs.forgets[second] != 1 {
-		t.Fatalf("fully accounted uid forgotten %d times, want 1", fs.forgets[second])
+	if open := len(m.audience); open != 0 {
+		t.Fatalf("fully accounted: %d audience entries open, want 0", open)
 	}
 	w.RunUntil(w.Sim.Now() + ttl)
 	third := m.Send(src, 0, 64) // still inside its TTL at Close
 	got := m.Close()
-	if fs.forgets[second] != 1 {
-		t.Fatalf("TTL expiry forgot an already released uid again (%d forgets)", fs.forgets[second])
-	}
 	if got.Sent != 3 || got.Expected != 9 || got.Delivered != 4 || got.Stale != 2 {
 		t.Fatalf("counts %+v; want 3 sent, 9 expected, 4 delivered, 2 stale", got)
 	}
-	if got.AudienceOpen != 1 || got.FlightsOpen != 1 {
-		t.Fatalf("closed inside the last packet's TTL: %d audience entries, %d flights open; want 1 and 1",
-			got.AudienceOpen, got.FlightsOpen)
+	if got.AudienceOpen != 1 {
+		t.Fatalf("closed inside the last packet's TTL: %d audience entries open, want 1", got.AudienceOpen)
 	}
 
 	// Close detached the first meter; a second one on the same stack
@@ -190,11 +171,6 @@ func TestAudienceBoundedAndReleasedAtTeardown(t *testing.T) {
 					}
 					if res.AudienceOpen != 0 {
 						t.Errorf("audience entries leaked: %d still tracked at teardown", res.AudienceOpen)
-					}
-					// Closing an audience entry forgets the packet at the arm, so
-					// its per-packet index is empty too.
-					if res.FlightsOpen != 0 || stk.Tracked() != 0 {
-						t.Errorf("arm still tracks %d packets at teardown (result says %d)", stk.Tracked(), res.FlightsOpen)
 					}
 					if res.AudiencePeak == 0 {
 						t.Error("AudiencePeak = 0: sends were not tracked at all")

@@ -317,9 +317,7 @@ func (w *World) WarmUp(d des.Duration) {
 
 // CBR schedules constant-bit-rate multicast traffic: the provided send
 // function (a Meter.Send closure) fires every interval, count times.
-// Returns a slice that accumulates the UIDs of sent packets.
-func (w *World) CBR(send func() uint64, interval des.Duration, count int) *[]uint64 {
-	uids := &[]uint64{}
+func (w *World) CBR(send func() uint64, interval des.Duration, count int) {
 	var i int
 	var tick func()
 	tick = func() {
@@ -327,13 +325,10 @@ func (w *World) CBR(send func() uint64, interval des.Duration, count int) *[]uin
 			return
 		}
 		i++
-		if uid := send(); uid != 0 {
-			*uids = append(*uids, uid)
-		}
+		send()
 		w.Sim.After(interval, tick)
 	}
 	w.Sim.After(0, tick)
-	return uids
 }
 
 // FailRandomAnchors takes down the given number of anchor CH nodes,

@@ -75,9 +75,7 @@ const (
 	InvStats = "stats"
 	// InvStream: the streaming-metrics contract — every audience entry
 	// is released by script teardown (ScriptResult.AudienceOpen == 0,
-	// the audience-map analogue of the pool-leak check) and with it the
-	// arm's per-packet index, whichever arm ran (FlightsOpen == 0, read
-	// from protocol.Stack.Tracked), and the delay
+	// the audience-map analogue of the pool-leak check), and the delay
 	// histogram absorbed exactly one observation per counted delivery
 	// (DelaySamples == Delivered). The histogram's full-state digest is
 	// part of the fingerprint, so its rerun/worker/shard invariance is
@@ -173,9 +171,6 @@ func runArm(spec scenario.Spec, arm string, sc *scenario.Script, warmup des.Dura
 func streamContract(res *scenario.ScriptResult) string {
 	if res.AudienceOpen != 0 {
 		return fmt.Sprintf("%d audience entries still tracked at teardown", res.AudienceOpen)
-	}
-	if res.FlightsOpen != 0 {
-		return fmt.Sprintf("%d packets still tracked by the arm at teardown", res.FlightsOpen)
 	}
 	if res.DelaySamples != res.Delivered {
 		return fmt.Sprintf("delay histogram absorbed %d samples for %d deliveries", res.DelaySamples, res.Delivered)
