@@ -22,7 +22,11 @@
 //     heap for events scheduled after the bucket started draining (the
 //     causality chains of the current instant). Pops are
 //     sequential reads over cache-resident entries instead of
-//     log-depth sifts over the whole pending set.
+//     log-depth sifts over the whole pending set. A bucket holding
+//     fan-outs (ScheduleFanout) is copied into a kernel-owned run
+//     buffer together with every member that falls in it, so a
+//     broadcast's receivers are sorted once with their bucket instead
+//     of sifting one by one through the side heap.
 //   - The near tier is an array of numBuckets FIFO buckets of width
 //     s.width seconds each. Scheduling into the near horizon is a plain
 //     append; a bucket is sorted once, when the clock reaches it (one
@@ -44,7 +48,7 @@
 // and byte-identical to the former monolithic-heap kernel
 // (TestLadderMatchesHeapOrder cross-checks 100k mixed ops).
 //
-// Two further choices keep the constant factors down:
+// Three further choices keep the constant factors down:
 //
 //   - Event records are pooled. Executing (or popping a cancelled)
 //     event returns its record to a free list; Schedule reuses it.
@@ -54,15 +58,21 @@
 //   - ScheduleCall carries a (func(any), arg) pair instead of a
 //     closure, letting high-volume callers (the network layer
 //     schedules its packet transmissions this way) avoid a closure
-//     allocation per event. ReserveSeqs and ScheduleCallSeq let a
-//     caller batch several events behind one (the network's
-//     multi-receiver broadcast transmissions) while keeping each
-//     event's original place in the total order.
+//     allocation per event.
+//   - ScheduleFanout holds n events that share a callback and an arg
+//     (the receivers of one broadcast) behind one queue entry and one
+//     event record. The members take the n sequence numbers n
+//     ScheduleCallU calls would have taken, and the batch turns into
+//     per-member entries only when it reaches the imminent tier, so
+//     every member keeps its place in the total order. ReserveSeqs and
+//     ScheduleCallSeqU let the sharded engine place an event it logged
+//     earlier at the key it was given then.
 package des
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is simulated time in seconds since the start of the run.
@@ -86,8 +96,30 @@ type event struct {
 	ufn  func(any, uint64)
 	arg  any
 	u    uint64
+	fan  *fanout // set on the one record a fan-out's members share
 	gen  uint32
 	dead bool
+}
+
+// fanout is one ScheduleFanout batch: member i runs ufn(arg, m[i].u) at
+// m[i].at with sequence number seq+i. While packed, the batch is a
+// single queue entry keyed by its minimal (at, seq) member; once
+// unpacked, that entry stands for the minimal member and every other
+// member has an entry of its own. All of them point to the same event
+// record, which goes back to the pool with the batch when the last
+// member has run. Batches pool by capacity class (a power of two), so a
+// small broadcast never pins the array of the largest one.
+type fanout struct {
+	m      []member
+	seq    uint64
+	left   int // members not yet run
+	packed bool
+}
+
+// member is one fan-out member's timestamp and callback word.
+type member struct {
+	at Time
+	u  uint64
 }
 
 // entry is one future-event-list slot. The ordering keys (at, seq) are
@@ -168,6 +200,19 @@ type Simulator struct {
 	spill   []entry // beyond the near horizon: 4-ary min-heap by (at, seq)
 	count   int     // pending entries across all tiers
 
+	// Fan-out state. fanExtra[i] counts the members still packed behind
+	// bucket i's entries, so making the bucket current knows whether to
+	// unpack and how large a run it needs. run is the kernel-owned
+	// buffer an unpacked bucket drains from (cbRun: cb is run), and
+	// loose parks the bucket array the run displaced from cb until a
+	// plain bucket's slot takes it back. freeFan[k] pools batches of
+	// capacity 1<<k.
+	fanExtra [numBuckets]int32
+	run      []entry
+	cbRun    bool
+	loose    []entry
+	freeFan  [][]*fanout
+
 	// spares recycles burst-bucket arrays. A protocol round dumps a
 	// 10^5-entry burst into whichever bucket covers its delivery
 	// instant, and that bucket index moves every epoch — left to plain
@@ -205,9 +250,9 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending returns the number of entries currently scheduled, including
-// cancelled events the queue has not reclaimed yet. A multi-event batch
-// scheduled behind one dispatch entry (see ReserveSeqs) counts as one
-// until it expands.
+// cancelled events the queue has not reclaimed yet. A fan-out (see
+// ScheduleFanout) counts as one until it unpacks, then as one per
+// member not yet run.
 func (s *Simulator) Pending() int { return s.count }
 
 // SetHorizon caps the run: events scheduled after t never execute. A run
@@ -250,7 +295,7 @@ func (s *Simulator) alloc() *event {
 // recycle returns a record to the pool, invalidating outstanding handles.
 func (s *Simulator) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.afn, ev.ufn, ev.arg, ev.u = nil, nil, nil, nil, 0
+	ev.fn, ev.afn, ev.ufn, ev.arg, ev.u, ev.fan = nil, nil, nil, nil, 0, nil
 	ev.dead = false
 	s.free = append(s.free, ev)
 }
@@ -303,38 +348,84 @@ func (s *Simulator) AfterCallU(d Duration, fn func(any, uint64), arg any, u uint
 	return s.ScheduleCallU(s.now+d, fn, arg, u)
 }
 
+// ScheduleFanout schedules len(at) events that share fn and arg: member
+// i runs fn(arg, u[i]) at at[i]. The members take the consecutive
+// sequence numbers that one ScheduleCallU per member, in index order,
+// would have taken, so they execute exactly where those calls would
+// have put them, and each counts as one executed event. Until the batch
+// reaches the imminent tier it is one queue entry keyed by its earliest
+// member, and all members share one event record; at and u are copied,
+// so the caller may reuse them. Members cannot be cancelled.
+func (s *Simulator) ScheduleFanout(at []Time, fn func(any, uint64), arg any, u []uint64) {
+	switch len(at) {
+	case 0:
+		return
+	case 1:
+		s.ScheduleCallU(at[0], fn, arg, u[0])
+		return
+	}
+	first := 0 // the earliest member: lowest index at the minimal time
+	for i, t := range at {
+		if t < s.now {
+			panic(fmt.Sprintf("des: scheduling at %v before now %v", t, s.now))
+		}
+		if t < at[first] {
+			first = i
+		}
+	}
+	fo := s.allocFan(len(at))
+	for i, t := range at {
+		fo.m = append(fo.m, member{t, u[i]})
+	}
+	fo.seq, fo.left, fo.packed = s.seq, len(at), true
+	ev := s.alloc()
+	ev.ufn, ev.arg, ev.fan = fn, arg, fo
+	if idx := s.insert(entry{at: at[first], seq: s.seq + uint64(first), ev: ev}); idx > 0 {
+		s.fanExtra[idx] += int32(len(at) - 1)
+	}
+	s.seq += uint64(len(at))
+}
+
+// allocFan takes a batch with room for n members from its capacity
+// class's pool, or allocates one.
+func (s *Simulator) allocFan(n int) *fanout {
+	k := bits.Len(uint(n - 1))
+	if k < len(s.freeFan) {
+		if p := s.freeFan[k]; len(p) > 0 {
+			s.freeFan[k] = p[:len(p)-1]
+			return p[len(p)-1]
+		}
+	}
+	return &fanout{m: make([]member, 0, 1<<k)}
+}
+
+// freeFanout returns a batch whose last member has run to its pool.
+func (s *Simulator) freeFanout(fo *fanout) {
+	fo.m = fo.m[:0]
+	k := bits.Len(uint(cap(fo.m) - 1))
+	for len(s.freeFan) <= k {
+		s.freeFan = append(s.freeFan, nil)
+	}
+	s.freeFan[k] = append(s.freeFan[k], fo)
+}
+
 // ReserveSeqs reserves a contiguous block of n schedule sequence numbers
-// and returns the first. A caller that fans one physical event into n
-// logical ones (the network's multi-receiver broadcast transmissions)
-// reserves the block at send time and materializes the events later via
-// ScheduleCallSeq; because the total order is (timestamp, sequence), the
-// late events still execute exactly where immediate scheduling would
-// have put them.
+// and returns the first. The sharded engine reserves a logged event's
+// sequence number when it is logged and places the event later via
+// ScheduleCallSeqU; because the total order is (timestamp, sequence),
+// the late event still executes exactly where immediate scheduling
+// would have put it.
 func (s *Simulator) ReserveSeqs(n int) uint64 {
 	first := s.seq
 	s.seq += uint64(n)
 	return first
 }
 
-// ScheduleCallSeq schedules fn(arg) at absolute time at with an explicit
-// sequence number previously obtained from ReserveSeqs. The caller must
-// guarantee that (at, seq) is still in the future of the execution
-// order, i.e. at >= Now() and no event ordered after (at, seq) has
-// executed yet; reserving at send time and expanding at the batch's
-// earliest (at, seq) satisfies this by construction.
-func (s *Simulator) ScheduleCallSeq(at Time, seq uint64, fn func(any), arg any) Handle {
-	if at < s.now {
-		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, s.now))
-	}
-	ev := s.alloc()
-	ev.afn = fn
-	ev.arg = arg
-	s.insert(entry{at: at, seq: seq, ev: ev})
-	return Handle{ev, ev.gen}
-}
-
-// ScheduleCallSeqU is ScheduleCallSeq for the unboxed-word form of
-// ScheduleCallU, under the same (at, seq) contract.
+// ScheduleCallSeqU schedules fn(arg, u) at absolute time at with an
+// explicit sequence number previously obtained from ReserveSeqs. The
+// caller must guarantee that (at, seq) is still in the future of the
+// execution order, i.e. at >= Now() and no event ordered after (at, seq)
+// has executed yet.
 func (s *Simulator) ScheduleCallSeqU(at Time, seq uint64, fn func(any, uint64), arg any, u uint64) Handle {
 	if at < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, s.now))
@@ -367,20 +458,20 @@ func (a entry) less(b entry) bool {
 	return a.seq < b.seq
 }
 
-// insert places an entry in its tier. Bucket assignment is a monotone
-// function of the timestamp (floor((at-base)/width) computed with one
-// shared expression), so an entry in a lower-indexed bucket never has a
-// later timestamp than one in a higher-indexed bucket — the property
-// that lets buckets drain strictly in index order.
-func (s *Simulator) insert(e entry) {
+// insert places an entry in its tier and returns the index of the
+// near-tier bucket it was appended to, or 0 when it went to the side or
+// spill heap (no entry is ever appended to bucket 0: it is current from
+// every rebase on). Bucket assignment is a monotone function of the timestamp
+// (floor((at-base)/width) computed with one shared expression), so an
+// entry in a lower-indexed bucket never has a later timestamp than one
+// in a higher-indexed bucket — the property that lets buckets drain
+// strictly in index order.
+func (s *Simulator) insert(e entry) int {
 	s.count++
-	if e.at >= s.nearEnd {
+	idx := s.bucketOf(e.at)
+	if idx == numBuckets {
 		s.spill = heapPush(s.spill, e)
-		return
-	}
-	idx := int(float64(e.at-s.base) / s.width)
-	if idx >= numBuckets {
-		idx = numBuckets - 1 // float boundary rounding
+		return 0
 	}
 	s.placed++
 	if idx <= s.cur {
@@ -388,11 +479,10 @@ func (s *Simulator) insert(e entry) {
 		// imminent side heap directly (e.at >= now keeps order
 		// intact). The side heap takes the events scheduled after
 		// their bucket started draining — the causality chains of the
-		// current instant. That is no rare path: 17–92% of all
-		// inserts across the recorded workloads (DESIGN.md,
-		// "Complexity ledger").
+		// current instant (DESIGN.md, "Complexity ledger", has its
+		// share of inserts per workload).
 		s.side = heapPush(s.side, e)
-		return
+		return 0
 	}
 	b := s.buckets[idx]
 	if len(b) == cap(b) && len(b) >= burstCap/2 {
@@ -401,6 +491,20 @@ func (s *Simulator) insert(e entry) {
 		b = s.burstGrow(b)
 	}
 	s.buckets[idx] = append(b, e)
+	return idx
+}
+
+// bucketOf returns the near-tier bucket covering at, or numBuckets when
+// at lies at or beyond the near horizon.
+func (s *Simulator) bucketOf(at Time) int {
+	if at >= s.nearEnd {
+		return numBuckets
+	}
+	idx := int(float64(at-s.base) / s.width)
+	if idx >= numBuckets {
+		idx = numBuckets - 1 // float boundary rounding
+	}
+	return idx
 }
 
 // burstGrow moves a full bucket into a pooled burst array when one
@@ -443,24 +547,17 @@ func (s *Simulator) front() *entry {
 		if s.cur+1 < numBuckets {
 			s.cur++
 			if b := s.buckets[s.cur]; len(b) > 0 {
-				// The bucket's clock has come: swap it into the imminent
-				// run (the drained run's array parks in the bucket slot
-				// for the next epoch — no copy, and grown capacity
-				// stays in circulation) and sort it once. Appends arrive
-				// in sequence order, so a bucket whose timestamps happen
-				// to be monotone — same-instant protocol rounds, steady
+				if extra := s.fanExtra[s.cur]; extra > 0 {
+					s.fanExtra[s.cur] = 0
+					s.unpackBucket(b, int(extra))
+				} else {
+					s.swapIn(b)
+				}
+				// Sort the new run once. Appends arrive in sequence
+				// order, so a bucket whose timestamps happen to be
+				// monotone — same-instant protocol rounds, steady
 				// streams — is already sorted and the check is one
 				// sequential pass.
-				if cap(s.cb) >= burstCap && len(s.spares) < maxSpares {
-					// Burst-scale capacity follows the bursts through the
-					// spare pool instead of idling at one slot.
-					s.spares = append(s.spares, s.cb[:0])
-					s.buckets[s.cur] = nil
-				} else {
-					s.buckets[s.cur] = s.cb[:0]
-				}
-				s.cb = b
-				s.cbHead = 0
 				if !sortedEntries(s.cb) {
 					sortEntries(s.cb)
 				}
@@ -472,6 +569,88 @@ func (s *Simulator) front() *entry {
 		}
 		s.roll()
 	}
+}
+
+// swapIn makes a bucket without fan-outs current by swapping its array
+// into the imminent run: no copy, and the drained run's array parks in
+// the bucket's slot for the next epoch, so grown capacity stays in
+// circulation. A drained burst-scale bucket array follows the bursts
+// through the spare pool instead of idling at one slot; a drained
+// kernel run buffer stays the kernel's, and the slot takes back the
+// array the run buffer displaced.
+func (s *Simulator) swapIn(b []entry) {
+	if s.cbRun {
+		s.buckets[s.cur], s.loose = s.loose, nil
+		if cap(s.run) >= burstCap {
+			// A burst-sized run buffer is not kept once its burst has
+			// drained: it would idle at peak size until the next one.
+			s.run = nil
+		}
+	} else {
+		s.buckets[s.cur] = s.park(s.cb[:0])
+	}
+	s.cb, s.cbHead, s.cbRun = b, 0, false
+}
+
+// park returns where a drained bucket array goes: nil when it is
+// burst-scale and joins the spare pool, the array itself otherwise.
+func (s *Simulator) park(a []entry) []entry {
+	if cap(a) >= burstCap && len(s.spares) < maxSpares {
+		s.spares = append(s.spares, a)
+		return nil
+	}
+	return a
+}
+
+// unpackBucket makes a bucket holding packed fan-outs current. Its
+// entries and the extra members packed behind them that fall in this
+// bucket are copied into the kernel's run buffer, which front then
+// sorts once; members due in later buckets take their own entries
+// there. The bucket array stays in its slot (a burst-scale one joins
+// the spare pool, as in swapIn), so bucket arrays never grow to hold a
+// fan-out's members.
+func (s *Simulator) unpackBucket(b []entry, extra int) {
+	if !s.cbRun {
+		s.loose = s.park(s.cb[:0])
+	}
+	run := s.run[:0]
+	if need := len(b) + extra; cap(run) < need || (cap(run) >= burstCap && need < cap(run)/4) {
+		// Too small, or a burst-sized buffer far larger than this
+		// bucket needs: size a fresh one to the demand.
+		run = make([]entry, 0, need+need/4)
+	}
+	for _, e := range b {
+		run = append(run, e)
+		if fo := e.ev.fan; fo != nil && fo.packed {
+			run = s.unpack(e, run)
+		}
+	}
+	s.buckets[s.cur] = s.park(b[:0])
+	s.run, s.cb, s.cbHead, s.cbRun = run, run, 0, true
+}
+
+// unpack expands the packed fan-out whose entry e has reached the
+// imminent tier. e keeps its key and stands for the earliest member
+// from now on; each other member gets an entry at its own key, appended
+// to run when run is non-nil and the member falls in the current
+// bucket, inserted into its tier otherwise. Members count as placed, so
+// the width feedback sees the occupancy the buckets really drained.
+func (s *Simulator) unpack(e entry, run []entry) []entry {
+	fo := e.ev.fan
+	fo.packed = false
+	for i, fm := range fo.m {
+		m := entry{at: fm.at, seq: fo.seq + uint64(i), ev: e.ev}
+		switch {
+		case m.seq == e.seq:
+		case run != nil && s.bucketOf(m.at) == s.cur:
+			s.count++
+			s.placed++
+			run = append(run, m)
+		default:
+			s.insert(m)
+		}
+	}
+	return run
 }
 
 // sortedEntries reports whether the run is already in (at, seq) order.
@@ -529,7 +708,11 @@ func (s *Simulator) roll() {
 		var e entry
 		s.spill, e = heapPop(s.spill)
 		s.count--
-		s.insert(e)
+		if idx := s.insert(e); idx > 0 {
+			if fo := e.ev.fan; fo != nil && fo.packed {
+				s.fanExtra[idx] += int32(len(fo.m) - 1)
+			}
+		}
 	}
 }
 
@@ -703,11 +886,21 @@ func (s *Simulator) popKnown(f *entry) {
 	s.cbHead++
 }
 
-// runEvent recycles and runs a live entry's event at its timestamp.
-func (s *Simulator) runEvent(at Time, ev *event) {
+// runEvent recycles and runs a live entry's event at its timestamp. A
+// fan-out member takes its word from the batch by its sequence number;
+// the shared record recycles with the batch after the last member.
+func (s *Simulator) runEvent(at Time, seq uint64, ev *event) {
 	s.now = at
 	fn, afn, ufn, arg, u := ev.fn, ev.afn, ev.ufn, ev.arg, ev.u
-	s.recycle(ev)
+	if fo := ev.fan; fo != nil {
+		u = fo.m[seq-fo.seq].u
+		if fo.left--; fo.left == 0 {
+			s.freeFanout(fo)
+			s.recycle(ev)
+		}
+	} else {
+		s.recycle(ev)
+	}
 	s.executed++
 	switch {
 	case ufn != nil:
@@ -728,13 +921,19 @@ func (s *Simulator) Step() bool {
 		if f == nil || s.stopped || f.at > s.horizon {
 			return false
 		}
-		at, ev := f.at, f.ev
+		at, seq, ev := f.at, f.seq, f.ev
+		if fo := ev.fan; fo != nil && fo.packed {
+			// A fan-out that went to the side heap unpacks when it
+			// comes due; its entry is now its earliest member's.
+			s.unpack(*f, nil)
+			continue
+		}
 		s.popKnown(f)
 		if ev.dead {
 			s.recycle(ev)
 			continue
 		}
-		s.runEvent(at, ev)
+		s.runEvent(at, seq, ev)
 		return true
 	}
 }
@@ -764,13 +963,17 @@ func (s *Simulator) RunUntil(t Time) {
 		if f == nil || f.at > t || f.at > s.horizon {
 			break
 		}
-		at, ev := f.at, f.ev
+		at, seq, ev := f.at, f.seq, f.ev
+		if fo := ev.fan; fo != nil && fo.packed {
+			s.unpack(*f, nil)
+			continue
+		}
 		s.popKnown(f)
 		if ev.dead {
 			s.recycle(ev)
 			continue
 		}
-		s.runEvent(at, ev)
+		s.runEvent(at, seq, ev)
 	}
 	if t <= s.horizon && !s.stopped {
 		s.now = t

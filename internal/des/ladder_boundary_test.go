@@ -127,6 +127,7 @@ func TestReserveSeqsCancelReschedule(t *testing.T) {
 	ref := &refHeap{}
 	var popped []int
 	run := func(arg any) { popped = append(popped, arg.(int)) }
+	runU := func(_ any, u uint64) { popped = append(popped, int(u)) }
 	schedule := func(at Time, id int) Handle {
 		heap.Push(ref, &refEntry{at: at, seq: s.seq, id: id})
 		return s.ScheduleCall(at, run, id)
@@ -149,7 +150,7 @@ func TestReserveSeqsCancelReschedule(t *testing.T) {
 		e := &refEntry{at: 0.02, seq: first + uint64(k), id: k}
 		entries[k] = e
 		heap.Push(ref, e)
-		handles[k] = s.ScheduleCallSeq(0.02, first+uint64(k), run, k)
+		handles[k] = s.ScheduleCallSeqU(0.02, first+uint64(k), runU, nil, uint64(k))
 	}
 
 	// Cancel one batch member and one plain event, then reschedule a

@@ -198,6 +198,185 @@ func testLadderMatchesHeapOrder(t *testing.T, delay func(uint64, float64) Durati
 	}
 }
 
+// TestFanoutMatchesHeapOrder drives random fan-outs of 2–40 members,
+// interleaved with plain schedules and cancellations, through the
+// ladder and the reference heap in lockstep. In the reference every
+// member is its own entry at the batch's first sequence number plus its
+// index, which is what one ScheduleCallU per member would have made.
+// Member spreads cover all the places a batch unpacks into: the bucket
+// being drained (the side-heap path), the bucket that becomes current
+// (the run-buffer path), later buckets, the far side of the near
+// horizon, and timestamps shared with other members.
+func TestFanoutMatchesHeapOrder(t *testing.T) {
+	const ops = 40_000
+
+	s := New()
+	s.SetGrain(5e-4)
+	ref := &refHeap{}
+	rng := xorshift(0x2545f4914f6cdd1d)
+
+	nextID := 0
+	var handles []Handle
+	var entries []*refEntry
+	var popped []int
+	done := 0
+	// Coverage of the shapes the test claims, counted at schedule time.
+	var intoCurrent, intoLater, spanning, straddling, tied int
+
+	delay := func() Duration {
+		u := rng.float()
+		switch rng.next() % 10 {
+		case 0:
+			return Duration(u * 1e-6)
+		case 1, 2, 3, 4, 5:
+			return Duration(u * 2e-3)
+		case 6, 7:
+			return Duration(u * 0.8)
+		default:
+			return Duration(u * 300)
+		}
+	}
+	var runOp func(any)
+	var runMember func(any, uint64)
+	schedule := func() {
+		at := s.Now() + delay()
+		entries = append(entries, &refEntry{at: at, seq: s.seq, id: nextID})
+		heap.Push(ref, entries[nextID])
+		handles = append(handles, s.ScheduleCall(at, runOp, nextID))
+		nextID++
+	}
+	fanout := func() {
+		n := 2 + int(rng.next()%39)
+		base := s.Now() + delay()
+		// Same-instant, same-bucket, next-buckets or split across the
+		// horizon: the far half lies past numBuckets*maxWidth (256 s),
+		// beyond nearEnd however far the width adapts.
+		mode := rng.next() % 4
+		tie := false
+		at := make([]Time, n)
+		u := make([]uint64, n)
+		for i := range at {
+			switch r := Time(rng.float()); {
+			case mode == 1:
+				at[i] = base + r*1e-6
+			case mode == 2:
+				at[i] = base + r*5e-3
+			case mode == 3 && rng.next()%2 == 0:
+				at[i] = base + 300 + r*3e3
+			default:
+				at[i] = base + r*Time(mode)*1e-3 // mode 0: base exactly
+			}
+			if rng.next()%4 == 0 && i > 0 {
+				at[i] = at[rng.next()%uint64(i)] // a shared timestamp
+				tie = true
+			}
+			u[i] = uint64(nextID)
+			// Members are not cancellable: no handle, never dead.
+			entries = append(entries, &refEntry{at: at[i], seq: s.seq + uint64(i), id: nextID})
+			heap.Push(ref, entries[nextID])
+			handles = append(handles, Handle{})
+			nextID++
+		}
+		if tie {
+			tied++
+		}
+		lo, hi := numBuckets, -1
+		for _, a := range at {
+			b := s.bucketOf(a)
+			lo, hi = min(lo, b), max(hi, b)
+		}
+		switch {
+		case lo <= s.cur:
+			intoCurrent++
+		case lo < numBuckets:
+			intoLater++
+		}
+		if lo < hi && hi < numBuckets {
+			spanning++
+		}
+		if lo < numBuckets && hi == numBuckets {
+			straddling++
+		}
+		s.ScheduleFanout(at, runMember, nil, u)
+	}
+	cancelRandom := func() {
+		for try := 0; try < 4 && len(handles) > 0; try++ {
+			id := int(rng.next() % uint64(len(handles)))
+			if handles[id].Cancel() {
+				entries[id].dead = true
+				return
+			}
+		}
+	}
+	step := func() {
+		for done < ops {
+			done++
+			switch rng.next() % 8 {
+			case 0:
+				cancelRandom()
+			case 1, 2:
+				fanout()
+			case 3:
+				schedule()
+				continue
+			default:
+				schedule()
+			}
+			return
+		}
+	}
+	runOp = func(arg any) {
+		popped = append(popped, arg.(int))
+		step()
+	}
+	runMember = func(_ any, u uint64) {
+		popped = append(popped, int(u))
+		if rng.next()%4 == 0 {
+			step()
+		}
+	}
+
+	for i := 0; i < 256; i++ {
+		schedule()
+		fanout()
+	}
+	s.Run()
+
+	if done < ops {
+		t.Fatalf("only %d of %d ops performed; op mix starved", done, ops)
+	}
+	for _, c := range []struct {
+		n    int
+		name string
+	}{
+		{intoCurrent, "into the draining bucket"}, {intoLater, "into a later bucket"},
+		{spanning, "spanning near buckets"}, {straddling, "straddling the near horizon"},
+		{tied, "with tied member timestamps"},
+	} {
+		if c.n < 100 {
+			t.Errorf("only %d fan-outs %s; the mix no longer covers it", c.n, c.name)
+		}
+	}
+	var want []int
+	for e := ref.popLive(); e != nil; e = ref.popLive() {
+		want = append(want, e.id)
+	}
+	if len(popped) != len(want) {
+		t.Fatalf("ladder executed %d events, reference %d", len(popped), len(want))
+	}
+	for i := range want {
+		if popped[i] != want[i] {
+			t.Fatalf("pop order diverges at %d: ladder ran id %d, reference id %d", i, popped[i], want[i])
+		}
+	}
+	if got := s.Executed(); got != uint64(len(want)) {
+		t.Fatalf("Executed=%d, reference ran %d", got, len(want))
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("Pending=%d after drain", s.Pending())
+	}
+}
+
 // TestLadderGrainAdaptation sanity-checks that extreme workloads do not
 // wedge the width adaptation: a microsecond-scale storm followed by a
 // sparse minutes-scale timer phase must both drain in order.

@@ -122,8 +122,8 @@ var scheduleArgFuncs = map[string]struct {
 }{
 	"ScheduleCall":       {1, 2, false},
 	"ScheduleCallU":      {1, 2, false},
-	"ScheduleCallSeq":    {2, 3, false},
 	"ScheduleCallSeqU":   {2, 3, false},
+	"ScheduleFanout":     {1, 2, false},
 	"AfterCall":          {1, 2, false},
 	"AfterCallU":         {1, 2, false},
 	"ScheduleLaneDirect": {2, 3, true},

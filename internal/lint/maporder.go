@@ -56,7 +56,7 @@ var MapOrder = &Analyzer{
 // simulation's total order: DES scheduling and packet transmission.
 var scheduleSinks = map[string]bool{
 	"Schedule": true, "ScheduleCall": true, "ScheduleCallU": true,
-	"ScheduleCallSeq": true, "ScheduleCallSeqU": true,
+	"ScheduleCallSeqU": true, "ScheduleFanout": true,
 	"After": true, "AfterCall": true, "AfterCallU": true, "Every": true,
 	"Broadcast": true, "Unicast": true, "Send": true, "SendLogical": true,
 }

@@ -17,6 +17,8 @@ func (s *sim) Schedule(at float64, fn func())      {}
 func (s *sim) ScheduleCall(at float64, arg any)    {}
 func (s *sim) Broadcast(from int, size int) int    { return 0 }
 func (s *sim) Unicast(from, to int, size int) bool { return true }
+func (s *sim) ScheduleFanout(at []float64, fn func(any, uint64), arg any, u []uint64) {
+}
 
 // transmitInMapOrder is the PR 3 bug shape: each send draws from the
 // sender's loss stream, so map order becomes observable.
@@ -30,6 +32,14 @@ func transmitInMapOrder(s *sim, members map[int]bool) {
 func scheduleInMapOrder(s *sim, deadlines map[int]float64) {
 	for id, at := range deadlines { // want "calls Schedule"
 		s.Schedule(at, func() { _ = id })
+	}
+}
+
+// fanoutInMapOrder schedules one fan-out per map entry: each batch draws
+// its block of sequence numbers in map order.
+func fanoutInMapOrder(s *sim, groups map[int][]float64) {
+	for g, at := range groups { // want "calls ScheduleFanout"
+		s.ScheduleFanout(at, nil, g, make([]uint64, len(at)))
 	}
 }
 

@@ -35,12 +35,13 @@
 //     loading *Node structs, and per-node positions at the current
 //     instant are memoized, so a broadcast storm touching the same
 //     nodes at one timestamp advances each mobility model once.
-//   - A Broadcast schedules one pooled multi-receiver transmission
-//     event instead of one scheduler entry per neighbor; it expands at
-//     the batch's earliest delivery key with the reserved sequence
-//     numbers, so the pending-event set scales with transmissions, not
-//     transmissions x degree, while timestamps and tie-break order stay
-//     bit-identical to per-neighbor scheduling.
+//   - A Broadcast schedules its receivers as one des fan-out: one
+//     queue entry and one event record until the kernel's bucket
+//     holding it becomes current, where the receivers are sorted with
+//     the rest of the bucket. The pending-event set outside the current
+//     bucket scales with transmissions, not transmissions x degree,
+//     while timestamps and tie-break order stay bit-identical to
+//     per-neighbor scheduling.
 //   - Traffic accounting interns the packet kind: one map lookup per
 //     transmission into a counter struct (tx, bytes, sender bitset)
 //     behind a one-entry cache riding same-kind bursts. The Mux keeps
@@ -360,9 +361,11 @@ type Network struct {
 	deliverFn     func(any, uint64)
 	deliverLaneFn func(any, uint64)
 
-	// freeTx pools broadcast transmission records (broadcasts only run
-	// from serial context, so one shared pool suffices).
-	freeTx []*transmission
+	// fanAt and fanU are Broadcast's scratch for the receivers'
+	// delivery instants and packed (from, to) words; the kernel copies
+	// them into the fan-out it schedules.
+	fanAt []des.Time
+	fanU  []uint64
 
 	// Sharding state (nil/empty unless EnableSharding was called).
 	// shardOf maps each node to its spatial stripe; aux holds the lane
@@ -1109,58 +1112,6 @@ func (w *Network) scheduleDelivery(now des.Time, delay des.Duration, from, to No
 	w.sim.AfterCallU(delay, w.deliverFn, pkt, packHop(from, to))
 }
 
-// transmission is one pooled multi-receiver broadcast in flight: the
-// receiver set and each receiver's exact delivery time, captured at
-// send time into reusable parallel slices (struct-of-arrays scratch),
-// plus the block of schedule sequence numbers reserved for them. A
-// Broadcast schedules a single transmission event instead of one
-// scheduler entry per neighbor; the pending-event set then scales with
-// transmissions, not with transmissions x degree.
-type transmission struct {
-	w    *Network
-	from NodeID
-	pkt  *Packet
-	ids  []NodeID   // receivers in neighbor order
-	at   []des.Time // per-receiver delivery instant, parallel to ids
-	seq  uint64     // first sequence number of the reserved block
-	min  int        // receiver holding the batch's minimal (at, seq) key
-}
-
-// runTransmission dispatches a multi-receiver transmission. It executes
-// at the batch's earliest (time, sequence) key: the remaining receivers
-// are materialized as ordinary delivery events at their original keys
-// (mostly landing in the scheduler's imminent bucket — per-receiver
-// delivery times differ only by propagation, microseconds against
-// millisecond buckets), and the earliest receiver's delivery runs
-// inline. Event-for-event, timestamps, sequence numbers, and the
-// executed-event count are identical to scheduling every delivery at
-// send time.
-func runTransmission(a any) {
-	t := a.(*transmission)
-	w, from, pkt, min := t.w, t.from, t.pkt, t.min
-	for i, to := range t.ids {
-		if i == min {
-			continue
-		}
-		w.sim.ScheduleCallSeqU(t.at[i], t.seq+uint64(i), w.deliverFn, pkt, packHop(from, to))
-	}
-	inlineTo := t.ids[min]
-	t.pkt = nil
-	t.ids = t.ids[:0]
-	t.at = t.at[:0]
-	w.freeTx = append(w.freeTx, t) // recycle before the handler runs
-	w.deliverLS(&w.laneState, from, inlineTo, pkt)
-}
-
-func (w *Network) allocTransmission() *transmission {
-	if n := len(w.freeTx); n > 0 {
-		t := w.freeTx[n-1]
-		w.freeTx = w.freeTx[:n-1]
-		return t
-	}
-	return &transmission{}
-}
-
 // Unicast transmits pkt from one node to a one-hop neighbor. It reports
 // whether the transmission was attempted (sender up, receiver up, in
 // range); a true return still allows in-flight loss per the radio model.
@@ -1204,19 +1155,18 @@ func (w *Network) unicastLS(ls *laneState, now des.Time, from, to NodeID, pkt *P
 // draws loss independently. It returns the number of neighbors the
 // packet was put on air to.
 //
-// The receivers that survive the loss draw are batched into one pooled
-// transmission event rather than one scheduler entry each; the batch
-// reserves the same sequence numbers immediate scheduling would have
-// consumed and expands at its earliest delivery key (runTransmission),
-// so delivery timestamps, tie-break order, and the executed-event count
-// are bit-identical to the unbatched path.
+// The receivers that survive the loss draw are scheduled as one
+// des fan-out (Simulator.ScheduleFanout): one queue entry and one event
+// record until the batch reaches the kernel's imminent tier, with the
+// sequence numbers per-receiver scheduling would have taken, so
+// delivery timestamps, tie-break order, and the executed-event count
+// are those of one ScheduleCallU per receiver.
 func (w *Network) Broadcast(from NodeID, pkt *Packet) int {
 	if w.eng != nil && w.eng.InParallel() {
-		// A broadcast reserves a seq block and schedules a global
-		// transmission event — both serial-only operations. Confined
-		// (lane-executable) traffic is unicast relay forwarding;
-		// protocols broadcast from timer and consume events, which are
-		// global and run serially.
+		// A broadcast draws sequence numbers and schedules on the global
+		// lane — both serial-only operations. Confined (lane-executable)
+		// traffic is unicast relay forwarding; protocols broadcast from
+		// timer and consume events, which are global and run serially.
 		panic("network: Broadcast from a parallel window")
 	}
 	src := w.Node(from)
@@ -1233,48 +1183,21 @@ func (w *Network) Broadcast(from NodeID, pkt *Packet) int {
 	nbrs, poss := w.nbrMemoIDs, w.nbrMemoPos
 	w.account(&w.laneState, src, pkt)
 	sp := w.truePos(src)
-	t := w.allocTransmission()
+	at, u := w.fanAt[:0], w.fanU[:0]
 	for i, to := range nbrs {
 		if src.Radio.Lost(&src.rng) {
 			w.lost++
 			continue
 		}
 		d2 := sp.Dist2(poss[i])
-		t.ids = append(t.ids, to)
-		t.at = append(t.at, now+des.Duration(src.pre.HopDelay2(pkt.Size, d2)))
+		at = append(at, now+des.Duration(src.pre.HopDelay2(pkt.Size, d2)))
+		u = append(u, packHop(from, to))
 	}
-	n := len(t.ids)
-	if n <= 1 {
-		if n == 1 {
-			// Schedule the lone delivery at its absolute time with the
-			// one sequence number the unbatched path would have used —
-			// a relative re-derivation (at-now) can land 1 ulp off.
-			if pkt.pooled {
-				pkt.refs++
-			}
-			w.sim.ScheduleCallSeqU(t.at[0], w.sim.ReserveSeqs(1), w.deliverFn, pkt, packHop(from, t.ids[0]))
-			t.ids = t.ids[:0]
-			t.at = t.at[:0]
-		}
-		w.freeTx = append(w.freeTx, t)
-		return len(nbrs)
-	}
-	t.w, t.from, t.pkt = w, from, pkt
+	w.fanAt, w.fanU = at, u
 	if pkt.pooled {
-		pkt.refs += int32(n) // one reference per eventual delivery
+		pkt.refs += int32(len(at)) // one reference per eventual delivery
 	}
-	t.seq = w.sim.ReserveSeqs(n)
-	// The dispatch key is the earliest (time, sequence) of the batch:
-	// the first index attaining the minimal time (reserved sequence
-	// numbers increase with the index).
-	min := 0
-	for i := 1; i < n; i++ {
-		if t.at[i] < t.at[min] {
-			min = i
-		}
-	}
-	t.min = min
-	w.sim.ScheduleCallSeq(t.at[min], t.seq+uint64(min), runTransmission, t)
+	w.sim.ScheduleFanout(at, w.deliverFn, pkt, u)
 	return len(nbrs)
 }
 
