@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+
 	"strings"
 	"testing"
 )
@@ -72,6 +73,80 @@ func TestDocsPromisedFilesExist(t *testing.T) {
 	} {
 		if _, err := os.Stat(name); err != nil {
 			t.Errorf("%s is referenced by the docs but missing: %v", name, err)
+		}
+	}
+}
+
+// internalPkg matches a package path under internal/ in the docs.
+var internalPkg = regexp.MustCompile("internal/[a-z]+")
+
+// TestLayerMapNamesEveryPackage holds DESIGN.md's layer map ("Every
+// package under internal/ is one layer") and hvdb.go's architecture list
+// to the tree: each top-level internal/ directory with non-test Go code
+// has a row in both, and neither names a package that is not there.
+func TestLayerMapNamesEveryPackage(t *testing.T) {
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, d := range dirs {
+		files, _ := filepath.Glob(filepath.Join("internal", d.Name(), "*.go"))
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") {
+				want = append(want, "internal/"+d.Name())
+				break
+			}
+		}
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	layerMap := string(design)
+	if i := strings.Index(layerMap, "\n## Layer map"); i >= 0 {
+		layerMap = layerMap[i+1:]
+	}
+	if i := strings.Index(layerMap[1:], "\n## "); i >= 0 {
+		layerMap = layerMap[:i+1]
+	}
+	var mapped []string
+	for _, line := range strings.Split(layerMap, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			mapped = append(mapped, internalPkg.FindAllString(cells[1], -1)...)
+		}
+	}
+
+	facade, err := os.ReadFile("hvdb.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, line := range strings.Split(string(facade), "\n") {
+		if rest, ok := strings.CutPrefix(line, "//\tinternal/"); ok {
+			listed = append(listed, "internal/"+strings.Fields(rest)[0])
+		}
+	}
+
+	for _, doc := range []struct {
+		name  string
+		names []string
+	}{{"DESIGN.md's layer map", mapped}, {"hvdb.go's package list", listed}} {
+		named := map[string]bool{}
+		for _, p := range doc.names {
+			named[p] = true
+		}
+		for _, p := range want {
+			if !named[p] {
+				t.Errorf("%s has no row for %s", doc.name, p)
+			}
+			delete(named, p)
+		}
+		for _, p := range doc.names {
+			if named[p] {
+				t.Errorf("%s names %s, which holds no Go package", doc.name, p)
+			}
 		}
 	}
 }

@@ -56,9 +56,10 @@
 //	internal/gps        positioning service (oracle + noisy)
 //	internal/vcgrid     virtual circles (paper §3, Fig. 2 geometry)
 //	internal/cluster    mobility-prediction clustering ([23]; paper §3)
-//	internal/hypercube  labels, e-cube routing, disjoint paths, trees
+//	internal/graph      incomplete dense graphs (routes, trees, connectivity) and sparse BFS trees
+//	internal/hypercube  labels, e-cube paths, disjoint paths; the cube's graph shape
 //	internal/logicalid  CHID/HNID/HID/MNID identifier algebra (§4.1)
-//	internal/meshtier   incomplete 2-D mesh tier (§3)
+//	internal/meshtier   incomplete 2-D mesh tier (§3); the mesh's graph shape
 //	internal/georoute   greedy + perimeter location-based unicast ([11])
 //	internal/route      version-keyed multicast-tree memos
 //	internal/core       the HVDB backbone + Figure 4 route maintenance

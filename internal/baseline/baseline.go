@@ -30,6 +30,7 @@ package baseline
 
 import (
 	"repro/internal/des"
+	"repro/internal/graph"
 	"repro/internal/network"
 )
 
@@ -175,49 +176,12 @@ func (d *deliveryLog) record(fl *flight, member network.NodeID, uid uint64, born
 	}
 }
 
-// unitDiscBFS computes a BFS tree over the current unit-disc graph from
-// root, as parent pointers, visiting only live nodes. It is the
-// snapshot-topology computation DSM performs at each sender and the CBT
-// core uses for its shared tree.
-func unitDiscBFS(net *network.Network, root network.NodeID) map[network.NodeID]network.NodeID {
-	parent := map[network.NodeID]network.NodeID{root: root}
-	frontier := []network.NodeID{root}
-	var nbrs []network.NodeID
-	for len(frontier) > 0 {
-		var next []network.NodeID
-		for _, u := range frontier {
-			nbrs = net.NeighborsAppend(u, nbrs[:0])
-			for _, v := range nbrs {
-				if _, ok := parent[v]; ok {
-					continue
-				}
-				parent[v] = u
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	return parent
-}
-
-// prunedTree reduces a BFS parent map to the subtree spanning root and
-// the given destinations: child -> parent, root maps to itself.
-func prunedTree(parent map[network.NodeID]network.NodeID, root network.NodeID, dests []network.NodeID) map[network.NodeID]network.NodeID {
-	tree := map[network.NodeID]network.NodeID{root: root}
-	for _, d := range dests {
-		if _, ok := parent[d]; !ok {
-			continue // unreachable in the snapshot
-		}
-		for cur := d; ; {
-			if _, ok := tree[cur]; ok {
-				break
-			}
-			p := parent[cur]
-			tree[cur] = p
-			cur = p
-		}
-	}
-	return tree
+// snapshotTree is the snapshot-topology tree DSM computes at each sender
+// and the CBT core builds as its shared tree: the BFS tree of the current
+// unit-disc graph from root, over live nodes, pruned to the subtree
+// spanning root and dests (child -> parent, root maps to itself).
+func snapshotTree(net *network.Network, root network.NodeID, dests []network.NodeID) map[network.NodeID]network.NodeID {
+	return graph.Prune(graph.BFSTree(root, net.NeighborsAppend), root, dests)
 }
 
 // childrenOf inverts a parent map at one node. Children come back in ID

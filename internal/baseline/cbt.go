@@ -179,7 +179,7 @@ func (c *CBT) atCore(n *network.Node, inner *network.Packet) {
 	// The snapshot memo reproduces CBT's staleness window on the shared
 	// core tree.
 	tree := c.trees.Get(now, c.SnapshotTTL, g, func() map[network.NodeID]network.NodeID {
-		return prunedTree(unitDiscBFS(c.net, c.Core), c.Core, c.ms.members(c.net, g))
+		return snapshotTree(c.net, c.Core, c.ms.members(c.net, g))
 	})
 	hdr.Tree = tree
 	if c.ms.isMember(c.Core, g) {

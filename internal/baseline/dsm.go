@@ -116,7 +116,7 @@ func (d *DSM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	// reused for SnapshotTTL regardless of mobility, which is the
 	// delivery weakness the comparison measures.
 	tree := d.trees.Get(now, d.SnapshotTTL, treeKey{src: src, g: g}, func() map[network.NodeID]network.NodeID {
-		return prunedTree(unitDiscBFS(d.net, src), src, d.ms.members(d.net, g))
+		return snapshotTree(d.net, src, d.ms.members(d.net, g))
 	})
 	uid := d.net.NextUID()
 	hdr := &dsmHeader{fl: d.open(), Tree: tree, PayloadSize: payloadSize}

@@ -30,6 +30,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/georoute"
+	"repro/internal/graph"
 	"repro/internal/hypercube"
 	"repro/internal/logicalid"
 	"repro/internal/meshtier"
@@ -269,7 +270,7 @@ func (b *Backbone) Mesh() *meshtier.Mesh {
 	for h := 0; h < b.scheme.NumHypercubes(); h++ {
 		for _, vc := range b.scheme.BlockVCs(logicalid.HID(h)) {
 			if b.cm.CHOf(vc) != network.NoNode {
-				m.Add(h)
+				m.Add(logicalid.HID(h))
 				break
 			}
 		}
@@ -561,20 +562,7 @@ func (b *Backbone) Beacons() uint64 { return b.beacons }
 // BFS, independent of route tables) — what a converged table should
 // know. Used by tests and the Figure 4 experiment.
 func (b *Backbone) LogicalReach(start logicalid.CHID, k int) map[logicalid.CHID]int {
-	dist := map[logicalid.CHID]int{start: 0}
-	frontier := []logicalid.CHID{start}
-	for d := 1; d <= k; d++ {
-		var next []logicalid.CHID
-		for _, u := range frontier {
-			for _, v := range b.LogicalNeighbors(u) {
-				if _, ok := dist[v]; !ok {
-					dist[v] = d
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	delete(dist, start)
-	return dist
+	return graph.Reach(start, k, func(u logicalid.CHID, buf []logicalid.CHID) []logicalid.CHID {
+		return append(buf, b.LogicalNeighbors(u)...)
+	})
 }

@@ -1,10 +1,11 @@
-// Package hypercube implements the n-dimensional hypercube machinery the
+// Package hypercube implements the n-dimensional hypercube geometry the
 // HVDB model is built on: labels and Hamming distance, neighbor
-// enumeration, e-cube (dimension-ordered) routing, the node-disjoint
-// parallel-paths construction behind the paper's high-availability claim,
-// and — following Katseff's incomplete hypercubes, which the paper
-// generalizes — routing and multicast over cubes with arbitrary missing
-// nodes.
+// enumeration, e-cube (dimension-ordered) paths, and the node-disjoint
+// parallel-paths construction behind the paper's high-availability
+// claim. Cube is the incomplete hypercube — following Katseff's
+// incomplete hypercubes, which the paper generalizes, any nodes may be
+// missing — as a graph.Graph with bit-flip adjacency and the e-cube
+// path; routing and multicast over it are package graph's.
 //
 // Everything here is pure computation over labels; mapping labels onto
 // geographic Virtual Circles is package logicalid's job.
@@ -13,6 +14,8 @@ package hypercube
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/graph"
 )
 
 // Label is a hypercube node label k1...kn packed into the low n bits of
@@ -48,14 +51,39 @@ func (l Label) Flip(i int) Label { return l ^ (1 << uint(i)) }
 // Bit returns bit i of the label.
 func (l Label) Bit(i int) int { return int(l>>uint(i)) & 1 }
 
-// Cube is a possibly incomplete hypercube: a dimension plus a presence
-// set. The paper: "We generalize the incomplete hypercube by allowing
-// any number of nodes/links to be absent due to many reasons such as
-// mobility, transmission range, and failure of nodes."
+// Cube is a possibly incomplete hypercube: a graph.Graph over the 2^n
+// labels with bit-flip adjacency and the e-cube preferred path. The
+// paper: "We generalize the incomplete hypercube by allowing any number
+// of nodes/links to be absent due to many reasons such as mobility,
+// transmission range, and failure of nodes." Routing, connectivity,
+// diameter and the greedy multicast tree come from graph.Graph: Route
+// takes the e-cube path when it is intact and a shortest detour
+// otherwise, and MulticastTree grows the tree along e-cube paths, which
+// share prefixes.
 type Cube struct {
-	dim     int
-	present []bool // indexed by label
-	count   int
+	graph.Graph[Label, dims]
+}
+
+// dims is the cube's shape: its dimension n.
+type dims int
+
+// Adjacent implements graph.Shape: the n bit-flip neighbours, lowest
+// dimension first.
+func (n dims) Adjacent(l Label, buf []Label) []Label {
+	for i := 0; i < int(n); i++ {
+		buf = append(buf, l.Flip(i))
+	}
+	return buf
+}
+
+// Path implements graph.Shape: the e-cube path.
+func (dims) Path(src, dst Label, buf []Label) []Label {
+	buf = append(buf, src)
+	for cur := src; cur != dst; {
+		cur = ECubeNext(cur, dst)
+		buf = append(buf, cur)
+	}
+	return buf
 }
 
 // New returns an empty (all-absent) cube of the given dimension. It
@@ -64,84 +92,28 @@ func New(dim int) *Cube {
 	if dim < 1 || dim > MaxDim {
 		panic(fmt.Sprintf("hypercube: dimension %d out of range [1,%d]", dim, MaxDim))
 	}
-	return &Cube{dim: dim, present: make([]bool, 1<<uint(dim))}
+	return &Cube{graph.New[Label](1<<uint(dim), dims(dim))}
 }
 
 // Complete returns a cube with all 2^dim nodes present.
 func Complete(dim int) *Cube {
 	c := New(dim)
-	for l := range c.present {
-		c.present[l] = true
+	for l := 0; l < c.Size(); l++ {
+		c.Add(Label(l))
 	}
-	c.count = len(c.present)
 	return c
 }
 
 // Dim returns the cube dimension n.
-func (c *Cube) Dim() int { return c.dim }
-
-// Size returns 2^n, the capacity of the cube.
-func (c *Cube) Size() int { return len(c.present) }
-
-// Count returns the number of present nodes.
-func (c *Cube) Count() int { return c.count }
-
-// Has reports whether the label is present.
-func (c *Cube) Has(l Label) bool {
-	return int(l) < len(c.present) && c.present[l]
-}
-
-// Add marks the label present. Out-of-range labels panic: the label
-// space is fixed by the dimension and a bad label is a mapping bug.
-func (c *Cube) Add(l Label) {
-	if int(l) >= len(c.present) {
-		panic(fmt.Sprintf("hypercube: label %d outside %d-cube", l, c.dim))
-	}
-	if !c.present[l] {
-		c.present[l] = true
-		c.count++
-	}
-}
-
-// Remove marks the label absent.
-func (c *Cube) Remove(l Label) {
-	if int(l) < len(c.present) && c.present[l] {
-		c.present[l] = false
-		c.count--
-	}
-}
+func (c *Cube) Dim() int { return int(c.Shape()) }
 
 // Labels returns all present labels in ascending order.
-func (c *Cube) Labels() []Label {
-	out := make([]Label, 0, c.count)
-	for l, ok := range c.present {
-		if ok {
-			out = append(out, Label(l))
-		}
-	}
-	return out
-}
-
-// Neighbors returns the present hypercube neighbors of l (l itself need
-// not be present, which lets a joining node probe the cube).
-func (c *Cube) Neighbors(l Label) []Label {
-	out := make([]Label, 0, c.dim)
-	for i := 0; i < c.dim; i++ {
-		if nb := l.Flip(i); c.Has(nb) {
-			out = append(out, nb)
-		}
-	}
-	return out
-}
+func (c *Cube) Labels() []Label { return c.Members() }
 
 // AllNeighbors returns every potential neighbor label regardless of
 // presence — the logical link set of the complete cube.
 func AllNeighbors(l Label, dim int) []Label {
-	out := make([]Label, 0, dim)
-	for i := 0; i < dim; i++ {
-		out = append(out, l.Flip(i))
-	}
-	return out
+	return dims(dim).Adjacent(l, make([]Label, 0, dim))
 }
 
 // ECubeNext returns the next hop from cur toward dst under e-cube
@@ -161,90 +133,7 @@ func ECubeNext(cur, dst Label) Label {
 // ECubePath returns the complete e-cube path from src to dst, inclusive
 // of both endpoints.
 func ECubePath(src, dst Label) []Label {
-	path := []Label{src}
-	for cur := src; cur != dst; {
-		cur = ECubeNext(cur, dst)
-		path = append(path, cur)
-	}
-	return path
-}
-
-// Route returns a shortest path from src to dst visiting only present
-// nodes (inclusive of endpoints), or nil if none exists. It first tries
-// pure e-cube (which is shortest and cheap), then falls back to BFS over
-// the incomplete cube.
-func (c *Cube) Route(src, dst Label) []Label {
-	if !c.Has(src) || !c.Has(dst) {
-		return nil
-	}
-	if src == dst {
-		return []Label{src}
-	}
-	// Fast path: e-cube through present nodes only.
-	path := []Label{src}
-	ok := true
-	for cur := src; cur != dst; {
-		cur = ECubeNext(cur, dst)
-		if !c.Has(cur) {
-			ok = false
-			break
-		}
-		path = append(path, cur)
-	}
-	if ok {
-		return path
-	}
-	return c.bfs(src, dst)
-}
-
-func (c *Cube) bfs(src, dst Label) []Label {
-	prev := make([]Label, len(c.present))
-	seen := make([]bool, len(c.present))
-	seen[src] = true
-	frontier := []Label{src}
-	for len(frontier) > 0 {
-		var next []Label
-		for _, u := range frontier {
-			for i := 0; i < c.dim; i++ {
-				v := u.Flip(i)
-				if !c.Has(v) || seen[v] {
-					continue
-				}
-				seen[v] = true
-				prev[v] = u
-				if v == dst {
-					return reconstruct(prev, src, dst)
-				}
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	return nil
-}
-
-func reconstruct(prev []Label, src, dst Label) []Label {
-	var rev []Label
-	for cur := dst; ; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == src {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// Distance returns the length in hops of the shortest present path
-// between src and dst, or -1 if disconnected.
-func (c *Cube) Distance(src, dst Label) int {
-	p := c.Route(src, dst)
-	if p == nil {
-		return -1
-	}
-	return len(p) - 1
+	return dims(0).Path(src, dst, nil) // the e-cube path is the same in every dimension
 }
 
 // DisjointPaths returns up to n node-disjoint paths (sharing only the
@@ -303,7 +192,7 @@ func (c *Cube) AvailablePaths(src, dst Label) int {
 		return 0
 	}
 	n := 0
-	for _, path := range DisjointPaths(src, dst, c.dim) {
+	for _, path := range DisjointPaths(src, dst, c.Dim()) {
 		ok := true
 		for _, l := range path {
 			if !c.Has(l) {
@@ -316,215 +205,4 @@ func (c *Cube) AvailablePaths(src, dst Label) int {
 		}
 	}
 	return n
-}
-
-// Connected reports whether all present nodes form one connected
-// component.
-func (c *Cube) Connected() bool {
-	if c.count == 0 {
-		return true
-	}
-	var start Label
-	for l, ok := range c.present {
-		if ok {
-			start = Label(l)
-			break
-		}
-	}
-	seen := make([]bool, len(c.present))
-	seen[start] = true
-	reached := 1
-	stack := []Label{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for i := 0; i < c.dim; i++ {
-			v := u.Flip(i)
-			if c.Has(v) && !seen[v] {
-				seen[v] = true
-				reached++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return reached == c.count
-}
-
-// Diameter returns the maximum over present pairs of shortest present
-// path length, or -1 if the cube is disconnected or empty. In a complete
-// cube this equals the dimension — the paper's small-diameter property.
-func (c *Cube) Diameter() int {
-	labels := c.Labels()
-	if len(labels) == 0 {
-		return -1
-	}
-	max := 0
-	for _, src := range labels {
-		dist := c.bfsAll(src)
-		for _, l := range labels {
-			d := dist[l]
-			if d < 0 {
-				return -1
-			}
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-func (c *Cube) bfsAll(src Label) []int {
-	dist := make([]int, len(c.present))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	frontier := []Label{src}
-	for len(frontier) > 0 {
-		var next []Label
-		for _, u := range frontier {
-			for i := 0; i < c.dim; i++ {
-				v := u.Flip(i)
-				if c.Has(v) && dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
-}
-
-// MulticastTree computes a multicast tree from root covering every
-// present destination, as parent pointers (tree[l] = parent of l; the
-// root maps to itself). It uses the greedy dimension-partition algorithm
-// standard in hypercube multicast — at each tree node the remaining
-// destinations are partitioned by their e-cube first hop — falling back
-// to BFS shortest paths for destinations whose e-cube branch is blocked
-// by absent nodes. Destinations absent from the cube are skipped and
-// returned in missed.
-func (c *Cube) MulticastTree(root Label, dests []Label) (tree map[Label]Label, missed []Label) {
-	tree = map[Label]Label{root: root}
-	if !c.Has(root) {
-		return tree, append(missed, dests...)
-	}
-	for _, d := range dests {
-		if !c.Has(d) {
-			missed = append(missed, d)
-			continue
-		}
-		if _, ok := tree[d]; ok {
-			continue
-		}
-		// Greedy: walk the e-cube path from the destination backwards to
-		// the nearest node already in the tree; fall back to BFS when a
-		// hop is missing.
-		path := c.pathToTree(root, d, tree)
-		if path == nil {
-			missed = append(missed, d)
-			continue
-		}
-		for i := 1; i < len(path); i++ {
-			if _, ok := tree[path[i]]; !ok {
-				tree[path[i]] = path[i-1]
-			}
-		}
-	}
-	return tree, missed
-}
-
-// pathToTree returns a present path from some node already in tree to d
-// (inclusive), preferring the e-cube path from root.
-func (c *Cube) pathToTree(root, d Label, tree map[Label]Label) []Label {
-	// Try the pure e-cube path root->d; it naturally shares prefixes
-	// with previously added destinations, which is what makes the greedy
-	// tree compact.
-	path := []Label{root}
-	ok := true
-	for cur := root; cur != d; {
-		cur = ECubeNext(cur, d)
-		if !c.Has(cur) {
-			ok = false
-			break
-		}
-		path = append(path, cur)
-	}
-	if ok {
-		// Trim the prefix already in the tree: keep from the last
-		// in-tree node onward.
-		last := 0
-		for i, l := range path {
-			if _, in := tree[l]; in {
-				last = i
-			}
-		}
-		return path[last:]
-	}
-	// Fault fallback: BFS from d to the nearest in-tree node.
-	return c.bfsToSet(d, tree)
-}
-
-func (c *Cube) bfsToSet(d Label, tree map[Label]Label) []Label {
-	prev := make([]Label, len(c.present))
-	seen := make([]bool, len(c.present))
-	seen[d] = true
-	frontier := []Label{d}
-	for len(frontier) > 0 {
-		var next []Label
-		for _, u := range frontier {
-			for i := 0; i < c.dim; i++ {
-				v := u.Flip(i)
-				if !c.Has(v) || seen[v] {
-					continue
-				}
-				seen[v] = true
-				prev[v] = u
-				if _, in := tree[v]; in {
-					// Walk back v -> ... -> d; the path we return runs
-					// tree-node-first.
-					path := []Label{v}
-					for cur := v; cur != d; {
-						cur = prev[cur]
-						path = append(path, cur)
-					}
-					// prev points toward d already; path built v..d via
-					// prev links is correct order.
-					return path
-				}
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	return nil
-}
-
-// TreeEdges converts a parent-pointer tree to a child adjacency list,
-// for traversal during packet forwarding.
-func TreeEdges(tree map[Label]Label) map[Label][]Label {
-	out := make(map[Label][]Label, len(tree))
-	for child, parent := range tree {
-		if child != parent {
-			out[parent] = append(out[parent], child)
-		}
-	}
-	return out
-}
-
-// SubcubePartition splits the k+1-dimensional cube's label space into
-// its two k-dimensional subcubes along the given dimension, returning
-// the present labels with bit d = 0 and bit d = 1 respectively. This is
-// the symmetry property the paper highlights ("any (k+1)-dimensional
-// subcube ... consists of two k-dimensional subcubes").
-func (c *Cube) SubcubePartition(d int) (zero, one []Label) {
-	for _, l := range c.Labels() {
-		if l.Bit(d) == 0 {
-			zero = append(zero, l)
-		} else {
-			one = append(one, l)
-		}
-	}
-	return zero, one
 }

@@ -1,6 +1,8 @@
 package hypercube
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -398,38 +400,9 @@ func TestMulticastTreeMissedDests(t *testing.T) {
 	}
 }
 
-func TestTreeEdges(t *testing.T) {
-	tree := map[Label]Label{0: 0, 1: 0, 3: 1, 2: 0}
-	edges := TreeEdges(tree)
-	if len(edges[0]) != 2 {
-		t.Fatalf("root children %v", edges[0])
-	}
-	if len(edges[1]) != 1 || edges[1][0] != 3 {
-		t.Fatalf("node 1 children %v", edges[1])
-	}
-}
-
-func TestSubcubePartition(t *testing.T) {
-	c := Complete(3)
-	zero, one := c.SubcubePartition(2)
-	if len(zero) != 4 || len(one) != 4 {
-		t.Fatalf("partition sizes %d %d", len(zero), len(one))
-	}
-	for _, l := range zero {
-		if l.Bit(2) != 0 {
-			t.Fatalf("label %v in zero half", l)
-		}
-	}
-	for _, l := range one {
-		if l.Bit(2) != 1 {
-			t.Fatalf("label %v in one half", l)
-		}
-	}
-}
-
 // Property: in random incomplete cubes, Route returns a valid present
-// path whenever the endpoints are connected, and its length equals BFS
-// distance (shortest).
+// path whenever the endpoints are connected, and its length equals the
+// BFS distance hopDistance computes independently (shortest).
 func TestRouteShortestProperty(t *testing.T) {
 	rng := xrand.New(3)
 	for trial := 0; trial < 300; trial++ {
@@ -446,23 +419,108 @@ func TestRouteShortestProperty(t *testing.T) {
 		src := labels[rng.Intn(len(labels))]
 		dst := labels[rng.Intn(len(labels))]
 		p := c.Route(src, dst)
-		want := c.bfs(src, dst)
+		want := hopDistance(c, src, dst)
 		if src == dst {
 			continue
 		}
-		if (p == nil) != (want == nil) {
+		if (p == nil) != (want < 0) {
 			t.Fatalf("route/bfs disagree on reachability %v->%v", src, dst)
 		}
 		if p == nil {
 			continue
 		}
-		if len(p) != len(want) {
-			t.Fatalf("route len %d but bfs len %d", len(p), len(want))
+		if len(p)-1 != want {
+			t.Fatalf("route len %d but bfs distance %d", len(p), want)
 		}
 		for i := 1; i < len(p); i++ {
 			if Hamming(p[i-1], p[i]) != 1 || !c.Has(p[i]) {
 				t.Fatalf("invalid route %v", p)
 			}
 		}
+	}
+}
+
+// hopDistance is the reference for TestRouteShortestProperty: the hop
+// count of a shortest src->dst path through c's present labels, by a
+// breadth-first search of its own, or -1 if there is none.
+func hopDistance(c *Cube, src, dst Label) int {
+	dist := map[Label]int{src: 0}
+	for queue := []Label{src}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		if u == dst {
+			return dist[u]
+		}
+		for i := 0; i < c.Dim(); i++ {
+			if v := u.Flip(i); c.Has(v) {
+				if _, ok := dist[v]; !ok {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// TestTreeShapesPinned holds Route, MulticastTree, Connected and Diameter
+// to the outputs recorded on c0d7d44, before the tier's algorithms moved
+// into package graph, over a seeded family of incomplete cubes of
+// dimension 2..6. A tie-break change (neighbour order, BFS fallback,
+// prefix trimming) fails here rather than only as a simulated-outcome
+// digest mismatch.
+func TestTreeShapesPinned(t *testing.T) {
+	const want uint64 = 0x97822f315a2ff21e
+	rng := xrand.New(33)
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	for dim := 2; dim <= 6; dim++ {
+		for trial := 0; trial < 8; trial++ {
+			c := Complete(dim)
+			fault := []float64{0, 0.1, 0.25, 0.45}[trial%4]
+			for l := 0; l < c.Size(); l++ {
+				if rng.Bool(fault) {
+					c.Remove(Label(l))
+				}
+			}
+			for src := 0; src < c.Size(); src++ {
+				for dst := 0; dst < c.Size(); dst++ {
+					p := c.Route(Label(src), Label(dst))
+					put(len(p))
+					for _, l := range p {
+						put(int(l))
+					}
+				}
+			}
+			if c.Connected() {
+				put(1)
+			}
+			put(c.Diameter())
+			for r := 0; r < 6; r++ {
+				root := Label(rng.Intn(c.Size()))
+				dests := make([]Label, rng.Intn(c.Size()))
+				for i := range dests {
+					dests[i] = Label(rng.Intn(c.Size()))
+				}
+				tree, missed := c.MulticastTree(root, dests)
+				for l := 0; l < c.Size(); l++ {
+					if p, ok := tree[Label(l)]; ok {
+						put(l)
+						put(int(p))
+					}
+				}
+				put(-1)
+				for _, l := range missed {
+					put(int(l))
+				}
+				put(-2)
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("tree/route shapes hash %#x, want %#x", got, want)
 	}
 }

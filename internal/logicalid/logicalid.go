@@ -211,27 +211,6 @@ func (s *Scheme) MeshCoord(h HID) (mx, my int) {
 	return int(h) % s.meshCols, int(h) / s.meshCols
 }
 
-// HIDAt returns the hypercube at the given mesh coordinates, or -1 if
-// outside the mesh.
-func (s *Scheme) HIDAt(mx, my int) HID {
-	if mx < 0 || mx >= s.meshCols || my < 0 || my >= s.meshRows {
-		return -1
-	}
-	return HID(my*s.meshCols + mx)
-}
-
-// MeshNeighbors returns the 4-neighborhood of h at the mesh tier.
-func (s *Scheme) MeshNeighbors(h HID) []HID {
-	mx, my := s.MeshCoord(h)
-	out := make([]HID, 0, 4)
-	for _, c := range [4][2]int{{mx - 1, my}, {mx + 1, my}, {mx, my - 1}, {mx, my + 1}} {
-		if n := s.HIDAt(c[0], c[1]); n >= 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // IsBorder reports whether a VC borders another hypercube block — its
 // CH would be a Border Cluster Head (BCH). All other CHs are Inner
 // Cluster Heads (ICHs).

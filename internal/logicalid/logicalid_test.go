@@ -154,18 +154,12 @@ func TestPlaceAt(t *testing.T) {
 	}
 }
 
-func TestMeshCoordAndNeighbors(t *testing.T) {
+func TestMeshCoord(t *testing.T) {
 	s := scheme8x8(t)
-	mx, my := s.MeshCoord(3)
-	if mx != 1 || my != 1 {
-		t.Fatalf("MeshCoord(3) = %d,%d", mx, my)
-	}
-	if s.HIDAt(0, 1) != 2 || s.HIDAt(2, 0) != -1 || s.HIDAt(-1, 0) != -1 {
-		t.Fatal("HIDAt wrong")
-	}
-	n := s.MeshNeighbors(0)
-	if len(n) != 2 {
-		t.Fatalf("mesh corner neighbors %v", n)
+	for h, want := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}} {
+		if mx, my := s.MeshCoord(HID(h)); mx != want[0] || my != want[1] {
+			t.Fatalf("MeshCoord(%d) = %d,%d want %v", h, mx, my, want)
+		}
 	}
 }
 

@@ -1,26 +1,74 @@
 // Package meshtier implements the mesh tier of the HVDB model: "a
 // logical 2-dimensional mesh network by viewing each k-dimensional
 // hypercube as one mesh node ... possibly an incomplete mesh" (§3).
-// Mesh node IDs are the HIDs of package logicalid (row-major ints).
+// Mesh node IDs are the HIDs of package logicalid (row-major).
 //
-// Routing is dimension-ordered (XY) when the path is intact, with BFS
-// fallback through present nodes otherwise — the same structure as the
-// hypercube tier, at mesh geometry.
+// Mesh is the incomplete mesh as a graph.Graph with 4-neighbour adjacency
+// and the dimension-ordered (XY) preferred path; routing and multicast
+// over it are package graph's, shared with the hypercube tier.
 package meshtier
 
 import (
 	"fmt"
+
+	"repro/internal/graph"
+	"repro/internal/logicalid"
 )
 
-// ID is a mesh node identifier: row-major index, identical in value to
-// logicalid.HID (kept as int here so meshtier stays dependency-free).
-type ID = int
+// ID is a mesh node identifier: a hypercube's row-major index.
+type ID = logicalid.HID
 
 // Mesh is a possibly incomplete 2-D mesh.
 type Mesh struct {
-	cols, rows int
-	present    []bool
-	count      int
+	graph.Graph[ID, grid]
+}
+
+// grid is the mesh's shape: its columns and rows.
+type grid struct{ cols, rows int }
+
+func (s grid) coord(id ID) (x, y int) { return int(id) % s.cols, int(id) / s.cols }
+
+func (s grid) at(x, y int) ID {
+	if x < 0 || x >= s.cols || y < 0 || y >= s.rows {
+		return -1
+	}
+	return ID(y*s.cols + x)
+}
+
+// Adjacent implements graph.Shape: the 4-neighbours inside the mesh, in
+// the order W, E, S, N.
+func (s grid) Adjacent(id ID, buf []ID) []ID {
+	x, y := s.coord(id)
+	for _, c := range [4][2]int{{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}} {
+		if n := s.at(c[0], c[1]); n >= 0 {
+			buf = append(buf, n)
+		}
+	}
+	return buf
+}
+
+// Path implements graph.Shape: the XY path, x first, then y.
+func (s grid) Path(src, dst ID, buf []ID) []ID {
+	sx, sy := s.coord(src)
+	dx, dy := s.coord(dst)
+	buf = append(buf, src)
+	for x := sx; x != dx; {
+		if x < dx {
+			x++
+		} else {
+			x--
+		}
+		buf = append(buf, s.at(x, sy))
+	}
+	for y := sy; y != dy; {
+		if y < dy {
+			y++
+		} else {
+			y--
+		}
+		buf = append(buf, s.at(dx, y))
+	}
+	return buf
 }
 
 // New returns an all-absent mesh of the given shape. It panics on
@@ -29,301 +77,30 @@ func New(cols, rows int) *Mesh {
 	if cols <= 0 || rows <= 0 {
 		panic(fmt.Sprintf("meshtier: invalid shape %dx%d", cols, rows))
 	}
-	return &Mesh{cols: cols, rows: rows, present: make([]bool, cols*rows)}
+	return &Mesh{graph.New[ID](cols*rows, grid{cols, rows})}
 }
 
 // Complete returns a mesh with every node present.
 func Complete(cols, rows int) *Mesh {
 	m := New(cols, rows)
-	for i := range m.present {
-		m.present[i] = true
+	for id := 0; id < m.Size(); id++ {
+		m.Add(ID(id))
 	}
-	m.count = len(m.present)
 	return m
 }
 
 // Cols returns the number of columns.
-func (m *Mesh) Cols() int { return m.cols }
+func (m *Mesh) Cols() int { return m.Shape().cols }
 
 // Rows returns the number of rows.
-func (m *Mesh) Rows() int { return m.rows }
-
-// Size returns cols*rows.
-func (m *Mesh) Size() int { return len(m.present) }
-
-// Count returns the number of present nodes.
-func (m *Mesh) Count() int { return m.count }
+func (m *Mesh) Rows() int { return m.Shape().rows }
 
 // Coord returns the (x, y) of an ID.
-func (m *Mesh) Coord(id ID) (x, y int) { return id % m.cols, id / m.cols }
+func (m *Mesh) Coord(id ID) (x, y int) { return m.Shape().coord(id) }
 
 // At returns the ID at (x, y), or -1 outside the mesh.
-func (m *Mesh) At(x, y int) ID {
-	if x < 0 || x >= m.cols || y < 0 || y >= m.rows {
-		return -1
-	}
-	return y*m.cols + x
-}
-
-// Has reports whether id is present.
-func (m *Mesh) Has(id ID) bool {
-	return id >= 0 && id < len(m.present) && m.present[id]
-}
-
-// Add marks id present; out-of-range IDs panic.
-func (m *Mesh) Add(id ID) {
-	if id < 0 || id >= len(m.present) {
-		panic(fmt.Sprintf("meshtier: id %d outside %dx%d mesh", id, m.cols, m.rows))
-	}
-	if !m.present[id] {
-		m.present[id] = true
-		m.count++
-	}
-}
-
-// Remove marks id absent.
-func (m *Mesh) Remove(id ID) {
-	if id >= 0 && id < len(m.present) && m.present[id] {
-		m.present[id] = false
-		m.count--
-	}
-}
-
-// Present returns all present IDs in ascending order.
-func (m *Mesh) Present() []ID {
-	out := make([]ID, 0, m.count)
-	for id, ok := range m.present {
-		if ok {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Neighbors returns the present 4-neighbors of id.
-func (m *Mesh) Neighbors(id ID) []ID {
-	x, y := m.Coord(id)
-	out := make([]ID, 0, 4)
-	for _, c := range [4][2]int{{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}} {
-		if n := m.At(c[0], c[1]); n >= 0 && m.present[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+func (m *Mesh) At(x, y int) ID { return m.Shape().at(x, y) }
 
 // XYPath returns the dimension-ordered path from src to dst (x first,
 // then y), ignoring presence — the complete-mesh baseline route.
-func (m *Mesh) XYPath(src, dst ID) []ID {
-	sx, sy := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	path := []ID{src}
-	for x := sx; x != dx; {
-		if x < dx {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, m.At(x, sy))
-	}
-	for y := sy; y != dy; {
-		if y < dy {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, m.At(dx, y))
-	}
-	return path
-}
-
-// Route returns a shortest path from src to dst through present nodes
-// (inclusive), or nil if disconnected. XY routing is tried first; BFS
-// covers the faulted case.
-func (m *Mesh) Route(src, dst ID) []ID {
-	if !m.Has(src) || !m.Has(dst) {
-		return nil
-	}
-	if src == dst {
-		return []ID{src}
-	}
-	xy := m.XYPath(src, dst)
-	ok := true
-	for _, id := range xy {
-		if !m.present[id] {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		return xy
-	}
-	return m.bfs(src, dst)
-}
-
-func (m *Mesh) bfs(src, dst ID) []ID {
-	prev := make([]ID, len(m.present))
-	seen := make([]bool, len(m.present))
-	seen[src] = true
-	frontier := []ID{src}
-	for len(frontier) > 0 {
-		var next []ID
-		for _, u := range frontier {
-			for _, v := range m.Neighbors(u) {
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-				prev[v] = u
-				if v == dst {
-					var rev []ID
-					for cur := dst; ; cur = prev[cur] {
-						rev = append(rev, cur)
-						if cur == src {
-							break
-						}
-					}
-					for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-						rev[i], rev[j] = rev[j], rev[i]
-					}
-					return rev
-				}
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	return nil
-}
-
-// Distance returns the hop length of Route, or -1 if disconnected.
-func (m *Mesh) Distance(src, dst ID) int {
-	p := m.Route(src, dst)
-	if p == nil {
-		return -1
-	}
-	return len(p) - 1
-}
-
-// Connected reports whether the present nodes form one component.
-func (m *Mesh) Connected() bool {
-	if m.count == 0 {
-		return true
-	}
-	start := -1
-	for id, ok := range m.present {
-		if ok {
-			start = id
-			break
-		}
-	}
-	seen := make([]bool, len(m.present))
-	seen[start] = true
-	reached := 1
-	stack := []ID{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range m.Neighbors(u) {
-			if !seen[v] {
-				seen[v] = true
-				reached++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return reached == m.count
-}
-
-// MulticastTree computes a multicast tree from root over the present
-// mesh covering dests, as parent pointers (root maps to itself). This is
-// the mesh-tier tree of the paper's Figure 6 step 2, built greedily from
-// XY paths (which share prefixes) with BFS fallback around absent mesh
-// nodes. Unreachable or absent destinations are returned in missed.
-func (m *Mesh) MulticastTree(root ID, dests []ID) (tree map[ID]ID, missed []ID) {
-	tree = map[ID]ID{root: root}
-	if !m.Has(root) {
-		return tree, append(missed, dests...)
-	}
-	for _, d := range dests {
-		if !m.Has(d) {
-			missed = append(missed, d)
-			continue
-		}
-		if _, ok := tree[d]; ok {
-			continue
-		}
-		path := m.pathToTree(root, d, tree)
-		if path == nil {
-			missed = append(missed, d)
-			continue
-		}
-		for i := 1; i < len(path); i++ {
-			if _, ok := tree[path[i]]; !ok {
-				tree[path[i]] = path[i-1]
-			}
-		}
-	}
-	return tree, missed
-}
-
-func (m *Mesh) pathToTree(root, d ID, tree map[ID]ID) []ID {
-	xy := m.XYPath(root, d)
-	ok := true
-	for _, id := range xy {
-		if !m.present[id] {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		last := 0
-		for i, id := range xy {
-			if _, in := tree[id]; in {
-				last = i
-			}
-		}
-		return xy[last:]
-	}
-	// BFS from d outward to the nearest in-tree node; prev points back
-	// toward d, so walking prev from the found tree node yields a
-	// tree-node-first path.
-	prev := make([]ID, len(m.present))
-	seen := make([]bool, len(m.present))
-	seen[d] = true
-	frontier := []ID{d}
-	for len(frontier) > 0 {
-		var next []ID
-		for _, u := range frontier {
-			for _, v := range m.Neighbors(u) {
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-				prev[v] = u
-				if _, in := tree[v]; in {
-					path := []ID{v}
-					for cur := v; cur != d; {
-						cur = prev[cur]
-						path = append(path, cur)
-					}
-					return path
-				}
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
-	return nil
-}
-
-// TreeEdges converts parent pointers to a child adjacency list.
-func TreeEdges(tree map[ID]ID) map[ID][]ID {
-	out := make(map[ID][]ID, len(tree))
-	for child, parent := range tree {
-		if child != parent {
-			out[parent] = append(out[parent], child)
-		}
-	}
-	return out
-}
+func (m *Mesh) XYPath(src, dst ID) []ID { return m.Shape().Path(src, dst, nil) }

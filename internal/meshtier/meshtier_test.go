@@ -1,6 +1,8 @@
 package meshtier
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/xrand"
@@ -112,9 +114,9 @@ func TestRouteAdjacencyValidity(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		m := Complete(5, 5)
 		for i := 0; i < 8; i++ {
-			m.Remove(rng.Intn(25))
+			m.Remove(ID(rng.Intn(25)))
 		}
-		ids := m.Present()
+		ids := m.Members()
 		if len(ids) < 2 {
 			continue
 		}
@@ -249,26 +251,76 @@ func TestMulticastTreeFaultsAndMissed(t *testing.T) {
 	}
 }
 
-func TestTreeEdges(t *testing.T) {
-	tree := map[ID]ID{0: 0, 1: 0, 2: 1}
-	edges := TreeEdges(tree)
-	if len(edges[0]) != 1 || edges[0][0] != 1 {
-		t.Fatalf("edges %v", edges)
-	}
-	if len(edges[1]) != 1 || edges[1][0] != 2 {
-		t.Fatalf("edges %v", edges)
-	}
-}
-
 func TestDistanceCompleteManhattan(t *testing.T) {
 	m := Complete(6, 6)
 	rng := xrand.New(2)
 	for trial := 0; trial < 100; trial++ {
-		a, b := rng.Intn(36), rng.Intn(36)
+		a, b := ID(rng.Intn(36)), ID(rng.Intn(36))
 		x1, y1 := m.Coord(a)
 		x2, y2 := m.Coord(b)
 		if got := m.Distance(a, b); got != abs(x1-x2)+abs(y1-y2) {
 			t.Fatalf("distance %d->%d = %d want manhattan", a, b, got)
 		}
+	}
+}
+
+// TestTreeShapesPinned holds Route, MulticastTree and Connected to the
+// outputs recorded on c0d7d44, before the tier's algorithms moved into
+// package graph, over a seeded family of incomplete meshes up to 14x14.
+// A tie-break change (neighbour order, BFS fallback, prefix trimming)
+// fails here rather than only as a simulated-outcome digest mismatch.
+func TestTreeShapesPinned(t *testing.T) {
+	const want uint64 = 0x60685a1ca1836a1e
+	rng := xrand.New(33)
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	for _, shape := range [][2]int{{1, 1}, {2, 3}, {4, 4}, {5, 3}, {7, 7}, {9, 12}, {14, 6}, {14, 14}} {
+		for trial := 0; trial < 6; trial++ {
+			m := Complete(shape[0], shape[1])
+			fault := []float64{0, 0.1, 0.25}[trial%3]
+			for id := 0; id < m.Size(); id++ {
+				if rng.Bool(fault) {
+					m.Remove(ID(id))
+				}
+			}
+			for src := 0; src < m.Size(); src++ {
+				for dst := 0; dst < m.Size(); dst++ {
+					p := m.Route(ID(src), ID(dst))
+					put(len(p))
+					for _, id := range p {
+						put(int(id))
+					}
+				}
+			}
+			if m.Connected() {
+				put(1)
+			}
+			for r := 0; r < 6; r++ {
+				root := ID(rng.Intn(m.Size()))
+				dests := make([]ID, rng.Intn(m.Size()))
+				for i := range dests {
+					dests[i] = ID(rng.Intn(m.Size()))
+				}
+				tree, missed := m.MulticastTree(root, dests)
+				for id := 0; id < m.Size(); id++ {
+					if p, ok := tree[ID(id)]; ok {
+						put(id)
+						put(int(p))
+					}
+				}
+				put(-1)
+				for _, id := range missed {
+					put(int(id))
+				}
+				put(-2)
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("tree/route shapes hash %#x, want %#x", got, want)
 	}
 }

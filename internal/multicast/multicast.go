@@ -33,9 +33,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/graph"
 	"repro/internal/logicalid"
 	"repro/internal/membership"
-	"repro/internal/meshtier"
 	"repro/internal/network"
 	"repro/internal/route"
 	"repro/internal/trace"
@@ -309,19 +309,9 @@ func (s *Service) versions() route.Versions {
 // behind first-wins caching. Callers must not modify the result.
 func (s *Service) MeshTreeAt(slot logicalid.CHID, root logicalid.HID, g membership.Group) route.MeshTree {
 	return s.bb.Trees().MeshTree(s.versions(), route.MeshKey{Group: int(g), Root: root, Slot: slot}, func() route.MeshTree {
-		mesh := s.bb.Mesh()
 		// The destination order shapes the greedy tree: use the sorted
 		// slice view of the MT summary, never a map range.
-		hids := s.ms.MTSummaryHIDs(slot, g)
-		dests := make([]meshtier.ID, len(hids))
-		for i, h := range hids {
-			dests[i] = int(h)
-		}
-		raw, _ := mesh.MulticastTree(int(root), dests)
-		tree := make(map[logicalid.HID]logicalid.HID, len(raw))
-		for child, parent := range raw {
-			tree[logicalid.HID(child)] = logicalid.HID(parent)
-		}
+		tree, _ := s.bb.Mesh().MulticastTree(root, s.ms.MTSummaryHIDs(slot, g))
 		return tree
 	})
 }
@@ -426,40 +416,14 @@ func (s *Service) cubeTree(slot logicalid.CHID, hid logicalid.HID, g membership.
 // §4.1), pruned to the paths reaching dests.
 func (s *Service) logicalTreeWithin(hid logicalid.HID, root logicalid.CHID, dests []logicalid.CHID) map[logicalid.CHID]logicalid.CHID {
 	scheme := s.bb.Scheme()
-	parent := map[logicalid.CHID]logicalid.CHID{root: root}
-	frontier := []logicalid.CHID{root}
-	for len(frontier) > 0 {
-		var next []logicalid.CHID
-		for _, u := range frontier {
-			for _, v := range s.bb.LogicalNeighbors(u) {
-				if scheme.CHIDToPlace(v).HID != hid {
-					continue
-				}
-				if _, ok := parent[v]; ok {
-					continue
-				}
-				parent[v] = u
-				next = append(next, v)
+	return graph.Prune(graph.BFSTree(root, func(u logicalid.CHID, buf []logicalid.CHID) []logicalid.CHID {
+		for _, v := range s.bb.LogicalNeighbors(u) {
+			if scheme.CHIDToPlace(v).HID == hid {
+				buf = append(buf, v)
 			}
 		}
-		frontier = next
-	}
-	// Prune to the destination-spanning subtree.
-	tree := map[logicalid.CHID]logicalid.CHID{root: root}
-	for _, d := range dests {
-		if _, ok := parent[d]; !ok {
-			continue // unreachable in the current logical graph
-		}
-		for cur := d; ; {
-			if _, ok := tree[cur]; ok {
-				break
-			}
-			p := parent[cur]
-			tree[cur] = p
-			cur = p
-		}
-	}
-	return tree
+		return buf
+	}), root, dests)
 }
 
 // forwardWithinCube is Figure 6 step 5: push the packet that arrived

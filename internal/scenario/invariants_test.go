@@ -85,7 +85,7 @@ func TestSystemInvariantsAcrossSeeds(t *testing.T) {
 			if cube.Count() != occupied {
 				t.Fatalf("seed %d: cube %d count %d != occupied %d", seed, h, cube.Count(), occupied)
 			}
-			if mesh.Has(h) != (occupied > 0) {
+			if mesh.Has(logicalid.HID(h)) != (occupied > 0) {
 				t.Fatalf("seed %d: mesh presence of %d inconsistent", seed, h)
 			}
 		}
