@@ -61,7 +61,7 @@
 //	internal/logicalid  CHID/HNID/HID/MNID identifier algebra (§4.1)
 //	internal/meshtier   incomplete 2-D mesh tier (§3); the mesh's graph shape
 //	internal/georoute   greedy + perimeter location-based unicast ([11])
-//	internal/route      version-keyed multicast-tree memos
+//	internal/route      the TTL tree memo + the version-keyed mesh-tree memo
 //	internal/core       the HVDB backbone + Figure 4 route maintenance
 //	internal/membership Figure 5 summary-based membership update
 //	internal/multicast  Figure 6 logical location-based multicast

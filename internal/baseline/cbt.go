@@ -178,7 +178,7 @@ func (c *CBT) atCore(n *network.Node, inner *network.Packet) {
 	now := c.net.Sim().Now()
 	// The snapshot memo reproduces CBT's staleness window on the shared
 	// core tree.
-	tree := c.trees.Get(now, c.SnapshotTTL, g, func() map[network.NodeID]network.NodeID {
+	tree, _ := c.trees.Get(now, c.SnapshotTTL, g, func() map[network.NodeID]network.NodeID {
 		return snapshotTree(c.net, c.Core, c.ms.members(c.net, g))
 	})
 	hdr.Tree = tree

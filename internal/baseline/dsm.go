@@ -115,7 +115,7 @@ func (d *DSM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	// The snapshot memo reproduces DSM's staleness window: the tree is
 	// reused for SnapshotTTL regardless of mobility, which is the
 	// delivery weakness the comparison measures.
-	tree := d.trees.Get(now, d.SnapshotTTL, treeKey{src: src, g: g}, func() map[network.NodeID]network.NodeID {
+	tree, _ := d.trees.Get(now, d.SnapshotTTL, treeKey{src: src, g: g}, func() map[network.NodeID]network.NodeID {
 		return snapshotTree(d.net, src, d.ms.members(d.net, g))
 	})
 	uid := d.net.NextUID()

@@ -57,9 +57,9 @@ type Config struct {
 	// CacheTTL is how long computed trees stay valid (the paper caches
 	// trees "for future use"; mobility invalidates them eventually).
 	CacheTTL des.Duration
-	// MinBandwidth and MaxDelay, when non-zero, gate intra-cube
-	// forwarding on the QoS annotations of the local logical routes.
-	MinBandwidth, MaxDelay float64
+	// MinBandwidth, when non-zero, gates intra-cube forwarding on the
+	// QoS annotations of the local logical routes.
+	MinBandwidth float64
 }
 
 // DefaultConfig sizes headers like a compact binary encoding.
@@ -124,14 +124,9 @@ type header struct {
 // DeliverFunc observes one member delivery.
 type DeliverFunc func(member network.NodeID, uid uint64, born des.Time, logicalHops int)
 
-type cachedMeshTree struct {
-	tree    map[logicalid.HID]logicalid.HID
-	expires des.Time
-}
-
-type cachedCubeTree struct {
-	tree    map[logicalid.CHID]logicalid.CHID
-	expires des.Time
+type meshKey struct {
+	group membership.Group
+	root  logicalid.HID
 }
 
 type cubeKey struct {
@@ -150,8 +145,10 @@ type Service struct {
 	// arguments box into an interface slice even when the tracer is Nop.
 	trOn bool
 
-	meshCache map[membership.Group]map[logicalid.HID]cachedMeshTree
-	cubeCache map[cubeKey]cachedCubeTree
+	// meshTrees and cubeTrees hold the reused trees of Figure 6 steps 2
+	// and 4 for Config.CacheTTL after each compute.
+	meshTrees route.SnapshotMemo[meshKey, route.MeshTree]
+	cubeTrees route.SnapshotMemo[cubeKey, map[logicalid.CHID]logicalid.CHID]
 
 	onDeliver []DeliverFunc
 
@@ -177,14 +174,7 @@ func New(bb *core.Backbone, ms *membership.Service, mux *network.Mux, cfg Config
 	if cfg.HeaderBase <= 0 {
 		cfg = DefaultConfig()
 	}
-	s := &Service{
-		bb:        bb,
-		ms:        ms,
-		cfg:       cfg,
-		tr:        trace.Nop,
-		meshCache: make(map[membership.Group]map[logicalid.HID]cachedMeshTree),
-		cubeCache: make(map[cubeKey]cachedCubeTree),
-	}
+	s := &Service{bb: bb, ms: ms, cfg: cfg, tr: trace.Nop}
 	bb.HandleInner(SourceKind, s.onSource)
 	bb.HandleInner(DataKind, s.onData)
 	mux.Handle(LocalKind, s.onLocal)
@@ -302,8 +292,8 @@ func (s *Service) versions() route.Versions {
 // MeshTreeAt returns the mesh-tier tree rooted at the given hypercube
 // over the hypercubes the slot's MT-Summary lists for the group,
 // memoized in the backbone's version-keyed route cache. This is THE
-// mesh-tree construction: both the data plane (under its TTL layer)
-// and the QoS admission path (internal/qos) resolve trees through it,
+// mesh-tree construction: both the data plane (on a TTL miss) and the
+// QoS admission path (internal/qos) resolve trees through it,
 // so there is exactly one compute to keep deterministic — a second
 // closure registered under the same cache key could silently diverge
 // behind first-wins caching. Callers must not modify the result.
@@ -316,26 +306,24 @@ func (s *Service) MeshTreeAt(slot logicalid.CHID, root logicalid.HID, g membersh
 	})
 }
 
-// meshTree returns the (possibly cached) mesh-tier tree for the data
-// plane. Two layers cache it: the TTL layer reproduces the paper's
-// "cache trees for future use" staleness window, and beneath it
-// MeshTreeAt memoizes the construction itself, shared with the QoS
-// admission path.
-func (s *Service) meshTree(slot logicalid.CHID, root logicalid.HID, g membership.Group) map[logicalid.HID]logicalid.HID {
-	now := s.bb.Net().Sim().Now()
-	byRoot := s.meshCache[g]
-	if c, ok := byRoot[root]; ok && c.expires >= now {
-		s.TreeCacheHits++
-		return c.tree
-	}
-	s.TreeComputes++
-	tree := s.MeshTreeAt(slot, root, g)
-	if byRoot == nil {
-		byRoot = make(map[logicalid.HID]cachedMeshTree)
-		s.meshCache[g] = byRoot
-	}
-	byRoot[root] = cachedMeshTree{tree: tree, expires: now + s.cfg.CacheTTL}
+// meshTree returns the (possibly reused) mesh-tier tree for the data
+// plane: the TTL memo reproduces the paper's "cache trees for future
+// use" staleness window, and a miss builds through MeshTreeAt.
+func (s *Service) meshTree(slot logicalid.CHID, root logicalid.HID, g membership.Group) route.MeshTree {
+	tree, hit := s.meshTrees.Get(s.bb.Net().Sim().Now(), s.cfg.CacheTTL, meshKey{group: g, root: root}, func() route.MeshTree {
+		return s.MeshTreeAt(slot, root, g)
+	})
+	s.countTree(hit)
 	return tree
+}
+
+// countTree tallies one tree lookup as a reuse or a compute.
+func (s *Service) countTree(hit bool) {
+	if hit {
+		s.TreeCacheHits++
+	} else {
+		s.TreeComputes++
+	}
 }
 
 // enterCube is Figure 6 step 4: first arrival of the packet, under the
@@ -392,22 +380,15 @@ func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid u
 	s.bb.Net().ReleasePacket(pkt)
 }
 
-// cubeTree returns the (possibly cached) hypercube-tier tree for the
+// cubeTree returns the (possibly reused) hypercube-tier tree for the
 // group rooted at the entry slot, spanning the cube's logical link
 // graph over the CH slots whose MNT summaries report members.
 func (s *Service) cubeTree(slot logicalid.CHID, hid logicalid.HID, g membership.Group) map[logicalid.CHID]logicalid.CHID {
-	now := s.bb.Net().Sim().Now()
-	key := cubeKey{hid: hid, slot: slot, group: g}
-	if c, ok := s.cubeCache[key]; ok && c.expires >= now {
-		s.TreeCacheHits++
-		return c.tree
-	}
-	s.TreeComputes++
-	tree := s.bb.Trees().CubeSlotTree(s.versions(), route.CubeKey{Cube: hid, Entry: slot, Group: int(g)}, func() route.SlotTree {
+	tree, hit := s.cubeTrees.Get(s.bb.Net().Sim().Now(), s.cfg.CacheTTL, cubeKey{hid: hid, slot: slot, group: g}, func() map[logicalid.CHID]logicalid.CHID {
 		dests := s.ms.CubeMembers(slot, g) // sorted by construction
 		return s.logicalTreeWithin(hid, slot, dests)
 	})
-	s.cubeCache[key] = cachedCubeTree{tree: tree, expires: now + s.cfg.CacheTTL}
+	s.countTree(hit)
 	return tree
 }
 
@@ -440,14 +421,12 @@ func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Ti
 		if dst == network.NoNode {
 			continue // CH vanished since the tree was computed
 		}
-		if s.cfg.MinBandwidth > 0 || s.cfg.MaxDelay > 0 {
-			if s.bb.BestRoute(slot, childSlot, s.cfg.MinBandwidth, s.cfg.MaxDelay) == nil {
-				if s.trOn {
-					s.tr.Eventf(trace.Multicast, float64(s.bb.Net().Sim().Now()),
-						"uid %d: QoS gate blocked %d -> %d", uid, slot, childSlot)
-				}
-				continue
+		if s.cfg.MinBandwidth > 0 && s.bb.BestRoute(slot, childSlot, s.cfg.MinBandwidth, 0) == nil {
+			if s.trOn {
+				s.tr.Eventf(trace.Multicast, float64(s.bb.Net().Sim().Now()),
+					"uid %d: QoS gate blocked %d -> %d", uid, slot, childSlot)
 			}
+			continue
 		}
 		if !out.IntraCube {
 			out = &header{fl: hdr.fl, MeshTree: hdr.MeshTree, CubeTree: tree, IntraCube: true}

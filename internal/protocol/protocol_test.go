@@ -189,7 +189,9 @@ func TestBaselineOrderIdentity(t *testing.T) {
 // nodes hand cluster heads over while the traffic is on the air, and it
 // spans four hypercubes with lossy radios: every tier of the forwarding
 // path, cube entry, intra-cube relay and local broadcast, has to carry
-// each copy's own count.
+// each copy's own count. The data plane's tree-memo tally (computes,
+// hits) is pinned too, as recorded on c7b3469: CH handovers mid-traffic
+// exercise the TTL memo's hit/miss sequence on every tier.
 func TestHVDBHopIdentity(t *testing.T) {
 	spec := scenario.DefaultSpec()
 	spec.Seed = 3
@@ -237,10 +239,10 @@ func TestHVDBHopIdentity(t *testing.T) {
 	if maxHops < 2 {
 		t.Fatalf("longest delivery took %d logical hops: no copy was relayed", maxHops)
 	}
-	got := [3]uint64{w.Sim.Executed(), w.MC.Delivered, h.Sum64()}
-	want := [3]uint64{203680, 177, 0x91e16a7d3159f22c}
+	got := [5]uint64{w.Sim.Executed(), w.MC.Delivered, h.Sum64(), w.MC.TreeComputes, w.MC.TreeCacheHits}
+	want := [5]uint64{203680, 177, 0x91e16a7d3159f22c, 24, 51}
 	if got != want {
-		t.Errorf("executed/delivered/sequence hash = {%d, %d, %#x}, recorded {%d, %d, %#x}",
-			got[0], got[1], got[2], want[0], want[1], want[2])
+		t.Errorf("executed/delivered/sequence hash/tree computes/tree cache hits = {%d, %d, %#x, %d, %d}, recorded {%d, %d, %#x, %d, %d}",
+			got[0], got[1], got[2], got[3], got[4], want[0], want[1], want[2], want[3], want[4])
 	}
 }

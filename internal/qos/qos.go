@@ -80,19 +80,8 @@ type Manager struct {
 	next     SessionID
 	sessions map[SessionID]*Session
 
-	// chMemo memoizes treeCHs per (source slot, group) at the cache's
-	// input versions — the same validity discipline as the route cache
-	// itself, via its exported Memo primitive: admission probes the
-	// same sessions repeatedly while the backbone is quiet.
-	chMemo route.Memo[chKey, []network.NodeID]
-
 	// Admitted and Rejected count admission outcomes.
 	Admitted, Rejected uint64
-}
-
-type chKey struct {
-	slot  logicalid.CHID
-	group membership.Group
 }
 
 // NewManager returns a session manager over the given stack.
@@ -100,34 +89,12 @@ func NewManager(bb *core.Backbone, ms *membership.Service, mc *multicast.Service
 	return &Manager{bb: bb, ms: ms, mc: mc, sessions: make(map[SessionID]*Session)}
 }
 
-// versions stamps the inputs tree construction reads: CH occupancy and
-// the membership summary views.
-func (m *Manager) versions() route.Versions {
-	return route.Versions{Topo: m.bb.Clusters().Version(), Summary: m.ms.SummaryVersion()}
-}
-
 // treeCHs computes the set of CH nodes the session's multicast trees
 // would cross from the given source slot: the mesh-tier tree over the
 // member-bearing hypercubes plus, within each crossed hypercube, the
 // hypercube-tier tree over member CH slots (mirroring Figure 6's two
-// tiers). The result is memoized per input version in chMemo; callers
-// must not modify the returned slice.
+// tiers).
 func (m *Manager) treeCHs(srcSlot logicalid.CHID, g membership.Group) []network.NodeID {
-	v := m.versions()
-	key := chKey{slot: srcSlot, group: g}
-	if !m.bb.Trees().Bypassed() {
-		if chs, ok := m.chMemo.Get(v, key); ok {
-			return chs
-		}
-	}
-	chs := m.computeTreeCHs(srcSlot, g)
-	if !m.bb.Trees().Bypassed() {
-		m.chMemo.Put(v, key, chs)
-	}
-	return chs
-}
-
-func (m *Manager) computeTreeCHs(srcSlot logicalid.CHID, g membership.Group) []network.NodeID {
 	scheme := m.bb.Scheme()
 	rootHID := scheme.CHIDToPlace(srcSlot).HID
 	// The mesh tree comes from the data plane's one shared construction

@@ -317,16 +317,11 @@ func (r *scriptRun) schedulePartition(at des.Time, d Directive) {
 				failed = append(failed, n.ID)
 			}
 		}
-		// A partition strip takes down backbone population wholesale:
-		// release the memoized multicast trees eagerly (eviction only —
-		// the version keys already exclude them from reuse).
-		r.w.BB.Trees().InvalidateAll()
 	})
 	r.w.Sim.Schedule(at+des.Duration(d.Duration), func() {
 		for _, id := range failed {
 			r.w.Net.Node(id).Recover() // no-op if churn already revived it
 		}
 		failed = nil
-		r.w.BB.Trees().InvalidateAll() // heal: same eager release
 	})
 }

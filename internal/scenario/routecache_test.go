@@ -11,7 +11,9 @@ import (
 //   - sends populate the cache (misses) and repeat sends at an
 //     unchanged version reuse it (hits);
 //   - stack Join/Leave eagerly invalidates the group's entries;
-//   - a partition directive (and its heal) invalidates everything.
+//   - a cluster-head change invalidates everything, and it is the only
+//     thing that does during a partition script: the script engine
+//     itself never touches an arm's cache.
 func TestRouteCacheInvalidationWiring(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Seed = 23
@@ -30,11 +32,11 @@ func TestRouteCacheInvalidationWiring(t *testing.T) {
 	cache := w.BB.Trees()
 
 	send := func() {
-		// The lowest-ID member is up in a static world; one send walks
-		// the mesh and cube tiers, touching every tree on the path. The
-		// multicast service fronts the route cache with a TTL layer
-		// (Config.CacheTTL, 10s by default), so advance past it first:
-		// only an expired TTL entry recomputes through bb.Trees().
+		// The lowest-ID member is up in a static world; one send builds
+		// its mesh-tier tree through the route cache. The multicast
+		// service fronts the cache with its TTL memo (Config.CacheTTL,
+		// 10s by default), so advance past it first: only an expired
+		// TTL entry recomputes through bb.Trees().
 		w.Sim.RunUntil(w.Sim.Now() + 11)
 		if uid := stk.Send(w.Members[0][0], 0, 64); uid == 0 {
 			t.Fatal("prime send failed")
@@ -76,21 +78,39 @@ func TestRouteCacheInvalidationWiring(t *testing.T) {
 		t.Fatalf("Join did not invalidate group entries (Invalidated still %d)", cache.Invalidated)
 	}
 
-	// Partition open and heal: both ends of the window invalidate the
-	// whole cache (plus any CH-churn invalidations the failures cause).
+	// Partition open and heal: the strip's failures change cluster
+	// heads at the next election, and the arm's CH-change hook releases
+	// the cache. The strip opens and heals half-way between elections
+	// (which run on whole seconds); a probe every 0.1 s asserts that
+	// Invalidated moves only in an interval where a cluster head
+	// changed, so the directive itself must leave the cache alone.
 	send()
 	if cache.Len() == 0 {
 		t.Fatal("send before the partition did not repopulate the cache")
 	}
 	inv = cache.Invalidated
+	lastInv, lastChanges := inv, w.CM.Changes()
+	probe := w.Sim.Every(0.1, 0.1, func() {
+		if c := w.CM.Changes(); c != lastChanges {
+			lastChanges = c
+		} else if cache.Invalidated != lastInv {
+			t.Errorf("t=%v: Invalidated moved %d -> %d with no cluster-head change", w.Sim.Now(), lastInv, cache.Invalidated)
+		}
+		lastInv = cache.Invalidated
+	})
+	changes := lastChanges
 	sc := &Script{Name: "partition-only", Directives: []Directive{
-		{At: 0, Kind: KindPartition, Frac: 0.25, Duration: 2},
+		{At: 0.5, Kind: KindPartition, Frac: 0.25, Duration: 2},
 	}}
 	if _, err := w.RunScript(stk, sc); err != nil {
 		t.Fatal(err)
 	}
+	probe.Stop()
+	if w.CM.Changes() == changes {
+		t.Fatal("the partition changed no cluster head: the CH-change hook is not exercised")
+	}
 	if cache.Invalidated <= inv {
-		t.Fatalf("partition/heal did not invalidate the cache (Invalidated still %d)", cache.Invalidated)
+		t.Fatalf("CH changes during the partition did not invalidate the cache (Invalidated still %d)", cache.Invalidated)
 	}
 	stk.Stop()
 	assertNoPacketLeaks(t, w)

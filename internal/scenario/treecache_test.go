@@ -12,8 +12,9 @@ import (
 // observational-transparency contract of internal/route: a memoized
 // tree must equal the tree a fresh computation would have produced, so
 // the cache cannot shift a single delivery, delay, or counter — even
-// under churn storms and partition/heal dynamics, which drive the
-// invalidation hooks mid-run.
+// under churn storms and partition/heal dynamics, whose cluster-head
+// changes and Join/Leave directives drive the invalidation hooks
+// mid-run.
 func runScriptedWorld(t *testing.T, script string, bypass bool) string {
 	t.Helper()
 	spec := DefaultSpec()
@@ -52,10 +53,10 @@ func runScriptedWorld(t *testing.T, script string, bypass bool) string {
 }
 
 // TestTreeCacheTransparent runs the churn-storm and partition-heal
-// scripts — the two that exercise Join/Leave, CH failover, and
-// partition/heal invalidation — with the route cache on and bypassed,
-// asserting byte-identical results. It runs in the raced determinism
-// sweep (CI determinism job).
+// scripts — the two that exercise Join/Leave, CH failover, and the CH
+// changes a partition and its heal cause — with the route cache on and
+// bypassed, asserting byte-identical results. It runs in the raced
+// determinism sweep (CI determinism job).
 func TestTreeCacheTransparent(t *testing.T) {
 	for _, script := range []string{"churn-storm", "partition-heal"} {
 		script := script
