@@ -1,6 +1,6 @@
 // Command hvdbsim runs simulation scenarios from flags and reports
 // delivery and overhead metrics, tracing protocol events on request.
-// Any registered protocol arm can be driven (-protocol), either with
+// Any protocol arm can be driven (-protocol), either with
 // the default CBR workload or with a scripted dynamic scenario
 // (-script): a built-in script name or a JSON script file with timed
 // node churn, membership churn, traffic generators, radio degradation,

@@ -1,11 +1,13 @@
 package hvdb
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
-
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -100,22 +102,9 @@ func TestLayerMapNamesEveryPackage(t *testing.T) {
 		}
 	}
 
-	design, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	layerMap := string(design)
-	if i := strings.Index(layerMap, "\n## Layer map"); i >= 0 {
-		layerMap = layerMap[i+1:]
-	}
-	if i := strings.Index(layerMap[1:], "\n## "); i >= 0 {
-		layerMap = layerMap[:i+1]
-	}
 	var mapped []string
-	for _, line := range strings.Split(layerMap, "\n") {
-		if cells := strings.Split(line, "|"); len(cells) > 2 {
-			mapped = append(mapped, internalPkg.FindAllString(cells[1], -1)...)
-		}
+	for _, row := range layerMapRows(t) {
+		mapped = append(mapped, row...)
 	}
 
 	facade, err := os.ReadFile("hvdb.go")
@@ -148,5 +137,87 @@ func TestLayerMapNamesEveryPackage(t *testing.T) {
 				t.Errorf("%s names %s, which holds no Go package", doc.name, p)
 			}
 		}
+	}
+}
+
+// layerMapRows returns the packages each row of DESIGN.md's layer map
+// names, top row first.
+func layerMapRows(t *testing.T) [][]string {
+	t.Helper()
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	layerMap := string(design)
+	if i := strings.Index(layerMap, "\n## Layer map"); i >= 0 {
+		layerMap = layerMap[i+1:]
+	}
+	if i := strings.Index(layerMap[1:], "\n## "); i >= 0 {
+		layerMap = layerMap[:i+1]
+	}
+	var rows [][]string
+	for _, line := range strings.Split(layerMap, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			if pkgs := internalPkg.FindAllString(cells[1], -1); len(pkgs) > 0 {
+				rows = append(rows, pkgs)
+			}
+		}
+	}
+	return rows
+}
+
+// TestDocsLayerMapIsDependencyOrder holds DESIGN.md's "the simulation
+// layers depend downward in this table": no non-test file of an
+// internal/ package (its subdirectories included) imports a package on
+// a later row of the layer map.
+func TestDocsLayerMapIsDependencyOrder(t *testing.T) {
+	row := map[string]int{}
+	for i, pkgs := range layerMapRows(t) {
+		for _, p := range pkgs {
+			row[p] = i
+		}
+	}
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		from := internalPkg.FindString(filepath.ToSlash(path))
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			ipath, _ := strconv.Unquote(imp.Path.Value)
+			rest, ok := strings.CutPrefix(ipath, "repro/")
+			if !ok {
+				continue
+			}
+			to := internalPkg.FindString(rest)
+			if to == "" || to == from {
+				continue
+			}
+			checked++
+			if row[to] > row[from] {
+				t.Errorf("%s imports %s, a later row of DESIGN.md's layer map", path, ipath)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no internal imports found; the checker is likely broken")
 	}
 }

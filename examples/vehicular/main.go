@@ -2,7 +2,7 @@
 // paper's motivating applications) — fast nodes on a large arena, where
 // the HVDB is compared head-to-head against flooding on identically
 // specced worlds: same warning traffic, radically different channel
-// cost. Both arms run through the uniform protocol registry, so the
+// cost. Both arms are protocol.Stacks built by World.Protocol, so the
 // drive loop is a single code path.
 package main
 

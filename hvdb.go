@@ -50,10 +50,10 @@
 //	internal/xrand      deterministic PRNG
 //	internal/stats      samples, streaming log-spaced histogram, confidence intervals, Jain index
 //	internal/trace      category-tagged protocol event tracing
+//	internal/gps        positioning service (oracle + noisy)
 //	internal/mobility   random waypoint / walk / Gauss-Markov / group / Manhattan
 //	internal/radio      unit-disc radio, delay and bandwidth model
 //	internal/network    nodes, packets, incremental neighbor index
-//	internal/gps        positioning service (oracle + noisy)
 //	internal/vcgrid     virtual circles (paper §3, Fig. 2 geometry)
 //	internal/cluster    mobility-prediction clustering ([23]; paper §3)
 //	internal/graph      incomplete dense graphs (routes, trees, connectivity) and sparse BFS trees
@@ -66,10 +66,10 @@
 //	internal/membership Figure 5 summary-based membership update
 //	internal/multicast  Figure 6 logical location-based multicast
 //	internal/qos        session admission over backbone routes
-//	internal/baseline   flooding, DSM-, PBM-, SPBM-, CBT-like schemes
-//	internal/protocol   uniform Stack interface + arm registry
-//	internal/scenario   world construction, the delivery meter, scenario scripts
+//	internal/protocol   the one arm contract (Stack) + the hvdb arm
+//	internal/baseline   flooding, DSM-, PBM-, SPBM-, CBT-like schemes, each a protocol.Stack
 //	internal/runner     parallel run harness (positional seeding)
+//	internal/scenario   world construction by arm name, the delivery meter, scenario scripts
 //	internal/experiment figure/claim/scale/stress regeneration harness
 //	internal/scengen    generated-script invariant fuzzing (hvdbsim -fuzz)
 //	internal/viz        ASCII backbone renderings (cmd/hvdbmap)
@@ -159,7 +159,7 @@ type Protocol = protocol.Stack
 // ProtocolStats is the uniform counter snapshot of one arm.
 type ProtocolStats = protocol.Stats
 
-// Protocols lists the registered protocol arm names.
+// Protocols lists the protocol arm names World.Protocol builds.
 func Protocols() []string { return protocol.Names() }
 
 // Script is a deterministic timetable of mid-run dynamics — node and

@@ -18,6 +18,10 @@
 //     to quantify the paper's claim that tree-based backbones develop
 //     bottleneck hot spots that the hypercube's symmetry avoids.
 //
+// Every scheme is a protocol.Stack: the embedded arm supplies
+// membership, the delivery observer and the Stats counters, and
+// scenario.World.Protocol builds the schemes by name.
+//
 // Substitution note (documented in DESIGN.md): the periodic control
 // planes transmit real packets through the simulator, so overhead and
 // contention are charged faithfully; the *contents* of those messages
@@ -32,65 +36,101 @@ import (
 	"repro/internal/des"
 	"repro/internal/graph"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
-// Group identifies a multicast group (same value space as
-// membership.Group).
-type Group int
-
-// DeliverFunc observes one member delivery.
-type DeliverFunc func(member network.NodeID, uid uint64, born des.Time, hops int)
-
-// Protocol is the common surface of all baseline multicast schemes.
-type Protocol interface {
-	// Name identifies the scheme in experiment output.
-	Name() string
-	// Join and Leave maintain group membership.
-	Join(id network.NodeID, g Group)
-	Leave(id network.NodeID, g Group)
-	// Send multicasts a payload from src; it returns the packet UID or 0.
-	Send(src network.NodeID, g Group, payloadSize int) uint64
-	// OnDeliver registers the delivery observer.
-	OnDeliver(f DeliverFunc)
-	// Start and Stop control periodic control planes (no-ops for
-	// stateless schemes).
-	Start()
-	Stop()
+// arm is the state every scheme embeds: the group membership, the
+// delivery observer and the Stats counters. With Name and Send from the
+// scheme, it makes the scheme a protocol.Stack; schemes with a control
+// plane override Start and Stop.
+type arm struct {
+	net       *network.Network
+	joined    map[network.NodeID]map[protocol.Group]bool
+	onDeliver protocol.DeliverFunc
+	stx       protocol.Stats
 }
 
-// membershipStore is the shared join/leave bookkeeping.
-type membershipStore struct {
-	joined map[network.NodeID]map[Group]bool
+func newArm(net *network.Network) arm {
+	return arm{net: net, joined: make(map[network.NodeID]map[protocol.Group]bool)}
 }
 
-func newMembershipStore() *membershipStore {
-	return &membershipStore{joined: make(map[network.NodeID]map[Group]bool)}
-}
-
-func (m *membershipStore) join(id network.NodeID, g Group) {
-	if m.joined[id] == nil {
-		m.joined[id] = make(map[Group]bool)
+// Join implements protocol.Stack.
+func (a *arm) Join(id network.NodeID, g protocol.Group) {
+	if a.joined[id] == nil {
+		a.joined[id] = make(map[protocol.Group]bool)
 	}
-	m.joined[id][g] = true
+	a.joined[id][g] = true
 }
 
-func (m *membershipStore) leave(id network.NodeID, g Group) {
-	delete(m.joined[id], g)
+// Leave implements protocol.Stack.
+func (a *arm) Leave(id network.NodeID, g protocol.Group) {
+	delete(a.joined[id], g)
 }
 
-func (m *membershipStore) isMember(id network.NodeID, g Group) bool {
-	return m.joined[id][g]
+// Start implements protocol.Stack (no control plane).
+func (a *arm) Start() {}
+
+// Stop implements protocol.Stack.
+func (a *arm) Stop() {}
+
+// Deliveries implements protocol.Stack.
+func (a *arm) Deliveries(f protocol.DeliverFunc) { a.onDeliver = f }
+
+// Stats implements protocol.Stack.
+func (a *arm) Stats() protocol.Stats { return a.stx }
+
+// sent counts a started send (uid != 0) and returns its uid.
+func (a *arm) sent(uid uint64) uint64 {
+	if uid != 0 {
+		a.stx.Sent++
+	}
+	return uid
+}
+
+func (a *arm) isMember(id network.NodeID, g protocol.Group) bool {
+	return a.joined[id][g]
 }
 
 // members returns the live members of g in ID order.
-func (m *membershipStore) members(net *network.Network, g Group) []network.NodeID {
+func (a *arm) members(g protocol.Group) []network.NodeID {
 	var out []network.NodeID
-	for _, n := range net.Nodes() {
-		if n.Up() && m.joined[n.ID][g] {
+	for _, n := range a.net.Nodes() {
+		if n.Up() && a.joined[n.ID][g] {
 			out = append(out, n.ID)
 		}
 	}
 	return out
+}
+
+// sortedMembers returns the IDs with at least one joined group, in ID
+// order — the deterministic iteration base for periodic per-member
+// control rounds.
+func (a *arm) sortedMembers() []network.NodeID {
+	out := make([]network.NodeID, 0, len(a.joined))
+	for id, groups := range a.joined {
+		if len(groups) > 0 {
+			out = append(out, id)
+		}
+	}
+	return network.SortedIDs(out)
+}
+
+// open starts the record of a data send.
+func (a *arm) open() *flight {
+	return &flight{delivered: newNodeSet(a.net)}
+}
+
+// record delivers to member once per send: the first copy to reach it
+// counts as Delivered and goes to the observer, later copies are
+// dropped through the flight the copies carry.
+func (a *arm) record(fl *flight, member network.NodeID, uid uint64, born des.Time, hops int) {
+	if !fl.delivered.add(member) {
+		return
+	}
+	a.stx.Delivered++
+	if a.onDeliver != nil {
+		a.onDeliver(member, uid, born, hops)
+	}
 }
 
 // nodeSet is a dense set of node IDs.
@@ -148,34 +188,6 @@ func rebroadcastFlood(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	}
 }
 
-// deliveryLog is the delivery side every scheme embeds: it dispatches
-// member deliveries, deduplicated through the flight the copies carry.
-type deliveryLog struct {
-	net       *network.Network
-	onDeliver DeliverFunc
-}
-
-func newDeliveryLog(net *network.Network) *deliveryLog {
-	return &deliveryLog{net: net}
-}
-
-// OnDeliver implements Protocol.
-func (d *deliveryLog) OnDeliver(f DeliverFunc) { d.onDeliver = f }
-
-// open starts the record of a data send.
-func (d *deliveryLog) open() *flight {
-	return &flight{delivered: newNodeSet(d.net)}
-}
-
-func (d *deliveryLog) record(fl *flight, member network.NodeID, uid uint64, born des.Time, hops int) {
-	if !fl.delivered.add(member) {
-		return
-	}
-	if d.onDeliver != nil {
-		d.onDeliver(member, uid, born, hops)
-	}
-}
-
 // snapshotTree is the snapshot-topology tree DSM computes at each sender
 // and the CBT core builds as its shared tree: the BFS tree of the current
 // unit-disc graph from root, over live nodes, pruned to the subtree
@@ -190,17 +202,4 @@ func snapshotTree(net *network.Network, root network.NodeID, dests []network.Nod
 // stream).
 func childrenOf(tree map[network.NodeID]network.NodeID, u network.NodeID) []network.NodeID {
 	return network.Children(tree, u, nil)
-}
-
-// sortedMembers returns the IDs with at least one joined group, in ID
-// order — the deterministic iteration base for periodic per-member
-// control rounds.
-func (m *membershipStore) sortedMembers() []network.NodeID {
-	out := make([]network.NodeID, 0, len(m.joined))
-	for id, groups := range m.joined {
-		if len(groups) > 0 {
-			out = append(out, id)
-		}
-	}
-	return network.SortedIDs(out)
 }

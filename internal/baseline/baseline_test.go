@@ -7,6 +7,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/network"
+	"repro/internal/protocol"
 	"repro/internal/radio"
 	"repro/internal/xrand"
 )
@@ -28,9 +29,9 @@ func grid16(seed uint64) (*des.Simulator, *network.Network, *network.Mux) {
 
 // observe registers an observer on p that counts member deliveries per
 // uid, the record the tests read deliveries from.
-func observe(p Protocol) map[uint64]int {
+func observe(p protocol.Stack) map[uint64]int {
 	got := make(map[uint64]int)
-	p.OnDeliver(func(_ network.NodeID, uid uint64, _ des.Time, _ int) { got[uid]++ })
+	p.Deliveries(func(_ network.NodeID, uid uint64, _ des.Time, _ int) { got[uid]++ })
 	return got
 }
 
@@ -197,7 +198,7 @@ func TestSPBMControlCheaperThanDSM(t *testing.T) {
 func TestCBTDeliveryViaCore(t *testing.T) {
 	sim, net, mux := grid16(11)
 	c := NewCBT(net, mux)
-	core := c.ChooseCore()
+	core := c.chooseCore()
 	c.Join(0, 1)
 	c.Join(15, 1)
 	delivered := observe(c)
@@ -215,7 +216,7 @@ func TestCBTDeliveryViaCore(t *testing.T) {
 func TestCBTCoreIsHotSpot(t *testing.T) {
 	sim, net, mux := grid16(12)
 	c := NewCBT(net, mux)
-	core := c.ChooseCore()
+	core := c.chooseCore()
 	for _, m := range []network.NodeID{0, 3, 12, 15} {
 		c.Join(m, 1)
 	}
@@ -246,7 +247,7 @@ func TestCBTCoreIsHotSpot(t *testing.T) {
 func TestCBTSendFromCore(t *testing.T) {
 	sim, net, mux := grid16(13)
 	c := NewCBT(net, mux)
-	core := c.ChooseCore()
+	core := c.chooseCore()
 	c.Join(0, 1)
 	delivered := observe(c)
 	uid := c.Send(core, 1, 64)
@@ -259,7 +260,7 @@ func TestCBTSendFromCore(t *testing.T) {
 func TestCBTJoinRefreshCharged(t *testing.T) {
 	sim, net, mux := grid16(14)
 	c := NewCBT(net, mux)
-	c.ChooseCore()
+	c.chooseCore()
 	c.Join(0, 1)
 	c.Join(15, 1)
 	c.Start()
@@ -272,7 +273,7 @@ func TestCBTJoinRefreshCharged(t *testing.T) {
 
 func TestAllProtocolsImplementInterface(t *testing.T) {
 	_, net, mux := grid16(15)
-	ps := []Protocol{
+	ps := []protocol.Stack{
 		NewFlooding(net, network.NewMux()),
 		NewDSM(net, network.NewMux()),
 		NewPBM(net, network.NewMux()),

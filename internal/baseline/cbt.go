@@ -5,6 +5,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/georoute"
 	"repro/internal/network"
+	"repro/internal/protocol"
 	"repro/internal/route"
 )
 
@@ -14,6 +15,14 @@ const (
 	CBTDataKind = "cbt-data"
 )
 
+// The CBT-like scheme's join-refresh interval, core-tree staleness
+// window and join size in bytes.
+const (
+	cbtPeriod      des.Duration = 2
+	cbtSnapshotTTL des.Duration = 2
+	cbtJoinSize                 = 12
+)
+
 // CBT is a core-based (rendezvous) shared tree: one core node anchors a
 // shortest-path tree; senders unicast to the core, which forwards down
 // the member tree. It exists to quantify the paper's load-balancing
@@ -21,20 +30,11 @@ const (
 // in tree-based architectures" — by providing exactly such a tree-based
 // architecture: all sessions' traffic converges on the core.
 type CBT struct {
-	net *network.Network
+	arm
 	geo *georoute.Router
-	ms  *membershipStore
-	*deliveryLog
-
-	// Core is the rendezvous node; pick with ChooseCore or set directly.
-	Core network.NodeID
-	// Period is the member join-refresh interval; SnapshotTTL bounds
-	// tree staleness.
-	Period      des.Duration
-	SnapshotTTL des.Duration
-	JoinSize    int
-
-	trees  route.SnapshotMemo[Group, map[network.NodeID]network.NodeID]
+	// core is the rendezvous node, picked by chooseCore.
+	core   network.NodeID
+	trees  route.SnapshotMemo[protocol.Group, map[network.NodeID]network.NodeID]
 	ticker *des.Ticker
 }
 
@@ -47,15 +47,7 @@ type cbtHeader struct {
 
 // NewCBT attaches the protocol to the network's mux.
 func NewCBT(net *network.Network, mux *network.Mux) *CBT {
-	c := &CBT{
-		net:         net,
-		ms:          newMembershipStore(),
-		deliveryLog: newDeliveryLog(net),
-		Core:        network.NoNode,
-		Period:      2,
-		SnapshotTTL: 2,
-		JoinSize:    12,
-	}
+	c := &CBT{arm: newArm(net), core: network.NoNode}
 	c.geo = georoute.Attach(net, mux)
 	c.geo.Deliver(CBTDataKind, func(n *network.Node, inner *network.Packet) {
 		c.atCore(n, inner)
@@ -67,18 +59,12 @@ func NewCBT(net *network.Network, mux *network.Mux) *CBT {
 	return c
 }
 
-// Name implements Protocol.
+// Name implements protocol.Stack.
 func (c *CBT) Name() string { return "cbt" }
 
-// Join implements Protocol.
-func (c *CBT) Join(id network.NodeID, g Group) { c.ms.join(id, g) }
-
-// Leave implements Protocol.
-func (c *CBT) Leave(id network.NodeID, g Group) { c.ms.leave(id, g) }
-
-// ChooseCore picks the live node nearest the arena center, the standard
+// chooseCore picks the live node nearest the arena center, the standard
 // static core placement.
-func (c *CBT) ChooseCore() network.NodeID {
+func (c *CBT) chooseCore() network.NodeID {
 	center := c.net.Arena().Center()
 	best := network.NoNode
 	bestD := 0.0
@@ -91,33 +77,33 @@ func (c *CBT) ChooseCore() network.NodeID {
 			best, bestD = n.ID, d
 		}
 	}
-	c.Core = best
+	c.core = best
 	return best
 }
 
 // Start launches periodic member join refreshes toward the core.
 func (c *CBT) Start() {
-	if c.Core == network.NoNode {
-		c.ChooseCore()
+	if c.core == network.NoNode {
+		c.chooseCore()
 	}
-	c.ticker = c.net.Sim().Every(c.Period, c.Period, c.JoinRound)
+	c.ticker = c.net.Sim().Every(cbtPeriod, cbtPeriod, c.joinRound)
 }
 
-// Stop implements Protocol.
+// Stop implements protocol.Stack.
 func (c *CBT) Stop() {
 	if c.ticker != nil {
 		c.ticker.Stop()
 	}
 }
 
-// JoinRound sends a join refresh from every member to the core.
-func (c *CBT) JoinRound() {
-	if c.Core == network.NoNode {
+// joinRound sends a join refresh from every member to the core.
+func (c *CBT) joinRound() {
+	if c.core == network.NoNode {
 		return
 	}
 	corePos := c.corePos()
-	for _, id := range c.ms.sortedMembers() {
-		if id == c.Core {
+	for _, id := range c.sortedMembers() {
+		if id == c.core {
 			continue
 		}
 		n := c.net.Node(id)
@@ -125,46 +111,46 @@ func (c *CBT) JoinRound() {
 			continue
 		}
 		inner := &network.Packet{
-			Kind: CBTJoinKind, Src: id, Dst: c.Core,
-			Size: c.JoinSize, Control: true, Born: c.net.Sim().Now(),
+			Kind: CBTJoinKind, Src: id, Dst: c.core,
+			Size: cbtJoinSize, Control: true, Born: c.net.Sim().Now(),
 			UID: c.net.NextUID(),
 		}
-		c.geo.Send(id, corePos, c.Core, inner)
+		c.geo.Send(id, corePos, c.core, inner)
 	}
 }
 
 func (c *CBT) corePos() geom.Point {
-	if n := c.net.Node(c.Core); n != nil {
+	if n := c.net.Node(c.core); n != nil {
 		return n.TruePos()
 	}
 	return c.net.Arena().Center()
 }
 
-// Send implements Protocol: unicast to the core, then down the shared
-// tree.
-func (c *CBT) Send(src network.NodeID, g Group, payloadSize int) uint64 {
+// Send implements protocol.Stack: unicast to the core, then down the
+// shared tree.
+func (c *CBT) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
 	n := c.net.Node(src)
-	if n == nil || !n.Up() || c.Core == network.NoNode {
+	if n == nil || !n.Up() || c.core == network.NoNode {
 		return 0
 	}
 	now := c.net.Sim().Now()
 	uid := c.net.NextUID()
 	hdr := &cbtHeader{fl: c.open(), PayloadSize: payloadSize}
-	if c.ms.isMember(src, g) {
+	if c.isMember(src, g) {
 		c.record(hdr.fl, src, uid, now, 0)
 	}
 	inner := &network.Packet{
-		Kind: CBTDataKind, Src: src, Dst: c.Core, Group: int(g),
+		Kind: CBTDataKind, Src: src, Dst: c.core, Group: int(g),
 		Size: payloadSize + 8, Born: now, UID: uid, Payload: hdr,
 	}
-	if src == c.Core {
+	if src == c.core {
 		c.atCore(n, inner)
-		return uid
+		return c.sent(uid)
 	}
-	if !c.geo.Send(src, c.corePos(), c.Core, inner) {
+	if !c.geo.Send(src, c.corePos(), c.core, inner) {
 		return 0
 	}
-	return uid
+	return c.sent(uid)
 }
 
 // atCore runs when a data packet reaches the core: compute or reuse the
@@ -174,23 +160,23 @@ func (c *CBT) atCore(n *network.Node, inner *network.Packet) {
 	if !ok {
 		return
 	}
-	g := Group(inner.Group)
+	g := protocol.Group(inner.Group)
 	now := c.net.Sim().Now()
 	// The snapshot memo reproduces CBT's staleness window on the shared
 	// core tree.
-	tree, _ := c.trees.Get(now, c.SnapshotTTL, g, func() map[network.NodeID]network.NodeID {
-		return snapshotTree(c.net, c.Core, c.ms.members(c.net, g))
+	tree, _ := c.trees.Get(now, cbtSnapshotTTL, g, func() map[network.NodeID]network.NodeID {
+		return snapshotTree(c.net, c.core, c.members(g))
 	})
 	hdr.Tree = tree
-	if c.ms.isMember(c.Core, g) {
-		c.record(hdr.fl, c.Core, inner.UID, inner.Born, inner.Hops)
+	if c.isMember(c.core, g) {
+		c.record(hdr.fl, c.core, inner.UID, inner.Born, inner.Hops)
 	}
-	c.forward(c.Core, inner.Src, g, inner.UID, inner.Born, hdr)
+	c.forward(c.core, inner.Src, g, inner.UID, inner.Born, hdr)
 }
 
 // forward keeps the original source in Src so forwarding-load
 // accounting sees relayed packets as relayed.
-func (c *CBT) forward(u, origin network.NodeID, g Group, uid uint64, born des.Time, hdr *cbtHeader) {
+func (c *CBT) forward(u, origin network.NodeID, g protocol.Group, uid uint64, born des.Time, hdr *cbtHeader) {
 	for _, child := range childrenOf(hdr.Tree, u) {
 		pkt := &network.Packet{
 			Kind: CBTDataKind, Src: origin, Dst: child, Group: int(g),
@@ -205,8 +191,8 @@ func (c *CBT) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	if !ok || hdr.Tree == nil {
 		return
 	}
-	if c.ms.isMember(n.ID, Group(pkt.Group)) {
+	if c.isMember(n.ID, protocol.Group(pkt.Group)) {
 		c.record(hdr.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
 	}
-	c.forward(n.ID, pkt.Src, Group(pkt.Group), pkt.UID, pkt.Born, hdr)
+	c.forward(n.ID, pkt.Src, protocol.Group(pkt.Group), pkt.UID, pkt.Born, hdr)
 }

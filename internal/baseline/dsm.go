@@ -3,6 +3,7 @@ package baseline
 import (
 	"repro/internal/des"
 	"repro/internal/network"
+	"repro/internal/protocol"
 	"repro/internal/route"
 )
 
@@ -10,6 +11,15 @@ import (
 const (
 	DSMPositionKind = "dsm-position"
 	DSMDataKind     = "dsm-data"
+)
+
+// The DSM-like scheme's timing and sizes: a position flood every
+// dsmPeriod, a computed tree reused for dsmSnapshotTTL (the staleness
+// window), and dsmPositionSize bytes per position report.
+const (
+	dsmPeriod       des.Duration = 2
+	dsmSnapshotTTL  des.Duration = 2
+	dsmPositionSize              = 20
 )
 
 // DSM approximates the Dynamic Source Multicast protocol [1]: "the
@@ -23,74 +33,51 @@ const (
 // the snapshot used by the sender is then read from the oracle, which
 // matches the converged state those floods produce. Tree staleness under
 // mobility — DSM's delivery weakness — is preserved by caching each
-// group's tree for SnapshotTTL rather than recomputing per packet.
+// group's tree for dsmSnapshotTTL rather than recomputing per packet.
 type DSM struct {
-	net *network.Network
-	ms  *membershipStore
-	*deliveryLog
-
-	// Period is the position-flood interval; SnapshotTTL is how long a
-	// computed tree is reused (staleness window).
-	Period      des.Duration
-	SnapshotTTL des.Duration
-	// PositionSize is the position report size in bytes.
-	PositionSize int
-
+	arm
 	trees  route.SnapshotMemo[treeKey, map[network.NodeID]network.NodeID]
 	ticker *des.Ticker
 }
 
 type treeKey struct {
 	src network.NodeID
-	g   Group
+	g   protocol.Group
 }
 
 // NewDSM attaches the protocol to the network's mux.
 func NewDSM(net *network.Network, mux *network.Mux) *DSM {
-	d := &DSM{
-		net:          net,
-		ms:           newMembershipStore(),
-		deliveryLog:  newDeliveryLog(net),
-		Period:       2,
-		SnapshotTTL:  2,
-		PositionSize: 20,
-	}
+	d := &DSM{arm: newArm(net)}
 	mux.Handle(DSMPositionKind, rebroadcastFlood)
 	mux.Handle(DSMDataKind, d.onData)
 	return d
 }
 
-// Name implements Protocol.
+// Name implements protocol.Stack.
 func (d *DSM) Name() string { return "dsm" }
-
-// Join implements Protocol.
-func (d *DSM) Join(id network.NodeID, g Group) { d.ms.join(id, g) }
-
-// Leave implements Protocol.
-func (d *DSM) Leave(id network.NodeID, g Group) { d.ms.leave(id, g) }
 
 // Start launches the periodic position floods.
 func (d *DSM) Start() {
-	d.ticker = d.net.Sim().Every(d.Period, d.Period, d.PositionRound)
+	d.ticker = d.net.Sim().Every(dsmPeriod, dsmPeriod, d.positionRound)
 }
 
-// Stop implements Protocol.
+// Stop implements protocol.Stack.
 func (d *DSM) Stop() {
 	if d.ticker != nil {
 		d.ticker.Stop()
 	}
 }
 
-// PositionRound floods every live node's position report network-wide —
+// positionRound floods every live node's position report network-wide —
 // DSM's control plane and its scalability bottleneck.
-func (d *DSM) PositionRound() {
+func (d *DSM) positionRound() {
 	for _, n := range d.net.Nodes() {
 		if !n.Up() {
 			continue
 		}
 		pkt := &network.Packet{
 			Kind: DSMPositionKind, Src: n.ID, Dst: network.NoNode,
-			Size: d.PositionSize, Control: true, Born: d.net.Sim().Now(), UID: d.net.NextUID(),
+			Size: dsmPositionSize, Control: true, Born: d.net.Sim().Now(), UID: d.net.NextUID(),
 			Payload: new(flight).flood(d.net, n.ID),
 		}
 		d.net.Broadcast(n.ID, pkt)
@@ -104,33 +91,33 @@ type dsmHeader struct {
 	PayloadSize int
 }
 
-// Send implements Protocol: compute (or reuse) the snapshot tree, encode
-// it, and forward along it.
-func (d *DSM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
+// Send implements protocol.Stack: compute (or reuse) the snapshot tree,
+// encode it, and forward along it.
+func (d *DSM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
 	n := d.net.Node(src)
 	if n == nil || !n.Up() {
 		return 0
 	}
 	now := d.net.Sim().Now()
 	// The snapshot memo reproduces DSM's staleness window: the tree is
-	// reused for SnapshotTTL regardless of mobility, which is the
+	// reused for dsmSnapshotTTL regardless of mobility, which is the
 	// delivery weakness the comparison measures.
-	tree, _ := d.trees.Get(now, d.SnapshotTTL, treeKey{src: src, g: g}, func() map[network.NodeID]network.NodeID {
-		return snapshotTree(d.net, src, d.ms.members(d.net, g))
+	tree, _ := d.trees.Get(now, dsmSnapshotTTL, treeKey{src: src, g: g}, func() map[network.NodeID]network.NodeID {
+		return snapshotTree(d.net, src, d.members(g))
 	})
 	uid := d.net.NextUID()
 	hdr := &dsmHeader{fl: d.open(), Tree: tree, PayloadSize: payloadSize}
-	if d.ms.isMember(src, g) {
+	if d.isMember(src, g) {
 		d.record(hdr.fl, src, uid, now, 0)
 	}
 	d.forward(src, src, g, uid, now, hdr)
-	return uid
+	return d.sent(uid)
 }
 
 // forward sends one copy to each tree child of u. origin is the
 // original source, preserved in Src so forwarding-load accounting sees
 // relayed packets as relayed.
-func (d *DSM) forward(u, origin network.NodeID, g Group, uid uint64, born des.Time, hdr *dsmHeader) {
+func (d *DSM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, born des.Time, hdr *dsmHeader) {
 	for _, child := range childrenOf(hdr.Tree, u) {
 		pkt := &network.Packet{
 			Kind: DSMDataKind, Src: origin, Dst: child, Group: int(g),
@@ -146,8 +133,8 @@ func (d *DSM) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	if !ok {
 		return
 	}
-	if d.ms.isMember(n.ID, Group(pkt.Group)) {
+	if d.isMember(n.ID, protocol.Group(pkt.Group)) {
 		d.record(hdr.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
 	}
-	d.forward(n.ID, pkt.Src, Group(pkt.Group), pkt.UID, pkt.Born, hdr)
+	d.forward(n.ID, pkt.Src, protocol.Group(pkt.Group), pkt.UID, pkt.Born, hdr)
 }

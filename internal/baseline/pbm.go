@@ -7,6 +7,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/georoute"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 // Packet kinds of the PBM-like scheme.
@@ -14,6 +15,12 @@ const (
 	PBMReportKind  = "pbm-report"
 	PBMDataKind    = "pbm-data"
 	PBMRecoverKind = "pbm-recover"
+)
+
+// The PBM-like scheme's report flood interval and report size in bytes.
+const (
+	pbmPeriod     des.Duration = 2
+	pbmReportSize              = 16
 )
 
 // PBM approximates Position-Based Multicast [17]: the sender knows the
@@ -24,17 +31,11 @@ const (
 // perimeter-mode unicast for destinations stuck at a void.
 //
 // The member-knowledge cost is charged as periodic network-wide floods
-// of member position reports (one flood per member per Period); the
+// of member position reports (one flood per member per pbmPeriod); the
 // positions used at forwarding time then come from the oracle.
 type PBM struct {
-	net *network.Network
-	geo *georoute.Router
-	ms  *membershipStore
-	*deliveryLog
-
-	Period     des.Duration
-	ReportSize int
-
+	arm
+	geo    *georoute.Router
 	ticker *des.Ticker
 }
 
@@ -49,17 +50,11 @@ type pbmHeader struct {
 // NewPBM attaches the protocol to the network's mux. It installs its own
 // geo-routing layer for stuck-destination recovery.
 func NewPBM(net *network.Network, mux *network.Mux) *PBM {
-	p := &PBM{
-		net:         net,
-		ms:          newMembershipStore(),
-		deliveryLog: newDeliveryLog(net),
-		Period:      2,
-		ReportSize:  16,
-	}
+	p := &PBM{arm: newArm(net)}
 	p.geo = georoute.Attach(net, mux)
 	p.geo.Deliver(PBMRecoverKind, func(n *network.Node, inner *network.Packet) {
 		// Perimeter-recovered single-destination copy arrived.
-		if fl, ok := inner.Payload.(*flight); ok && p.ms.isMember(n.ID, Group(inner.Group)) {
+		if fl, ok := inner.Payload.(*flight); ok && p.isMember(n.ID, protocol.Group(inner.Group)) {
 			p.record(fl, n.ID, inner.UID, inner.Born, inner.Hops)
 		}
 	})
@@ -68,45 +63,39 @@ func NewPBM(net *network.Network, mux *network.Mux) *PBM {
 	return p
 }
 
-// Name implements Protocol.
+// Name implements protocol.Stack.
 func (p *PBM) Name() string { return "pbm" }
-
-// Join implements Protocol.
-func (p *PBM) Join(id network.NodeID, g Group) { p.ms.join(id, g) }
-
-// Leave implements Protocol.
-func (p *PBM) Leave(id network.NodeID, g Group) { p.ms.leave(id, g) }
 
 // Start launches periodic member position-report floods.
 func (p *PBM) Start() {
-	p.ticker = p.net.Sim().Every(p.Period, p.Period, p.ReportRound)
+	p.ticker = p.net.Sim().Every(pbmPeriod, pbmPeriod, p.reportRound)
 }
 
-// Stop implements Protocol.
+// Stop implements protocol.Stack.
 func (p *PBM) Stop() {
 	if p.ticker != nil {
 		p.ticker.Stop()
 	}
 }
 
-// ReportRound floods a position report from every group member.
-func (p *PBM) ReportRound() {
-	for _, id := range p.ms.sortedMembers() {
+// reportRound floods a position report from every group member.
+func (p *PBM) reportRound() {
+	for _, id := range p.sortedMembers() {
 		n := p.net.Node(id)
 		if n == nil || !n.Up() {
 			continue
 		}
 		pkt := &network.Packet{
 			Kind: PBMReportKind, Src: id, Dst: network.NoNode,
-			Size: p.ReportSize, Control: true, Born: p.net.Sim().Now(), UID: p.net.NextUID(),
+			Size: pbmReportSize, Control: true, Born: p.net.Sim().Now(), UID: p.net.NextUID(),
 			Payload: new(flight).flood(p.net, id),
 		}
 		p.net.Broadcast(id, pkt)
 	}
 }
 
-// Send implements Protocol.
-func (p *PBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
+// Send implements protocol.Stack.
+func (p *PBM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
 	n := p.net.Node(src)
 	if n == nil || !n.Up() {
 		return 0
@@ -114,7 +103,7 @@ func (p *PBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	now := p.net.Sim().Now()
 	uid := p.net.NextUID()
 	hdr := &pbmHeader{fl: p.open(), PayloadSize: payloadSize}
-	for _, m := range p.ms.members(p.net, g) {
+	for _, m := range p.members(g) {
 		if m == src {
 			p.record(hdr.fl, src, uid, now, 0)
 			continue
@@ -123,12 +112,12 @@ func (p *PBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 		hdr.Targets = append(hdr.Targets, p.net.Node(m).TruePos())
 	}
 	p.forward(src, src, g, uid, now, hdr)
-	return uid
+	return p.sent(uid)
 }
 
 // forward makes one greedy splitting decision at node u; origin is the
 // original source, preserved in Src for forwarding-load accounting.
-func (p *PBM) forward(u, origin network.NodeID, g Group, uid uint64, born des.Time, hdr *pbmHeader) {
+func (p *PBM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, born des.Time, hdr *pbmHeader) {
 	pos := p.net.Node(u).TruePos()
 	nbrs := p.net.Neighbors(u)
 	// Partition destinations by best-progress neighbor.
@@ -191,8 +180,8 @@ func (p *PBM) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	if !ok {
 		return
 	}
-	g := Group(pkt.Group)
-	if p.ms.isMember(n.ID, g) {
+	g := protocol.Group(pkt.Group)
+	if p.isMember(n.ID, g) {
 		for _, d := range hdr.Dests {
 			if d == n.ID {
 				p.record(hdr.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/georoute"
 	"repro/internal/network"
+	"repro/internal/protocol"
 )
 
 // Packet kinds of the SPBM-like scheme.
@@ -15,6 +16,16 @@ const (
 	SPBMUpdateKind = "spbm-update"
 	SPBMDataKind   = "spbm-data"
 	SPBMLocalKind  = "spbm-local"
+)
+
+// The SPBM-like scheme's quad tree and update timing: level-0 squares
+// of spbmSquare0 meters, spbmLevels levels above level 0, level-l
+// updates every spbmPeriod·2^l, spbmUpdateSize bytes per level-0 update.
+const (
+	spbmSquare0                 = 250.0
+	spbmLevels                  = 3
+	spbmPeriod     des.Duration = 2
+	spbmUpdateSize              = 12
 )
 
 // SPBM approximates Scalable Position-Based Multicast [28]: membership
@@ -26,24 +37,15 @@ const (
 // update".
 //
 // Control realization: every node broadcasts a level-0 membership update
-// each Period (all nodes are involved, as criticized); for each level
-// l >= 1, the node nearest each occupied child-square center forwards an
-// aggregate toward its level-l square center every Period*2^l (real
+// each spbmPeriod (all nodes are involved, as criticized); for each
+// level l >= 1, the node nearest each occupied child-square center
+// forwards an aggregate toward its level-l square center every
+// spbmPeriod*2^l (real
 // geo-routed packets). Aggregated membership consumed at send time comes
 // from the oracle, matching the converged state.
 type SPBM struct {
-	net *network.Network
-	geo *georoute.Router
-	ms  *membershipStore
-	*deliveryLog
-
-	// Square0 is the level-0 square side in meters; Levels is the
-	// quad-tree height above level 0.
-	Square0    float64
-	Levels     int
-	Period     des.Duration
-	UpdateSize int
-
+	arm
+	geo     *georoute.Router
 	tickers []*des.Ticker
 }
 
@@ -56,15 +58,7 @@ type spbmHeader struct {
 
 // NewSPBM attaches the protocol to the network's mux.
 func NewSPBM(net *network.Network, mux *network.Mux) *SPBM {
-	s := &SPBM{
-		net:         net,
-		ms:          newMembershipStore(),
-		deliveryLog: newDeliveryLog(net),
-		Square0:     250,
-		Levels:      3,
-		Period:      2,
-		UpdateSize:  12,
-	}
+	s := &SPBM{arm: newArm(net)}
 	s.geo = georoute.Attach(net, mux)
 	s.geo.Deliver(SPBMDataKind, func(n *network.Node, inner *network.Packet) {
 		if hdr, ok := inner.Payload.(*spbmHeader); ok {
@@ -78,27 +72,21 @@ func NewSPBM(net *network.Network, mux *network.Mux) *SPBM {
 	return s
 }
 
-// Name implements Protocol.
+// Name implements protocol.Stack.
 func (s *SPBM) Name() string { return "spbm" }
-
-// Join implements Protocol.
-func (s *SPBM) Join(id network.NodeID, g Group) { s.ms.join(id, g) }
-
-// Leave implements Protocol.
-func (s *SPBM) Leave(id network.NodeID, g Group) { s.ms.leave(id, g) }
 
 // Start launches the per-level periodic membership updates.
 func (s *SPBM) Start() {
 	sim := s.net.Sim()
-	s.tickers = append(s.tickers, sim.Every(s.Period, s.Period, s.level0Round))
-	for l := 1; l <= s.Levels; l++ {
+	s.tickers = append(s.tickers, sim.Every(spbmPeriod, spbmPeriod, s.level0Round))
+	for l := 1; l <= spbmLevels; l++ {
 		l := l
-		period := s.Period * des.Duration(math.Pow(2, float64(l)))
+		period := spbmPeriod * des.Duration(math.Pow(2, float64(l)))
 		s.tickers = append(s.tickers, sim.Every(period, period, func() { s.levelRound(l) }))
 	}
 }
 
-// Stop implements Protocol.
+// Stop implements protocol.Stack.
 func (s *SPBM) Stop() {
 	for _, t := range s.tickers {
 		t.Stop()
@@ -115,7 +103,7 @@ func (s *SPBM) level0Round() {
 		}
 		pkt := &network.Packet{
 			Kind: SPBMUpdateKind, Src: n.ID, Dst: network.NoNode,
-			Size: s.UpdateSize, Control: true, Born: s.net.Sim().Now(),
+			Size: spbmUpdateSize, Control: true, Born: s.net.Sim().Now(),
 			UID: s.net.NextUID(),
 		}
 		s.net.Broadcast(n.ID, pkt)
@@ -124,7 +112,7 @@ func (s *SPBM) level0Round() {
 
 // squareCenter returns the center of the level-l square containing p.
 func (s *SPBM) squareCenter(p geom.Point, level int) geom.Point {
-	side := s.Square0 * math.Pow(2, float64(level))
+	side := spbmSquare0 * math.Pow(2, float64(level))
 	return geom.Pt(
 		(math.Floor(p.X/side)+0.5)*side,
 		(math.Floor(p.Y/side)+0.5)*side,
@@ -161,16 +149,16 @@ func (s *SPBM) levelRound(level int) {
 		parent := s.squareCenter(child, level)
 		inner := &network.Packet{
 			Kind: SPBMUpdateKind, Src: rep, Dst: network.NoNode,
-			Size: s.UpdateSize * 4, Control: true, Born: s.net.Sim().Now(),
+			Size: spbmUpdateSize * 4, Control: true, Born: s.net.Sim().Now(),
 			UID: s.net.NextUID(),
 		}
 		s.geo.Send(rep, parent, network.NoNode, inner)
 	}
 }
 
-// Send implements Protocol: one geo-routed copy per occupied level-0
+// Send implements protocol.Stack: one geo-routed copy per occupied level-0
 // square; at the square, a local broadcast reaches the members.
-func (s *SPBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
+func (s *SPBM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
 	n := s.net.Node(src)
 	if n == nil || !n.Up() {
 		return 0
@@ -178,11 +166,11 @@ func (s *SPBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 	now := s.net.Sim().Now()
 	uid := s.net.NextUID()
 	fl := s.open()
-	if s.ms.isMember(src, g) {
+	if s.isMember(src, g) {
 		s.record(fl, src, uid, now, 0)
 	}
 	squares := make(map[geom.Point]bool)
-	for _, m := range s.ms.members(s.net, g) {
+	for _, m := range s.members(g) {
 		if m == src {
 			continue
 		}
@@ -201,13 +189,13 @@ func (s *SPBM) Send(src network.NodeID, g Group, payloadSize int) uint64 {
 		}
 		s.geo.Send(src, c, network.NoNode, inner)
 	}
-	return uid
+	return s.sent(uid)
 }
 
 // deliverSquare runs at the node where the geo-routed copy settled:
 // local-broadcast into the square.
 func (s *SPBM) deliverSquare(n *network.Node, inner *network.Packet, hdr *spbmHeader) {
-	if s.ms.isMember(n.ID, Group(inner.Group)) {
+	if s.isMember(n.ID, protocol.Group(inner.Group)) {
 		s.record(hdr.fl, n.ID, inner.UID, inner.Born, inner.Hops)
 	}
 	pkt := &network.Packet{
@@ -218,7 +206,7 @@ func (s *SPBM) deliverSquare(n *network.Node, inner *network.Packet, hdr *spbmHe
 }
 
 func (s *SPBM) onLocal(n *network.Node, _ network.NodeID, pkt *network.Packet) {
-	if fl, ok := pkt.Payload.(*flight); ok && s.ms.isMember(n.ID, Group(pkt.Group)) {
+	if fl, ok := pkt.Payload.(*flight); ok && s.isMember(n.ID, protocol.Group(pkt.Group)) {
 		s.record(fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
 	}
 }

@@ -308,7 +308,7 @@ func Figure5(o Options) []*Table {
 		spec.Mobility = scenario.Static
 
 		if a.plane != "hvdb" {
-			// Baseline planes are measured through their registry arm;
+			// Baseline planes are measured through their World.Protocol arm;
 			// the hvdb plane below is measured in isolation (membership
 			// service only), which the full-arm surface cannot express.
 			w := must(scenario.Build(spec))

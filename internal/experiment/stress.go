@@ -48,8 +48,8 @@ func flashSenders(scale float64) int {
 	return 0
 }
 
-// Stress is the scripted dynamic-scenario family: every protocol arm of
-// the registry against the three built-in stress scripts — churn storm,
+// Stress is the scripted dynamic-scenario family: every protocol arm in
+// protocol.Names() against the three built-in stress scripts — churn storm,
 // flash crowd, partition/heal — on identically specced mobile worlds.
 // Each (script, arm) cell is one self-contained run, so the whole grid
 // fans across workers with byte-identical tables at any worker count.

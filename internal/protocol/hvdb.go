@@ -1,45 +1,45 @@
 package protocol
 
 import (
-	"fmt"
-
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/membership"
+	"repro/internal/multicast"
 	"repro/internal/network"
 	"repro/internal/qos"
 	"repro/internal/vcgrid"
 )
 
-func init() {
-	Register("hvdb", newHVDB)
-}
-
 // hvdbStack adapts the full HVDB protocol stack — clustering, backbone,
 // membership, multicast, and the QoS admission plane — to the Stack
 // interface.
 type hvdbStack struct {
-	d   Deps
+	cm  *cluster.Manager
+	bb  *core.Backbone
+	ms  *membership.Service
+	mc  *multicast.Service
 	qm  *qos.Manager
 	on  DeliverFunc
 	stx Stats
 }
 
-func newHVDB(d Deps) (Stack, error) {
-	if d.CM == nil || d.BB == nil || d.MS == nil || d.MC == nil {
-		return nil, fmt.Errorf("protocol: hvdb arm needs the CM/BB/MS/MC planes wired")
-	}
-	s := &hvdbStack{d: d, qm: qos.NewManager(d.BB, d.MS, d.MC)}
-	d.MC.OnDeliver(s.observe)
+// NewHVDB builds the hvdb arm over a world's clustering, backbone,
+// membership and multicast planes.
+func NewHVDB(cm *cluster.Manager, bb *core.Backbone, ms *membership.Service, mc *multicast.Service) Stack {
+	s := &hvdbStack{cm: cm, bb: bb, ms: ms, mc: mc, qm: qos.NewManager(bb, ms, mc)}
+	mc.OnDeliver(s.observe)
 	// Cluster-head churn invalidates QoS reservations held on the old
 	// heads: reconcile on every CH change so sessions release bandwidth
 	// reserved on routes that no longer exist (instead of leaking it
 	// until Close). The same event obsoletes every memoized multicast
 	// tree (their topology version moved), so the route cache releases
 	// them eagerly rather than waiting for key-by-key replacement.
-	d.CM.OnChange(func(vcgrid.VC, network.NodeID, network.NodeID) {
+	cm.OnChange(func(vcgrid.VC, network.NodeID, network.NodeID) {
 		s.qm.Reconcile()
-		d.BB.Trees().InvalidateAll()
+		bb.Trees().InvalidateAll()
 	})
-	return s, nil
+	return s
 }
 
 func (s *hvdbStack) Name() string { return "hvdb" }
@@ -47,16 +47,16 @@ func (s *hvdbStack) Name() string { return "hvdb" }
 // Start launches the periodic planes in dependency order: clustering,
 // then backbone beacons, then membership summaries.
 func (s *hvdbStack) Start() {
-	s.d.CM.Start()
-	s.d.BB.Start()
-	s.d.MS.Start()
+	s.cm.Start()
+	s.bb.Start()
+	s.ms.Start()
 }
 
 // Stop cancels the periodic planes.
 func (s *hvdbStack) Stop() {
-	s.d.CM.Stop()
-	s.d.BB.Stop()
-	s.d.MS.Stop()
+	s.cm.Stop()
+	s.bb.Stop()
+	s.ms.Stop()
 }
 
 // Join and Leave update the membership plane and eagerly release the
@@ -65,17 +65,17 @@ func (s *hvdbStack) Stop() {
 // which move the cache's version key — but the entries are dead weight
 // the moment the group's population shifts.)
 func (s *hvdbStack) Join(id network.NodeID, g Group) {
-	s.d.MS.Join(id, g)
-	s.d.BB.Trees().InvalidateGroup(int(g))
+	s.ms.Join(id, g)
+	s.bb.Trees().InvalidateGroup(int(g))
 }
 
 func (s *hvdbStack) Leave(id network.NodeID, g Group) {
-	s.d.MS.Leave(id, g)
-	s.d.BB.Trees().InvalidateGroup(int(g))
+	s.ms.Leave(id, g)
+	s.bb.Trees().InvalidateGroup(int(g))
 }
 
 func (s *hvdbStack) Send(src network.NodeID, g Group, payloadSize int) uint64 {
-	uid := s.d.MC.Send(src, g, payloadSize)
+	uid := s.mc.Send(src, g, payloadSize)
 	if uid != 0 {
 		s.stx.Sent++
 	}

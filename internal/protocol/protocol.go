@@ -1,25 +1,17 @@
-// Package protocol unifies every multicast arm of the comparison —
-// HVDB itself and the five baseline schemes of §2.2 — behind one Stack
-// interface with a name-keyed registry, so experiments, commands, and
-// scenario scripts select arms by name instead of wiring each scheme by
-// hand.
+// Package protocol is the one contract every multicast arm of the
+// comparison meets — HVDB itself (NewHVDB) and the five baseline schemes
+// of §2.2 (internal/baseline) all implement Stack, so experiments,
+// commands and scenario scripts drive any arm the same way.
 //
-// A Stack is built from the planes of an already-built scenario world
-// (see Deps); building never transmits, so two arms can be compared on
+// scenario.World.Protocol builds an arm by name over an already-built
+// world; building never transmits, so two arms can be compared on
 // identically specced worlds without cross-contaminating their traffic
-// accounting. Registration happens in this package's init functions,
-// keeping the arm list closed over the schemes the paper compares.
+// accounting. Names lists the closed set of arms the paper compares.
 package protocol
 
 import (
-	"fmt"
-	"sort"
-
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/membership"
-	"repro/internal/multicast"
 	"repro/internal/network"
 	"repro/internal/qos"
 )
@@ -45,7 +37,7 @@ type Stats struct {
 
 // Stack is the uniform surface of one multicast protocol arm.
 type Stack interface {
-	// Name returns the registry name of the arm.
+	// Name returns the arm's name, one of Names.
 	Name() string
 	// Start and Stop control the arm's periodic control planes (no-ops
 	// for stateless schemes such as flooding).
@@ -70,49 +62,7 @@ type QoSCapable interface {
 	QoS() *qos.Manager
 }
 
-// Deps hands a Builder the planes of one built scenario world. Every
-// arm needs Net and Mux; the hvdb arm additionally needs the CM/BB/MS/MC
-// planes the world wired.
-type Deps struct {
-	Net *network.Network
-	Mux *network.Mux
-	CM  *cluster.Manager
-	BB  *core.Backbone
-	MS  *membership.Service
-	MC  *multicast.Service
-}
-
-// Builder constructs one arm over a world's planes. Builders must not
-// transmit: traffic starts at Start.
-type Builder func(d Deps) (Stack, error)
-
-// registry maps arm names to builders; populated by init functions.
-var registry = map[string]Builder{}
-
-// Register adds an arm under a unique name; duplicate registration is a
-// programming error.
-func Register(name string, b Builder) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("protocol: duplicate registration of %q", name))
-	}
-	registry[name] = b
-}
-
-// Names returns the registered arm names, sorted.
+// Names returns the arm names scenario.World.Protocol builds, sorted.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Build constructs the named arm over the given planes.
-func Build(name string, d Deps) (Stack, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("protocol: unknown arm %q (have %v)", name, Names())
-	}
-	return b(d)
+	return []string{"cbt", "dsm", "flooding", "hvdb", "pbm", "spbm"}
 }

@@ -2,8 +2,10 @@ package protocol_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -21,14 +23,13 @@ func TestNamesCoverAllArms(t *testing.T) {
 }
 
 func TestBuildUnknown(t *testing.T) {
-	if _, err := protocol.Build("nope", protocol.Deps{}); err == nil {
+	w := buildWorld(t)
+	_, err := w.Protocol("nope")
+	if err == nil {
 		t.Fatal("unknown arm should error")
 	}
-}
-
-func TestHVDBNeedsPlanes(t *testing.T) {
-	if _, err := protocol.Build("hvdb", protocol.Deps{}); err == nil {
-		t.Fatal("hvdb arm without planes should error")
+	if !strings.Contains(err.Error(), fmt.Sprint(protocol.Names())) {
+		t.Fatalf("error %q does not list the arms %v", err, protocol.Names())
 	}
 }
 
@@ -49,9 +50,10 @@ func buildWorld(t *testing.T) *scenario.World {
 }
 
 // TestStackContract drives every arm through the full Stack surface on
-// its own world and checks the uniform accounting: Sent counts
-// successful sends, Deliveries observes exactly what Stats().Delivered
-// counts, and members enrolled by the world actually receive.
+// its own world and checks the uniform accounting: World.Protocol builds
+// the arm it was asked for, Sent counts successful sends, Deliveries
+// observes exactly what Stats().Delivered counts, and members enrolled
+// by the world actually receive.
 func TestStackContract(t *testing.T) {
 	for _, name := range protocol.Names() {
 		name := name
@@ -60,6 +62,9 @@ func TestStackContract(t *testing.T) {
 			stk, err := w.Protocol(name)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if stk.Name() != name {
+				t.Fatalf("World.Protocol(%q) built the %q arm", name, stk.Name())
 			}
 			stk.Start()
 			w.WarmUp(12)
@@ -167,14 +172,18 @@ func orderRun(t *testing.T, arm string) [3]uint64 {
 // when duplicate suppression was a uid → map[NodeID]bool table per
 // protocol: the per-packet bitsets that replaced the tables must take
 // the same decisions in the same order (every rebroadcast draws from the
-// sender's loss stream, so one flipped decision moves all three).
+// sender's loss stream, so one flipped decision moves all three). The
+// spbm and cbt rows were recorded on 1a9f714, before the baseline
+// schemes implemented protocol.Stack directly.
 func TestBaselineOrderIdentity(t *testing.T) {
 	want := map[string][3]uint64{
 		"flooding": {8476, 64, 0xa4395bd600342e25},
 		"dsm":      {724872, 62, 0x8d9758e7a9584e53},
 		"pbm":      {46395, 53, 0xd5e601f583fd37ae},
+		"spbm":     {7768, 57, 0xbcb88c5539d44dab},
+		"cbt":      {1322, 63, 0x4eebefab73561645},
 	}
-	for _, arm := range []string{"flooding", "dsm", "pbm"} {
+	for _, arm := range []string{"flooding", "dsm", "pbm", "spbm", "cbt"} {
 		if got := orderRun(t, arm); got != want[arm] {
 			t.Errorf("%s: executed/delivered/sequence hash = {%d, %d, %#x}, recorded {%d, %d, %#x}",
 				arm, got[0], got[1], got[2], want[arm][0], want[arm][1], want[arm][2])

@@ -71,7 +71,7 @@ func (c Counts) PDR() float64 {
 // returns) precedes the audience entry and is not counted, though the
 // source is in Expected. Every recorded table was measured with this
 // order, so it is kept; the fix belongs with the packet-fate ledger
-// (ROADMAP item 1).
+// (ROADMAP item 2).
 type Meter struct {
 	w     *World
 	stk   protocol.Stack

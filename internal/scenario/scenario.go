@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/des"
@@ -344,17 +345,27 @@ func (w *World) FailRandomAnchors(count int) []network.NodeID {
 	return out
 }
 
-// Protocol instantiates one registered protocol arm (see
-// internal/protocol) on this world and enrolls the world's preassigned
-// group members. Arm names: hvdb, flooding, dsm, pbm, spbm, cbt.
+// Protocol builds the named protocol arm (one of protocol.Names) on
+// this world and enrolls the world's preassigned group members.
 // Building never transmits; call Start on the returned stack to launch
 // its control planes.
 func (w *World) Protocol(name string) (protocol.Stack, error) {
-	stk, err := protocol.Build(name, protocol.Deps{
-		Net: w.Net, Mux: w.Mux, CM: w.CM, BB: w.BB, MS: w.MS, MC: w.MC,
-	})
-	if err != nil {
-		return nil, err
+	var stk protocol.Stack
+	switch name {
+	case "hvdb":
+		stk = protocol.NewHVDB(w.CM, w.BB, w.MS, w.MC)
+	case "flooding":
+		stk = baseline.NewFlooding(w.Net, w.Mux)
+	case "dsm":
+		stk = baseline.NewDSM(w.Net, w.Mux)
+	case "pbm":
+		stk = baseline.NewPBM(w.Net, w.Mux)
+	case "spbm":
+		stk = baseline.NewSPBM(w.Net, w.Mux)
+	case "cbt":
+		stk = baseline.NewCBT(w.Net, w.Mux)
+	default:
+		return nil, fmt.Errorf("scenario: unknown protocol arm %q (have %v)", name, protocol.Names())
 	}
 	// Enroll members in (group, assignment) order — deterministic, and
 	// idempotent for the hvdb arm (the world already joined them).
