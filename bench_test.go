@@ -323,12 +323,11 @@ func TestDataPlaneAllocBudget(t *testing.T) {
 // deletes from, it grows by one 64-entry map per node per round, 3.1 MB
 // over these forty seconds. Second, no arm keeps a record per data
 // send: on a static world, a drained phase of many sends leaves no more
-// live heap objects than a short one, within a slack that one object
-// kept per send would exceed. The second check counts objects, not
-// bytes, because the event kernel's ladder buckets keep the capacity
-// they grew to: on these worlds that adds up to 1.4 KB of live heap per
-// send (hvdb) without adding an object, which hides any byte slack a
-// 100-byte record per send would exceed.
+// live heap than a short one, in objects within a slack that one object
+// kept per send would exceed, and in bytes within the dsm check's
+// slack, which a 160-byte record kept per send would exceed (the event
+// kernel's chunk pool never outgrows what it has held at once, so a
+// longer phase of the same traffic does not grow it).
 func TestBaselineStateBounded(t *testing.T) {
 	spec := scenario.DefaultSpec()
 	spec.ArenaSize = 1000 // dense enough that every flood reaches every node
@@ -385,22 +384,25 @@ func TestBaselineStateBounded(t *testing.T) {
 		stk.Start()
 		w.WarmUp(10)
 		src := w.RandomSource()
-		phase := func(n int) uint64 {
+		phase := func(n int) runtime.MemStats {
 			m := w.Meter(stk, drain)
 			w.CBR(func() uint64 { return m.Send(src, 0, 64) }, gap, n)
 			w.RunUntil(w.Sim.Now() + gap*des.Duration(n) + drain)
 			if c := m.Close(); c.Sent != n || c.Delivered == 0 {
 				t.Fatalf("%s: %d of %d sends started, %d deliveries: the phase measured nothing", arm, c.Sent, n, c.Delivered)
 			}
-			return live().HeapObjects
+			return live()
 		}
 		before := phase(sends / 10)
 		after := phase(sends)
 		stk.Stop()
-		if after > before+sends/2 {
-			t.Errorf("%s: live heap objects grew from %d to %d over %d drained sends (slack %d): per-send state outlives its packet", arm, before, after, sends, sends/2)
+		if after.HeapObjects > before.HeapObjects+sends/2 {
+			t.Errorf("%s: live heap objects grew from %d to %d over %d drained sends (slack %d): per-send state outlives its packet", arm, before.HeapObjects, after.HeapObjects, sends, sends/2)
 		}
-		t.Logf("%s: %d live heap objects after %d sends, %d after %d more", arm, before, sends/10, after, sends)
+		if after.HeapAlloc > before.HeapAlloc+slack {
+			t.Errorf("%s: live heap grew from %d to %d bytes over %d drained sends (slack %d): per-send state outlives its packet", arm, before.HeapAlloc, after.HeapAlloc, sends, slack)
+		}
+		t.Logf("%s: live heap %d objects / %d B after %d sends, %d / %d B after %d more", arm, before.HeapObjects, before.HeapAlloc, sends/10, after.HeapObjects, after.HeapAlloc, sends)
 	}
 }
 

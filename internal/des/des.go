@@ -22,19 +22,24 @@
 //     heap for events scheduled after the bucket started draining (the
 //     causality chains of the current instant). Pops are
 //     sequential reads over cache-resident entries instead of
-//     log-depth sifts over the whole pending set. A bucket holding
-//     fan-outs (ScheduleFanout) is copied into a kernel-owned run
-//     buffer together with every member that falls in it, so a
-//     broadcast's receivers are sorted once with their bucket instead
-//     of sifting one by one through the side heap.
+//     log-depth sifts over the whole pending set. A bucket becomes
+//     current by being copied into one kernel-owned run buffer
+//     together with every fan-out member (ScheduleFanout) that falls
+//     in it, so a broadcast's receivers are sorted once with their
+//     bucket instead of sifting one by one through the side heap.
 //   - The near tier is an array of numBuckets FIFO buckets of width
-//     s.width seconds each. Scheduling into the near horizon is a plain
-//     append; a bucket is sorted once, when the clock reaches it (one
-//     sequential pass when its appends arrived in timestamp order, as
-//     same-instant protocol rounds do). The width follows the
-//     hop-delay quantum of the workload (see SetGrain; the network
-//     layer feeds it the radio processing-delay floor) and re-adapts
-//     to the observed per-bucket occupancy on every epoch roll.
+//     s.width seconds each. A bucket is a list of fixed-size chunks
+//     filled in schedule order (Tang, Goh & Thng's linked-list bucket,
+//     with slabs of chunkSize entries instead of one node per event),
+//     taken from one kernel free list and returned to it when the
+//     bucket becomes current, so entry memory follows the pending set,
+//     not the largest burst each bucket ever saw. A bucket is sorted
+//     once, when the clock reaches it (one sequential pass when its
+//     entries arrived in timestamp order, as same-instant protocol
+//     rounds do). The width follows the hop-delay quantum of the
+//     workload (see SetGrain; the network layer feeds it the radio
+//     processing-delay floor) and re-adapts to the observed
+//     per-bucket occupancy on every epoch roll.
 //   - The spill tier is one 4-ary heap for everything beyond the near
 //     horizon (protocol timers, long timeouts, Infinity sentinels).
 //     When the near tier drains, the epoch rolls: the ladder re-bases
@@ -169,13 +174,35 @@ const (
 	maxWidth        = 0.25
 	occupancyTarget = 64
 
-	// burstCap is the bucket capacity above which a drained array is
-	// pooled in spares rather than parked at its slot; maxSpares bounds
-	// the pool (a handful of concurrent burst arrays covers the
-	// overlapping protocol rounds seen in practice).
-	burstCap  = 4096
-	maxSpares = 4
+	// chunkSize is the entry capacity of one near-tier chunk: 63
+	// entries, the fill count and the link make 1,528 bytes, which
+	// fits the runtime's 1,536-byte size class.
+	chunkSize = 63
+
+	// burstCap is the run-buffer capacity (384 KB of entries) above
+	// which the buffer counts as burst-sized: it is dropped once its
+	// burst has drained rather than idling at peak size until the next
+	// one.
+	burstCap = 1 << 14
 )
+
+// chunk is one fixed-size slab of a near-tier bucket. A bucket is a
+// list of chunks filled in schedule order; only its tail is partly
+// full.
+type chunk struct {
+	e    [chunkSize]entry
+	n    int
+	next *chunk
+}
+
+// bucket is one near-tier bucket: its chunk list, its entry count, and
+// the count of fan-out members still packed behind its entries, which
+// tell the bucket's turn how large a run it needs and whether to
+// unpack.
+type bucket struct {
+	head, tail *chunk
+	n, extra   int
+}
 
 // Simulator owns the virtual clock and the future event list.
 type Simulator struct {
@@ -187,41 +214,23 @@ type Simulator struct {
 	horizon  Time
 
 	// Ladder state. Entries with bucket index <= cur live in the
-	// imminent tier (cb/side); buckets cur+1..numBuckets-1 hold the
+	// imminent tier (run/side); buckets cur+1..numBuckets-1 hold the
 	// rest of the near tier; spill holds >= nearEnd.
 	width   float64
 	base    Time
 	nearEnd Time
 	cur     int
-	buckets [][]entry
-	cb      []entry // imminent tier: the current bucket, sorted; drained by cbHead
-	cbHead  int
+	buckets [numBuckets]bucket
+	run     []entry // imminent tier: the current bucket, sorted; drained by head
+	head    int
 	side    []entry // late imminent inserts: 4-ary min-heap by (at, seq)
 	spill   []entry // beyond the near horizon: 4-ary min-heap by (at, seq)
 	count   int     // pending entries across all tiers
 
-	// Fan-out state. fanExtra[i] counts the members still packed behind
-	// bucket i's entries, so making the bucket current knows whether to
-	// unpack and how large a run it needs. run is the kernel-owned
-	// buffer an unpacked bucket drains from (cbRun: cb is run), and
-	// loose parks the bucket array the run displaced from cb until a
-	// plain bucket's slot takes it back. freeFan[k] pools batches of
-	// capacity 1<<k.
-	fanExtra [numBuckets]int32
-	run      []entry
-	cbRun    bool
-	loose    []entry
-	freeFan  [][]*fanout
-
-	// spares recycles burst-bucket arrays. A protocol round dumps a
-	// 10^5-entry burst into whichever bucket covers its delivery
-	// instant, and that bucket index moves every epoch — left to plain
-	// append, each burst re-grows a cold slice from scratch (this was
-	// ~80% of all allocation at the 10k scale point). Drained buckets
-	// with burst-scale capacity park here instead of in their slot, and
-	// insert's grow path reuses them. Pure memory management: entries,
-	// order, and counts are untouched.
-	spares [][]entry
+	// freeChunks links the chunks no bucket holds; freeFan[k] pools
+	// fan-out batches of capacity 1<<k.
+	freeChunks *chunk
+	freeFan    [][]*fanout
 
 	grain  float64 // width hint from SetGrain, applied at the next roll
 	placed uint64  // near-tier placements this epoch (occupancy feedback)
@@ -230,7 +239,6 @@ type Simulator struct {
 // New returns an empty simulator with the clock at zero and no horizon.
 func New() *Simulator {
 	s := &Simulator{horizon: Infinity, width: defaultWidth}
-	s.buckets = make([][]entry, numBuckets)
 	s.rebase(0)
 	return s
 }
@@ -381,7 +389,7 @@ func (s *Simulator) ScheduleFanout(at []Time, fn func(any, uint64), arg any, u [
 	ev := s.alloc()
 	ev.ufn, ev.arg, ev.fan = fn, arg, fo
 	if idx := s.insert(entry{at: at[first], seq: s.seq + uint64(first), ev: ev}); idx > 0 {
-		s.fanExtra[idx] += int32(len(at) - 1)
+		s.buckets[idx].extra += len(at) - 1
 	}
 	s.seq += uint64(len(at))
 }
@@ -459,8 +467,8 @@ func (a entry) less(b entry) bool {
 }
 
 // insert places an entry in its tier and returns the index of the
-// near-tier bucket it was appended to, or 0 when it went to the side or
-// spill heap (no entry is ever appended to bucket 0: it is current from
+// near-tier bucket it was added to, or 0 when it went to the side or
+// spill heap (no entry is ever added to bucket 0: it is current from
 // every rebase on). Bucket assignment is a monotone function of the timestamp
 // (floor((at-base)/width) computed with one shared expression), so an
 // entry in a lower-indexed bucket never has a later timestamp than one
@@ -484,14 +492,31 @@ func (s *Simulator) insert(e entry) int {
 		s.side = heapPush(s.side, e)
 		return 0
 	}
-	b := s.buckets[idx]
-	if len(b) == cap(b) && len(b) >= burstCap/2 {
-		// Burst growth: move to a pooled burst array instead of
-		// letting append allocate another one.
-		b = s.burstGrow(b)
+	b := &s.buckets[idx]
+	c := b.tail
+	if c == nil || c.n == chunkSize {
+		c = s.takeChunk()
+		if b.tail == nil {
+			b.head = c
+		} else {
+			b.tail.next = c
+		}
+		b.tail = c
 	}
-	s.buckets[idx] = append(b, e)
+	c.e[c.n] = e
+	c.n++
+	b.n++
 	return idx
+}
+
+// takeChunk takes an empty chunk from the free list, or allocates one.
+func (s *Simulator) takeChunk() *chunk {
+	c := s.freeChunks
+	if c == nil {
+		return &chunk{}
+	}
+	s.freeChunks, c.next, c.n = c.next, nil, 0
+	return c
 }
 
 // bucketOf returns the near-tier bucket covering at, or numBuckets when
@@ -507,60 +532,31 @@ func (s *Simulator) bucketOf(at Time) int {
 	return idx
 }
 
-// burstGrow moves a full bucket into a pooled burst array when one
-// with enough headroom is available; otherwise the caller's append
-// grows it normally (and the grown array will be pooled when drained).
-func (s *Simulator) burstGrow(b []entry) []entry {
-	for i := len(s.spares) - 1; i >= 0; i-- {
-		sp := s.spares[i]
-		if cap(sp) >= 2*len(b) {
-			s.spares = append(s.spares[:i], s.spares[i+1:]...)
-			sp = sp[:len(b)]
-			copy(sp, b)
-			return sp
-		}
-	}
-	return b
-}
-
 // front returns the entry with the minimal (at, seq) key without
 // removing it, advancing buckets and rolling epochs as needed. It
 // returns nil when no events are pending.
 //
-// The imminent tier is a sorted run (cb, drained by cbHead) plus the
+// The imminent tier is a sorted run (run, drained by head) plus the
 // side heap of late inserts; the minimum is whichever head is smaller.
 // Draining a sorted run means burst buckets — a beacon round schedules
 // tens of thousands of same-timestamp events — pop by sequential reads
 // instead of log-depth heap swaps.
 func (s *Simulator) front() *entry {
 	for {
-		hasCB := s.cbHead < len(s.cb)
+		hasRun := s.head < len(s.run)
 		if len(s.side) > 0 {
-			if !hasCB || s.side[0].less(s.cb[s.cbHead]) {
+			if !hasRun || s.side[0].less(s.run[s.head]) {
 				return &s.side[0]
 			}
-			return &s.cb[s.cbHead]
+			return &s.run[s.head]
 		}
-		if hasCB {
-			return &s.cb[s.cbHead]
+		if hasRun {
+			return &s.run[s.head]
 		}
 		if s.cur+1 < numBuckets {
 			s.cur++
-			if b := s.buckets[s.cur]; len(b) > 0 {
-				if extra := s.fanExtra[s.cur]; extra > 0 {
-					s.fanExtra[s.cur] = 0
-					s.unpackBucket(b, int(extra))
-				} else {
-					s.swapIn(b)
-				}
-				// Sort the new run once. Appends arrive in sequence
-				// order, so a bucket whose timestamps happen to be
-				// monotone — same-instant protocol rounds, steady
-				// streams — is already sorted and the check is one
-				// sequential pass.
-				if !sortedEntries(s.cb) {
-					sortEntries(s.cb)
-				}
+			if s.buckets[s.cur].n > 0 {
+				s.takeBucket()
 			}
 			continue
 		}
@@ -571,62 +567,51 @@ func (s *Simulator) front() *entry {
 	}
 }
 
-// swapIn makes a bucket without fan-outs current by swapping its array
-// into the imminent run: no copy, and the drained run's array parks in
-// the bucket's slot for the next epoch, so grown capacity stays in
-// circulation. A drained burst-scale bucket array follows the bursts
-// through the spare pool instead of idling at one slot; a drained
-// kernel run buffer stays the kernel's, and the slot takes back the
-// array the run buffer displaced.
-func (s *Simulator) swapIn(b []entry) {
-	if s.cbRun {
-		s.buckets[s.cur], s.loose = s.loose, nil
-		if cap(s.run) >= burstCap {
-			// A burst-sized run buffer is not kept once its burst has
-			// drained: it would idle at peak size until the next one.
-			s.run = nil
+// takeBucket makes bucket cur current. Its chunks are copied into the
+// kernel's run buffer in the order they were filled and go back to the
+// free list; then the members packed behind its fan-outs that fall in
+// this bucket join the run, and members due in later buckets take their
+// own entries there. The run is sorted once. Entries are stored in
+// sequence order, so a bucket whose timestamps happen to be monotone —
+// same-instant protocol rounds, steady streams — is already sorted and
+// the check is one sequential pass.
+func (s *Simulator) takeBucket() {
+	b := &s.buckets[s.cur]
+	run := s.runFor(b.n + b.extra)
+	for c := b.head; c != nil; {
+		run = append(run, c.e[:c.n]...)
+		next := c.next
+		c.next, s.freeChunks = s.freeChunks, c
+		c = next
+	}
+	if b.extra > 0 {
+		for _, e := range run[:b.n] {
+			if fo := e.ev.fan; fo != nil && fo.packed {
+				run = s.unpack(e, run)
+			}
 		}
-	} else {
-		s.buckets[s.cur] = s.park(s.cb[:0])
 	}
-	s.cb, s.cbHead, s.cbRun = b, 0, false
+	*b = bucket{}
+	if !sortedEntries(run) {
+		sortEntries(run)
+	}
+	s.run, s.head = run, 0
 }
 
-// park returns where a drained bucket array goes: nil when it is
-// burst-scale and joins the spare pool, the array itself otherwise.
-func (s *Simulator) park(a []entry) []entry {
-	if cap(a) >= burstCap && len(s.spares) < maxSpares {
-		s.spares = append(s.spares, a)
-		return nil
-	}
-	return a
-}
-
-// unpackBucket makes a bucket holding packed fan-outs current. Its
-// entries and the extra members packed behind them that fall in this
-// bucket are copied into the kernel's run buffer, which front then
-// sorts once; members due in later buckets take their own entries
-// there. The bucket array stays in its slot (a burst-scale one joins
-// the spare pool, as in swapIn), so bucket arrays never grow to hold a
-// fan-out's members.
-func (s *Simulator) unpackBucket(b []entry, extra int) {
-	if !s.cbRun {
-		s.loose = s.park(s.cb[:0])
-	}
+// runFor empties the run buffer and returns it with room for need
+// entries. The buffer grows by doubling. A burst-sized one is dropped
+// once its burst has drained, when a bucket needing a quarter of it or
+// less comes along, rather than idling at peak size until the next
+// burst; a recurring burst thus costs one allocation per recurrence.
+func (s *Simulator) runFor(need int) []entry {
 	run := s.run[:0]
-	if need := len(b) + extra; cap(run) < need || (cap(run) >= burstCap && need < cap(run)/4) {
-		// Too small, or a burst-sized buffer far larger than this
-		// bucket needs: size a fresh one to the demand.
-		run = make([]entry, 0, need+need/4)
+	if c := cap(run); c > burstCap && need <= c/4 {
+		run = nil
 	}
-	for _, e := range b {
-		run = append(run, e)
-		if fo := e.ev.fan; fo != nil && fo.packed {
-			run = s.unpack(e, run)
-		}
+	if cap(run) < need {
+		run = make([]entry, 0, max(need, 2*cap(run)))
 	}
-	s.buckets[s.cur] = s.park(b[:0])
-	s.run, s.cb, s.cbHead, s.cbRun = run, run, 0, true
+	return run
 }
 
 // unpack expands the packed fan-out whose entry e has reached the
@@ -676,9 +661,9 @@ func (s *Simulator) roll() {
 	// roll, so the measure tracks what the buckets actually absorbed.
 	// The dead band between the two thresholds is wide (64x) on
 	// purpose: protocol workloads alternate bursty and quiet epochs,
-	// and a twitchy width re-ratchets every bucket's capacity — the
-	// slices' amortized growth is only amortized if the per-bucket
-	// occupancy stays put.
+	// and a width that followed every swing would be sized for the
+	// epoch just gone rather than the next one. (Bucket storage does
+	// not depend on it: chunks go back to the free list at any width.)
 	if s.grain > 0 {
 		s.width = s.grain
 		s.grain = 0
@@ -710,7 +695,7 @@ func (s *Simulator) roll() {
 		s.count--
 		if idx := s.insert(e); idx > 0 {
 			if fo := e.ev.fan; fo != nil && fo.packed {
-				s.fanExtra[idx] += int32(len(fo.m) - 1)
+				s.buckets[idx].extra += len(fo.m) - 1
 			}
 		}
 	}
@@ -883,7 +868,7 @@ func (s *Simulator) popKnown(f *entry) {
 		s.side, _ = heapPop(s.side)
 		return
 	}
-	s.cbHead++
+	s.head++
 }
 
 // runEvent recycles and runs a live entry's event at its timestamp. A

@@ -28,7 +28,7 @@ func TestLadderTierBoundaryInserts(t *testing.T) {
 	nearCount := func() int {
 		n := 0
 		for _, b := range s.buckets {
-			n += len(b)
+			n += b.n
 		}
 		return n
 	}

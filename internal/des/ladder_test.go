@@ -430,6 +430,101 @@ func TestInfinitySentinels(t *testing.T) {
 	}
 }
 
+// TestBucketStorageFollowsPending holds the kernel's entry memory to
+// what is pending. One cycle drives three epochs of entries spread over
+// all numBuckets buckets and past the near horizon, with 40-member
+// fan-outs among them, then one same-instant burst of 12,000 entries,
+// draining each. Every chunk must be back on the free list after a
+// drain, the free list must never keep more chunks than the buckets
+// held at once, and a repeat of the cycle must allocate nothing. A
+// burst above burstCap must not leave its run buffer behind once it
+// has drained.
+func TestBucketStorageFollowsPending(t *testing.T) {
+	s := New()
+	chunks := func(c *chunk) (n int) {
+		for ; c != nil; c = c.next {
+			n++
+		}
+		return n
+	}
+	held := func() (n int) {
+		for i := range s.buckets {
+			n += chunks(s.buckets[i].head)
+		}
+		return n
+	}
+	most := 0
+	observe := func() { most = max(most, held()) }
+	noop := func(any) {}
+	unoop := func(any, uint64) {}
+	var at [40]Time
+	var u [40]uint64
+	// Each phase starts on an empty queue at a whole second, where
+	// SetGrain re-anchors the near window at the clock; offsets are
+	// dyadic, so each repeat of the cycle puts every entry in the same
+	// bucket.
+	begin := func() Time {
+		s.SetGrain(1e-3)
+		return s.Now()
+	}
+	cycle := func(observe func()) {
+		rng := xorshift(0x5eed)
+		offset := func(span float64) Time { return Time(float64(rng.next()%(1<<20)) / (1 << 20) * span) }
+		drain := func(start Time, span Duration) {
+			observe()
+			for s.Step() {
+				observe()
+			}
+			s.RunUntil(start + span)
+		}
+		for epoch := 0; epoch < 3; epoch++ {
+			start := begin()
+			for i := 0; i < 16*numBuckets; i++ {
+				s.ScheduleCall(start+offset(2), noop, nil)
+			}
+			for i := 0; i < 32; i++ {
+				first := start + offset(1)
+				for j := range at {
+					at[j], u[j] = first+offset(1.0/64), uint64(j)
+				}
+				s.ScheduleFanout(at[:], unoop, nil, u[:])
+			}
+			drain(start, 2)
+		}
+		start := begin()
+		for i := 0; i < 12_000; i++ {
+			s.ScheduleCall(start+0.5, noop, nil)
+		}
+		drain(start, 1)
+	}
+
+	cycle(observe)
+	cycle(observe)
+	if n := held(); n != 0 {
+		t.Fatalf("%d chunks still held by drained buckets", n)
+	}
+	kept := chunks(s.freeChunks)
+	if kept == 0 || kept > most {
+		t.Fatalf("free list keeps %d chunks; the buckets held at most %d at once", kept, most)
+	}
+	if n := testing.AllocsPerRun(2, func() { cycle(func() {}) }); n != 0 {
+		t.Fatalf("a repeated cycle allocated %v times per run", n)
+	}
+	if n := chunks(s.freeChunks); n != kept {
+		t.Fatalf("free list went from %d to %d chunks over identical cycles", kept, n)
+	}
+
+	start := begin()
+	for i := 0; i < 2*burstCap; i++ {
+		s.ScheduleCall(start+0.5, noop, nil)
+	}
+	s.ScheduleCall(start+0.75, noop, nil)
+	s.Run()
+	if c := cap(s.run); c > burstCap {
+		t.Fatalf("run buffer keeps %d entries after its %d-entry burst drained", c, 2*burstCap)
+	}
+}
+
 // BenchmarkScheduleCall measures the steady-state schedule+dispatch
 // cycle: each executed event schedules its successor, holding the
 // pending set at 4096 events — the shape of a causality-chained
