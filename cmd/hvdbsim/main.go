@@ -1,13 +1,13 @@
 // Command hvdbsim runs simulation scenarios from flags and reports
-// delivery and overhead metrics, tracing protocol events on request.
-// Any protocol arm can be driven (-protocol), either with
-// the default CBR workload or with a scripted dynamic scenario
-// (-script): a built-in script name or a JSON script file with timed
-// node churn, membership churn, traffic generators, radio degradation,
-// and partition windows (see DESIGN.md "Protocol plane & scenario
-// scripts" for the grammar).
+// delivery and overhead metrics. Any protocol arm can be driven
+// (-protocol), either with the default CBR workload or with a scripted
+// dynamic scenario (-script): a built-in script name or a JSON script
+// file with timed node churn, membership churn, traffic generators,
+// radio degradation, and partition windows (see DESIGN.md "Protocol
+// plane & scenario scripts" for the grammar).
 //
-// A single trial prints the full metric breakdown. With -trials N the
+// A single trial prints the full metric breakdown, ending with the
+// traffic phase's packet drops by cause. With -trials N the
 // scenario is replicated N times with positionally derived seeds
 // (runner.DeriveSeed, so trial i sees the same world at any worker
 // count) and the trials are fanned across -parallel workers; the output
@@ -22,7 +22,7 @@
 //
 // Example:
 //
-//	hvdbsim -nodes 300 -groups 2 -members 12 -speed 10 -packets 30 -trace multicast
+//	hvdbsim -nodes 300 -groups 2 -members 12 -speed 10 -packets 30
 //	hvdbsim -nodes 300 -trials 16 -parallel 4
 //	hvdbsim -protocol spbm -script churn-storm
 //	hvdbsim -protocol cbt -script my-scenario.json -trials 8
@@ -35,7 +35,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 
 	"repro/internal/cliflag"
@@ -48,7 +47,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/scengen"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -72,7 +70,6 @@ func main() {
 		fuzzN    = flag.Int("fuzz", 0, "fuzz mode: generate and invariant-check this many scripts (see -fuzzseed, -fuzzout)")
 		fuzzSeed = flag.Uint64("fuzzseed", 1, "campaign base seed for -fuzz (same seed: same scripts, same verdicts)")
 		fuzzOut  = flag.String("fuzzout", ".", "directory for minimized failing scripts written by -fuzz")
-		traceCat = flag.String("trace", "", "comma-separated trace categories ("+strings.Join(traceCategories(), ",")+")")
 		shards   = flag.Int("shards", 1, "shard count for the sharded event kernel (1 = serial); results are identical at every setting")
 	)
 	cli := cliflag.Parse("hvdbsim")
@@ -90,20 +87,8 @@ func main() {
 		cli.Fail("-loss must be within [0,1] (got %g)", *loss)
 	}
 	cli.WarnShards(*shards)
-	if *shards > 1 && *traceCat != "" {
-		// The network refuses to shard with a tracer bound (lane-local
-		// emission would interleave nondeterministically); run serial
-		// rather than silently dropping either flag.
-		log.Printf("warning: -trace forces the serial kernel; ignoring -shards %d", *shards)
-		*shards = 1
-	}
-	if *fuzzN > 0 {
-		if *script != "" {
-			cli.Fail("-fuzz generates its own scripts; it is mutually exclusive with -script")
-		}
-		if *traceCat != "" {
-			cli.Fail("-fuzz does not support -trace")
-		}
+	if *fuzzN > 0 && *script != "" {
+		cli.Fail("-fuzz generates its own scripts; it is mutually exclusive with -script")
 	}
 
 	known := false
@@ -163,22 +148,19 @@ func main() {
 	}
 
 	if *trials <= 1 {
-		res, err := runTrial(baseSpec, cfg, *traceCat, true)
+		res, err := runTrial(baseSpec, cfg, true)
 		if err != nil {
 			log.Fatal(err)
 		}
 		printSingle(res)
 		return
 	}
-	if *traceCat != "" {
-		log.Fatal("-trace requires -trials 1 (interleaved traces are unreadable)")
-	}
 
 	results, err := runner.Map(runner.Config{Workers: *parallel}, *seed, *trials,
 		func(r runner.Run) (trialResult, error) {
 			spec := baseSpec
 			spec.Seed = r.Seed
-			return runTrial(spec, cfg, "", false)
+			return runTrial(spec, cfg, false)
 		})
 	if err != nil {
 		log.Fatal(err)
@@ -260,12 +242,13 @@ type trialResult struct {
 	dataBytes            uint64
 	energyJ, energyMaxJ  float64
 	chChanges, elections uint64
+	drops                []scenario.Drop // traffic phase only
 }
 
 // runTrial builds one world, drives the warm-up and traffic phases
 // through the selected protocol arm, and collects the metrics. Each
 // call owns its world and simulator, so trials can run concurrently.
-func runTrial(spec scenario.Spec, cfg trialConfig, traceCat string, verbose bool) (trialResult, error) {
+func runTrial(spec scenario.Spec, cfg trialConfig, verbose bool) (trialResult, error) {
 	w, err := scenario.Build(spec)
 	if err != nil {
 		return trialResult{}, err
@@ -276,11 +259,6 @@ func runTrial(spec scenario.Spec, cfg trialConfig, traceCat string, verbose bool
 	stk, err := w.Protocol(cfg.proto)
 	if err != nil {
 		return trialResult{}, err
-	}
-	if traceCat != "" {
-		if err := wireTracer(w, cfg.proto, traceCat); err != nil {
-			return trialResult{}, err
-		}
 	}
 
 	res := trialResult{
@@ -297,6 +275,7 @@ func runTrial(spec scenario.Spec, cfg trialConfig, traceCat string, verbose bool
 		fmt.Printf("%s | %s | protocol %s\n", res.desc, res.grid, cfg.proto)
 		fmt.Printf("warm-up done at t=%.1fs: %d clusters headed\n", float64(w.Sim.Now()), res.clusters)
 	}
+	warmDrops := w.Drops()
 
 	if cfg.script != nil {
 		res.script = cfg.script.Name
@@ -331,39 +310,11 @@ func runTrial(spec scenario.Spec, cfg trialConfig, traceCat string, verbose bool
 	}
 	res.chChanges = w.CM.Changes()
 	res.elections = w.CM.Elections()
+	res.drops = w.Drops()
+	for i := range res.drops {
+		res.drops[i].N -= warmDrops[i].N
+	}
 	return res, nil
-}
-
-// traceCategories lists the names -trace accepts, in category order.
-func traceCategories() []string {
-	names := make([]string, trace.NumCategories)
-	for c := range names {
-		names[c] = trace.Category(c).String()
-	}
-	return names
-}
-
-// wireTracer installs the requested trace categories; the protocol
-// plane tracers only exist on the hvdb arm.
-func wireTracer(w *scenario.World, proto, traceCat string) error {
-	var cats []trace.Category
-	known := traceCategories()
-	for _, name := range strings.Split(traceCat, ",") {
-		c := slices.Index(known, strings.TrimSpace(name))
-		if c < 0 {
-			return fmt.Errorf("unknown trace category %q", name)
-		}
-		cats = append(cats, trace.Category(c))
-	}
-	tr := trace.NewWriter(os.Stderr, cats...)
-	w.Net.SetTracer(tr)
-	if proto == "hvdb" {
-		w.CM.SetTracer(tr)
-		w.BB.SetTracer(tr)
-		w.MS.SetTracer(tr)
-		w.MC.SetTracer(tr)
-	}
-	return nil
 }
 
 func printSingle(r trialResult) {
@@ -385,6 +336,11 @@ func printSingle(r trialResult) {
 	fmt.Printf("  forwarding fairness %.3f (Jain index)\n", r.Jain)
 	fmt.Printf("  radio energy        %.3f J total, %.3f J at the busiest node\n", r.energyJ, r.energyMaxJ)
 	fmt.Printf("  cluster stability   %d CH changes over %d elections\n", r.chChanges, r.elections)
+	causes := make([]string, len(r.drops))
+	for i, d := range r.drops {
+		causes[i] = fmt.Sprintf("%s %d", d.Cause, d.N)
+	}
+	fmt.Printf("  packet drops        %s\n", strings.Join(causes, ", "))
 }
 
 func printAggregate(seed uint64, results []trialResult) {

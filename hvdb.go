@@ -49,7 +49,6 @@
 //	internal/geom       plane geometry
 //	internal/xrand      deterministic PRNG
 //	internal/stats      samples, streaming log-spaced histogram, confidence intervals, Jain index
-//	internal/trace      category-tagged protocol event tracing
 //	internal/gps        positioning service (oracle + noisy)
 //	internal/mobility   random waypoint / walk / Gauss-Markov / group / Manhattan
 //	internal/radio      unit-disc radio, delay and bandwidth model

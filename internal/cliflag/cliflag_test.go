@@ -66,6 +66,9 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		// the flag package itself refuses them.
 		{"removed perfsmoke", []string{"-perfsmoke"}, flagUndefined + "-perfsmoke", []string{"hvdbbench"}},
 		{"removed scalemem", []string{"-scalemem"}, flagUndefined + "-scalemem", []string{"hvdbbench"}},
+		// Drop causes are counters on hvdbsim's "packet drops" line now;
+		// the string tracer and its flag are gone.
+		{"removed trace", []string{"-trace", "routes"}, flagUndefined + "-trace", []string{"hvdbsim"}},
 	}
 
 	for _, tc := range cases {

@@ -28,7 +28,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gps"
 	"repro/internal/network"
-	"repro/internal/trace"
 	"repro/internal/vcgrid"
 )
 
@@ -86,7 +85,6 @@ type Manager struct {
 	net  *network.Network
 	grid *vcgrid.Grid
 	cfg  Config
-	tr   trace.Tracer
 
 	chByVC   map[vcgrid.VC]network.NodeID
 	chBySlot []network.NodeID // dense CHOf mirror of chByVC, by VC index
@@ -121,7 +119,6 @@ func NewManager(net *network.Network, grid *vcgrid.Grid, cfg Config) *Manager {
 		net:      net,
 		grid:     grid,
 		cfg:      cfg,
-		tr:       trace.Nop,
 		chByVC:   make(map[vcgrid.VC]network.NodeID),
 		chBySlot: make([]network.NodeID, grid.Count()),
 		vcByNode: make([]vcgrid.VC, net.Len()),
@@ -131,14 +128,6 @@ func NewManager(net *network.Network, grid *vcgrid.Grid, cfg Config) *Manager {
 		m.chBySlot[i] = network.NoNode
 	}
 	return m
-}
-
-// SetTracer installs a tracer; nil resets to no-op.
-func (m *Manager) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop
-	}
-	m.tr = t
 }
 
 // OnChange registers a cluster-head change observer.
@@ -278,7 +267,6 @@ func (m *Manager) chOr(vc vcgrid.VC) network.NodeID {
 }
 
 func (m *Manager) notify(vc vcgrid.VC, old, new network.NodeID) {
-	m.tr.Eventf(trace.Cluster, float64(m.net.Sim().Now()), "CH of %v: %d -> %d", vc, old, new)
 	for _, f := range m.onChange {
 		f(vc, old, new)
 	}

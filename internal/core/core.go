@@ -36,7 +36,6 @@ import (
 	"repro/internal/meshtier"
 	"repro/internal/network"
 	"repro/internal/route"
-	"repro/internal/trace"
 	"repro/internal/vcgrid"
 )
 
@@ -125,8 +124,6 @@ type Backbone struct {
 	scheme *logicalid.Scheme
 	geo    *georoute.Router
 	cfg    Config
-	tr     trace.Tracer
-	trOn   bool // gates per-beacon trace calls (arg boxing allocates)
 
 	tables map[logicalid.CHID]*routeTable
 	inner  *network.Mux // dispatch for logically-routed inner packets
@@ -171,7 +168,6 @@ func New(net *network.Network, mux *network.Mux, cm *cluster.Manager, scheme *lo
 		cm:     cm,
 		scheme: scheme,
 		cfg:    cfg,
-		tr:     trace.Nop,
 		tables: make(map[logicalid.CHID]*routeTable),
 		inner:  network.NewMux(),
 	}
@@ -181,16 +177,6 @@ func New(net *network.Network, mux *network.Mux, cm *cluster.Manager, scheme *lo
 	})
 	b.inner.Handle(BeaconKind, b.onBeacon)
 	return b
-}
-
-// SetTracer installs a tracer; nil resets to no-op.
-func (b *Backbone) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop
-	}
-	b.tr = t
-	b.trOn = t != trace.Nop
-	b.geo.SetTracer(t)
 }
 
 // Geo exposes the location-based unicast layer (baselines reuse it).
@@ -454,10 +440,6 @@ func (b *Backbone) onBeacon(n *network.Node, _ network.NodeID, pkt *network.Pack
 			Bandwidth: bw,
 			Expires:   now + b.cfg.RouteTTL,
 		}, b.cfg.MaxRoutesPerDest)
-	}
-	if b.trOn {
-		b.tr.Eventf(trace.Routes, float64(now), "slot %d absorbed beacon from %d (%d entries)",
-			slot, payload.FromSlot, len(payload.Entries))
 	}
 }
 

@@ -22,7 +22,14 @@
 //     heap for events scheduled after the bucket started draining (the
 //     causality chains of the current instant). Pops are
 //     sequential reads over cache-resident entries instead of
-//     log-depth sifts over the whole pending set. A bucket becomes
+//     log-depth sifts over the whole pending set. Bucket 0 of each
+//     epoch never becomes a run, by design: an epoch starts with the
+//     clock inside it (rebase leaves cur = 0), so everything placed
+//     there — the earliest pending instant the roll re-based at, and
+//     what it schedules within one bucket width — goes through the
+//     side heap. Draining it as an ordinary bucket measured no faster
+//     on world-5k and slower on arms-160 (DESIGN.md, "Complexity
+//     ledger"). A bucket becomes
 //     current by being copied into one kernel-owned run buffer
 //     together with every fan-out member (ScheduleFanout) that falls
 //     in it, so a broadcast's receivers are sorted once with their
@@ -468,8 +475,9 @@ func (a entry) less(b entry) bool {
 
 // insert places an entry in its tier and returns the index of the
 // near-tier bucket it was added to, or 0 when it went to the side or
-// spill heap (no entry is ever added to bucket 0: it is current from
-// every rebase on). Bucket assignment is a monotone function of the timestamp
+// spill heap. No entry is ever added to bucket 0: it is current from
+// every rebase on, so the side heap takes that bucket by design (the
+// package doc says why). Bucket assignment is a monotone function of the timestamp
 // (floor((at-base)/width) computed with one shared expression), so an
 // entry in a lower-indexed bucket never has a later timestamp than one
 // in a higher-indexed bucket — the property that lets buckets drain

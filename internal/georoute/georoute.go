@@ -13,7 +13,7 @@
 // kernel's parallel lanes: a forwarding decision reads positions and
 // transmits through one network.Lane, and all its scratch state —
 // neighbor buffers, header and envelope pools, the kind-interning
-// caches, the drop counter — lives in a per-lane rlane, so concurrent
+// caches, the drop counters — lives in a per-lane rlane, so concurrent
 // lanes never share a mutable word. Consumption (Delivered, consumer
 // dispatch) only ever runs in serial context: a delivery at the final
 // destination is never shard-confined, so the network executes it on
@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/network"
-	"repro/internal/trace"
 )
 
 // KindPrefix prefixes the packet kind of geo-routed envelopes; the full
@@ -84,6 +83,26 @@ type Header struct {
 // DeliverFunc consumes an inner packet that reached its destination.
 type DeliverFunc func(n *network.Node, inner *network.Packet)
 
+// DropCause names why the router abandoned an inner packet.
+type DropCause uint8
+
+// The drop causes, one per place forward or onPacket gives a packet up.
+const (
+	DropTTL       DropCause = iota // hop budget spent
+	DropVoid                       // local maximum with no perimeter neighbor
+	DropDeadEnd                    // perimeter walk found no unvisited edge
+	DropTxFailed                   // next hop down or out of range at send time
+	DropMalformed                  // envelope without a geo header
+	NumDropCauses
+)
+
+var dropCauseNames = [NumDropCauses]string{
+	"ttl", "void with no perimeter", "perimeter dead end", "tx failed", "malformed envelope",
+}
+
+// String implements fmt.Stringer.
+func (c DropCause) String() string { return dropCauseNames[c] }
+
 // rlane is the router's per-lane state: everything a forwarding
 // decision mutates. One exists per shard lane (one total when the
 // network is unsharded); a decision executing on lane i touches only
@@ -112,9 +131,9 @@ type rlane struct {
 	// pooling is lane-local, never the lifetime.
 	freeHdr []*Header
 
-	// dropped counts inner packets abandoned on this lane; drops can
-	// happen mid-relay, hence per-lane. Read via Router.Dropped.
-	dropped uint64
+	// dropped counts inner packets abandoned on this lane by cause;
+	// drops can happen mid-relay, hence per-lane. Read via Router.Drops.
+	dropped [NumDropCauses]uint64
 }
 
 // Router performs geographic unicast over one network. One router is
@@ -122,11 +141,6 @@ type rlane struct {
 // registers consumers for its own inner packet kinds.
 type Router struct {
 	net *network.Network
-	tr  trace.Tracer
-	// trOn gates the per-packet trace calls: formatting arguments box
-	// into interfaces even for the no-op tracer, which is measurable at
-	// millions of forwarding decisions.
-	trOn bool
 
 	consumers       map[string]DeliverFunc
 	fallbackDeliver DeliverFunc
@@ -149,7 +163,6 @@ func Attach(net *network.Network, mux *network.Mux) *Router {
 	}
 	r := &Router{
 		net:       net,
-		tr:        trace.Nop,
 		consumers: make(map[string]DeliverFunc),
 	}
 	r.growLanes(1)
@@ -177,12 +190,23 @@ func (r *Router) growLanes(k int) {
 	}
 }
 
-// Dropped returns how many inner packets were abandoned (TTL expiry,
-// perimeter dead ends, failed transmissions), folded across lanes.
+// Drops returns how many inner packets were abandoned, by cause,
+// folded across lanes.
+func (r *Router) Drops() [NumDropCauses]uint64 {
+	var d [NumDropCauses]uint64
+	for i := range r.rl {
+		for c, n := range r.rl[i].dropped {
+			d[c] += n
+		}
+	}
+	return d
+}
+
+// Dropped returns how many inner packets were abandoned, all causes.
 func (r *Router) Dropped() uint64 {
 	var n uint64
-	for i := range r.rl {
-		n += r.rl[i].dropped
+	for _, c := range r.Drops() {
+		n += c
 	}
 	return n
 }
@@ -196,15 +220,6 @@ func (r *Router) Deliver(kind string, fn DeliverFunc) {
 // DeliverFallback registers the consumer for inner kinds with no exact
 // registration.
 func (r *Router) DeliverFallback(fn DeliverFunc) { r.fallbackDeliver = fn }
-
-// SetTracer installs a tracer; nil resets to no-op.
-func (r *Router) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop
-	}
-	r.tr = t
-	r.trOn = t != trace.Nop
-}
 
 // Send geo-routes inner from the node `from` toward the target
 // position, to be consumed by final (or by the node nearest the target
@@ -287,7 +302,7 @@ func (r *Router) onPacket(n *network.Node, from network.NodeID, pkt *network.Pac
 	rl := &r.rl[r.net.ExecLaneIdx(n.ID)]
 	h, ok := pkt.Payload.(*Header)
 	if !ok {
-		rl.dropped++
+		rl.dropped[DropMalformed]++
 		return
 	}
 	h.PrevHop = from
@@ -311,7 +326,7 @@ func (r *Router) forward(rl *rlane, n *network.Node, h *Header) bool {
 		return true
 	}
 	if h.TTL <= 0 {
-		r.drop(rl, n, h, "ttl")
+		r.drop(rl, h, DropTTL)
 		return false
 	}
 	h.TTL--
@@ -326,7 +341,7 @@ func (r *Router) forward(rl *rlane, n *network.Node, h *Header) bool {
 			h.Visited[n.ID] = true
 			peri := r.perimeterNext(rl, n, pos, h)
 			if peri == network.NoNode {
-				r.drop(rl, n, h, "perimeter dead end")
+				r.drop(rl, h, DropDeadEnd)
 				return false
 			}
 			return r.transmit(rl, n, peri, h)
@@ -339,7 +354,7 @@ func (r *Router) forward(rl *rlane, n *network.Node, h *Header) bool {
 		h.Visited = map[network.NodeID]bool{n.ID: true}
 		peri := r.perimeterNext(rl, n, pos, h)
 		if peri == network.NoNode {
-			r.drop(rl, n, h, "void with no perimeter")
+			r.drop(rl, h, DropVoid)
 			return false
 		}
 		return r.transmit(rl, n, peri, h)
@@ -352,7 +367,7 @@ func (r *Router) transmit(rl *rlane, n *network.Node, to network.NodeID, h *Head
 	ok := rl.lane.Unicast(n.ID, to, env)
 	rl.lane.ReleasePacket(env) // in-flight references keep it alive
 	if !ok {
-		r.drop(rl, n, h, "tx failed")
+		r.drop(rl, h, DropTxFailed)
 		return false
 	}
 	h.Hops++
@@ -367,9 +382,6 @@ func (r *Router) transmit(rl *rlane, n *network.Node, to network.NodeID, h *Head
 func (r *Router) consume(rl *rlane, n *network.Node, h *Header) {
 	r.Delivered++ //hvdb:serialonly consume deliveries (to == FinalDst, or anycast) are global events; the network pins them to the serial lane, never inside a window
 	h.Inner.Hops += h.Hops
-	if r.trOn {
-		r.tr.Eventf(trace.Routes, float64(rl.lane.Now()), "geo delivered %s uid=%d at %d", h.Inner.Kind, h.Inner.UID, n.ID)
-	}
 	fn, ok := r.consumers[h.Inner.Kind]
 	if !ok {
 		fn = r.fallbackDeliver
@@ -380,11 +392,8 @@ func (r *Router) consume(rl *rlane, n *network.Node, h *Header) {
 	r.releaseHeader(rl, h)
 }
 
-func (r *Router) drop(rl *rlane, n *network.Node, h *Header, why string) {
-	rl.dropped++
-	if r.trOn {
-		r.tr.Eventf(trace.Routes, float64(rl.lane.Now()), "geo drop %s uid=%d at %d: %s", h.Inner.Kind, h.Inner.UID, n.ID, why)
-	}
+func (r *Router) drop(rl *rlane, h *Header, why DropCause) {
+	rl.dropped[why]++
 	r.releaseHeader(rl, h)
 }
 

@@ -217,3 +217,34 @@ func TestDownSourceRefused(t *testing.T) {
 		t.Fatal("send from down node accepted")
 	}
 }
+
+// TestDropsByCause: each way the router gives a packet up lands on its
+// own counter, and Dropped is their sum.
+func TestDropsByCause(t *testing.T) {
+	e := newEnv(10)
+	a := e.add(0, 0)
+	b := e.add(200, 0)
+	far := e.add(2500, 2500) // no neighbours: a void with no perimeter
+	e.finish()
+	e.r.Send(far.ID, geom.Pt(0, 0), a.ID, inner(e.net, far.ID))
+	// A header whose hop budget is spent, decided at a.
+	rl := &e.r.rl[0]
+	h := e.r.acquireHeader(rl)
+	h.Target, h.FinalDst, h.PrevHop, h.Inner = geom.Pt(200, 0), b.ID, network.NoNode, inner(e.net, a.ID)
+	if e.r.forward(rl, e.net.Node(a.ID), h) {
+		t.Fatal("spent header forwarded")
+	}
+	// A geo envelope that carries no header.
+	e.net.Unicast(a.ID, b.ID, &network.Packet{Kind: Kind, Src: a.ID, Size: HeaderSize})
+	e.sim.Run()
+	want := [NumDropCauses]uint64{DropTTL: 1, DropVoid: 1, DropMalformed: 1}
+	if got := e.r.Drops(); got != want {
+		t.Fatalf("drops %v want %v", got, want)
+	}
+	if e.r.Dropped() != 3 {
+		t.Fatalf("Dropped %d want 3", e.r.Dropped())
+	}
+	if len(e.delivered) != 0 {
+		t.Fatalf("delivered %d", len(e.delivered))
+	}
+}

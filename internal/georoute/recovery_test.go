@@ -61,7 +61,7 @@ func TestRecoveryNamedUnreachableDrops(t *testing.T) {
 	if len(e.delivered) != 0 {
 		t.Fatal("unreachable destination was delivered")
 	}
-	if e.r.Dropped() != 1 {
-		t.Fatalf("dropped %d want 1 (bounded walk)", e.r.Dropped())
+	if d := e.r.Drops(); d[DropTTL] != 1 || e.r.Dropped() != 1 {
+		t.Fatalf("drops %v want one TTL expiry (the hop budget bounds the walk)", d)
 	}
 }

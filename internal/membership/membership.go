@@ -29,7 +29,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/logicalid"
 	"repro/internal/network"
-	"repro/internal/trace"
 	"repro/internal/vcgrid"
 )
 
@@ -259,11 +258,6 @@ type localMsg struct {
 type Service struct {
 	bb  *core.Backbone
 	cfg Config
-	tr  trace.Tracer
-	// trOn gates the per-merge trace calls: formatting arguments box
-	// into an interface slice even when the tracer is Nop, and the MT
-	// merge runs once per received summary.
-	trOn bool
 
 	// Member-side state is sparse: only nodes that have joined a group
 	// (or owe one final empty report after leaving their last one) carry
@@ -299,7 +293,6 @@ func New(bb *core.Backbone, cfg Config) *Service {
 	s := &Service{
 		bb:      bb,
 		cfg:     cfg,
-		tr:      trace.Nop,
 		members: make(map[network.NodeID]*memberState),
 		slots:   make([]*slotState, bb.Scheme().Grid().Count()),
 		labels:  1 << uint(bb.Scheme().Dim()),
@@ -309,15 +302,6 @@ func New(bb *core.Backbone, cfg Config) *Service {
 	bb.HandleInner(MNTKind, s.onMNT)
 	bb.HandleInner(HTKind, s.onHT)
 	return s
-}
-
-// SetTracer installs a tracer; nil resets to no-op.
-func (s *Service) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop
-	}
-	s.tr = t
-	s.trOn = t != trace.Nop
 }
 
 // memberState is the member-side record of one node that currently
@@ -842,10 +826,6 @@ func (s *Service) recordMT(slot logicalid.CHID, hid logicalid.HID, groups map[Gr
 	}
 	if changed {
 		s.version++
-	}
-	if s.trOn {
-		s.tr.Eventf(trace.Membership, float64(s.bb.Net().Sim().Now()),
-			"slot %d MT view merged summary of hypercube %d (%d groups)", slot, hid, len(groups))
 	}
 }
 

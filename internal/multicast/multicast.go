@@ -38,7 +38,6 @@ import (
 	"repro/internal/membership"
 	"repro/internal/network"
 	"repro/internal/route"
-	"repro/internal/trace"
 	"repro/internal/vcgrid"
 )
 
@@ -140,10 +139,6 @@ type Service struct {
 	bb  *core.Backbone
 	ms  *membership.Service
 	cfg Config
-	tr  trace.Tracer
-	// trOn gates the trace calls on the forwarding path: their
-	// arguments box into an interface slice even when the tracer is Nop.
-	trOn bool
 
 	// meshTrees and cubeTrees hold the reused trees of Figure 6 steps 2
 	// and 4 for Config.CacheTTL after each compute.
@@ -160,11 +155,15 @@ type Service struct {
 	meshScratch  []logicalid.HID
 	localScratch []network.NodeID
 
-	// Counters for experiments.
+	// Counters for experiments. NoEntryCH counts packets abandoned
+	// because the next-hop hypercube had no CH to enter; QoSBlocked
+	// counts tree edges the QoS gate refused.
 	Sent          uint64
 	Delivered     uint64
 	TreeComputes  uint64
 	TreeCacheHits uint64
+	NoEntryCH     uint64
+	QoSBlocked    uint64
 }
 
 // New wires multicast onto the backbone. The outer mux (the one bound
@@ -174,20 +173,11 @@ func New(bb *core.Backbone, ms *membership.Service, mux *network.Mux, cfg Config
 	if cfg.HeaderBase <= 0 {
 		cfg = DefaultConfig()
 	}
-	s := &Service{bb: bb, ms: ms, cfg: cfg, tr: trace.Nop}
+	s := &Service{bb: bb, ms: ms, cfg: cfg}
 	bb.HandleInner(SourceKind, s.onSource)
 	bb.HandleInner(DataKind, s.onData)
 	mux.Handle(LocalKind, s.onLocal)
 	return s
-}
-
-// SetTracer installs a tracer; nil resets to no-op.
-func (s *Service) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop
-	}
-	s.tr = t
-	s.trOn = t != trace.Nop
 }
 
 // OnDeliver registers an additional delivery observer; every observer
@@ -368,10 +358,7 @@ func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid u
 		}
 	}
 	if best < 0 {
-		if s.trOn {
-			s.tr.Eventf(trace.Multicast, float64(s.bb.Net().Sim().Now()),
-				"uid %d: hypercube %d has no CH to enter", uid, to)
-		}
+		s.NoEntryCH++
 		return
 	}
 	from, dst := s.bb.CHNodeOf(fromSlot), s.bb.CHNodeOf(best)
@@ -422,10 +409,7 @@ func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Ti
 			continue // CH vanished since the tree was computed
 		}
 		if s.cfg.MinBandwidth > 0 && s.bb.BestRoute(slot, childSlot, s.cfg.MinBandwidth, 0) == nil {
-			if s.trOn {
-				s.tr.Eventf(trace.Multicast, float64(s.bb.Net().Sim().Now()),
-					"uid %d: QoS gate blocked %d -> %d", uid, slot, childSlot)
-			}
+			s.QoSBlocked++
 			continue
 		}
 		if !out.IntraCube {

@@ -293,6 +293,9 @@ func TestQoSGateBlocksImpossibleDemand(t *testing.T) {
 	if tb.deliveredTo(uid, a.ID) {
 		t.Fatal("QoS gate failed to block impossible demand")
 	}
+	if tb.mc.QoSBlocked == 0 {
+		t.Fatal("blocked tree edge not counted")
+	}
 }
 
 func TestQoSGatePassesWithRoutes(t *testing.T) {
@@ -312,6 +315,9 @@ func TestQoSGatePassesWithRoutes(t *testing.T) {
 	tb.drain()
 	if !tb.deliveredTo(uid, a.ID) {
 		t.Fatal("QoS gate blocked a satisfiable demand")
+	}
+	if tb.mc.QoSBlocked != 0 {
+		t.Fatalf("QoSBlocked %d on a satisfiable demand", tb.mc.QoSBlocked)
 	}
 }
 
@@ -385,5 +391,37 @@ func TestSendFailureLeavesNoFlight(t *testing.T) {
 	}
 	if tb.mc.Sent != sent {
 		t.Fatalf("Sent went from %d to %d on a send that did not start", sent, tb.mc.Sent)
+	}
+}
+
+// TestNoEntryCHCounted: a send whose reused mesh-tier tree leads into
+// a hypercube that lost every CH since the tree was computed dies at
+// Figure 6 step 3, and is counted there.
+func TestNoEntryCHCounted(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheTTL = 100 // the second send reuses the first send's trees
+	tb := newTestbed(t, cfg)
+	vc := vcgrid.VC{CX: 6, CY: 1}
+	a := tb.addMember(tb.grid.Index(vc), 30, 0)
+	src := tb.addMember(tb.grid.Index(vcgrid.VC{CX: 1, CY: 1}), 30, 0)
+	tb.ms.Join(a.ID, 9)
+	tb.prepare()
+	first := tb.mc.Send(src.ID, 9, 64)
+	tb.drain()
+	if !tb.deliveredTo(first, a.ID) || tb.mc.NoEntryCH != 0 {
+		t.Fatalf("first send: delivered=%v NoEntryCH=%d", tb.deliveredTo(first, a.ID), tb.mc.NoEntryCH)
+	}
+	hid := tb.scheme.CHIDToPlace(logicalid.CHID(tb.grid.Index(vc))).HID
+	for _, v := range tb.scheme.BlockVCs(hid) {
+		tb.net.Node(tb.cm.CHOf(v)).Fail()
+	}
+	tb.cm.Elect()
+	uid := tb.mc.Send(src.ID, 9, 64)
+	tb.drain()
+	if tb.deliveredTo(uid, a.ID) {
+		t.Fatal("delivered into a hypercube without CHs")
+	}
+	if tb.mc.NoEntryCH != 1 {
+		t.Fatalf("NoEntryCH %d want 1", tb.mc.NoEntryCH)
 	}
 }

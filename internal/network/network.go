@@ -63,7 +63,6 @@ import (
 	"repro/internal/gps"
 	"repro/internal/mobility"
 	"repro/internal/radio"
-	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
@@ -258,6 +257,7 @@ type laneState struct {
 	ctrlBytes uint64
 	dataBytes uint64
 	lost      uint64
+	rxDown    uint64 // deliveries whose receiver went down in flight
 
 	// Free list for pooled packets; pktCheckedOut balances
 	// AcquirePacket against pool recycling. A packet acquired on one
@@ -295,12 +295,10 @@ type spatialState struct {
 
 // Network owns the nodes of one simulated MANET.
 type Network struct {
-	sim    *des.Simulator
-	arena  geom.Rect
-	nodes  []*Node
-	rng    *xrand.Rand
-	tracer trace.Tracer
-	trOn   bool // gates per-loss trace calls (arg boxing allocates)
+	sim   *des.Simulator
+	arena geom.Rect
+	nodes []*Node
+	rng   *xrand.Rand
 
 	// Incremental spatial index over node positions. Cells form a
 	// two-level sparse grid over the arena (padded by gridPad cells per
@@ -477,7 +475,6 @@ func New(sim *des.Simulator, arena geom.Rect, rng *xrand.Rand) *Network {
 		sim:      sim,
 		arena:    arena,
 		rng:      rng,
-		tracer:   trace.Nop,
 		cellSize: radio.DefaultCH.Range,
 	}
 	w.initLane(&w.laneState, 0)
@@ -510,22 +507,6 @@ func (w *Network) sizeGrid() {
 	w.tileCols = (w.gridCols + tileMask) >> tileShift
 	w.tileRows = (w.gridRows + tileMask) >> tileShift
 	w.tiles = make([]*gridTile, w.tileCols*w.tileRows)
-}
-
-// SetTracer installs a tracer; nil resets to no-op. Tracing and the
-// sharded kernel are mutually exclusive (lane-local emission would
-// interleave nondeterministically): EnableSharding refuses a traced
-// network, and installing a tracer afterwards panics rather than
-// silently corrupting the trace stream.
-func (w *Network) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop
-	}
-	if w.eng != nil && t != trace.Nop {
-		panic("network: cannot install a tracer on a sharded network")
-	}
-	w.tracer = t
-	w.trOn = t != trace.Nop
 }
 
 // Sim returns the simulator the network schedules on.
@@ -1140,9 +1121,6 @@ func (w *Network) unicastLS(ls *laneState, now des.Time, from, to NodeID, pkt *P
 	w.account(ls, src, pkt)
 	if src.Radio.Lost(&src.rng) {
 		ls.lost++
-		if w.trOn {
-			w.tracer.Eventf(trace.Radio, float64(now), "LOST %s %d->%d", pkt.Kind, from, to)
-		}
 		return true
 	}
 	w.scheduleDelivery(now, des.Duration(src.pre.HopDelay2(pkt.Size, d2)), from, to, pkt)
@@ -1213,6 +1191,8 @@ func (w *Network) deliverLS(ls *laneState, from, to NodeID, pkt *Packet) {
 		if e.handler != nil {
 			e.handler(e.node, from, pkt)
 		}
+	} else {
+		ls.rxDown++
 	}
 	if pkt.pooled {
 		w.unrefLS(ls, pkt)
@@ -1303,7 +1283,8 @@ func (w *Network) unrefLS(ls *laneState, p *Packet) {
 // Stats is a snapshot of the network's aggregate traffic accounting.
 type Stats struct {
 	ControlBytes, DataBytes uint64
-	Lost                    uint64
+	Lost                    uint64 // radio losses
+	ReceiverDown            uint64 // receptions cut by the receiver going down in flight
 	KindTx                  map[string]uint64
 	KindBytes               map[string]uint64
 }
@@ -1328,6 +1309,7 @@ func (w *Network) Stats() Stats {
 		st.ControlBytes += ls.ctrlBytes
 		st.DataBytes += ls.dataBytes
 		st.Lost += ls.lost
+		st.ReceiverDown += ls.rxDown
 		for k, c := range ls.kinds {
 			if c.tx == 0 && c.bytes == 0 {
 				continue
@@ -1386,7 +1368,7 @@ func (w *Network) SendersMatching(match func(kind string) bool) int {
 // not re-allocate them.
 func (w *Network) ResetTraffic() {
 	w.eachLane(func(ls *laneState) {
-		ls.ctrlBytes, ls.dataBytes, ls.lost = 0, 0, 0
+		ls.ctrlBytes, ls.dataBytes, ls.lost, ls.rxDown = 0, 0, 0, 0
 		for _, c := range ls.kinds {
 			c.tx, c.bytes = 0, 0
 			for i := range c.senders {

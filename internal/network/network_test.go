@@ -247,6 +247,30 @@ func TestLossyLink(t *testing.T) {
 	}
 }
 
+// TestReceiverDownCounted: a packet on air to a node that fails before
+// it arrives is not delivered, and the drop is counted once, apart
+// from radio loss; ResetTraffic clears the count.
+func TestReceiverDownCounted(t *testing.T) {
+	sim := des.New()
+	net := New(sim, geom.RectWH(0, 0, 1000, 1000), xrand.New(7))
+	a := net.AddNode(&mobility.Static{P: geom.Pt(0, 0)}, radio.DefaultMN, nil, false)
+	b := net.AddNode(&mobility.Static{P: geom.Pt(100, 0)}, radio.DefaultMN, nil, false)
+	delivered := false
+	b.SetHandler(func(*Node, NodeID, *Packet) { delivered = true })
+	if !net.Unicast(a.ID, b.ID, &Packet{Kind: "x", Size: 10}) {
+		t.Fatal("transmission should be attempted")
+	}
+	b.Fail()
+	sim.Run()
+	if st := net.Stats(); delivered || st.ReceiverDown != 1 || st.Lost != 0 {
+		t.Fatalf("delivered=%v ReceiverDown=%d Lost=%d, want false/1/0", delivered, st.ReceiverDown, st.Lost)
+	}
+	net.ResetTraffic()
+	if n := net.Stats().ReceiverDown; n != 0 {
+		t.Fatalf("ResetTraffic left ReceiverDown=%d", n)
+	}
+}
+
 func TestAdoptPacketReleasesChildOnRecycle(t *testing.T) {
 	_, net := testNet()
 	inner := net.AcquirePacket()

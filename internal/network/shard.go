@@ -132,9 +132,6 @@ func (w *Network) EnableSharding(eng *des.Sharded, confinedPrefix string) error 
 	if confinedPrefix == "" {
 		return fmt.Errorf("network: empty confined-kind prefix would confine every delivery")
 	}
-	if w.trOn {
-		return fmt.Errorf("network: tracing enabled; lane-local trace emission would interleave nondeterministically")
-	}
 	l := eng.Lookahead()
 	if w.grain == 0 || des.Duration(w.grain) < l {
 		return fmt.Errorf("network: radio grain %v below the engine lookahead %v", w.grain, l)

@@ -97,6 +97,71 @@ func TestShardCountByteIdentical(t *testing.T) {
 	}
 }
 
+// TestShardDropCountsIndependent plays two lossy built-in scripts on
+// the default world (the one hvdbsim runs with no flags) at shards 1
+// and 2: every per-cause drop count must match, the geo causes must
+// sum to Router.Dropped, and the counts must not be vacuous —
+// partition-heal loses packets to the radio and to geo TTL expiry,
+// churn-storm to receivers that went down in flight.
+func TestShardDropCountsIndependent(t *testing.T) {
+	run := func(script string, shards int) []Drop {
+		spec := DefaultSpec()
+		spec.Shards = shards
+		w, err := Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards > 1 && w.Eng == nil {
+			t.Fatalf("sharding declined: %s", w.ShardNote)
+		}
+		stk := startHVDB(t, w)
+		w.WarmUp(15)
+		sc, err := BuiltinScript(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.RunScript(stk, sc); err != nil {
+			t.Fatal(err)
+		}
+		stk.Stop()
+		var geo uint64
+		for _, n := range w.BB.Geo().Drops() {
+			geo += n
+		}
+		if geo != w.BB.Geo().Dropped() {
+			t.Fatalf("%s shards=%d: geo causes sum to %d, Dropped is %d", script, shards, geo, w.BB.Geo().Dropped())
+		}
+		return w.Drops()
+	}
+	nonzero := func(d []Drop) map[string]bool {
+		m := map[string]bool{}
+		for _, x := range d {
+			if x.N > 0 {
+				m[x.Cause] = true
+			}
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		script string
+		want   []string // causes that must be nonzero
+	}{
+		{"partition-heal", []string{"radio loss", "geo ttl"}},
+		{"churn-storm", []string{"receiver down"}},
+	} {
+		serial := run(tc.script, 1)
+		if got := run(tc.script, 2); fmt.Sprint(got) != fmt.Sprint(serial) {
+			t.Fatalf("%s: drop counts diverged:\n  serial:   %v\n  shards=2: %v", tc.script, serial, got)
+		}
+		nz := nonzero(serial)
+		for _, c := range tc.want {
+			if !nz[c] {
+				t.Errorf("%s: no %q drops counted: %v", tc.script, c, serial)
+			}
+		}
+	}
+}
+
 // TestShardedSerialUnchanged: a Shards=1 spec must not construct an
 // engine at all — the serial path is literally the old code.
 func TestShardedSerialUnchanged(t *testing.T) {
