@@ -241,7 +241,7 @@ type trialResult struct {
 	endTime              float64
 	dataBytes            uint64
 	energyJ, energyMaxJ  float64
-	chChanges, elections uint64
+	chChanges, elections uint64          // traffic phase only
 	drops                []scenario.Drop // traffic phase only
 }
 
@@ -275,7 +275,10 @@ func runTrial(spec scenario.Spec, cfg trialConfig, verbose bool) (trialResult, e
 		fmt.Printf("%s | %s | protocol %s\n", res.desc, res.grid, cfg.proto)
 		fmt.Printf("warm-up done at t=%.1fs: %d clusters headed\n", float64(w.Sim.Now()), res.clusters)
 	}
+	// Every figure below covers the traffic phase only: counters the
+	// warm-up does not reset are read here and subtracted at the end.
 	warmDrops := w.Drops()
+	warmChanges, warmElections := w.CM.Changes(), w.CM.Elections()
 
 	if cfg.script != nil {
 		res.script = cfg.script.Name
@@ -308,8 +311,8 @@ func runTrial(spec scenario.Spec, cfg trialConfig, verbose bool) (trialResult, e
 			res.energyMaxJ = j
 		}
 	}
-	res.chChanges = w.CM.Changes()
-	res.elections = w.CM.Elections()
+	res.chChanges = w.CM.Changes() - warmChanges
+	res.elections = w.CM.Elections() - warmElections
 	res.drops = w.Drops()
 	for i := range res.drops {
 		res.drops[i].N -= warmDrops[i].N

@@ -1,0 +1,30 @@
+package main
+
+import (
+	"testing"
+
+	"repro/internal/scenario"
+)
+
+// TestTrialClusterCountsCoverTrafficPhase: on a static world whose CHs
+// are anchored at every VCC, the backbone is settled once the warm-up
+// ends, so the traffic phase sees elections but no CH change. Counting
+// from t = 0 would report the warm-up's initial elections as changes.
+func TestTrialClusterCountsCoverTrafficPhase(t *testing.T) {
+	spec := scenario.DefaultSpec()
+	spec.Nodes = 60
+	spec.Mobility = scenario.Static
+	if !spec.AnchorCHs {
+		t.Fatal("the default spec no longer anchors CHs; the test premise is broken")
+	}
+	res, err := runTrial(spec, trialConfig{proto: "hvdb", warm: 10, packets: 5, payload: 64}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.chChanges != 0 {
+		t.Errorf("traffic phase counted %d CH changes on a static anchored world, want 0", res.chChanges)
+	}
+	if res.elections == 0 {
+		t.Error("traffic phase counted no elections")
+	}
+}

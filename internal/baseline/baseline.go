@@ -19,7 +19,11 @@
 //     bottleneck hot spots that the hypercube's symmetry avoids.
 //
 // Every scheme is a protocol.Stack: the embedded arm supplies
-// membership, the delivery observer and the Stats counters, and
+// membership, the delivery observer, the Stats counters and the
+// mechanics the schemes share — the send prologue (begin), the periodic
+// control rounds that Stop cancels (every), control-flood origination
+// and relay (originateFlood, rebroadcastFlood), and the source-routed
+// tree leg DSM and CBT push data down (treeLeg, onLeg) — and
 // scenario.World.Protocol builds the schemes by name.
 //
 // Substitution note (documented in DESIGN.md): the periodic control
@@ -40,14 +44,15 @@ import (
 )
 
 // arm is the state every scheme embeds: the group membership, the
-// delivery observer and the Stats counters. With Name and Send from the
-// scheme, it makes the scheme a protocol.Stack; schemes with a control
-// plane override Start and Stop.
+// delivery observer, the Stats counters and the control-round tickers.
+// With Name and Send from the scheme, it makes the scheme a
+// protocol.Stack; schemes with a control plane override Start.
 type arm struct {
 	net       *network.Network
 	joined    map[network.NodeID]map[protocol.Group]bool
 	onDeliver protocol.DeliverFunc
 	stx       protocol.Stats
+	tickers   []*des.Ticker
 }
 
 func newArm(net *network.Network) arm {
@@ -70,8 +75,18 @@ func (a *arm) Leave(id network.NodeID, g protocol.Group) {
 // Start implements protocol.Stack (no control plane).
 func (a *arm) Start() {}
 
-// Stop implements protocol.Stack.
-func (a *arm) Stop() {}
+// Stop implements protocol.Stack: it cancels every control round.
+func (a *arm) Stop() {
+	for _, t := range a.tickers {
+		t.Stop()
+	}
+	a.tickers = nil
+}
+
+// every runs round each period, first one period from now, until Stop.
+func (a *arm) every(period des.Duration, round func()) {
+	a.tickers = append(a.tickers, a.net.Sim().Every(period, period, round))
+}
 
 // Deliveries implements protocol.Stack.
 func (a *arm) Deliveries(f protocol.DeliverFunc) { a.onDeliver = f }
@@ -115,9 +130,20 @@ func (a *arm) sortedMembers() []network.NodeID {
 	return network.SortedIDs(out)
 }
 
-// open starts the record of a data send.
-func (a *arm) open() *flight {
-	return &flight{delivered: newNodeSet(a.net)}
+// begin is the prologue of every Send: a send from a live src draws its
+// uid and opens its record, and a src that is a member of g is
+// delivered to at once. It returns uid 0 when src is down.
+func (a *arm) begin(src network.NodeID, g protocol.Group) (uint64, *flight) {
+	n := a.net.Node(src)
+	if n == nil || !n.Up() {
+		return 0, nil
+	}
+	uid := a.net.NextUID()
+	fl := &flight{delivered: newNodeSet(a.net)}
+	if a.isMember(src, g) {
+		a.record(fl, src, uid, a.net.Sim().Now(), 0)
+	}
+	return uid, fl
 }
 
 // record delivers to member once per send: the first copy to reach it
@@ -180,6 +206,16 @@ func relayFlood(n *network.Node, pkt *network.Packet) (*flight, bool) {
 	return fl, ok && fl.relayed.add(n.ID)
 }
 
+// originateFlood puts one control flood of kind, size bytes, on the air
+// from src.
+func (a *arm) originateFlood(src network.NodeID, kind string, size int) {
+	a.net.Broadcast(src, &network.Packet{
+		Kind: kind, Src: src, Dst: network.NoNode,
+		Size: size, Control: true, Born: a.net.Sim().Now(), UID: a.net.NextUID(),
+		Payload: new(flight).flood(a.net, src),
+	})
+}
+
 // rebroadcastFlood is the whole handler of a control flood kind: the
 // contents feed the snapshot oracle, so there is nothing to store.
 func rebroadcastFlood(n *network.Node, _ network.NodeID, pkt *network.Packet) {
@@ -196,10 +232,33 @@ func snapshotTree(net *network.Network, root network.NodeID, dests []network.Nod
 	return graph.Prune(graph.BFSTree(root, net.NeighborsAppend), root, dests)
 }
 
-// childrenOf inverts a parent map at one node. Children come back in ID
-// order: callers transmit to them, and transmission order must not
-// depend on map iteration (each send may draw from the sender's loss
-// stream).
-func childrenOf(tree map[network.NodeID]network.NodeID, u network.NodeID) []network.NodeID {
-	return network.Children(tree, u, nil)
+// treeLeg is the header of a source-routed tree leg — DSM's sender
+// tree, CBT's core tree — shared by pointer by every copy of one send.
+// size, the bytes of each hop's copy, is fixed when the header is made.
+type treeLeg struct {
+	fl   *flight
+	tree map[network.NodeID]network.NodeID
+	size int
+}
+
+// onLeg is the receive side of a tree leg, and its start at the tree's
+// root: a member is delivered to, then one copy goes to each tree child
+// of n. The copies keep pkt's kind and its original source in Src, so
+// forwarding-load accounting sees relayed packets as relayed.
+func (a *arm) onLeg(n *network.Node, _ network.NodeID, pkt *network.Packet) {
+	leg, ok := pkt.Payload.(*treeLeg)
+	if !ok || leg.tree == nil {
+		return
+	}
+	if a.isMember(n.ID, protocol.Group(pkt.Group)) {
+		a.record(leg.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
+	}
+	// Children in ID order: transmission order must not depend on map
+	// iteration (each send may draw from the sender's loss stream).
+	for _, child := range network.Children(leg.tree, n.ID, nil) {
+		a.net.Unicast(n.ID, child, &network.Packet{
+			Kind: pkt.Kind, Src: pkt.Src, Dst: child, Group: pkt.Group,
+			Size: leg.size, Born: pkt.Born, UID: pkt.UID, Payload: leg,
+		})
+	}
 }

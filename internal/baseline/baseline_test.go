@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/geom"
+	"repro/internal/georoute"
 	"repro/internal/mobility"
 	"repro/internal/network"
 	"repro/internal/protocol"
@@ -307,5 +308,47 @@ func TestSendFromDownNodeFailsAcrossProtocols(t *testing.T) {
 	d := NewDSM(net, network.NewMux())
 	if d.Send(0, 1, 10) != 0 {
 		t.Fatal("dsm accepted down source")
+	}
+}
+
+// TestStopHaltsControlPlanes runs each scheme's control plane for 10 s,
+// stops it, lets the copies already on the air land (1 s), and runs
+// 10 s more: no control kind may transmit in that window. It spans
+// every round period, SPBM's level-3 one (16 s) included, so a ticker
+// that Stop misses shows up in the counts.
+func TestStopHaltsControlPlanes(t *testing.T) {
+	geo := func(kind string) string { return georoute.KindPrefix + kind }
+	for _, tc := range []struct {
+		name  string
+		build func(*network.Network, *network.Mux) protocol.Stack
+		kinds []string
+	}{
+		{"dsm", func(n *network.Network, m *network.Mux) protocol.Stack { return NewDSM(n, m) }, []string{DSMPositionKind}},
+		{"pbm", func(n *network.Network, m *network.Mux) protocol.Stack { return NewPBM(n, m) }, []string{PBMReportKind}},
+		{"spbm", func(n *network.Network, m *network.Mux) protocol.Stack { return NewSPBM(n, m) }, []string{SPBMUpdateKind, geo(SPBMUpdateKind)}},
+		{"cbt", func(n *network.Network, m *network.Mux) protocol.Stack { return NewCBT(n, m) }, []string{geo(CBTJoinKind)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, net, mux := grid16(17)
+			stk := tc.build(net, mux)
+			stk.Join(0, 1)
+			stk.Join(15, 1)
+			stk.Start()
+			sim.RunUntil(10)
+			stk.Stop()
+			sim.RunUntil(11)
+			stopped := make(map[string]uint64)
+			for _, k := range tc.kinds {
+				if stopped[k] = net.Stats().KindTx[k]; stopped[k] == 0 {
+					t.Fatalf("%s never transmitted while running", k)
+				}
+			}
+			sim.RunUntil(21)
+			for _, k := range tc.kinds {
+				if got := net.Stats().KindTx[k]; got != stopped[k] {
+					t.Errorf("%s transmitted %d times after Stop", k, got-stopped[k])
+				}
+			}
+		})
 	}
 }

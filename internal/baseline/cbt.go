@@ -33,16 +33,8 @@ type CBT struct {
 	arm
 	geo *georoute.Router
 	// core is the rendezvous node, picked by chooseCore.
-	core   network.NodeID
-	trees  route.SnapshotMemo[protocol.Group, map[network.NodeID]network.NodeID]
-	ticker *des.Ticker
-}
-
-// cbtHeader carries the core tree for downstream forwarding.
-type cbtHeader struct {
-	fl          *flight
-	Tree        map[network.NodeID]network.NodeID
-	PayloadSize int
+	core  network.NodeID
+	trees route.SnapshotMemo[protocol.Group, map[network.NodeID]network.NodeID]
 }
 
 // NewCBT attaches the protocol to the network's mux.
@@ -55,7 +47,7 @@ func NewCBT(net *network.Network, mux *network.Mux) *CBT {
 	c.geo.Deliver(CBTJoinKind, func(*network.Node, *network.Packet) {
 		// Join refreshes feed the oracle membership view.
 	})
-	mux.Handle(CBTDataKind, c.onData)
+	mux.Handle(CBTDataKind, c.onLeg)
 	return c
 }
 
@@ -86,14 +78,7 @@ func (c *CBT) Start() {
 	if c.core == network.NoNode {
 		c.chooseCore()
 	}
-	c.ticker = c.net.Sim().Every(cbtPeriod, cbtPeriod, c.joinRound)
-}
-
-// Stop implements protocol.Stack.
-func (c *CBT) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
+	c.every(cbtPeriod, c.joinRound)
 }
 
 // joinRound sends a join refresh from every member to the core.
@@ -129,70 +114,38 @@ func (c *CBT) corePos() geom.Point {
 // Send implements protocol.Stack: unicast to the core, then down the
 // shared tree.
 func (c *CBT) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
-	n := c.net.Node(src)
-	if n == nil || !n.Up() || c.core == network.NoNode {
+	if c.core == network.NoNode {
 		return 0
 	}
-	now := c.net.Sim().Now()
-	uid := c.net.NextUID()
-	hdr := &cbtHeader{fl: c.open(), PayloadSize: payloadSize}
-	if c.isMember(src, g) {
-		c.record(hdr.fl, src, uid, now, 0)
+	uid, fl := c.begin(src, g)
+	if uid == 0 {
+		return 0
 	}
 	inner := &network.Packet{
 		Kind: CBTDataKind, Src: src, Dst: c.core, Group: int(g),
-		Size: payloadSize + 8, Born: now, UID: uid, Payload: hdr,
+		Size: payloadSize + 8, Born: c.net.Sim().Now(), UID: uid,
+		Payload: &treeLeg{fl: fl, size: payloadSize + 8},
 	}
 	if src == c.core {
-		c.atCore(n, inner)
-		return c.sent(uid)
-	}
-	if !c.geo.Send(src, c.corePos(), c.core, inner) {
+		c.atCore(c.net.Node(src), inner)
+	} else if !c.geo.Send(src, c.corePos(), c.core, inner) {
 		return 0
 	}
 	return c.sent(uid)
 }
 
 // atCore runs when a data packet reaches the core: compute or reuse the
-// shared tree and forward downstream.
+// shared tree and push the packet down it.
 func (c *CBT) atCore(n *network.Node, inner *network.Packet) {
-	hdr, ok := inner.Payload.(*cbtHeader)
+	leg, ok := inner.Payload.(*treeLeg)
 	if !ok {
 		return
 	}
 	g := protocol.Group(inner.Group)
-	now := c.net.Sim().Now()
 	// The snapshot memo reproduces CBT's staleness window on the shared
 	// core tree.
-	tree, _ := c.trees.Get(now, cbtSnapshotTTL, g, func() map[network.NodeID]network.NodeID {
+	leg.tree, _ = c.trees.Get(c.net.Sim().Now(), cbtSnapshotTTL, g, func() map[network.NodeID]network.NodeID {
 		return snapshotTree(c.net, c.core, c.members(g))
 	})
-	hdr.Tree = tree
-	if c.isMember(c.core, g) {
-		c.record(hdr.fl, c.core, inner.UID, inner.Born, inner.Hops)
-	}
-	c.forward(c.core, inner.Src, g, inner.UID, inner.Born, hdr)
-}
-
-// forward keeps the original source in Src so forwarding-load
-// accounting sees relayed packets as relayed.
-func (c *CBT) forward(u, origin network.NodeID, g protocol.Group, uid uint64, born des.Time, hdr *cbtHeader) {
-	for _, child := range childrenOf(hdr.Tree, u) {
-		pkt := &network.Packet{
-			Kind: CBTDataKind, Src: origin, Dst: child, Group: int(g),
-			Size: hdr.PayloadSize + 8, Born: born, UID: uid, Payload: hdr,
-		}
-		c.net.Unicast(u, child, pkt)
-	}
-}
-
-func (c *CBT) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
-	hdr, ok := pkt.Payload.(*cbtHeader)
-	if !ok || hdr.Tree == nil {
-		return
-	}
-	if c.isMember(n.ID, protocol.Group(pkt.Group)) {
-		c.record(hdr.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
-	}
-	c.forward(n.ID, pkt.Src, protocol.Group(pkt.Group), pkt.UID, pkt.Born, hdr)
+	c.onLeg(n, n.ID, inner)
 }

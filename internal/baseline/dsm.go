@@ -36,8 +36,7 @@ const (
 // group's tree for dsmSnapshotTTL rather than recomputing per packet.
 type DSM struct {
 	arm
-	trees  route.SnapshotMemo[treeKey, map[network.NodeID]network.NodeID]
-	ticker *des.Ticker
+	trees route.SnapshotMemo[treeKey, map[network.NodeID]network.NodeID]
 }
 
 type treeKey struct {
@@ -49,7 +48,7 @@ type treeKey struct {
 func NewDSM(net *network.Network, mux *network.Mux) *DSM {
 	d := &DSM{arm: newArm(net)}
 	mux.Handle(DSMPositionKind, rebroadcastFlood)
-	mux.Handle(DSMDataKind, d.onData)
+	mux.Handle(DSMDataKind, d.onLeg)
 	return d
 }
 
@@ -57,45 +56,23 @@ func NewDSM(net *network.Network, mux *network.Mux) *DSM {
 func (d *DSM) Name() string { return "dsm" }
 
 // Start launches the periodic position floods.
-func (d *DSM) Start() {
-	d.ticker = d.net.Sim().Every(dsmPeriod, dsmPeriod, d.positionRound)
-}
-
-// Stop implements protocol.Stack.
-func (d *DSM) Stop() {
-	if d.ticker != nil {
-		d.ticker.Stop()
-	}
-}
+func (d *DSM) Start() { d.every(dsmPeriod, d.positionRound) }
 
 // positionRound floods every live node's position report network-wide —
 // DSM's control plane and its scalability bottleneck.
 func (d *DSM) positionRound() {
 	for _, n := range d.net.Nodes() {
-		if !n.Up() {
-			continue
+		if n.Up() {
+			d.originateFlood(n.ID, DSMPositionKind, dsmPositionSize)
 		}
-		pkt := &network.Packet{
-			Kind: DSMPositionKind, Src: n.ID, Dst: network.NoNode,
-			Size: dsmPositionSize, Control: true, Born: d.net.Sim().Now(), UID: d.net.NextUID(),
-			Payload: new(flight).flood(d.net, n.ID),
-		}
-		d.net.Broadcast(n.ID, pkt)
 	}
 }
 
-// dsmHeader carries the source-encoded tree.
-type dsmHeader struct {
-	fl          *flight
-	Tree        map[network.NodeID]network.NodeID
-	PayloadSize int
-}
-
 // Send implements protocol.Stack: compute (or reuse) the snapshot tree,
-// encode it, and forward along it.
+// encode it in the header, and push the packet down it from src.
 func (d *DSM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
-	n := d.net.Node(src)
-	if n == nil || !n.Up() {
+	uid, fl := d.begin(src, g)
+	if uid == 0 {
 		return 0
 	}
 	now := d.net.Sim().Now()
@@ -105,36 +82,9 @@ func (d *DSM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64
 	tree, _ := d.trees.Get(now, dsmSnapshotTTL, treeKey{src: src, g: g}, func() map[network.NodeID]network.NodeID {
 		return snapshotTree(d.net, src, d.members(g))
 	})
-	uid := d.net.NextUID()
-	hdr := &dsmHeader{fl: d.open(), Tree: tree, PayloadSize: payloadSize}
-	if d.isMember(src, g) {
-		d.record(hdr.fl, src, uid, now, 0)
-	}
-	d.forward(src, src, g, uid, now, hdr)
+	leg := &treeLeg{fl: fl, tree: tree, size: payloadSize + 8 + 8*len(tree)} // encoded tree in header
+	d.onLeg(d.net.Node(src), src, &network.Packet{
+		Kind: DSMDataKind, Src: src, Group: int(g), Born: now, UID: uid, Payload: leg,
+	})
 	return d.sent(uid)
-}
-
-// forward sends one copy to each tree child of u. origin is the
-// original source, preserved in Src so forwarding-load accounting sees
-// relayed packets as relayed.
-func (d *DSM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, born des.Time, hdr *dsmHeader) {
-	for _, child := range childrenOf(hdr.Tree, u) {
-		pkt := &network.Packet{
-			Kind: DSMDataKind, Src: origin, Dst: child, Group: int(g),
-			Size: hdr.PayloadSize + 8 + 8*len(hdr.Tree), // encoded tree in header
-			Born: born, UID: uid, Payload: hdr,
-		}
-		d.net.Unicast(u, child, pkt)
-	}
-}
-
-func (d *DSM) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
-	hdr, ok := pkt.Payload.(*dsmHeader)
-	if !ok {
-		return
-	}
-	if d.isMember(n.ID, protocol.Group(pkt.Group)) {
-		d.record(hdr.fl, n.ID, pkt.UID, pkt.Born, pkt.Hops)
-	}
-	d.forward(n.ID, pkt.Src, protocol.Group(pkt.Group), pkt.UID, pkt.Born, hdr)
 }

@@ -28,20 +28,14 @@ func (f *Flooding) Name() string { return "flooding" }
 
 // Send implements protocol.Stack.
 func (f *Flooding) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
-	n := f.net.Node(src)
-	if n == nil || !n.Up() {
+	uid, fl := f.begin(src, g)
+	if uid == 0 {
 		return 0
 	}
-	uid := f.net.NextUID()
-	fl := f.open().flood(f.net, src)
-	pkt := &network.Packet{
+	f.net.Broadcast(src, &network.Packet{
 		Kind: FloodKind, Src: src, Dst: network.NoNode, Group: int(g),
-		Size: payloadSize + 8, Born: f.net.Sim().Now(), UID: uid, Payload: fl,
-	}
-	if f.isMember(src, g) {
-		f.record(fl, src, uid, pkt.Born, 0)
-	}
-	f.net.Broadcast(src, pkt)
+		Size: payloadSize + 8, Born: f.net.Sim().Now(), UID: uid, Payload: fl.flood(f.net, src),
+	})
 	return f.sent(uid)
 }
 

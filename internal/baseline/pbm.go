@@ -35,8 +35,7 @@ const (
 // positions used at forwarding time then come from the oracle.
 type PBM struct {
 	arm
-	geo    *georoute.Router
-	ticker *des.Ticker
+	geo *georoute.Router
 }
 
 // pbmHeader carries the remaining destinations of one packet copy.
@@ -67,51 +66,31 @@ func NewPBM(net *network.Network, mux *network.Mux) *PBM {
 func (p *PBM) Name() string { return "pbm" }
 
 // Start launches periodic member position-report floods.
-func (p *PBM) Start() {
-	p.ticker = p.net.Sim().Every(pbmPeriod, pbmPeriod, p.reportRound)
-}
-
-// Stop implements protocol.Stack.
-func (p *PBM) Stop() {
-	if p.ticker != nil {
-		p.ticker.Stop()
-	}
-}
+func (p *PBM) Start() { p.every(pbmPeriod, p.reportRound) }
 
 // reportRound floods a position report from every group member.
 func (p *PBM) reportRound() {
 	for _, id := range p.sortedMembers() {
-		n := p.net.Node(id)
-		if n == nil || !n.Up() {
-			continue
+		if n := p.net.Node(id); n != nil && n.Up() {
+			p.originateFlood(id, PBMReportKind, pbmReportSize)
 		}
-		pkt := &network.Packet{
-			Kind: PBMReportKind, Src: id, Dst: network.NoNode,
-			Size: pbmReportSize, Control: true, Born: p.net.Sim().Now(), UID: p.net.NextUID(),
-			Payload: new(flight).flood(p.net, id),
-		}
-		p.net.Broadcast(id, pkt)
 	}
 }
 
 // Send implements protocol.Stack.
 func (p *PBM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
-	n := p.net.Node(src)
-	if n == nil || !n.Up() {
+	uid, fl := p.begin(src, g)
+	if uid == 0 {
 		return 0
 	}
-	now := p.net.Sim().Now()
-	uid := p.net.NextUID()
-	hdr := &pbmHeader{fl: p.open(), PayloadSize: payloadSize}
+	hdr := &pbmHeader{fl: fl, PayloadSize: payloadSize}
 	for _, m := range p.members(g) {
-		if m == src {
-			p.record(hdr.fl, src, uid, now, 0)
-			continue
+		if m != src {
+			hdr.Dests = append(hdr.Dests, m)
+			hdr.Targets = append(hdr.Targets, p.net.Node(m).TruePos())
 		}
-		hdr.Dests = append(hdr.Dests, m)
-		hdr.Targets = append(hdr.Targets, p.net.Node(m).TruePos())
 	}
-	p.forward(src, src, g, uid, now, hdr)
+	p.forward(src, src, g, uid, p.net.Sim().Now(), hdr)
 	return p.sent(uid)
 }
 

@@ -45,8 +45,7 @@ const (
 // from the oracle, matching the converged state.
 type SPBM struct {
 	arm
-	geo     *georoute.Router
-	tickers []*des.Ticker
+	geo *georoute.Router
 }
 
 // spbmHeader routes one copy toward a target level-0 square.
@@ -77,21 +76,11 @@ func (s *SPBM) Name() string { return "spbm" }
 
 // Start launches the per-level periodic membership updates.
 func (s *SPBM) Start() {
-	sim := s.net.Sim()
-	s.tickers = append(s.tickers, sim.Every(spbmPeriod, spbmPeriod, s.level0Round))
+	s.every(spbmPeriod, s.level0Round)
 	for l := 1; l <= spbmLevels; l++ {
 		l := l
-		period := spbmPeriod * des.Duration(math.Pow(2, float64(l)))
-		s.tickers = append(s.tickers, sim.Every(period, period, func() { s.levelRound(l) }))
+		s.every(spbmPeriod*des.Duration(math.Pow(2, float64(l))), func() { s.levelRound(l) })
 	}
-}
-
-// Stop implements protocol.Stack.
-func (s *SPBM) Stop() {
-	for _, t := range s.tickers {
-		t.Stop()
-	}
-	s.tickers = nil
 }
 
 // level0Round: every node broadcasts its membership update — the
@@ -159,16 +148,11 @@ func (s *SPBM) levelRound(level int) {
 // Send implements protocol.Stack: one geo-routed copy per occupied level-0
 // square; at the square, a local broadcast reaches the members.
 func (s *SPBM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64 {
-	n := s.net.Node(src)
-	if n == nil || !n.Up() {
+	uid, fl := s.begin(src, g)
+	if uid == 0 {
 		return 0
 	}
 	now := s.net.Sim().Now()
-	uid := s.net.NextUID()
-	fl := s.open()
-	if s.isMember(src, g) {
-		s.record(fl, src, uid, now, 0)
-	}
 	squares := make(map[geom.Point]bool)
 	for _, m := range s.members(g) {
 		if m == src {

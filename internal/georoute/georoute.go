@@ -74,9 +74,9 @@ type Header struct {
 	PrevHop    network.NodeID
 	// Visited marks nodes traversed while in recovery. Real GPSR's face
 	// routing is loop-free by construction; this simplified right-hand
-	// traversal uses the visited set for the same guarantee, preferring
-	// unvisited perimeter neighbors and dropping only when the whole
-	// reachable perimeter has been walked.
+	// traversal only prefers unvisited perimeter neighbors. Once none is
+	// left it steps to visited ones, so a walk around a destination it
+	// cannot reach ends only when TTL runs out.
 	Visited map[network.NodeID]bool
 }
 
@@ -89,8 +89,8 @@ type DropCause uint8
 // The drop causes, one per place forward or onPacket gives a packet up.
 const (
 	DropTTL       DropCause = iota // hop budget spent
-	DropVoid                       // local maximum with no perimeter neighbor
-	DropDeadEnd                    // perimeter walk found no unvisited edge
+	DropVoid                       // local maximum at a node with no Gabriel neighbor
+	DropDeadEnd                    // perimeter walk reached a node with no Gabriel neighbor
 	DropTxFailed                   // next hop down or out of range at send time
 	DropMalformed                  // envelope without a geo header
 	NumDropCauses
@@ -415,7 +415,9 @@ func (r *Router) bestGreedy(rl *rlane, n *network.Node, pos, target geom.Point) 
 // perimeterNext applies the right-hand rule on the Gabriel-planarized
 // neighbor subgraph: take the first edge counterclockwise from the edge
 // back to the previous hop (or from the direction toward the target when
-// entering recovery).
+// entering recovery). It returns NoNode only when n has no Gabriel
+// neighbor; otherwise some neighbor, the previous hop as a last resort,
+// always qualifies.
 func (r *Router) perimeterNext(rl *rlane, n *network.Node, pos geom.Point, h *Header) network.NodeID {
 	nbrs := r.gabrielNeighbors(rl, n, pos)
 	if len(nbrs) == 0 {
@@ -429,10 +431,10 @@ func (r *Router) perimeterNext(rl *rlane, n *network.Node, pos geom.Point, h *He
 	}
 	best := network.NoNode
 	bestDelta := math.Inf(1)
-	// First pass prefers unvisited neighbors (loop-free traversal);
-	// second pass allows visited ones only when nothing new remains,
-	// which lets the walk back out of a dead-end spur exactly once per
-	// node before the visited set exhausts and the packet drops.
+	// First pass prefers unvisited neighbors; the second allows visited
+	// ones when nothing new remains, which lets the walk back out of a
+	// dead-end spur. Nothing bounds how often it revisits a node: a walk
+	// that cannot reach its destination cycles until TTL runs out.
 	for pass := 0; pass < 2 && best == network.NoNode; pass++ {
 		for i, id := range nbrs {
 			if id == h.PrevHop && len(nbrs) > 1 {

@@ -92,44 +92,74 @@ func DefaultConfig() Config {
 // noOrigin marks an empty lane in the dense per-origin views.
 const noOrigin logicalid.CHID = -1
 
-// seqLane is one dense flood-dedup entry: the highest sequence seen
-// from the origin occupying the lane. A different origin hashing to the
-// same lane (a CH role that moved cube mid-flight, or a designation
-// change) evicts the occupant to a spill map, so the pair reproduces
-// exact per-origin map semantics at array-index cost on the hot path.
-type seqLane struct {
+// lanes is a per-origin map laid out densely: each origin has a lane
+// index (its in-cube label for the MNT view and MNT dedup, its
+// hypercube for HT dedup), and the lane's origin guards its value. A
+// different origin landing in an occupied lane (a CH role that moved
+// cube mid-flight, or a designation change) evicts the occupant to a
+// spill map, so the pair keeps exact per-origin map semantics at
+// array-index cost on the hot path. Every origin lives in exactly one
+// place across lanes and spill, so iteration never double-counts.
+type lanes[V any] struct {
+	lane  []lane[V]
+	spill map[logicalid.CHID]V
+}
+
+// lane is one dense entry: the origin occupying it and its value.
+type lane[V any] struct {
 	origin logicalid.CHID
-	seq    uint64
+	v      V
 }
 
-// seenSeq returns the highest sequence recorded for origin (0 when
-// never seen), checking the lane first and the spill map otherwise.
-func seenSeq(lanes []seqLane, idx int, origin logicalid.CHID, spill map[logicalid.CHID]uint64) uint64 {
-	if l := &lanes[idx]; l.origin == origin {
-		return l.seq
+func newLanes[V any](n int) lanes[V] {
+	l := lanes[V]{lane: make([]lane[V], n)}
+	for i := range l.lane {
+		l.lane[i].origin = noOrigin
 	}
-	return spill[origin]
+	return l
 }
 
-// recordSeq stores seq for origin in its lane, moving a different
-// occupant's entry to the spill map first so no origin's history is
-// lost, and dropping origin's own stale spill entry so every origin
-// lives in exactly one place across lanes and spill (the same
-// invariant setMNT keeps for the MNT views).
-func recordSeq(lanes []seqLane, idx int, origin logicalid.CHID, seq uint64, spill *map[logicalid.CHID]uint64) {
-	l := &lanes[idx]
-	if l.origin != origin {
-		if l.origin != noOrigin {
-			if *spill == nil {
-				*spill = make(map[logicalid.CHID]uint64)
+// get returns origin's value (the zero V when unknown), checking its
+// lane first and the spill map otherwise.
+func (l *lanes[V]) get(idx int, origin logicalid.CHID) V {
+	if e := &l.lane[idx]; e.origin == origin {
+		return e.v
+	}
+	return l.spill[origin]
+}
+
+// set stores v for origin in lane idx and reports whether origin was
+// installed there (it did not occupy the lane before). Installing moves
+// a different occupant to the spill map and drops origin's own spill
+// entry.
+func (l *lanes[V]) set(idx int, origin logicalid.CHID, v V) bool {
+	e := &l.lane[idx]
+	installed := e.origin != origin
+	if installed {
+		if e.origin != noOrigin {
+			if l.spill == nil {
+				l.spill = make(map[logicalid.CHID]V)
 			}
-			(*spill)[l.origin] = l.seq
+			l.spill[e.origin] = e.v
 		}
-		if *spill != nil {
-			delete(*spill, origin)
+		delete(l.spill, origin)
+		e.origin = origin
+	}
+	e.v = v
+	return installed
+}
+
+// each calls f for every known origin, lanes first, then spill.
+// Consumers re-derive order-sensitive outputs by sorting.
+func (l *lanes[V]) each(f func(origin logicalid.CHID, v V)) {
+	for _, e := range l.lane {
+		if e.origin != noOrigin {
+			f(e.origin, e.v)
 		}
 	}
-	l.origin, l.seq = origin, seq
+	for origin, v := range l.spill {
+		f(origin, v)
+	}
 }
 
 // hidSet is a bitset over hypercube IDs — the MT view's "which cubes
@@ -183,12 +213,11 @@ func (s *hidSet) hids() []logicalid.HID {
 }
 
 // slotState is the membership view accumulated at one CH slot. The MNT
-// and dedup views are dense lanes indexed by the origin's in-cube label
-// (MNT) or hypercube (HT) with spill maps for lane collisions; the MT
-// view is a per-group hypercube bitset. All of it is behaviorally
-// identical to the map-of-maps layout it replaced — the dense layout
-// exists because onMNT/onHT run once per flood reception, which at 10k
-// nodes is the simulator's hottest protocol-plane path.
+// view and flood dedup are lanes (see lanes); the MT view is a
+// per-group hypercube bitset. All of it is behaviorally identical to
+// the map-of-maps layout it replaced — the dense layout exists because
+// onMNT/onHT run once per flood reception, which at 10k nodes is the
+// simulator's hottest protocol-plane path.
 type slotState struct {
 	// hid is the slot's own hypercube, fixed by geometry.
 	hid logicalid.HID
@@ -197,47 +226,28 @@ type slotState struct {
 	// their report was last refreshed (from Local-Membership messages).
 	localView map[Group]map[network.NodeID]des.Time
 
-	// mnt: origin label -> that origin's group counts, with mntOrigin
-	// guarding each lane; cross-cube leftovers spill to mntSpill. The
-	// invariant is that every origin appears exactly once across lanes
-	// and spill, so iteration never double-counts.
-	mnt       []map[Group]int
-	mntOrigin []logicalid.CHID
-	mntSpill  map[logicalid.CHID]map[Group]int
+	// mnt: origin -> that origin's group counts, laned by origin label.
+	mnt lanes[map[Group]int]
 
 	// mtView: group -> hypercubes known to contain members (from
 	// HT-Summary broadcasts plus own hypercube).
 	mtView map[Group]*hidSet
 
-	// Flood dedup: seenMNT lanes by origin label, seenHT lanes by the
-	// origin's hypercube (one designated broadcaster per cube at a
-	// time).
-	seenMNT      []seqLane
-	seenHT       []seqLane
-	seenMNTSpill map[logicalid.CHID]uint64
-	seenHTSpill  map[logicalid.CHID]uint64
+	// Flood dedup, the highest sequence seen per origin: seenMNT laned
+	// by origin label, seenHT by the origin's hypercube (one designated
+	// broadcaster per cube at a time).
+	seenMNT, seenHT lanes[uint64]
 }
 
 func newSlotState(hid logicalid.HID, labels, numHID int) *slotState {
-	st := &slotState{
+	return &slotState{
 		hid:       hid,
 		localView: make(map[Group]map[network.NodeID]des.Time),
-		mnt:       make([]map[Group]int, labels),
-		mntOrigin: make([]logicalid.CHID, labels),
+		mnt:       newLanes[map[Group]int](labels),
 		mtView:    make(map[Group]*hidSet),
-		seenMNT:   make([]seqLane, labels),
-		seenHT:    make([]seqLane, numHID),
+		seenMNT:   newLanes[uint64](labels),
+		seenHT:    newLanes[uint64](numHID),
 	}
-	for i := range st.mntOrigin {
-		st.mntOrigin[i] = noOrigin
-	}
-	for i := range st.seenMNT {
-		st.seenMNT[i].origin = noOrigin
-	}
-	for i := range st.seenHT {
-		st.seenHT[i].origin = noOrigin
-	}
-	return st
 }
 
 // summaryMsg is the wire form of MNT- and HT-Summary floods.
@@ -399,52 +409,13 @@ func (s *Service) labelOf(origin logicalid.CHID) int {
 	return int(s.bb.Scheme().CHIDToPlace(origin).HNID)
 }
 
-// mntOf returns origin's group counts in st, or nil when unknown.
-func (s *Service) mntOf(st *slotState, origin logicalid.CHID) map[Group]int {
-	idx := s.labelOf(origin)
-	if st.mntOrigin[idx] == origin {
-		return st.mnt[idx]
-	}
-	return st.mntSpill[origin]
-}
-
 // setMNT stores origin's group counts, bumping the summary version when
-// the stored view actually changes.
+// the stored view changes or origin is installed into its lane.
 func (s *Service) setMNT(st *slotState, origin logicalid.CHID, groups map[Group]int) {
 	idx := s.labelOf(origin)
-	switch cur := st.mntOrigin[idx]; cur {
-	case origin:
-		if !equalGroupCounts(st.mnt[idx], groups) {
-			s.version++
-		}
-		st.mnt[idx] = groups
-		return
-	case noOrigin:
-	default:
-		// A different origin occupies the lane: move it to the spill map
-		// so its view survives.
-		if st.mntSpill == nil {
-			st.mntSpill = make(map[logicalid.CHID]map[Group]int)
-		}
-		st.mntSpill[cur] = st.mnt[idx]
-	}
-	// Installing origin into the lane; drop any stale spill entry so the
-	// lanes+spill iteration sees each origin exactly once.
-	delete(st.mntSpill, origin)
-	st.mntOrigin[idx], st.mnt[idx] = origin, groups
-	s.version++
-}
-
-// rangeMNT calls f for every known origin's view (lanes then spill).
-// Consumers re-derive order-sensitive outputs by sorting, as before.
-func (st *slotState) rangeMNT(f func(origin logicalid.CHID, groups map[Group]int)) {
-	for i, origin := range st.mntOrigin {
-		if origin != noOrigin {
-			f(origin, st.mnt[i])
-		}
-	}
-	for origin, groups := range st.mntSpill {
-		f(origin, groups)
+	prev := st.mnt.get(idx, origin)
+	if st.mnt.set(idx, origin, groups) || !equalGroupCounts(prev, groups) {
+		s.version++
 	}
 }
 
@@ -609,7 +580,7 @@ func (s *Service) MNTRound() {
 		// Record our own summary in our own view first.
 		st := s.slot(slot)
 		s.setMNT(st, slot, msg.Groups)
-		recordSeq(st.seenMNT, s.labelOf(slot), slot, msg.Seq, &st.seenMNTSpill)
+		st.seenMNT.set(s.labelOf(slot), slot, msg.Seq)
 		s.floodMNT(slot, msg, ch)
 	}
 }
@@ -661,10 +632,10 @@ func (s *Service) onMNT(n *network.Node, _ network.NodeID, pkt *network.Packet) 
 	}
 	st := s.slot(slot)
 	idx := s.labelOf(msg.Origin)
-	if seenSeq(st.seenMNT, idx, msg.Origin, st.seenMNTSpill) >= msg.Seq {
+	if st.seenMNT.get(idx, msg.Origin) >= msg.Seq {
 		return // duplicate
 	}
-	recordSeq(st.seenMNT, idx, msg.Origin, msg.Seq, &st.seenMNTSpill)
+	st.seenMNT.set(idx, msg.Origin, msg.Seq)
 	s.setMNT(st, msg.Origin, msg.Groups)
 	s.floodMNT(slot, msg, n.ID) // continue the scoped flood
 }
@@ -674,7 +645,7 @@ func (s *Service) onMNT(n *network.Node, _ network.NodeID, pkt *network.Packet) 
 func (s *Service) HTSummary(slot logicalid.CHID) map[Group]int {
 	st := s.slot(slot)
 	out := make(map[Group]int)
-	st.rangeMNT(func(_ logicalid.CHID, groups map[Group]int) {
+	st.mnt.each(func(_ logicalid.CHID, groups map[Group]int) {
 		for g, c := range groups {
 			out[g] += c
 		}
@@ -702,7 +673,7 @@ func (s *Service) Designated(slot logicalid.CHID) bool {
 	}
 	score := func(c logicalid.CHID) int {
 		total := 0
-		for _, cnt := range s.mntOf(st, c) {
+		for _, cnt := range st.mnt.get(s.labelOf(c), c) {
 			total += cnt
 		}
 		if s.cfg.Designation == DesignateSelf {
@@ -712,7 +683,7 @@ func (s *Service) Designated(slot logicalid.CHID) bool {
 			if scheme.CHIDToPlace(nb).HID != myHID {
 				continue
 			}
-			for _, cnt := range s.mntOf(st, nb) {
+			for _, cnt := range st.mnt.get(s.labelOf(nb), nb) {
 				total += cnt
 			}
 		}
@@ -720,7 +691,7 @@ func (s *Service) Designated(slot logicalid.CHID) bool {
 	}
 	mine := score(slot)
 	designated := true
-	st.rangeMNT(func(origin logicalid.CHID, _ map[Group]int) {
+	st.mnt.each(func(origin logicalid.CHID, _ map[Group]int) {
 		if !designated || origin == slot || scheme.CHIDToPlace(origin).HID != myHID {
 			return
 		}
@@ -753,7 +724,7 @@ func (s *Service) HTRound() {
 		s.seq++
 		msg := &summaryMsg{Origin: slot, HID: place.HID, Seq: s.seq, Groups: summary}
 		st := s.slot(slot)
-		recordSeq(st.seenHT, int(place.HID), slot, msg.Seq, &st.seenHTSpill)
+		st.seenHT.set(int(place.HID), slot, msg.Seq)
 		s.floodHT(slot, msg, ch)
 	}
 }
@@ -785,10 +756,10 @@ func (s *Service) onHT(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	}
 	st := s.slot(slot)
 	idx := int(msg.HID)
-	if seenSeq(st.seenHT, idx, msg.Origin, st.seenHTSpill) >= msg.Seq {
+	if st.seenHT.get(idx, msg.Origin) >= msg.Seq {
 		return
 	}
-	recordSeq(st.seenHT, idx, msg.Origin, msg.Seq, &st.seenHTSpill)
+	st.seenHT.set(idx, msg.Origin, msg.Seq)
 	s.recordMT(slot, msg.HID, msg.Groups)
 	s.floodHT(slot, msg, n.ID)
 }
@@ -866,7 +837,7 @@ func (s *Service) CubeMembers(slot logicalid.CHID, g Group) []logicalid.CHID {
 	st := s.slot(slot)
 	myHID := st.hid
 	var out []logicalid.CHID
-	st.rangeMNT(func(origin logicalid.CHID, groups map[Group]int) {
+	st.mnt.each(func(origin logicalid.CHID, groups map[Group]int) {
 		if scheme.CHIDToPlace(origin).HID != myHID {
 			return
 		}

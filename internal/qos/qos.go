@@ -89,11 +89,13 @@ func NewManager(bb *core.Backbone, ms *membership.Service, mc *multicast.Service
 	return &Manager{bb: bb, ms: ms, mc: mc, sessions: make(map[SessionID]*Session)}
 }
 
-// treeCHs computes the set of CH nodes the session's multicast trees
-// would cross from the given source slot: the mesh-tier tree over the
-// member-bearing hypercubes plus, within each crossed hypercube, the
-// hypercube-tier tree over member CH slots (mirroring Figure 6's two
-// tiers).
+// treeCHs computes the set of CH nodes admission reserves on from the
+// given source slot: the mesh-tier tree over the member-bearing
+// hypercubes plus, within each crossed hypercube, a hypercube-tier tree
+// over member CH slots (Figure 6's two tiers). Only the mesh tier is the
+// data plane's own tree; the cube tier is an approximation of it (see
+// the loop), so a reservation can land on CHs the data plane never
+// crosses.
 func (m *Manager) treeCHs(srcSlot logicalid.CHID, g membership.Group) []network.NodeID {
 	scheme := m.bb.Scheme()
 	rootHID := scheme.CHIDToPlace(srcSlot).HID
@@ -117,7 +119,11 @@ func (m *Manager) treeCHs(srcSlot logicalid.CHID, g membership.Group) []network.
 	for _, h := range sortedHIDs(meshTree) {
 		cube := m.bb.Cube(h)
 		// Entry label: the source label in the root cube, else the
-		// geographically nearest CH slot (as the data plane picks).
+		// lowest label present (the first of cube.Labels()). The data
+		// plane enters at the CH slot nearest the forwarding slot
+		// (multicast's forwardToCube) and spans the cube with
+		// logicalTreeWithin over LogicalNeighbors, not with
+		// cube.MulticastTree as below.
 		entry := scheme.CHIDToPlace(srcSlot).HNID
 		entrySlot := srcSlot
 		if h != rootHID {

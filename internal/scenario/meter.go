@@ -67,9 +67,9 @@ func (c Counts) PDR() float64 {
 // the meter, or the audience snapshots go stale.
 //
 // Known hole: a delivery the arm makes inside Send itself (the five
-// baselines hand the packet to a source that is a member before Send
-// returns) precedes the audience entry and is not counted, though the
-// source is in Expected. Every recorded table was measured with this
+// baselines' shared send prologue, baseline.arm.begin, hands the packet
+// to a source that is a member before Send returns) precedes the
+// audience entry and is not counted, though the source is in Expected. Every recorded table was measured with this
 // order, so it is kept; the fix belongs with the packet-fate ledger
 // (ROADMAP item 2).
 type Meter struct {
