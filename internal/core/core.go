@@ -27,6 +27,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/georoute"
@@ -51,11 +53,6 @@ type Config struct {
 	BeaconPeriod des.Duration
 	// RouteTTL expires table entries not refreshed for this long.
 	RouteTTL des.Duration
-	// MaxRoutesPerDest bounds how many distinct-next-hop routes are kept
-	// per destination; multiple routes are the paper's availability
-	// mechanism ("multiple candidate logical routes become available
-	// immediately").
-	MaxRoutesPerDest int
 	// BeaconHeader and BeaconEntry size the on-air beacon in bytes.
 	BeaconHeader, BeaconEntry int
 }
@@ -65,16 +62,16 @@ type Config struct {
 // speed, not node-motion speed).
 func DefaultConfig() Config {
 	return Config{
-		K:                4,
-		BeaconPeriod:     2.0,
-		RouteTTL:         6.5,
-		MaxRoutesPerDest: 3,
-		BeaconHeader:     16,
-		BeaconEntry:      12,
+		K:            4,
+		BeaconPeriod: 2.0,
+		RouteTTL:     6.5,
+		BeaconHeader: 16,
+		BeaconEntry:  12,
 	}
 }
 
-// Route is one QoS-annotated logical route table entry.
+// Route is one QoS-annotated logical route, as Routes and BestRoute
+// return it.
 type Route struct {
 	Dest    logicalid.CHID
 	NextHop logicalid.CHID
@@ -105,16 +102,55 @@ type beaconPayload struct {
 	Entries  []beaconEntry
 }
 
-// routeTable holds the logical routes known at one CH slot (VC). The
-// table belongs to the slot rather than the node so that CH handover
-// within a VC keeps the accumulated state, mirroring the paper's
-// non-dynamic-backbone property.
-type routeTable struct {
-	routes map[logicalid.CHID][]Route // by destination
+// maxRoutesPerDest bounds how many distinct-next-hop routes a slot
+// keeps per destination; multiple routes are the paper's availability
+// mechanism ("multiple candidate logical routes become available
+// immediately").
+const maxRoutesPerDest = 3
+
+// tableRoute is a stored Route: the destination lives once in its
+// destRoutes, and next hop and hops are narrowed to 32 bits, so an
+// entry is 32 bytes.
+type tableRoute struct {
+	nextHop, hops    int32
+	delay, bandwidth float64
+	expires          des.Time
 }
 
-func newRouteTable() *routeTable {
-	return &routeTable{routes: make(map[logicalid.CHID][]Route)}
+func (r *tableRoute) route(dest logicalid.CHID) Route {
+	return Route{
+		Dest: dest, NextHop: logicalid.CHID(r.nextHop), Hops: int(r.hops),
+		Delay: r.delay, Bandwidth: r.bandwidth, Expires: r.expires,
+	}
+}
+
+// destRoutes holds one destination's routes inline, best first by
+// (hops, delay); routes[:n] are in use.
+type destRoutes struct {
+	dest, n int32
+	routes  [maxRoutesPerDest]tableRoute
+}
+
+// routeTable holds the logical routes known at one CH slot (VC), one
+// destRoutes per destination in ascending destination order. The table
+// belongs to the slot rather than the node so that CH handover within a
+// VC keeps the accumulated state, mirroring the paper's
+// non-dynamic-backbone property.
+type routeTable []destRoutes
+
+// find returns the index of dest in the table, or where it would be
+// inserted, and whether it is present.
+func (t routeTable) find(dest logicalid.CHID) (int, bool) {
+	lo, hi := 0, len(t)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if logicalid.CHID(t[m].dest) < dest {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t) && logicalid.CHID(t[lo].dest) == dest
 }
 
 // Backbone is the HVDB instance over one network.
@@ -125,7 +161,7 @@ type Backbone struct {
 	geo    *georoute.Router
 	cfg    Config
 
-	tables map[logicalid.CHID]*routeTable
+	tables []routeTable // by slot
 	inner  *network.Mux // dispatch for logically-routed inner packets
 
 	// nbrCache memoizes LogicalNeighbors per slot; entries are valid
@@ -168,7 +204,7 @@ func New(net *network.Network, mux *network.Mux, cm *cluster.Manager, scheme *lo
 		cm:     cm,
 		scheme: scheme,
 		cfg:    cfg,
-		tables: make(map[logicalid.CHID]*routeTable),
+		tables: make([]routeTable, scheme.Grid().Count()),
 		inner:  network.NewMux(),
 	}
 	b.geo = georoute.Attach(net, mux)
@@ -322,14 +358,13 @@ func (b *Backbone) SendLogical(fromSlot, toSlot logicalid.CHID, inner *network.P
 	return b.geo.Send(from, target, to, inner)
 }
 
-// table returns (creating if needed) the route table of a slot.
-func (b *Backbone) table(slot logicalid.CHID) *routeTable {
-	t, ok := b.tables[slot]
-	if !ok {
-		t = newRouteTable()
-		b.tables[slot] = t
+// table returns the route table of a slot; nil for a slot outside the
+// grid.
+func (b *Backbone) table(slot logicalid.CHID) routeTable {
+	if slot < 0 || int(slot) >= len(b.tables) {
+		return nil
 	}
-	return t
+	return b.tables[slot]
 }
 
 // BeaconRound performs one Figure 4 step 1 for every current CH: send
@@ -374,31 +409,31 @@ func (b *Backbone) BeaconRound() {
 }
 
 // exportEntries renders the advertisable routes of a slot — itself at
-// hops 0 plus every live table entry with fewer than K hops (a neighbor
-// would extend it by one) — appended to the round's shared arena. It
+// hops 0, then in ascending destination order each destination's best
+// live route if it has fewer than K hops (a neighbor would extend it by
+// one) — appended to the round's shared arena. It
 // returns the slot's sub-slice and the extended arena. Growing the
 // arena mid-round is safe: earlier slots' sub-slices keep referencing
 // the old backing array, which their payloads pin.
 func (b *Backbone) exportEntries(slot logicalid.CHID, now des.Time, arena []beaconEntry) ([]beaconEntry, []beaconEntry) {
-	t := b.table(slot)
 	start := len(arena)
 	arena = append(arena, beaconEntry{Dest: slot, Hops: 0, Delay: 0, Bandwidth: 1e12})
-	//hvdb:unordered wire order of beacon entries is not observable: onBeacon merges each entry into the receiver's table keyed by Dest (per-dest independent), and within a dest sortRoutes keeps canonical order
-	for dest, routes := range t.routes {
-		var best *Route
-		for i := range routes {
-			r := &routes[i]
-			if r.Expires < now {
+	t := b.tables[slot]
+	for i := range t {
+		d := &t[i]
+		for j := range d.routes[:d.n] {
+			r := &d.routes[j]
+			if r.expires < now {
 				continue
 			}
-			if best == nil || r.Hops < best.Hops || (r.Hops == best.Hops && r.Delay < best.Delay) {
-				best = r
+			// Routes are kept best first, so the first live one is
+			// the best.
+			if int(r.hops) < b.cfg.K {
+				arena = append(arena, beaconEntry{
+					Dest: logicalid.CHID(d.dest), Hops: int(r.hops), Delay: r.delay, Bandwidth: r.bandwidth,
+				})
 			}
-		}
-		if best != nil && best.Hops < b.cfg.K {
-			arena = append(arena, beaconEntry{
-				Dest: dest, Hops: best.Hops, Delay: best.Delay, Bandwidth: best.Bandwidth,
-			})
+			break
 		}
 	}
 	return arena[start:len(arena):len(arena)], arena
@@ -419,7 +454,6 @@ func (b *Backbone) onBeacon(n *network.Node, _ network.NodeID, pkt *network.Pack
 	if linkDelay < 0 {
 		linkDelay = 0
 	}
-	t := b.table(slot)
 	for _, e := range payload.Entries {
 		if e.Dest == slot {
 			continue
@@ -432,69 +466,75 @@ func (b *Backbone) onBeacon(n *network.Node, _ network.NodeID, pkt *network.Pack
 		if e.Bandwidth < bw {
 			bw = e.Bandwidth
 		}
-		t.update(Route{
-			Dest:      e.Dest,
-			NextHop:   payload.FromSlot,
-			Hops:      hops,
-			Delay:     e.Delay + linkDelay,
-			Bandwidth: bw,
-			Expires:   now + b.cfg.RouteTTL,
-		}, b.cfg.MaxRoutesPerDest)
+		b.tables[slot].update(e.Dest, tableRoute{
+			nextHop:   int32(payload.FromSlot),
+			hops:      int32(hops),
+			delay:     e.Delay + linkDelay,
+			bandwidth: bw,
+			expires:   now + b.cfg.RouteTTL,
+		})
 	}
 }
 
-// update inserts or refreshes a route, keeping at most maxRoutes routes
-// per destination with distinct next hops (preferring fewer hops, then
-// lower delay). The slice is tiny (maxRoutes is 3 by default), so the
-// sorted order is restored by a single insertion pass rather than a
-// sort.Slice call per beacon entry.
-func (t *routeTable) update(r Route, maxRoutes int) {
-	routes := t.routes[r.Dest]
-	for i := range routes {
-		if routes[i].NextHop == r.NextHop {
-			routes[i] = r
-			sortRoutes(routes) // in place; the map's slice header is unchanged
+// update inserts or refreshes a route to dest, keeping at most
+// maxRoutesPerDest routes with distinct next hops, best first by
+// (hops, delay). A route from a known next hop replaces that entry; a
+// new next hop joins while there is room and otherwise displaces the
+// worst entry only if it ranks strictly better. Ranking ignores expiry.
+func (t *routeTable) update(dest logicalid.CHID, r tableRoute) {
+	i, ok := t.find(dest)
+	if !ok {
+		*t = slices.Insert(*t, i, destRoutes{dest: int32(dest)})
+	}
+	d := &(*t)[i]
+	for j := range d.routes[:d.n] {
+		if d.routes[j].nextHop == r.nextHop {
+			d.routes[j] = r
+			sortRoutes(d.routes[:d.n])
 			return
 		}
 	}
-	if routes == nil {
-		// First route to this destination: size the slice for the cap
-		// plus the one overflow slot trimmed below, so steady-state
-		// updates never reallocate.
-		routes = make([]Route, 0, maxRoutes+1)
+	switch {
+	case d.n < maxRoutesPerDest:
+		d.routes[d.n] = r
+		d.n++
+	case routeLess(&r, &d.routes[maxRoutesPerDest-1]):
+		d.routes[maxRoutesPerDest-1] = r
+	default:
+		return
 	}
-	routes = sortRoutes(append(routes, r))
-	if len(routes) > maxRoutes {
-		routes = routes[:maxRoutes]
-	}
-	t.routes[r.Dest] = routes
+	sortRoutes(d.routes[:d.n])
 }
 
 // sortRoutes insertion-sorts by (hops, delay); stable for equal keys.
-func sortRoutes(routes []Route) []Route {
+func sortRoutes(routes []tableRoute) {
 	for i := 1; i < len(routes); i++ {
 		for j := i; j > 0 && routeLess(&routes[j], &routes[j-1]); j-- {
 			routes[j], routes[j-1] = routes[j-1], routes[j]
 		}
 	}
-	return routes
 }
 
-func routeLess(a, b *Route) bool {
-	if a.Hops != b.Hops {
-		return a.Hops < b.Hops
+func routeLess(a, b *tableRoute) bool {
+	if a.hops != b.hops {
+		return a.hops < b.hops
 	}
-	return a.Delay < b.Delay
+	return a.delay < b.delay
 }
 
 // Routes returns the live routes from one slot to a destination slot,
 // best first. The slice is freshly allocated.
 func (b *Backbone) Routes(from, to logicalid.CHID) []Route {
+	t := b.table(from)
+	i, ok := t.find(to)
+	if !ok {
+		return nil
+	}
 	now := b.net.Sim().Now()
 	var out []Route
-	for _, r := range b.table(from).routes[to] {
-		if r.Expires >= now {
-			out = append(out, r)
+	for _, r := range t[i].routes[:t[i].n] {
+		if r.expires >= now {
+			out = append(out, r.route(to))
 		}
 	}
 	return out
@@ -525,9 +565,10 @@ func (b *Backbone) BestRoute(from, to logicalid.CHID, minBW, maxDelay float64) *
 func (b *Backbone) KnownDestinations(from logicalid.CHID) int {
 	now := b.net.Sim().Now()
 	count := 0
-	for _, routes := range b.table(from).routes {
-		for _, r := range routes {
-			if r.Expires >= now {
+	t := b.table(from)
+	for i := range t {
+		for _, r := range t[i].routes[:t[i].n] {
+			if r.expires >= now {
 				count++
 				break
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -418,5 +419,90 @@ func TestSlotOfNode(t *testing.T) {
 	tb.cm.Elect()
 	if tb.bb.SlotOfNode(ch) != -1 {
 		t.Fatal("failed node should not map to a slot")
+	}
+}
+
+// TestRouteTableUpdateRule pins the Figure 4 table's merge rule: a
+// route from a known next hop refreshes that entry, a new next hop is
+// sorted in while a destination holds fewer than three, and a full
+// destination admits only a route strictly better than its worst by
+// (hops, delay), equal keys keeping their order. Destinations stay in
+// ascending order, and reading a table never creates one.
+func TestRouteTableUpdateRule(t *testing.T) {
+	var tab routeTable
+	put := func(dest logicalid.CHID, nextHop, hops int32, delay float64) {
+		tab.update(dest, tableRoute{nextHop: nextHop, hops: hops, delay: delay, expires: 1})
+	}
+	order := func(dest logicalid.CHID) []int32 {
+		i, ok := tab.find(dest)
+		if !ok {
+			t.Fatalf("destination %d missing", dest)
+		}
+		var hops []int32
+		for _, r := range tab[i].routes[:tab[i].n] {
+			hops = append(hops, r.nextHop)
+		}
+		return hops
+	}
+	check := func(step string, dest logicalid.CHID, want ...int32) {
+		t.Helper()
+		if got := order(dest); !slices.Equal(got, want) {
+			t.Fatalf("%s: next hops to %d = %v want %v", step, dest, got, want)
+		}
+	}
+
+	put(5, 1, 2, 0.10)
+	put(5, 2, 1, 0.20)
+	put(5, 3, 2, 0.05)
+	check("insert below three", 5, 2, 3, 1)
+	put(5, 1, 1, 0.01)
+	check("refresh by next hop", 5, 1, 2, 3)
+	put(5, 1, 3, 0.50)
+	check("refresh to worse", 5, 2, 3, 1)
+	put(5, 4, 3, 0.50)
+	check("tie with the worst is rejected", 5, 2, 3, 1)
+	put(5, 5, 4, 0)
+	check("worse than the worst is rejected", 5, 2, 3, 1)
+	put(5, 6, 3, 0.40)
+	check("strictly better displaces the worst", 5, 2, 3, 6)
+	put(5, 7, 1, 0.01)
+	check("a new best displaces the worst", 5, 7, 2, 3)
+
+	put(9, 1, 2, 0.10)
+	put(9, 2, 2, 0.10)
+	put(9, 3, 2, 0.10)
+	check("equal keys keep arrival order", 9, 1, 2, 3)
+	put(9, 2, 2, 0.10)
+	check("an equal refresh stays put", 9, 1, 2, 3)
+	put(9, 1, 2, 0.30)
+	check("a worse refresh moves behind its equals", 9, 2, 3, 1)
+	put(9, 4, 2, 0.10)
+	check("an admitted tie goes behind its equals", 9, 2, 3, 4)
+
+	put(7, 1, 1, 0)
+	put(3, 1, 1, 0)
+	put(11, 1, 1, 0)
+	var dests []int32
+	for _, d := range tab {
+		dests = append(dests, d.dest)
+	}
+	if want := []int32{3, 5, 7, 9, 11}; !slices.Equal(dests, want) {
+		t.Fatalf("destinations %v want ascending %v", dests, want)
+	}
+
+	tb := newTestbed(t, DefaultConfig())
+	slots := logicalid.CHID(len(tb.bb.tables))
+	for _, q := range [][2]logicalid.CHID{{0, 1}, {0, 0}, {slots - 1, 5}, {-1, 0}, {slots, 0}} {
+		if r := tb.bb.Routes(q[0], q[1]); r != nil {
+			t.Fatalf("Routes(%d, %d) on an empty backbone = %v", q[0], q[1], r)
+		}
+		if n := tb.bb.KnownDestinations(q[0]); n != 0 {
+			t.Fatalf("KnownDestinations(%d) on an empty backbone = %d", q[0], n)
+		}
+	}
+	for slot, tab := range tb.bb.tables {
+		if tab != nil {
+			t.Fatalf("reading created slot %d's table (%d destinations)", slot, len(tab))
+		}
 	}
 }
