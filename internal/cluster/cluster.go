@@ -31,6 +31,9 @@ import (
 	"repro/internal/vcgrid"
 )
 
+// BeaconKind is the packet kind of the per-period cluster beacons.
+const BeaconKind = "cluster-beacon"
+
 // ResidenceCap is the prediction horizon in seconds: a stationary node
 // predicts "forever", capped here to keep scores comparable.
 const ResidenceCap = 3600.0
@@ -64,15 +67,12 @@ type Config struct {
 	Period des.Duration
 	// BeaconSize is the on-air size of one cluster beacon in bytes.
 	BeaconSize int
-	// Jitter spreads node beacons uniformly over [0, Jitter) within each
-	// period to avoid synchronized bursts.
-	Jitter des.Duration
 }
 
 // DefaultConfig matches the 2005-era literature: 1 s beacons of ~32
 // bytes (position + velocity + ID + flags).
 func DefaultConfig() Config {
-	return Config{Period: 1.0, BeaconSize: 32, Jitter: 0.1}
+	return Config{Period: 1.0, BeaconSize: 32}
 }
 
 // ChangeFunc observes cluster-head changes in a VC: old or new may be
@@ -170,7 +170,7 @@ func (m *Manager) Elect() {
 			continue
 		}
 		pkt := m.net.AcquirePacket()
-		pkt.Kind = "cluster-beacon"
+		pkt.Kind = BeaconKind
 		pkt.Src, pkt.Dst = n.ID, network.NoNode
 		pkt.Size, pkt.Control = m.cfg.BeaconSize, true
 		pkt.UID = m.net.NextUID()

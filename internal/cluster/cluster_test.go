@@ -195,8 +195,8 @@ func TestBeaconTrafficAccounted(t *testing.T) {
 	m.Elect()
 	sim.Run()
 	st := net.Stats()
-	if st.KindTx["cluster-beacon"] != 3 {
-		t.Fatalf("beacons sent %d want 3", st.KindTx["cluster-beacon"])
+	if st.KindTx[BeaconKind] != 3 {
+		t.Fatalf("beacons sent %d want 3", st.KindTx[BeaconKind])
 	}
 	if st.ControlBytes != 3*uint64(DefaultConfig().BeaconSize) {
 		t.Fatalf("control bytes %d", st.ControlBytes)

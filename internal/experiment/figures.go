@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/georoute"
 	"repro/internal/hypercube"
 	"repro/internal/logicalid"
 	"repro/internal/membership"
@@ -246,19 +248,12 @@ func labelOf(w *scenario.World, slot logicalid.CHID) string {
 
 // membershipPlaneKinds matches the traffic of the Figure 5 plane,
 // whether sent directly or inside a geo envelope.
-func membershipPlaneKinds(kind string) bool {
-	for _, k := range []string{membership.LocalKind, membership.MNTKind, membership.HTKind} {
-		if kind == k || kind == "geo:"+k {
-			return true
-		}
-	}
-	return false
-}
+var membershipPlaneKinds = kindsOf(membership.LocalKind, membership.MNTKind, membership.HTKind)
 
 func kindsOf(bases ...string) func(string) bool {
 	return func(kind string) bool {
 		for _, b := range bases {
-			if kind == b || kind == "geo:"+b {
+			if kind == b || kind == georoute.KindPrefix+b {
 				return true
 			}
 		}
@@ -317,9 +312,9 @@ func Figure5(o Options) []*Table {
 			p.Start()
 			w.Sim.RunUntil(horizon)
 			p.Stop()
-			kind := baselineSPBMUpdateKind
+			kind := baseline.SPBMUpdateKind
 			if a.plane == "dsm" {
-				kind = baselineDSMPositionKind
+				kind = baseline.DSMPositionKind
 			}
 			match := kindsOf(kind)
 			return planeCost{
@@ -419,10 +414,3 @@ func Figure6(o Options) []*Table {
 	t.Note("trees cached per the paper; intermediate CHs keep no per-session state")
 	return []*Table{t}
 }
-
-// Baseline kind names re-exported locally to avoid importing the
-// baseline package twice under different aliases.
-const (
-	baselineSPBMUpdateKind  = "spbm-update"
-	baselineDSMPositionKind = "dsm-position"
-)

@@ -36,13 +36,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// In reports whether p lies inside the rectangle r (inclusive of the
-// minimum edge, exclusive of the maximum edge, so that tiling rectangles
-// partition the plane).
-func (p Point) In(r Rect) bool {
-	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.1f,%.1f)", p.X, p.Y) }
 
@@ -97,13 +90,6 @@ func (c Circle) Contains(p Point) bool {
 	return c.C.Dist2(p) <= c.R*c.R
 }
 
-// Overlaps reports whether two circles intersect (share at least one
-// point).
-func (c Circle) Overlaps(d Circle) bool {
-	rr := c.R + d.R
-	return c.C.Dist2(d.C) <= rr*rr
-}
-
 // Rect is an axis-aligned rectangle [Min, Max).
 type Rect struct {
 	Min, Max Point
@@ -139,52 +125,4 @@ func clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Reflect bounces the point p off the walls of r, mutating the velocity v
-// as needed, and returns the reflected point and velocity. It is used by
-// mobility models with billiard boundary behaviour.
-func (r Rect) Reflect(p Point, v Vector) (Point, Vector) {
-	for i := 0; i < 8; i++ { // bounded number of bounces per step
-		changed := false
-		if p.X < r.Min.X {
-			p.X = 2*r.Min.X - p.X
-			v.DX = -v.DX
-			changed = true
-		} else if p.X > r.Max.X {
-			p.X = 2*r.Max.X - p.X
-			v.DX = -v.DX
-			changed = true
-		}
-		if p.Y < r.Min.Y {
-			p.Y = 2*r.Min.Y - p.Y
-			v.DY = -v.DY
-			changed = true
-		} else if p.Y > r.Max.Y {
-			p.Y = 2*r.Max.Y - p.Y
-			v.DY = -v.DY
-			changed = true
-		}
-		if !changed {
-			return p, v
-		}
-	}
-	// Degenerate velocity far larger than the arena: clamp.
-	return r.Clamp(p), v
-}
-
-// SegmentCircleIntersect reports whether the segment from a to b passes
-// within radius r of center c. It is used for conservative link
-// obstruction tests.
-func SegmentCircleIntersect(a, b, c Point, r float64) bool {
-	ab := b.Sub(a)
-	ac := c.Sub(a)
-	abLen2 := ab.Dot(ab)
-	t := 0.0
-	if abLen2 > 0 {
-		t = ac.Dot(ab) / abLen2
-	}
-	t = clamp(t, 0, 1)
-	closest := a.Add(ab.Scale(t))
-	return closest.Dist2(c) <= r*r
 }

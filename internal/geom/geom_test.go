@@ -110,21 +110,6 @@ func TestCircleContains(t *testing.T) {
 	}
 }
 
-func TestCircleOverlaps(t *testing.T) {
-	a := Circle{C: Pt(0, 0), R: 5}
-	b := Circle{C: Pt(10, 0), R: 5}
-	if !a.Overlaps(b) {
-		t.Error("tangent circles should overlap")
-	}
-	c := Circle{C: Pt(10.1, 0), R: 5}
-	if a.Overlaps(c) {
-		t.Error("separated circles should not overlap")
-	}
-	if !a.Overlaps(a) {
-		t.Error("circle overlaps itself")
-	}
-}
-
 func TestRectBasics(t *testing.T) {
 	r := RectWH(0, 0, 100, 50)
 	if r.W() != 100 || r.H() != 50 {
@@ -133,56 +118,8 @@ func TestRectBasics(t *testing.T) {
 	if r.Center() != Pt(50, 25) {
 		t.Fatalf("Center got %v", r.Center())
 	}
-	if !Pt(0, 0).In(r) {
-		t.Error("min corner should be inside (half-open)")
-	}
-	if Pt(100, 50).In(r) {
-		t.Error("max corner should be outside (half-open)")
-	}
 	if got := r.Clamp(Pt(-5, 60)); got != Pt(0, 50) {
 		t.Errorf("Clamp got %v", got)
-	}
-}
-
-func TestRectReflect(t *testing.T) {
-	r := RectWH(0, 0, 100, 100)
-	p, v := r.Reflect(Pt(-10, 50), Vec(-1, 0))
-	if p != Pt(10, 50) {
-		t.Errorf("reflected point %v want (10,50)", p)
-	}
-	if v != Vec(1, 0) {
-		t.Errorf("reflected velocity %v want (1,0)", v)
-	}
-	// In-bounds points are untouched.
-	p, v = r.Reflect(Pt(40, 40), Vec(1, 1))
-	if p != Pt(40, 40) || v != Vec(1, 1) {
-		t.Errorf("in-bounds reflect changed state: %v %v", p, v)
-	}
-}
-
-func TestRectReflectStaysInsideProperty(t *testing.T) {
-	r := RectWH(0, 0, 100, 100)
-	f := func(x, y int16, vx, vy int8) bool {
-		p := Pt(float64(x%120), float64(y%120))
-		v := Vec(float64(vx), float64(vy))
-		q, _ := r.Reflect(p, v)
-		return q.X >= 0 && q.X <= 100 && q.Y >= 0 && q.Y <= 100
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSegmentCircleIntersect(t *testing.T) {
-	if !SegmentCircleIntersect(Pt(0, 0), Pt(10, 0), Pt(5, 3), 4) {
-		t.Error("segment passes within radius; want intersect")
-	}
-	if SegmentCircleIntersect(Pt(0, 0), Pt(10, 0), Pt(5, 5), 4) {
-		t.Error("segment stays outside radius; want no intersect")
-	}
-	// Degenerate zero-length segment behaves as a point test.
-	if !SegmentCircleIntersect(Pt(5, 0), Pt(5, 0), Pt(5, 1), 2) {
-		t.Error("degenerate segment within radius; want intersect")
 	}
 }
 

@@ -282,8 +282,8 @@ func (s *Service) versions() route.Versions {
 // MeshTreeAt returns the mesh-tier tree rooted at the given hypercube
 // over the hypercubes the slot's MT-Summary lists for the group,
 // memoized in the backbone's version-keyed route cache. This is THE
-// mesh-tree construction: both the data plane (on a TTL miss) and the
-// QoS admission path (internal/qos) resolve trees through it,
+// mesh-tree construction: both the data plane (on a TTL miss) and QoS
+// admission (TreeCHs) resolve trees through it,
 // so there is exactly one compute to keep deterministic — a second
 // closure registered under the same cache key could silently diverge
 // behind first-wins caching. Callers must not modify the result.
@@ -344,12 +344,29 @@ func (s *Service) enterCube(slot logicalid.CHID, uid uint64, born des.Time, hops
 // next-hop hypercube by location-based unicast (Figure 6 step 3): the
 // geographically nearest CH slot of the target block.
 func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid uint64, born des.Time, hops int32, out *header) {
+	best := s.entrySlot(fromSlot, to)
+	if best < 0 {
+		s.NoEntryCH++
+		return
+	}
+	grid := s.bb.Scheme().Grid()
+	from, dst := s.bb.CHNodeOf(fromSlot), s.bb.CHNodeOf(best)
+	pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, hops, out)
+	s.bb.Geo().Send(from, grid.Center(grid.FromIndex(int(best))), dst, pkt)
+	s.bb.Net().ReleasePacket(pkt)
+}
+
+// entrySlot is the CH slot at which a packet forwarded from fromSlot
+// enters hypercube hid: the occupied slot of the cube's block nearest
+// fromSlot, the first in block order on a tie; -1 if the block has no
+// CH.
+func (s *Service) entrySlot(fromSlot logicalid.CHID, hid logicalid.HID) logicalid.CHID {
 	scheme := s.bb.Scheme()
 	grid := scheme.Grid()
 	fromVC := grid.FromIndex(int(fromSlot))
 	var best logicalid.CHID = -1
 	bestDist := 1 << 30
-	for _, vc := range scheme.BlockVCs(to) {
+	for _, vc := range scheme.BlockVCs(hid) {
 		if s.bb.Clusters().CHOf(vc) == network.NoNode {
 			continue
 		}
@@ -357,14 +374,40 @@ func (s *Service) forwardToCube(fromSlot logicalid.CHID, to logicalid.HID, uid u
 			best, bestDist = logicalid.CHID(grid.Index(vc)), d
 		}
 	}
-	if best < 0 {
-		s.NoEntryCH++
-		return
+	return best
+}
+
+// TreeCHs returns the cluster heads a multicast from the source slot to
+// the group crosses — the CHs QoS admission reserves on — sorted and
+// without duplicates. It walks MeshTreeAt's tree from the source's
+// hypercube, breadth first in HID order, the way the data plane
+// forwards: each child cube entered at entrySlot of its parent's entry
+// slot, each cube spanned by logicalTreeWithin over the entry slot's
+// cube-local member view. The data plane's TTL memos are neither read
+// nor written, so asking cannot change what the data plane sends.
+func (s *Service) TreeCHs(srcSlot logicalid.CHID, g membership.Group) []network.NodeID {
+	root := s.bb.Scheme().CHIDToPlace(srcSlot).HID
+	mesh := s.MeshTreeAt(srcSlot, root, g)
+	type cube struct {
+		hid   logicalid.HID
+		entry logicalid.CHID
 	}
-	from, dst := s.bb.CHNodeOf(fromSlot), s.bb.CHNodeOf(best)
-	pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, hops, out)
-	s.bb.Geo().Send(from, grid.Center(grid.FromIndex(int(best))), dst, pkt)
-	s.bb.Net().ReleasePacket(pkt)
+	var out []network.NodeID
+	for todo := []cube{{root, srcSlot}}; len(todo) > 0; todo = todo[1:] {
+		c := todo[0]
+		for slot := range s.logicalTreeWithin(c.hid, c.entry, s.ms.CubeMembers(c.entry, g)) {
+			if ch := s.bb.CHNodeOf(slot); ch != network.NoNode {
+				out = append(out, ch)
+			}
+		}
+		for _, child := range network.Children(mesh, c.hid, nil) {
+			if entry := s.entrySlot(c.entry, child); entry >= 0 {
+				todo = append(todo, cube{child, entry})
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // cubeTree returns the (possibly reused) hypercube-tier tree for the

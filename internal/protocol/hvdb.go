@@ -27,7 +27,7 @@ type hvdbStack struct {
 // NewHVDB builds the hvdb arm over a world's clustering, backbone,
 // membership and multicast planes.
 func NewHVDB(cm *cluster.Manager, bb *core.Backbone, ms *membership.Service, mc *multicast.Service) Stack {
-	s := &hvdbStack{cm: cm, bb: bb, ms: ms, mc: mc, qm: qos.NewManager(bb, ms, mc)}
+	s := &hvdbStack{cm: cm, bb: bb, ms: ms, mc: mc, qm: qos.NewManager(bb, mc)}
 	mc.OnDeliver(s.observe)
 	// Cluster-head churn invalidates QoS reservations held on the old
 	// heads: reconcile on every CH change so sessions release bandwidth

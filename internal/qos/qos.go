@@ -17,12 +17,10 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/hypercube"
 	"repro/internal/logicalid"
 	"repro/internal/membership"
 	"repro/internal/multicast"
 	"repro/internal/network"
-	"repro/internal/route"
 	"repro/internal/vcgrid"
 )
 
@@ -74,7 +72,6 @@ func (s *Session) Coverage() float64 {
 // Manager admits and releases sessions over one backbone.
 type Manager struct {
 	bb *core.Backbone
-	ms *membership.Service
 	mc *multicast.Service
 
 	next     SessionID
@@ -85,88 +82,8 @@ type Manager struct {
 }
 
 // NewManager returns a session manager over the given stack.
-func NewManager(bb *core.Backbone, ms *membership.Service, mc *multicast.Service) *Manager {
-	return &Manager{bb: bb, ms: ms, mc: mc, sessions: make(map[SessionID]*Session)}
-}
-
-// treeCHs computes the set of CH nodes admission reserves on from the
-// given source slot: the mesh-tier tree over the member-bearing
-// hypercubes plus, within each crossed hypercube, a hypercube-tier tree
-// over member CH slots (Figure 6's two tiers). Only the mesh tier is the
-// data plane's own tree; the cube tier is an approximation of it (see
-// the loop), so a reservation can land on CHs the data plane never
-// crosses.
-func (m *Manager) treeCHs(srcSlot logicalid.CHID, g membership.Group) []network.NodeID {
-	scheme := m.bb.Scheme()
-	rootHID := scheme.CHIDToPlace(srcSlot).HID
-	// The mesh tree comes from the data plane's one shared construction
-	// (multicast.MeshTreeAt) through the same version-keyed cache entry
-	// the data plane uses — admission and routing can never disagree on
-	// a tree.
-	meshTree := m.mc.MeshTreeAt(srcSlot, rootHID, g)
-
-	seen := map[network.NodeID]bool{}
-	var out []network.NodeID
-	add := func(id network.NodeID) {
-		if id != network.NoNode && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	// Iterate the mesh tree in HID order. The per-cube work is
-	// independent and out is deduplicated and sorted below, so this is
-	// for clarity, not correctness.
-	for _, h := range sortedHIDs(meshTree) {
-		cube := m.bb.Cube(h)
-		// Entry label: the source label in the root cube, else the
-		// lowest label present (the first of cube.Labels()). The data
-		// plane enters at the CH slot nearest the forwarding slot
-		// (multicast's forwardToCube) and spans the cube with
-		// logicalTreeWithin over LogicalNeighbors, not with
-		// cube.MulticastTree as below.
-		entry := scheme.CHIDToPlace(srcSlot).HNID
-		entrySlot := srcSlot
-		if h != rootHID {
-			labels := cube.Labels()
-			if len(labels) == 0 {
-				continue
-			}
-			entry = labels[0]
-			entryVC := scheme.VCAt(h, entry)
-			entrySlot = logicalid.CHID(scheme.Grid().Index(entryVC))
-		}
-		// Members of this cube per the *cube-local* view at its entry
-		// slot; the admission view uses the source's MNT view for its
-		// own cube and the HT-derived existence for others.
-		cubeDests := m.ms.CubeMembers(entrySlot, g) // sorted by construction
-		tree, _ := cube.MulticastTree(entry, chidsToLabels(scheme, cubeDests))
-		for l := range tree {
-			vc := scheme.VCAt(h, l)
-			if scheme.Grid().Valid(vc) {
-				add(m.bb.CHNodeOf(logicalid.CHID(scheme.Grid().Index(vc))))
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedHIDs returns the tree's hypercubes in ascending order (via the
-// shared sorted-ID helper, like every other order-sensitive tree walk).
-func sortedHIDs(tree route.MeshTree) []logicalid.HID {
-	out := make([]logicalid.HID, 0, len(tree))
-	for h := range tree {
-		out = append(out, h)
-	}
-	return network.SortedIDs(out)
-}
-
-func chidsToLabels(scheme *logicalid.Scheme, slots []logicalid.CHID) []hypercube.Label {
-	labels := make([]hypercube.Label, 0, len(slots))
-	for _, s := range slots {
-		labels = append(labels, scheme.CHIDToPlace(s).HNID)
-	}
-	return labels
+func NewManager(bb *core.Backbone, mc *multicast.Service) *Manager {
+	return &Manager{bb: bb, mc: mc, sessions: make(map[SessionID]*Session)}
 }
 
 // Open admits a session of the given rate from the source node to the
@@ -184,7 +101,7 @@ func (m *Manager) Open(src network.NodeID, g membership.Group, rate float64, mod
 		return nil, fmt.Errorf("qos: source %d has no cluster head", src)
 	}
 	srcSlot := logicalid.CHID(grid.Index(vc))
-	chs := m.treeCHs(srcSlot, g)
+	chs := m.mc.TreeCHs(srcSlot, g)
 	s := &Session{Group: g, Rate: rate, Mode: mode, Demanded: len(chs)}
 	for _, id := range chs {
 		node := m.bb.Net().Node(id)

@@ -34,7 +34,7 @@ func buildWorld(t *testing.T) (*scenario.World, *qos.Manager) {
 	stk.Start()
 	t.Cleanup(stk.Stop)
 	w.WarmUp(14)
-	return w, qos.NewManager(w.BB, w.MS, w.MC)
+	return w, qos.NewManager(w.BB, w.MC)
 }
 
 func TestHardAdmissionAndRelease(t *testing.T) {
@@ -144,11 +144,11 @@ func TestOpenFromDownSource(t *testing.T) {
 }
 
 func TestTreeCHsSpanMemberCubes(t *testing.T) {
-	w, m := buildWorld(t)
+	w, _ := buildWorld(t)
 	src := w.RandomSource()
 	grid := w.Grid
 	vc := grid.VCOf(w.Net.Node(src).TruePos())
-	chs := m.TreeCHs(logicalid.CHID(grid.Index(vc)), membership.Group(0))
+	chs := w.MC.TreeCHs(logicalid.CHID(grid.Index(vc)), membership.Group(0))
 	if len(chs) < 2 {
 		t.Fatalf("tree spans only %d CHs for an 8-member group", len(chs))
 	}

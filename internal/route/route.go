@@ -6,8 +6,8 @@
 //     the paper's "cache trees for future use") and the snapshot-tree
 //     baselines' source and core trees (internal/baseline);
 //   - Cache, a version-keyed memo of the HVDB mesh-tier construction
-//     itself, which the data plane's TTL misses and the QoS admission
-//     path (internal/qos) both resolve through.
+//     itself, which the data plane's TTL misses and QoS admission
+//     (multicast.Service.TreeCHs) both resolve through.
 //
 // # Keying and the determinism argument
 //
@@ -22,8 +22,8 @@
 //
 // Tree construction itself is deterministic in those inputs *provided
 // destination lists arrive in sorted order* (greedy MulticastTree
-// output depends on destination order — see qos.treeCHs' headline
-// bugfix), so a hit returns exactly what a fresh computation would
+// output depends on destination order — see
+// TestHardAdmissionDeterministic), so a hit returns exactly what a fresh computation would
 // have produced: caching is observationally invisible. SetBypass(true)
 // disables lookups so tests can assert that equivalence end to end.
 //

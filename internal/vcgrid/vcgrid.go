@@ -109,15 +109,6 @@ func (g *Grid) Circle(v VC) geom.Circle {
 	return geom.Circle{C: g.Center(v), R: g.Radius()}
 }
 
-// Tile returns v's square cell.
-func (g *Grid) Tile(v VC) geom.Rect {
-	min := geom.Pt(
-		g.arena.Min.X+float64(v.CX)*g.cellSize,
-		g.arena.Min.Y+float64(v.CY)*g.cellSize,
-	)
-	return geom.Rect{Min: min, Max: geom.Pt(min.X+g.cellSize, min.Y+g.cellSize)}
-}
-
 // Covering returns every VC whose circle contains p — the overlap
 // membership set of the paper ("an MN within the overlapped regions can
 // be a cluster member of two or multiple clusters at the same time").

@@ -85,10 +85,10 @@ func TestCircleCoversTile(t *testing.T) {
 	g := grid8x8()
 	v := VC{3, 4}
 	c := g.Circle(v)
-	tile := g.Tile(v)
+	min := geom.Pt(float64(v.CX)*250, float64(v.CY)*250) // the tile's corner
 	for _, p := range []geom.Point{
-		tile.Min, geom.Pt(tile.Max.X-1e-9, tile.Min.Y),
-		geom.Pt(tile.Min.X, tile.Max.Y-1e-9), tile.Center(),
+		min, geom.Pt(min.X+250-1e-9, min.Y),
+		geom.Pt(min.X, min.Y+250-1e-9), c.C,
 	} {
 		if !c.Contains(p) {
 			t.Fatalf("tile point %v outside its VC", p)

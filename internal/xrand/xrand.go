@@ -106,14 +106,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Pick returns a uniformly chosen index of a non-empty slice length, or
 // -1 for an empty one. It reads better than Intn at selection sites.
 func (r *Rand) Pick(n int) int {

@@ -132,23 +132,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := New(23)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), xs...)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	// Still a permutation.
-	count := make(map[int]int)
-	for _, x := range xs {
-		count[x]++
-	}
-	for _, o := range orig {
-		if count[o] != 1 {
-			t.Fatalf("shuffle lost element %d: %v", o, xs)
-		}
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	r := New(29)
 	a := r.Split()
