@@ -152,7 +152,7 @@ func aggregate(base scenario.Spec, warm float64, fail, trials, parallel int) {
 				w.CM.Elect()
 			}
 			var h health
-			h.headed = float64(len(w.CM.Heads()))
+			h.headed = float64(len(w.CM.HeadSlots()))
 			scheme := w.BB.Scheme()
 			for i := 0; i < scheme.NumHypercubes(); i++ {
 				c := w.BB.Cube(logicalid.HID(i))

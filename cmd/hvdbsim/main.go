@@ -83,7 +83,7 @@ func main() {
 	cli.Max(cliflag.MaxWarmup, "warmup")
 	cli.Max(cliflag.MaxPackets, "packets")
 	cli.Max(cliflag.MaxTrials, "trials")
-	if *loss < 0 || *loss > 1 {
+	if !(0 <= *loss && *loss <= 1) { // negated, so NaN fails closed
 		cli.Fail("-loss must be within [0,1] (got %g)", *loss)
 	}
 	cli.WarnShards(*shards)
@@ -270,7 +270,7 @@ func runTrial(spec scenario.Spec, cfg trialConfig, verbose bool) (trialResult, e
 
 	stk.Start()
 	w.WarmUp(des.Duration(cfg.warm))
-	res.clusters = len(w.CM.Heads())
+	res.clusters = len(w.CM.HeadSlots())
 	if verbose {
 		fmt.Printf("%s | %s | protocol %s\n", res.desc, res.grid, cfg.proto)
 		fmt.Printf("warm-up done at t=%.1fs: %d clusters headed\n", float64(w.Sim.Now()), res.clusters)

@@ -34,7 +34,7 @@ func main() {
 	}
 	stk.Start()
 	w.WarmUp(15)
-	fmt.Printf("after warm-up: %d clusters have heads\n", len(w.CM.Heads()))
+	fmt.Printf("after warm-up: %d clusters have heads\n", len(w.CM.HeadSlots()))
 
 	// Observe deliveries.
 	delivered := 0

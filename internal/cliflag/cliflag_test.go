@@ -2,6 +2,7 @@ package cliflag_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // bin maps each command to its binary, built once for every test here.
@@ -37,7 +39,9 @@ func TestMain(m *testing.M) {
 // TestBadInvocationsExitTwo pins the fail-closed contract of the three
 // simulation CLIs end to end: each bad invocation must exit 2 — not 0
 // after silently dropping flags, not 1 from a mid-run failure — and
-// print a usage line on standard error.
+// print a usage line on standard error. Each invocation runs under a
+// timeout, so a command that hangs on a bad value fails the case
+// instead of stalling the test binary.
 func TestBadInvocationsExitTwo(t *testing.T) {
 	const flagUndefined = "flag provided but not defined: "
 	all := []string{"hvdbsim", "hvdbmap", "hvdbbench"}
@@ -51,6 +55,12 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		// the stray word is never parsed: the exit must name the word.
 		{"stray positional", []string{"-seed", "2", "bogus", "-shards", "0"}, `unexpected argument "bogus"`, all},
 		{"loss above one", []string{"-loss", "1.5"}, "-loss must be within [0,1]", []string{"hvdbsim"}},
+		// NaN passes every un-negated range check. Before the negated
+		// checks, -loss NaN ran lossless, -speed NaN never returned and
+		// -speed Inf ran to exit 0.
+		{"NaN loss", []string{"-loss", "NaN"}, "-loss must be within [0,1]", []string{"hvdbsim"}},
+		{"NaN speed", []string{"-speed", "NaN"}, "scenario: node speeds", []string{"hvdbsim", "hvdbmap"}},
+		{"infinite speed", []string{"-speed", "Inf"}, "scenario: node speeds", []string{"hvdbsim"}},
 		{"zero nodes", []string{"-nodes", "0"}, "-nodes must be >= 1", []string{"hvdbsim"}}, // hvdbmap renders anchors-only maps
 		{"zero shards", []string{"-shards", "0"}, "-shards must be >= 1", all},
 		{"negative parallel", []string{"-parallel", "-1"}, "-parallel must be >= 0", all},
@@ -74,10 +84,15 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 	for _, tc := range cases {
 		for _, cmd := range tc.cmds {
 			t.Run(cmd+"/"+tc.name, func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
 				var stderr bytes.Buffer
-				c := exec.Command(bin[cmd], tc.args...)
+				c := exec.CommandContext(ctx, bin[cmd], tc.args...)
 				c.Stderr = &stderr
 				err := c.Run()
+				if ctx.Err() != nil {
+					t.Fatalf("%s %v: still running after 30 s", cmd, tc.args)
+				}
 				var exit *exec.ExitError
 				if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 					t.Fatalf("%s %v: want exit 2, got %v\nstderr:\n%s", cmd, tc.args, err, &stderr)

@@ -86,8 +86,10 @@ type Manager struct {
 	grid *vcgrid.Grid
 	cfg  Config
 
-	chByVC   map[vcgrid.VC]network.NodeID
-	chBySlot []network.NodeID // dense CHOf mirror of chByVC, by VC index
+	// chBySlot is the CH of each VC by VC index (network.NoNode when
+	// unheaded); heads lists the headed VC indices in ascending order.
+	chBySlot []network.NodeID
+	heads    []int
 	vcByNode []vcgrid.VC
 	isCH     []bool
 	onChange []ChangeFunc
@@ -97,9 +99,13 @@ type Manager struct {
 	version   uint64
 	ticker    *des.Ticker
 
-	// Election scratch, reused across rounds (indexed by VC index).
-	cand    []candidate
-	touched []int
+	// Election scratch, reused across rounds: cand is indexed by VC
+	// index, touched lists the VCs with a candidate, and nextBySlot
+	// builds the new assignment, swapped with chBySlot once the round's
+	// changes have been announced.
+	cand       []candidate
+	touched    []int
+	nextBySlot []network.NodeID
 }
 
 // candidate is one CH-capable node's election entry within a VC.
@@ -116,16 +122,16 @@ func NewManager(net *network.Network, grid *vcgrid.Grid, cfg Config) *Manager {
 		cfg = DefaultConfig()
 	}
 	m := &Manager{
-		net:      net,
-		grid:     grid,
-		cfg:      cfg,
-		chByVC:   make(map[vcgrid.VC]network.NodeID),
-		chBySlot: make([]network.NodeID, grid.Count()),
-		vcByNode: make([]vcgrid.VC, net.Len()),
-		isCH:     make([]bool, net.Len()),
+		net:        net,
+		grid:       grid,
+		cfg:        cfg,
+		chBySlot:   make([]network.NodeID, grid.Count()),
+		nextBySlot: make([]network.NodeID, grid.Count()),
+		vcByNode:   make([]vcgrid.VC, net.Len()),
+		isCH:       make([]bool, net.Len()),
 	}
 	for i := range m.chBySlot {
-		m.chBySlot[i] = network.NoNode
+		m.chBySlot[i], m.nextBySlot[i] = network.NoNode, network.NoNode
 	}
 	return m
 }
@@ -208,42 +214,37 @@ func (m *Manager) Elect() {
 	}
 
 	// Apply results in VC-index order (deterministic change
-	// notifications), noting changes.
+	// notifications): changed heads first, then lost ones. The new
+	// assignment is built in nextBySlot, so observers still read the
+	// old one through CHOf and HeadSlots while they are notified.
 	changesBefore := m.changes
 	sort.Ints(m.touched)
-	newCH := make(map[vcgrid.VC]network.NodeID, len(m.touched))
 	for i := range m.isCH {
 		m.isCH[i] = false
 	}
 	for _, idx := range m.touched {
-		vc := m.grid.FromIndex(idx)
 		id := m.cand[idx].id
 		m.cand[idx].id = network.NoNode // reset scratch for the next round
-		newCH[vc] = id
+		m.nextBySlot[idx] = id
 		m.isCH[id] = true
-		if old := m.chOr(vc); old != id {
+		if old := m.chBySlot[idx]; old != id {
 			m.changes++
-			m.notify(vc, old, id)
+			m.notify(m.grid.FromIndex(idx), old, id)
 		}
 	}
-	for i := 0; i < m.grid.Count(); i++ {
-		vc := m.grid.FromIndex(i)
-		if old, had := m.chByVC[vc]; had {
-			if _, still := newCH[vc]; !still {
-				m.changes++
-				m.notify(vc, old, network.NoNode)
-			}
+	for _, idx := range m.heads {
+		if m.nextBySlot[idx] == network.NoNode {
+			m.changes++
+			m.notify(m.grid.FromIndex(idx), m.chBySlot[idx], network.NoNode)
 		}
 	}
-	m.chByVC = newCH
-	// Rebuild the dense CHOf mirror (hot lookups read it instead of
-	// hashing a 16-byte VC key per call).
-	for i := range m.chBySlot {
-		m.chBySlot[i] = network.NoNode
+	// Swap the new assignment in and clear the old one's entries from
+	// what becomes the scratch.
+	for _, idx := range m.heads {
+		m.chBySlot[idx] = network.NoNode
 	}
-	for vc, id := range newCH {
-		m.chBySlot[m.grid.Index(vc)] = id
-	}
+	m.chBySlot, m.nextBySlot = m.nextBySlot, m.chBySlot
+	m.heads, m.touched = m.touched, m.heads
 	if m.changes != changesBefore {
 		m.version++ // a new CH assignment took effect
 	}
@@ -297,15 +298,17 @@ func (m *Manager) Members(vc vcgrid.VC) []network.NodeID {
 	return out
 }
 
-// Heads returns the current set of (VC, CH) pairs; the map is shared —
-// callers must not modify it.
-func (m *Manager) Heads() map[vcgrid.VC]network.NodeID { return m.chByVC }
+// HeadSlots returns the indices (vcgrid.Grid.Index) of the VCs that
+// currently have a cluster head, in ascending order; CHOf names each
+// head. The slice is shared and valid until the next election: callers
+// must not modify or keep it.
+func (m *Manager) HeadSlots() []int { return m.heads }
 
 // Elections returns the number of election rounds run.
 func (m *Manager) Elections() uint64 { return m.elections }
 
 // Version is a monotonic counter that increments exactly when a new CH
-// assignment takes effect (at the end of Elect, after the map swap).
+// assignment takes effect (at the end of Elect, after the swap).
 // Layers that derive state from CH occupancy — the backbone's logical
 // neighbor cache — use it as their invalidation stamp.
 func (m *Manager) Version() uint64 { return m.version }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -188,6 +189,63 @@ func TestVCDisappearanceNotifies(t *testing.T) {
 	}
 }
 
+// TestHeadSlotsAndNotifyOrder pins what an election shows its
+// observers: changed and gained heads in VC-index order, then lost
+// heads in VC-index order, each notified while CHOf and HeadSlots still
+// report the previous assignment; afterwards HeadSlots lists the headed
+// VCs in ascending index order.
+func TestHeadSlotsAndNotifyOrder(t *testing.T) {
+	_, net, m := buildNet([]geom.Point{
+		geom.Pt(125, 375), // 0: heads VC (0,1), index 4
+		geom.Pt(375, 125), // 1: heads VC (1,0), index 1
+		geom.Pt(20, 20),   // 2: VC (0,0)'s runner-up
+		geom.Pt(125, 125), // 3: heads VC (0,0), index 0
+	}, nil)
+	m.Elect()
+	before := append([]int(nil), m.HeadSlots()...)
+	if want := []int{0, 1, 4}; !slices.Equal(before, want) {
+		t.Fatalf("HeadSlots %v want %v", before, want)
+	}
+	oldCH := map[int]network.NodeID{0: 3, 1: 1, 4: 0}
+	type change struct {
+		idx      int
+		old, new network.NodeID
+	}
+	var got []change
+	m.OnChange(func(vc vcgrid.VC, old, new network.NodeID) {
+		idx := m.grid.Index(vc)
+		got = append(got, change{idx, old, new})
+		if !slices.Equal(m.HeadSlots(), before) {
+			t.Errorf("HeadSlots %v during notify, want the old %v", m.HeadSlots(), before)
+		}
+		for i, ch := range oldCH {
+			if m.CHOf(m.grid.FromIndex(i)) != ch {
+				t.Errorf("CHOf(index %d) = %d during notify, want the old %d", i, m.CHOf(m.grid.FromIndex(i)), ch)
+			}
+		}
+	})
+	net.Node(0).Fail()
+	net.Node(1).Fail()
+	net.Node(3).Fail()
+	net.AddNode(&mobility.Static{P: geom.Pt(625, 625)}, radio.DefaultMN, nil, true) // 4: VC (2,2), index 10
+	m.Elect()
+	want := []change{{0, 3, 2}, {10, network.NoNode, 4}, {1, 1, network.NoNode}, {4, 0, network.NoNode}}
+	if len(got) != len(want) {
+		t.Fatalf("notifications %v want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("notifications %v want %v", got, want)
+		}
+	}
+	if after := m.HeadSlots(); !slices.Equal(after, []int{0, 10}) {
+		t.Fatalf("HeadSlots %v after the election, want [0 10]", after)
+	}
+	if m.CHOf(vcgrid.VC{CX: 1, CY: 0}) != network.NoNode || m.CHOf(vcgrid.VC{CX: 2, CY: 2}) != 4 {
+		t.Fatal("CHOf does not match the new assignment")
+	}
+}
+
 func TestBeaconTrafficAccounted(t *testing.T) {
 	sim, net, m := buildNet([]geom.Point{
 		geom.Pt(10, 10), geom.Pt(100, 100), geom.Pt(500, 500),
@@ -206,8 +264,7 @@ func TestBeaconTrafficAccounted(t *testing.T) {
 func TestPeriodicElections(t *testing.T) {
 	sim, _, m := buildNet([]geom.Point{geom.Pt(125, 125)}, nil)
 	m.Start()
-	sim.SetHorizon(5.5)
-	sim.Run()
+	sim.RunUntil(5.5)
 	m.Stop()
 	// Start fires immediately and then each 1 s period: t=0 plus 1..5.
 	if e := m.Elections(); e != 6 {
@@ -228,8 +285,7 @@ func TestStableClustersUnderGroupMobility(t *testing.T) {
 	}
 	m := NewManager(net, grid, DefaultConfig())
 	m.Start()
-	sim.SetHorizon(60)
-	sim.Run()
+	sim.RunUntil(60)
 	if m.Elections() < 50 {
 		t.Fatalf("elections %d", m.Elections())
 	}

@@ -173,9 +173,6 @@ type Backbone struct {
 	// data plane and the QoS admission path (see internal/route).
 	trees route.Cache
 
-	// beaconSlots is the reused, sorted slot list of one BeaconRound.
-	beaconSlots []logicalid.CHID
-
 	// entryArena is the round's shared beaconEntry backing array: one
 	// allocation per round instead of one (plus growth) per slot. A
 	// fresh arena is allocated each round because payloads reference
@@ -369,18 +366,14 @@ func (b *Backbone) table(slot logicalid.CHID) routeTable {
 
 // BeaconRound performs one Figure 4 step 1 for every current CH: send
 // the local logical route information to all 1-logical-hop neighbor
-// CHs. Slots beacon in ascending order (not map order), so the round's
-// event sequence is identical across reruns. Exported so experiments
-// can drive rounds directly.
+// CHs. Slots beacon in ascending order, so the round's event sequence
+// is identical across reruns. Exported so experiments can drive rounds
+// directly.
 func (b *Backbone) BeaconRound() {
 	now := b.net.Sim().Now()
-	b.beaconSlots = b.beaconSlots[:0]
-	for vc := range b.cm.Heads() {
-		b.beaconSlots = append(b.beaconSlots, logicalid.CHID(b.scheme.Grid().Index(vc)))
-	}
-	b.beaconSlots = network.SortedIDs(b.beaconSlots)
 	arena := make([]beaconEntry, 0, b.entryArenaCap)
-	for _, slot := range b.beaconSlots {
+	for _, idx := range b.cm.HeadSlots() {
+		slot := logicalid.CHID(idx)
 		ch := b.CHNodeOf(slot)
 		var entries []beaconEntry
 		entries, arena = b.exportEntries(slot, now, arena)

@@ -374,8 +374,7 @@ func TestStartStopTicker(t *testing.T) {
 	cfg := DefaultConfig()
 	tb := newTestbed(t, cfg)
 	tb.bb.Start()
-	tb.sim.SetHorizon(5)
-	tb.sim.Run()
+	tb.sim.RunUntil(5)
 	tb.bb.Stop()
 	if tb.bb.Beacons() == 0 {
 		t.Fatal("ticker never beaconed")

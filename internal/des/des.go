@@ -67,10 +67,14 @@
 //     Handles carry a generation counter so a handle to a recycled
 //     record is inert. Cancellation tombstones the record; the queue
 //     reclaims it on pop, so no tier needs deletion surgery.
-//   - ScheduleCall carries a (func(any), arg) pair instead of a
-//     closure, letting high-volume callers (the network layer
-//     schedules its packet transmissions this way) avoid a closure
-//     allocation per event.
+//   - Every event runs as fn(arg, u): one callback slot, an arg and
+//     one unboxed word. ScheduleCallU exposes that form, so a
+//     high-volume caller that reuses one fn and threads per-event
+//     state through arg and u (the network layer's deliveries) needs
+//     no closure per event; Schedule and After store their closure in
+//     arg behind one package-level trampoline, which costs no
+//     allocation because a func value is pointer-shaped. The record is
+//     48 bytes.
 //   - ScheduleFanout holds n events that share a callback and an arg
 //     (the receivers of one broadcast) behind one queue entry and one
 //     event record. The members take the n sequence numbers n
@@ -96,16 +100,13 @@ type Duration = Time
 // Infinity is a time later than any event the simulator will execute.
 const Infinity Time = Time(math.MaxFloat64)
 
-// event is one scheduled callback. Exactly one of fn or afn is set; afn
-// runs with arg (the ScheduleCall form). Records are pooled: gen
-// increments on every recycle so stale Handles cannot touch a reused
-// record. A cancelled event is tombstoned (dead) and its record
-// reclaimed when the queue pops it; keys live in the tier entries, so
-// cancellation needs no queue surgery.
+// event is one scheduled callback, run as fn(arg, u). Records are
+// pooled: gen increments on every recycle so stale Handles cannot touch
+// a reused record. A cancelled event is tombstoned (dead) and its
+// record reclaimed when the queue pops it; keys live in the tier
+// entries, so cancellation needs no queue surgery.
 type event struct {
-	fn   func()
-	afn  func(any)
-	ufn  func(any, uint64)
+	fn   func(any, uint64)
 	arg  any
 	u    uint64
 	fan  *fanout // set on the one record a fan-out's members share
@@ -113,7 +114,7 @@ type event struct {
 	dead bool
 }
 
-// fanout is one ScheduleFanout batch: member i runs ufn(arg, m[i].u) at
+// fanout is one ScheduleFanout batch: member i runs fn(arg, m[i].u) at
 // m[i].at with sequence number seq+i. While packed, the batch is a
 // single queue entry keyed by its minimal (at, seq) member; once
 // unpacked, that entry stands for the minimal member and every other
@@ -217,8 +218,6 @@ type Simulator struct {
 	free     []*event
 	seq      uint64
 	executed uint64
-	stopped  bool
-	horizon  Time
 
 	// Ladder state. Entries with bucket index <= cur live in the
 	// imminent tier (run/side); buckets cur+1..numBuckets-1 hold the
@@ -243,9 +242,9 @@ type Simulator struct {
 	placed uint64  // near-tier placements this epoch (occupancy feedback)
 }
 
-// New returns an empty simulator with the clock at zero and no horizon.
+// New returns an empty simulator with the clock at zero.
 func New() *Simulator {
-	s := &Simulator{horizon: Infinity, width: defaultWidth}
+	s := &Simulator{width: defaultWidth}
 	s.rebase(0)
 	return s
 }
@@ -269,10 +268,6 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // ScheduleFanout) counts as one until it unpacks, then as one per
 // member not yet run.
 func (s *Simulator) Pending() int { return s.count }
-
-// SetHorizon caps the run: events scheduled after t never execute. A run
-// ends when the queue drains or the next event lies past the horizon.
-func (s *Simulator) SetHorizon(t Time) { s.horizon = t }
 
 // SetGrain hints the scheduler's bucket width: the finest delay quantum
 // the workload schedules at high volume (the network layer passes the
@@ -310,7 +305,7 @@ func (s *Simulator) alloc() *event {
 // recycle returns a record to the pool, invalidating outstanding handles.
 func (s *Simulator) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.afn, ev.ufn, ev.arg, ev.u, ev.fan = nil, nil, nil, nil, 0, nil
+	ev.fn, ev.arg, ev.fan = nil, nil, nil
 	ev.dead = false
 	s.free = append(s.free, ev)
 }
@@ -319,29 +314,20 @@ func (s *Simulator) recycle(ev *event) {
 // that is always a protocol bug, and failing loudly during development is
 // preferable to silent causality violations.
 func (s *Simulator) Schedule(at Time, fn func()) Handle {
-	ev := s.push(at)
-	ev.fn = fn
-	return Handle{ev, ev.gen}
+	return s.ScheduleCallU(at, runClosure, fn, 0)
 }
 
-// ScheduleCall runs fn(arg) at absolute time at. It is Schedule for
-// hot paths: a caller that reuses one fn and threads per-event state
-// through arg schedules without allocating a closure.
-func (s *Simulator) ScheduleCall(at Time, fn func(any), arg any) Handle {
-	ev := s.push(at)
-	ev.afn = fn
-	ev.arg = arg
-	return Handle{ev, ev.gen}
-}
+// runClosure is the trampoline behind Schedule: the closure rides in arg.
+func runClosure(arg any, _ uint64) { arg.(func())() }
 
-// ScheduleCallU is ScheduleCall with an extra unboxed word: fn runs as
-// fn(arg, u). The delivery fan-out threads (from, to) through u and the
-// packet through arg, which removes the pooled per-hop record — and
-// with it one dependent cold load per executed event — that a single
-// arg pointer would otherwise require.
+// ScheduleCallU runs fn(arg, u) at absolute time at: the kernel's one
+// event form, for hot paths. A caller that reuses one fn and threads
+// per-event state through arg and u schedules without allocating a
+// closure; the delivery path threads the packet through arg and
+// (from, to) through u, which spares it a pooled per-hop record.
 func (s *Simulator) ScheduleCallU(at Time, fn func(any, uint64), arg any, u uint64) Handle {
 	ev := s.push(at)
-	ev.ufn = fn
+	ev.fn = fn
 	ev.arg = arg
 	ev.u = u
 	return Handle{ev, ev.gen}
@@ -350,17 +336,6 @@ func (s *Simulator) ScheduleCallU(at Time, fn func(any, uint64), arg any, u uint
 // After runs fn after the given delay from the current time.
 func (s *Simulator) After(d Duration, fn func()) Handle {
 	return s.Schedule(s.now+d, fn)
-}
-
-// AfterCall runs fn(arg) after the given delay from the current time.
-func (s *Simulator) AfterCall(d Duration, fn func(any), arg any) Handle {
-	return s.ScheduleCall(s.now+d, fn, arg)
-}
-
-// AfterCallU runs fn(arg, u) after the given delay from the current
-// time (see ScheduleCallU).
-func (s *Simulator) AfterCallU(d Duration, fn func(any, uint64), arg any, u uint64) Handle {
-	return s.ScheduleCallU(s.now+d, fn, arg, u)
 }
 
 // ScheduleFanout schedules len(at) events that share fn and arg: member
@@ -394,7 +369,7 @@ func (s *Simulator) ScheduleFanout(at []Time, fn func(any, uint64), arg any, u [
 	}
 	fo.seq, fo.left, fo.packed = s.seq, len(at), true
 	ev := s.alloc()
-	ev.ufn, ev.arg, ev.fan = fn, arg, fo
+	ev.fn, ev.arg, ev.fan = fn, arg, fo
 	if idx := s.insert(entry{at: at[first], seq: s.seq + uint64(first), ev: ev}); idx > 0 {
 		s.buckets[idx].extra += len(at) - 1
 	}
@@ -446,7 +421,7 @@ func (s *Simulator) ScheduleCallSeqU(at Time, seq uint64, fn func(any, uint64), 
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, s.now))
 	}
 	ev := s.alloc()
-	ev.ufn = fn
+	ev.fn = fn
 	ev.arg = arg
 	ev.u = u
 	s.insert(entry{at: at, seq: seq, ev: ev})
@@ -819,9 +794,9 @@ func heapDown(h []entry, i int) {
 	}
 }
 
-// Every runs fn at the given period, starting after an initial offset
-// (use offset 0 to fire immediately relative to now+period jitter control
-// in the caller). The returned Ticker can be stopped.
+// Every runs fn first at now+offset and then every period after that
+// (offset 0 fires at the current instant). The returned Ticker can be
+// stopped.
 func (s *Simulator) Every(offset, period Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("des: non-positive ticker period")
@@ -863,9 +838,6 @@ func (t *Ticker) Stop() {
 	t.handle.Cancel()
 }
 
-// Stop halts the run after the current event returns.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // popKnown removes the entry f, which must be the pointer front just
 // returned (either the side-heap root or the run head). Splitting peek
 // and pop this way lets the execution loop evaluate the two-head
@@ -879,12 +851,15 @@ func (s *Simulator) popKnown(f *entry) {
 	s.head++
 }
 
-// runEvent recycles and runs a live entry's event at its timestamp. A
-// fan-out member takes its word from the batch by its sequence number;
-// the shared record recycles with the batch after the last member.
-func (s *Simulator) runEvent(at Time, seq uint64, ev *event) {
+// runEvent pops the live entry f that next just returned and runs its
+// event at its timestamp. A fan-out member takes its word from the
+// batch by its sequence number; the shared record recycles with the
+// batch after the last member.
+func (s *Simulator) runEvent(f *entry) {
+	at, seq, ev := f.at, f.seq, f.ev
+	s.popKnown(f)
 	s.now = at
-	fn, afn, ufn, arg, u := ev.fn, ev.afn, ev.ufn, ev.arg, ev.u
+	fn, arg, u := ev.fn, ev.arg, ev.u
 	if fo := ev.fan; fo != nil {
 		u = fo.m[seq-fo.seq].u
 		if fo.left--; fo.left == 0 {
@@ -895,51 +870,49 @@ func (s *Simulator) runEvent(at Time, seq uint64, ev *event) {
 		s.recycle(ev)
 	}
 	s.executed++
-	switch {
-	case ufn != nil:
-		ufn(arg, u)
-	case fn != nil:
-		fn()
-	default:
-		afn(arg)
+	fn(arg, u)
+}
+
+// next returns the next live entry, the one with the minimal (at, seq)
+// key, when its timestamp is at or before limit, and nil otherwise. On
+// the way it unpacks a packed fan-out that reached the front through
+// the side heap (its entry becomes its earliest member's) and reclaims
+// cancelled entries.
+func (s *Simulator) next(limit Time) *entry {
+	for {
+		f := s.front()
+		if f == nil || f.at > limit {
+			return nil
+		}
+		ev := f.ev
+		if fo := ev.fan; fo != nil && fo.packed {
+			s.unpack(*f, nil)
+			continue
+		}
+		if ev.dead {
+			s.popKnown(f)
+			s.recycle(ev)
+			continue
+		}
+		return f
 	}
 }
 
 // Step executes the single next event, discarding cancelled entries it
-// meets on the way. It reports false when the queue is empty, the
-// simulator was stopped, or the next event is past the horizon.
+// meets on the way. It reports false when the queue is empty.
 func (s *Simulator) Step() bool {
-	for {
-		f := s.front()
-		if f == nil || s.stopped || f.at > s.horizon {
-			return false
-		}
-		at, seq, ev := f.at, f.seq, f.ev
-		if fo := ev.fan; fo != nil && fo.packed {
-			// A fan-out that went to the side heap unpacks when it
-			// comes due; its entry is now its earliest member's.
-			s.unpack(*f, nil)
-			continue
-		}
-		s.popKnown(f)
-		if ev.dead {
-			s.recycle(ev)
-			continue
-		}
-		s.runEvent(at, seq, ev)
-		return true
+	f := s.next(Infinity)
+	if f == nil {
+		return false
 	}
+	s.runEvent(f)
+	return true
 }
 
-// Run executes events until the queue drains, Stop is called, or the
-// horizon is reached. It returns the final simulated time.
+// Run executes events until the queue drains and returns the final
+// simulated time.
 func (s *Simulator) Run() Time {
 	for s.Step() {
-	}
-	if s.horizon < Infinity && s.now < s.horizon && !s.stopped {
-		// Queue drained early; advance the clock to the horizon so that
-		// rate metrics (events/second) are computed over the full window.
-		s.now = s.horizon
 	}
 	return s.now
 }
@@ -951,24 +924,8 @@ func (s *Simulator) RunUntil(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("des: RunUntil(%v) before now %v", t, s.now))
 	}
-	for !s.stopped {
-		f := s.front()
-		if f == nil || f.at > t || f.at > s.horizon {
-			break
-		}
-		at, seq, ev := f.at, f.seq, f.ev
-		if fo := ev.fan; fo != nil && fo.packed {
-			s.unpack(*f, nil)
-			continue
-		}
-		s.popKnown(f)
-		if ev.dead {
-			s.recycle(ev)
-			continue
-		}
-		s.runEvent(at, seq, ev)
+	for f := s.next(t); f != nil; f = s.next(t) {
+		s.runEvent(f)
 	}
-	if t <= s.horizon && !s.stopped {
-		s.now = t
-	}
+	s.now = t
 }

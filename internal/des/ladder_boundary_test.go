@@ -18,11 +18,11 @@ func TestLadderTierBoundaryInserts(t *testing.T) {
 	ref := &refHeap{}
 	var popped []int
 	nextID := 0
-	run := func(arg any) { popped = append(popped, arg.(int)) }
+	run := func(arg any, _ uint64) { popped = append(popped, arg.(int)) }
 	schedule := func(at Time) {
 		e := &refEntry{at: at, seq: s.seq, id: nextID}
 		heap.Push(ref, e)
-		s.ScheduleCall(at, run, nextID)
+		s.ScheduleCallU(at, run, nextID, 0)
 		nextID++
 	}
 	nearCount := func() int {
@@ -91,16 +91,16 @@ func TestLadderLateInsertDrainingBucket(t *testing.T) {
 	// the same draining bucket: one at the current instant (must run
 	// after the pre-scheduled same-instant event, by seq) and one just
 	// before the bucket edge.
-	s.ScheduleCall(0.0105, func(any) {
+	s.ScheduleCallU(0.0105, func(any, uint64) {
 		order = append(order, 0)
-		s.ScheduleCall(s.Now(), func(any) { order = append(order, 3) }, nil)
-		s.ScheduleCall(0.0109, func(any) { order = append(order, 4) }, nil)
+		s.ScheduleCallU(s.Now(), func(any, uint64) { order = append(order, 3) }, nil, 0)
+		s.ScheduleCallU(0.0109, func(any, uint64) { order = append(order, 4) }, nil, 0)
 		if len(s.side) == 0 {
 			t.Fatalf("late inserts into the draining bucket bypassed the side heap (side=%d)", len(s.side))
 		}
-	}, nil)
-	s.ScheduleCall(0.0105, func(any) { order = append(order, 1) }, nil)
-	s.ScheduleCall(0.0107, func(any) { order = append(order, 2) }, nil)
+	}, nil, 0)
+	s.ScheduleCallU(0.0105, func(any, uint64) { order = append(order, 1) }, nil, 0)
+	s.ScheduleCallU(0.0107, func(any, uint64) { order = append(order, 2) }, nil, 0)
 	s.Run()
 
 	want := []int{0, 1, 3, 2, 4}
@@ -126,11 +126,11 @@ func TestReserveSeqsCancelReschedule(t *testing.T) {
 
 	ref := &refHeap{}
 	var popped []int
-	run := func(arg any) { popped = append(popped, arg.(int)) }
+	run := func(arg any, _ uint64) { popped = append(popped, arg.(int)) }
 	runU := func(_ any, u uint64) { popped = append(popped, int(u)) }
 	schedule := func(at Time, id int) Handle {
 		heap.Push(ref, &refEntry{at: at, seq: s.seq, id: id})
-		return s.ScheduleCall(at, run, id)
+		return s.ScheduleCallU(at, run, id, 0)
 	}
 
 	// Reserve a block of 4 sequence numbers for a batch at t=0.02,

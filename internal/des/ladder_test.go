@@ -123,7 +123,7 @@ func testLadderMatchesHeapOrder(t *testing.T, delay func(uint64, float64) Durati
 
 	randDelay := func() Duration { return delay(rng.next()%10, rng.float()) }
 
-	var runOp func(any)
+	var runOp func(any, uint64)
 	schedule := func(at Time) {
 		id := nextID
 		nextID++
@@ -132,7 +132,7 @@ func testLadderMatchesHeapOrder(t *testing.T, delay func(uint64, float64) Durati
 		if at >= s.nearEnd {
 			beyond++
 		}
-		handles = append(handles, s.ScheduleCall(at, runOp, id))
+		handles = append(handles, s.ScheduleCallU(at, runOp, id, 0))
 		entries = append(entries, e)
 		scheduled++
 	}
@@ -150,7 +150,7 @@ func testLadderMatchesHeapOrder(t *testing.T, delay func(uint64, float64) Durati
 			}
 		}
 	}
-	runOp = func(arg any) {
+	runOp = func(arg any, _ uint64) {
 		popped = append(popped, arg.(int))
 		// Keep the op mix flowing from inside callbacks, where
 		// scheduling interacts with the partially drained current
@@ -236,13 +236,13 @@ func TestFanoutMatchesHeapOrder(t *testing.T) {
 			return Duration(u * 300)
 		}
 	}
-	var runOp func(any)
+	var runOp func(any, uint64)
 	var runMember func(any, uint64)
 	schedule := func() {
 		at := s.Now() + delay()
 		entries = append(entries, &refEntry{at: at, seq: s.seq, id: nextID})
 		heap.Push(ref, entries[nextID])
-		handles = append(handles, s.ScheduleCall(at, runOp, nextID))
+		handles = append(handles, s.ScheduleCallU(at, runOp, nextID, 0))
 		nextID++
 	}
 	fanout := func() {
@@ -325,7 +325,7 @@ func TestFanoutMatchesHeapOrder(t *testing.T) {
 			return
 		}
 	}
-	runOp = func(arg any) {
+	runOp = func(arg any, _ uint64) {
 		popped = append(popped, arg.(int))
 		step()
 	}
@@ -404,26 +404,25 @@ func TestLadderGrainAdaptation(t *testing.T) {
 // TestInfinitySentinels pins the degenerate-roll path: events at
 // des.Infinity (a common "never, unless rescheduled" idiom) must not
 // wedge the ladder when they are all that remains, and must still run
-// in sequence order when the horizon allows them.
+// in sequence order once a run reaches them.
 func TestInfinitySentinels(t *testing.T) {
 	s := New()
 	var order []int
 	s.Schedule(Infinity, func() { order = append(order, 1) })
 	s.Schedule(5, func() { order = append(order, 0) })
 	s.Schedule(Infinity, func() { order = append(order, 2) })
-	s.SetHorizon(10)
-	if end := s.Run(); end != 10 {
-		t.Fatalf("horizon run ended at %v want 10", end)
+	s.RunUntil(10)
+	if s.Now() != 10 {
+		t.Fatalf("RunUntil(10) left the clock at %v", s.Now())
 	}
 	if len(order) != 1 || order[0] != 0 {
-		t.Fatalf("past-horizon Infinity events ran: %v", order)
+		t.Fatalf("Infinity events ran before their time: %v", order)
 	}
 	if s.Pending() != 2 {
 		t.Fatalf("Pending=%d want 2 parked sentinels", s.Pending())
 	}
-	// Lifting the horizon releases the sentinels in schedule order
+	// Draining the queue releases the sentinels in schedule order
 	// (matching the monolithic-heap kernel's behavior).
-	s.SetHorizon(Infinity)
 	s.Run()
 	if len(order) != 3 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("sentinel execution order %v want [0 1 2]", order)
@@ -455,8 +454,7 @@ func TestBucketStorageFollowsPending(t *testing.T) {
 	}
 	most := 0
 	observe := func() { most = max(most, held()) }
-	noop := func(any) {}
-	unoop := func(any, uint64) {}
+	noop := func(any, uint64) {}
 	var at [40]Time
 	var u [40]uint64
 	// Each phase starts on an empty queue at a whole second, where
@@ -480,20 +478,20 @@ func TestBucketStorageFollowsPending(t *testing.T) {
 		for epoch := 0; epoch < 3; epoch++ {
 			start := begin()
 			for i := 0; i < 16*numBuckets; i++ {
-				s.ScheduleCall(start+offset(2), noop, nil)
+				s.ScheduleCallU(start+offset(2), noop, nil, 0)
 			}
 			for i := 0; i < 32; i++ {
 				first := start + offset(1)
 				for j := range at {
 					at[j], u[j] = first+offset(1.0/64), uint64(j)
 				}
-				s.ScheduleFanout(at[:], unoop, nil, u[:])
+				s.ScheduleFanout(at[:], noop, nil, u[:])
 			}
 			drain(start, 2)
 		}
 		start := begin()
 		for i := 0; i < 12_000; i++ {
-			s.ScheduleCall(start+0.5, noop, nil)
+			s.ScheduleCallU(start+0.5, noop, nil, 0)
 		}
 		drain(start, 1)
 	}
@@ -516,16 +514,16 @@ func TestBucketStorageFollowsPending(t *testing.T) {
 
 	start := begin()
 	for i := 0; i < 2*burstCap; i++ {
-		s.ScheduleCall(start+0.5, noop, nil)
+		s.ScheduleCallU(start+0.5, noop, nil, 0)
 	}
-	s.ScheduleCall(start+0.75, noop, nil)
+	s.ScheduleCallU(start+0.75, noop, nil, 0)
 	s.Run()
 	if c := cap(s.run); c > burstCap {
 		t.Fatalf("run buffer keeps %d entries after its %d-entry burst drained", c, 2*burstCap)
 	}
 }
 
-// BenchmarkScheduleCall measures the steady-state schedule+dispatch
+// BenchmarkScheduleCall measures the steady-state ScheduleCallU + dispatch
 // cycle: each executed event schedules its successor, holding the
 // pending set at 4096 events — the shape of a causality-chained
 // protocol run.
@@ -538,13 +536,13 @@ func BenchmarkScheduleCall(b *testing.B) {
 		delays[i] = Duration(1e-4 + rng.float()*2e-3)
 	}
 	i := 0
-	var fn func(any)
-	fn = func(any) {
-		s.AfterCall(delays[i&1023], fn, nil)
+	var fn func(any, uint64)
+	fn = func(any, uint64) {
+		s.ScheduleCallU(s.Now()+delays[i&1023], fn, nil, 0)
 		i++
 	}
 	for j := 0; j < 4096; j++ {
-		s.AfterCall(delays[j&1023], fn, nil)
+		s.ScheduleCallU(delays[j&1023], fn, nil, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

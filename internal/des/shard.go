@@ -169,7 +169,7 @@ func (e *Sharded) LaneNow(i int) Time { return e.laneNow[i] }
 
 // ScheduleLaneDirect schedules a lane event from serial context. It
 // draws the next sequence number from the wrapped Simulator's counter —
-// exactly the seq an ordinary AfterCallU at this moment would have
+// exactly the seq an ordinary ScheduleCallU at this moment would have
 // drawn, which is what makes routing an event to a lane instead of the
 // global queue invisible to the total order. Must not be called from
 // inside a window (lane context logs intents instead).
@@ -208,47 +208,37 @@ func (e *Sharded) RunUntil(t Time) {
 		panic(fmt.Sprintf("des: RunUntil(%v) before now %v", t, s.now))
 	}
 	defer e.stopWorkers()
-	effT := t
-	if s.horizon < effT {
-		effT = s.horizon
-	}
-	for !s.stopped {
-		gAt, gSeq, gOK := s.frontKey()
-		if gOK && gAt > effT {
-			gOK = false
-		}
+	for {
+		f := s.next(t)
 		lAt, lSeq, lOK := e.minLaneKey()
-		if lOK && lAt > effT {
+		if lOK && lAt > t {
 			lOK = false
 		}
-		if !gOK && !lOK {
+		if f == nil && !lOK {
 			break
 		}
-		if gOK && (!lOK || keyLess(gAt, gSeq, lAt, lSeq)) {
+		if f != nil && (!lOK || keyLess(f.at, f.seq, lAt, lSeq)) {
 			// The global front precedes every lane front: run it exactly
 			// as the serial simulator would.
-			if !s.Step() {
-				break
-			}
+			s.runEvent(f)
 			continue
 		}
-		if !gOK {
-			gAt, gSeq = Infinity, math.MaxUint64
+		gAt, gSeq := Infinity, uint64(math.MaxUint64)
+		if f != nil {
+			gAt, gSeq = f.at, f.seq
 		}
-		e.window(effT, gAt, gSeq, lAt)
+		e.window(t, gAt, gSeq, lAt)
 	}
-	if t <= s.horizon && !s.stopped {
-		s.now = t
-	}
+	s.now = t
 }
 
 // window opens one conservative synchronization window starting at the
-// earliest lane front tmin, lets every lane drain it concurrently, and
-// runs the barrier.
-func (e *Sharded) window(effT Time, gAt Time, gSeq uint64, tmin Time) {
+// earliest lane front tmin and ending no later than t, lets every lane
+// drain it concurrently, and runs the barrier.
+func (e *Sharded) window(t Time, gAt Time, gSeq uint64, tmin Time) {
 	bound := tmin + e.lookahead
-	if bound > effT {
-		bound = effT
+	if bound > t {
+		bound = t
 	}
 	cap := Infinity
 	if e.Prepare != nil {
@@ -384,27 +374,6 @@ func keyLess(aAt Time, aSeq uint64, bAt Time, bSeq uint64) bool {
 		return aAt < bAt
 	}
 	return aSeq < bSeq
-}
-
-// frontKey peeks the global lane's next live event key, discarding
-// cancelled entries it meets (exactly what Step would do before
-// executing, so the peek is semantically invisible).
-func (s *Simulator) frontKey() (Time, uint64, bool) {
-	for {
-		f := s.front()
-		if f == nil {
-			return 0, 0, false
-		}
-		if f.ev.dead {
-			// Save the record before popping: f points into the queue's
-			// backing array, so popKnown relocates the entry under it.
-			ev := f.ev
-			s.popKnown(f)
-			s.recycle(ev)
-			continue
-		}
-		return f.at, f.seq, true
-	}
 }
 
 // lanePush inserts into lane i's binary heap.

@@ -29,10 +29,10 @@ func Figure1(o Options) []*Table {
 	w.Sim.RunUntil(10)
 	stk.Stop()
 
-	heads := w.CM.Heads()
+	heads := w.CM.HeadSlots()
 	bch, ich := 0, 0
-	for vc := range heads {
-		if w.Scheme.IsBorder(vc) {
+	for _, idx := range heads {
+		if w.Scheme.IsBorder(w.Grid.FromIndex(idx)) {
 			bch++
 		} else {
 			ich++

@@ -177,7 +177,7 @@ func runScaleWorld(seed uint64, c scaleConfig, shards int) scaleResult {
 			Events:        w.Sim.Executed(),
 			DeliveryRatio: got.PDR(),
 		},
-		clusters:  len(w.CM.Heads()),
+		clusters:  len(w.CM.HeadSlots()),
 		delayMean: got.MeanDelay,
 		ctrlPNS:   controlPerNodeSecond(w, w.Sim.Now()),
 	}

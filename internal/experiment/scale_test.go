@@ -39,14 +39,14 @@ func TestScaleSmoke(t *testing.T) {
 	if w.Sim.Executed() == 0 {
 		t.Fatal("no events executed")
 	}
-	if len(w.CM.Heads()) == 0 {
+	if len(w.CM.HeadSlots()) == 0 {
 		t.Fatal("no clusters formed")
 	}
 	if got.Delivered == 0 {
 		t.Fatal("no multicast deliveries in 60 simulated seconds")
 	}
 	t.Logf("10k world: %d events, %d clusters, pdr %.1f%%",
-		w.Sim.Executed(), len(w.CM.Heads()), 100*got.PDR())
+		w.Sim.Executed(), len(w.CM.HeadSlots()), 100*got.PDR())
 }
 
 // TestScaleQuickTable checks the structural contract of the scale

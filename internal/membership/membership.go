@@ -287,9 +287,6 @@ type Service struct {
 
 	tickers []*des.Ticker
 
-	// roundSlots is sortedHeadSlots' reusable scratch.
-	roundSlots []logicalid.CHID
-
 	// HTBroadcasts counts designated-CH broadcasts for overhead
 	// experiments.
 	HTBroadcasts uint64
@@ -568,10 +565,13 @@ func (s *Service) AppendLocalMembers(dst []network.NodeID, slot logicalid.CHID, 
 }
 
 // MNTRound is Figure 5 step 3: every CH floods its MNT-Summary to all
-// CHs within its hypercube.
+// CHs within its hypercube. CHs send in slot order, so the transmission
+// sequence (and with it every sender's loss-stream draw order) is
+// identical across reruns.
 func (s *Service) MNTRound() {
 	scheme := s.bb.Scheme()
-	for _, slot := range s.sortedHeadSlots() {
+	for _, idx := range s.bb.Clusters().HeadSlots() {
+		slot := logicalid.CHID(idx)
 		ch := s.bb.CHNodeOf(slot)
 		vc := scheme.Grid().FromIndex(int(slot))
 		place := scheme.PlaceOf(vc)
@@ -583,20 +583,6 @@ func (s *Service) MNTRound() {
 		st.seenMNT.set(s.labelOf(slot), slot, msg.Seq)
 		s.floodMNT(slot, msg, ch)
 	}
-}
-
-// sortedHeadSlots returns the CH slots currently heading clusters in
-// slot order. Rounds iterate it instead of the Heads map so the
-// transmission sequence (and with it every sender's loss-stream draw
-// order) is identical across reruns.
-func (s *Service) sortedHeadSlots() []logicalid.CHID {
-	grid := s.bb.Scheme().Grid()
-	s.roundSlots = s.roundSlots[:0]
-	for vc := range s.bb.Clusters().Heads() {
-		s.roundSlots = append(s.roundSlots, logicalid.CHID(grid.Index(vc)))
-	}
-	s.roundSlots = network.SortedIDs(s.roundSlots)
-	return s.roundSlots
 }
 
 // floodMNT forwards an MNT summary to intra-hypercube logical neighbors
@@ -710,7 +696,8 @@ func (s *Service) Designated(slot logicalid.CHID) bool {
 // designated, broadcasts the HT-Summary to all CHs in the network.
 func (s *Service) HTRound() {
 	scheme := s.bb.Scheme()
-	for _, slot := range s.sortedHeadSlots() {
+	for _, idx := range s.bb.Clusters().HeadSlots() {
+		slot := logicalid.CHID(idx)
 		ch := s.bb.CHNodeOf(slot)
 		vc := scheme.Grid().FromIndex(int(slot))
 		place := scheme.PlaceOf(vc)

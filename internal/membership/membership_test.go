@@ -337,8 +337,7 @@ func TestStartStopTickers(t *testing.T) {
 	tb.rebind()
 	tb.ms.Join(m.ID, 5)
 	tb.ms.Start()
-	tb.sim.SetHorizon(20)
-	tb.sim.Run()
+	tb.sim.RunUntil(20)
 	tb.ms.Stop()
 	// The periodic machinery alone should have propagated membership
 	// network-wide: HT period 8 fires at t=8 and t=16.

@@ -46,10 +46,12 @@
 //     transmission into a counter struct (tx, bytes, sender bitset)
 //     behind a one-entry cache riding same-kind bursts. The Mux keeps
 //     the same cache over handler dispatch.
-//   - Packet hops schedule pooled delivery records through
-//     des.ScheduleCall, and packets themselves can be pooled
-//     (AcquirePacket/ReleasePacket) with network-managed reference
-//     counts, so the steady-state per-hop allocation count is zero.
+//   - Packet hops schedule through des.ScheduleCallU with the packet
+//     as the arg and (from, to) packed into the word, so a hop needs no
+//     closure and no delivery record, and packets themselves can be
+//     pooled (AcquirePacket/ReleasePacket) with network-managed
+//     reference counts, so the steady-state per-hop allocation count
+//     is zero.
 package network
 
 import (
@@ -1064,7 +1066,7 @@ func (w *Network) isConfined(to NodeID, pkt *Packet) bool {
 // context. Unsharded: an ordinary simulator event. Sharded, from serial
 // context: confined deliveries go straight onto the receiver's lane
 // with a fresh sequence number (ScheduleLaneDirect draws the same seq
-// an AfterCallU here would have, so the rerouting is invisible to the
+// a ScheduleCallU here would have, so the rerouting is invisible to the
 // total order); global ones schedule normally. Inside a parallel
 // window, nothing schedules directly — the delivery is logged as an
 // intent keyed by the executing event and materialized at the barrier.
@@ -1072,11 +1074,11 @@ func (w *Network) scheduleDelivery(now des.Time, delay des.Duration, from, to No
 	if pkt.pooled {
 		pkt.refs++
 	}
+	at := now + delay
 	if w.eng == nil {
-		w.sim.AfterCallU(delay, w.deliverFn, pkt, packHop(from, to))
+		w.sim.ScheduleCallU(at, w.deliverFn, pkt, packHop(from, to))
 		return
 	}
-	at := now + delay
 	if w.eng.InParallel() {
 		fromLane := int(w.shardOf[from])
 		if w.isConfined(to, pkt) {
@@ -1090,7 +1092,7 @@ func (w *Network) scheduleDelivery(now des.Time, delay des.Duration, from, to No
 		w.eng.ScheduleLaneDirect(int(w.shardOf[to]), at, w.deliverLaneFn, pkt, packHop(from, to))
 		return
 	}
-	w.sim.AfterCallU(delay, w.deliverFn, pkt, packHop(from, to))
+	w.sim.ScheduleCallU(at, w.deliverFn, pkt, packHop(from, to))
 }
 
 // Unicast transmits pkt from one node to a one-hop neighbor. It reports

@@ -21,7 +21,6 @@ import (
 	"repro/internal/membership"
 	"repro/internal/multicast"
 	"repro/internal/network"
-	"repro/internal/vcgrid"
 )
 
 // Mode selects the admission discipline.
@@ -181,24 +180,12 @@ func (m *Manager) Active() int { return len(m.sessions) }
 
 // Utilization reports the mean reserved fraction over the CH nodes
 // currently heading clusters — the backbone's QoS load. The sum runs
-// in sorted cluster order: float addition is not associative, so
-// summing in map order would leak the iteration order into the
-// reported mean's last ulp.
+// in slot order, so the reported mean's last ulp is a function of the
+// assignment alone.
 func (m *Manager) Utilization() float64 {
-	heads := m.bb.Clusters().Heads()
-	vcs := make([]vcgrid.VC, 0, len(heads))
-	for vc := range heads {
-		vcs = append(vcs, vc)
-	}
-	sort.Slice(vcs, func(i, j int) bool {
-		if vcs[i].CX != vcs[j].CX {
-			return vcs[i].CX < vcs[j].CX
-		}
-		return vcs[i].CY < vcs[j].CY
-	})
 	total, count := 0.0, 0
-	for _, vc := range vcs {
-		if node := m.bb.Net().Node(heads[vc]); node != nil {
+	for _, idx := range m.bb.Clusters().HeadSlots() {
+		if node := m.bb.Net().Node(m.bb.CHNodeOf(logicalid.CHID(idx))); node != nil {
 			total += node.Capacity().Utilization()
 			count++
 		}

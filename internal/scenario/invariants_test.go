@@ -34,7 +34,9 @@ func TestSystemInvariantsAcrossSeeds(t *testing.T) {
 		stk.Stop()
 
 		headsOf := map[network.NodeID]int{}
-		for vc, ch := range w.CM.Heads() {
+		for _, idx := range w.CM.HeadSlots() {
+			vc := w.Grid.FromIndex(idx)
+			ch := w.CM.CHOf(vc)
 			n := w.Net.Node(ch)
 			if n == nil || !n.Up() {
 				t.Fatalf("seed %d: dead CH %d heads %v", seed, ch, vc)
@@ -52,8 +54,8 @@ func TestSystemInvariantsAcrossSeeds(t *testing.T) {
 		}
 
 		// Logical neighbor symmetry over occupied slots.
-		for vc := range w.CM.Heads() {
-			slot := logicalid.CHID(w.Grid.Index(vc))
+		for _, idx := range w.CM.HeadSlots() {
+			slot := logicalid.CHID(idx)
 			for _, nb := range w.BB.LogicalNeighbors(slot) {
 				back := w.BB.LogicalNeighbors(nb)
 				found := false

@@ -125,6 +125,9 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: arena %v m over cell %v m is a %gx%g VC grid, above the %d-cell ceiling",
 			s.ArenaSize, s.CellSize, side, side, MaxGridCells)
 	}
+	if !(s.MinSpeed >= 0 && s.MinSpeed <= math.MaxFloat64) || !(s.MaxSpeed >= 0 && s.MaxSpeed <= math.MaxFloat64) {
+		return fmt.Errorf("scenario: node speeds %v and %v m/s must be finite and non-negative", s.MinSpeed, s.MaxSpeed)
+	}
 	if s.Dim < 1 || s.Dim > hypercube.MaxDim {
 		return fmt.Errorf("scenario: hypercube dimension %d out of range [1,%d]", s.Dim, hypercube.MaxDim)
 	}

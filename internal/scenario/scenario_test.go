@@ -28,7 +28,7 @@ func TestBuildDefault(t *testing.T) {
 		t.Fatalf("group members %d want 10", len(w.Members[0]))
 	}
 	// Anchors guarantee every VC has a CH after the initial election.
-	if got := len(w.CM.Heads()); got != 64 {
+	if got := len(w.CM.HeadSlots()); got != 64 {
 		t.Fatalf("clusters headed %d want 64", got)
 	}
 }
@@ -43,6 +43,12 @@ func TestBuildValidation(t *testing.T) {
 		"infinite arena":     func(s *Spec) { s.ArenaSize = math.Inf(1) },
 		"absurd dimension":   func(s *Spec) { s.Dim = 99 },
 		"zero dimension":     func(s *Spec) { s.Dim = 0 },
+		"NaN max speed":      func(s *Spec) { s.MaxSpeed = math.NaN() },
+		"NaN min speed":      func(s *Spec) { s.MinSpeed = math.NaN() },
+		"infinite max speed": func(s *Spec) { s.MaxSpeed = math.Inf(1) },
+		"infinite min speed": func(s *Spec) { s.MinSpeed = math.Inf(1) },
+		"negative max speed": func(s *Spec) { s.MaxSpeed = -1 },
+		"negative min speed": func(s *Spec) { s.MinSpeed = -1 },
 		"10^12-cell grid":    func(s *Spec) { s.ArenaSize, s.CellSize = 1e7, 10 },
 		"10^12 nodes":        func(s *Spec) { s.Nodes = 1e12 },
 		"10^12 memberships":  func(s *Spec) { s.Groups, s.MembersPerGroup = 1e6, 1e6 },
@@ -59,6 +65,13 @@ func TestBuildValidation(t *testing.T) {
 	mega.Nodes, mega.ArenaSize, mega.CellSize = 1000000, 140000, 2500
 	if err := mega.Validate(); err != nil {
 		t.Errorf("the scale sweep's 1M world is refused: %v", err)
+	}
+	// hvdbsim -speed 0.5 runs waypoint mobility with min 1 and max 0.5
+	// m/s; a min above the max is not an error.
+	slow := DefaultSpec()
+	slow.MinSpeed, slow.MaxSpeed = 1, 0.5
+	if err := slow.Validate(); err != nil {
+		t.Errorf("min speed above max speed is refused: %v", err)
 	}
 }
 

@@ -123,10 +123,10 @@ func MeshView(bb *core.Backbone) string {
 // Summary renders a one-paragraph textual snapshot of the backbone.
 func Summary(bb *core.Backbone, cm *cluster.Manager) string {
 	scheme := bb.Scheme()
-	heads := cm.Heads()
+	heads := cm.HeadSlots()
 	bch, ich := 0, 0
-	for vc := range heads {
-		if scheme.IsBorder(vc) {
+	for _, idx := range heads {
+		if scheme.IsBorder(scheme.Grid().FromIndex(idx)) {
 			bch++
 		} else {
 			ich++
