@@ -277,17 +277,18 @@ func startHVDB(tb testing.TB, w *scenario.World) protocol.Stack {
 // tree tiers, local broadcasts, every delivery — to a fixed allocation
 // budget once trees are cached and pools are warm, so a regression in
 // the forwarding path fails here and not in the next benchmark run.
-// What a send may allocate is fixed by its shape, not by how many CHs
-// forward it (internal/multicast): its flight record (the record and
-// its bitsets, two objects), the mesh-tier header, and one header per
-// hypercube it enters; every copy's hop count rides its pooled packet,
-// and packets, geo envelopes and events are pooled. The periodic planes
+// What a send may allocate is fixed, not grown by how many CHs forward
+// it or how many hypercubes it enters (internal/multicast): its flight
+// record (the record and its bitsets, two objects), the mesh-tier
+// header, and one slice backing the headers of every hypercube it
+// enters; every copy's hop count rides its pooled packet, and packets,
+// geo envelopes and events are pooled. The periodic planes
 // are stopped for the measurement (their rounds allocate by design); it
 // stays well inside the members' report freshness window (membership
 // LocalTTL, 2.5 s), and the delivery check below would catch it if it
 // did not.
 func TestDataPlaneAllocBudget(t *testing.T) {
-	const budget = 9 // allocations per send; measured 7: 2 + 1 + this world's 4 hypercubes
+	const budget = 6 // allocations per send; measured 4: 2 + 1 + 1 (7 with one header for each of this world's 4 hypercubes)
 	w, stk, src := endToEndWorld(t)
 	stk.Stop()
 	w.Sim.RunUntil(w.Sim.Now() + 0.3) // let control traffic in flight land

@@ -217,10 +217,14 @@ func (a *arm) originateFlood(src network.NodeID, kind string, size int) {
 }
 
 // rebroadcastFlood is the whole handler of a control flood kind: the
-// contents feed the snapshot oracle, so there is nothing to store.
+// contents feed the snapshot oracle, so there is nothing to store. A
+// relay re-broadcasts the packet it received instead of a copy: nothing
+// reads a control flood's per-copy fields (its payload is the shared
+// flight), so one packet serves the whole flood and only its Hops,
+// which then counts the flood's relays so far, is not a path length.
 func rebroadcastFlood(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	if _, first := relayFlood(n, pkt); first {
-		n.Net().Broadcast(n.ID, pkt.Clone())
+		n.Net().Broadcast(n.ID, pkt)
 	}
 }
 
@@ -243,8 +247,9 @@ type treeLeg struct {
 
 // onLeg is the receive side of a tree leg, and its start at the tree's
 // root: a member is delivered to, then one copy goes to each tree child
-// of n. The copies keep pkt's kind and its original source in Src, so
-// forwarding-load accounting sees relayed packets as relayed.
+// of n. The copies keep pkt's kind, its hop count and its original
+// source in Src, so a member reads the path length its copy travelled
+// and forwarding-load accounting sees relayed packets as relayed.
 func (a *arm) onLeg(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	leg, ok := pkt.Payload.(*treeLeg)
 	if !ok || leg.tree == nil {
@@ -258,7 +263,7 @@ func (a *arm) onLeg(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	for _, child := range network.Children(leg.tree, n.ID, nil) {
 		a.net.Unicast(n.ID, child, &network.Packet{
 			Kind: pkt.Kind, Src: pkt.Src, Dst: child, Group: pkt.Group,
-			Size: leg.size, Born: pkt.Born, UID: pkt.UID, Payload: leg,
+			Size: leg.size, Hops: pkt.Hops, Born: pkt.Born, UID: pkt.UID, Payload: leg,
 		})
 	}
 }

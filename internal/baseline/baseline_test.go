@@ -16,10 +16,17 @@ import (
 // grid16 builds a connected 4x4 grid of static nodes, 200 m apart
 // (radio range 250 m connects 4-neighbors only).
 func grid16(seed uint64) (*des.Simulator, *network.Network, *network.Mux) {
+	return grid(seed, 4)
+}
+
+// grid builds a connected side×side grid of static nodes, 200 m apart,
+// in a 200·(side+1) m square arena.
+func grid(seed uint64, side int) (*des.Simulator, *network.Network, *network.Mux) {
 	sim := des.New()
-	net := network.New(sim, geom.RectWH(0, 0, 1000, 1000), xrand.New(seed))
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
+	edge := 200 * float64(side+1)
+	net := network.New(sim, geom.RectWH(0, 0, edge, edge), xrand.New(seed))
+	for y := 0; y < side; y++ {
+		for x := 0; x < side; x++ {
 			net.AddNode(&mobility.Static{P: geom.Pt(100+float64(x)*200, 100+float64(y)*200)},
 				radio.DefaultMN, nil, false)
 		}
@@ -347,6 +354,77 @@ func TestStopHaltsControlPlanes(t *testing.T) {
 			for _, k := range tc.kinds {
 				if got := net.Stats().KindTx[k]; got != stopped[k] {
 					t.Errorf("%s transmitted %d times after Stop", k, got-stopped[k])
+				}
+			}
+		})
+	}
+}
+
+// TestControlFloodRelayDoesNotCopy: a relay re-broadcasts the control
+// flood packet it received instead of a copy, so one flood allocates
+// the same on 64 nodes as on 16 — its origination, however many nodes
+// relay it.
+func TestControlFloodRelayDoesNotCopy(t *testing.T) {
+	allocs := func(side int) float64 {
+		sim, net, mux := grid(1, side)
+		d := NewDSM(net, mux)
+		return testing.AllocsPerRun(20, func() {
+			d.originateFlood(0, DSMPositionKind, dsmPositionSize)
+			sim.Run()
+			if tx := net.Stats().KindTx[DSMPositionKind]; tx%uint64(side*side) != 0 {
+				t.Fatalf("%d position transmissions on %d nodes: a node did not relay", tx, side*side)
+			}
+		})
+	}
+	if small, large := allocs(4), allocs(8); large != small {
+		t.Fatalf("one control flood allocates %v times on 64 nodes, %v on 16: relays copy the packet", large, small)
+	}
+}
+
+// TestFlatArmsReportPhysicalHops: every flat scheme reports the
+// delivering copy's physical transmissions. On a line of eight static
+// nodes 200 m apart (one hop per neighbor), node 0 sends to members 2
+// and 7. Flooding, DSM and PBM take the line: 2 and 7 hops. CBT goes
+// through its core, node 4 (nearest the arena center), so member 2 is
+// 4 geo hops plus two tree hops away. SPBM's copy for member 2 settles
+// at node 3, nearest its square's center, whose local broadcast is the
+// fourth hop; member 7 is its own square's settling node.
+func TestFlatArmsReportPhysicalHops(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(*network.Network, *network.Mux) protocol.Stack
+		want  map[network.NodeID]int
+	}{
+		{"flooding", func(n *network.Network, m *network.Mux) protocol.Stack { return NewFlooding(n, m) }, map[network.NodeID]int{2: 2, 7: 7}},
+		{"dsm", func(n *network.Network, m *network.Mux) protocol.Stack { return NewDSM(n, m) }, map[network.NodeID]int{2: 2, 7: 7}},
+		{"pbm", func(n *network.Network, m *network.Mux) protocol.Stack { return NewPBM(n, m) }, map[network.NodeID]int{2: 2, 7: 7}},
+		{"spbm", func(n *network.Network, m *network.Mux) protocol.Stack { return NewSPBM(n, m) }, map[network.NodeID]int{2: 4, 7: 7}},
+		{"cbt", func(n *network.Network, m *network.Mux) protocol.Stack { return NewCBT(n, m) }, map[network.NodeID]int{2: 6, 7: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := des.New()
+			net := network.New(sim, geom.RectWH(0, 0, 1700, 250), xrand.New(3))
+			for i := 0; i < 8; i++ {
+				net.AddNode(&mobility.Static{P: geom.Pt(100+200*float64(i), 125)}, radio.DefaultMN, nil, false)
+			}
+			stk := tc.build(net, network.Bind(net))
+			stk.Start() // CBT picks its core here
+			stk.Stop()  // no control traffic: the line carries the send alone
+			got := make(map[network.NodeID]int)
+			stk.Deliveries(func(m network.NodeID, _ uint64, _ des.Time, hops int) { got[m] = hops })
+			for m := range tc.want {
+				stk.Join(m, 1)
+			}
+			if stk.Send(0, 1, 100) == 0 {
+				t.Fatal("send refused")
+			}
+			sim.Run()
+			if len(got) != len(tc.want) {
+				t.Fatalf("delivered to %v want members %v", got, tc.want)
+			}
+			for m, h := range tc.want {
+				if got[m] != h {
+					t.Errorf("member %d: %d hops want %d", m, got[m], h)
 				}
 			}
 		})

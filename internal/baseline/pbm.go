@@ -90,13 +90,14 @@ func (p *PBM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64
 			hdr.Targets = append(hdr.Targets, p.net.Node(m).TruePos())
 		}
 	}
-	p.forward(src, src, g, uid, p.net.Sim().Now(), hdr)
+	p.forward(src, src, g, uid, p.net.Sim().Now(), 0, hdr)
 	return p.sent(uid)
 }
 
-// forward makes one greedy splitting decision at node u; origin is the
-// original source, preserved in Src for forwarding-load accounting.
-func (p *PBM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, born des.Time, hdr *pbmHeader) {
+// forward makes one greedy splitting decision at node u, which holds a
+// copy hops transmissions from the source; origin is the original
+// source, preserved in Src for forwarding-load accounting.
+func (p *PBM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, born des.Time, hops int, hdr *pbmHeader) {
 	pos := p.net.Node(u).TruePos()
 	nbrs := p.net.Neighbors(u)
 	// Partition destinations by best-progress neighbor.
@@ -123,7 +124,7 @@ func (p *PBM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, bo
 			// destination.
 			inner := &network.Packet{
 				Kind: PBMRecoverKind, Src: origin, Dst: dest, Group: int(g),
-				Size: hdr.PayloadSize + 16, Born: born, UID: uid, Payload: hdr.fl,
+				Size: hdr.PayloadSize + 16, Hops: hops, Born: born, UID: uid, Payload: hdr.fl,
 			}
 			p.geo.Send(u, target, dest, inner)
 			continue
@@ -148,7 +149,7 @@ func (p *PBM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, bo
 		pkt := &network.Packet{
 			Kind: PBMDataKind, Src: origin, Dst: succ, Group: int(g),
 			Size: h.PayloadSize + 8 + 20*len(h.Dests), // per-dest position in header
-			Born: born, UID: uid, Payload: h,
+			Hops: hops, Born: born, UID: uid, Payload: h,
 		}
 		p.net.Unicast(u, succ, pkt)
 	}
@@ -168,5 +169,5 @@ func (p *PBM) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 			}
 		}
 	}
-	p.forward(n.ID, pkt.Src, g, pkt.UID, pkt.Born, hdr)
+	p.forward(n.ID, pkt.Src, g, pkt.UID, pkt.Born, pkt.Hops, hdr)
 }

@@ -184,7 +184,7 @@ func (s *SPBM) deliverSquare(n *network.Node, inner *network.Packet, hdr *spbmHe
 	}
 	pkt := &network.Packet{
 		Kind: SPBMLocalKind, Src: n.ID, Dst: network.NoNode, Group: inner.Group,
-		Size: hdr.PayloadSize + 8, Born: inner.Born, UID: inner.UID, Payload: hdr.fl,
+		Size: hdr.PayloadSize + 8, Hops: inner.Hops, Born: inner.Born, UID: inner.UID, Payload: hdr.fl,
 	}
 	s.net.Broadcast(n.ID, pkt)
 }

@@ -120,12 +120,9 @@ var scheduleArgFuncs = map[string]struct {
 	fnIdx, argIdx int
 	lane          bool
 }{
-	"ScheduleCall":       {1, 2, false},
 	"ScheduleCallU":      {1, 2, false},
 	"ScheduleCallSeqU":   {2, 3, false},
 	"ScheduleFanout":     {1, 2, false},
-	"AfterCall":          {1, 2, false},
-	"AfterCallU":         {1, 2, false},
 	"ScheduleLaneDirect": {2, 3, true},
 	"LogIntent":          {3, 4, true},
 }

@@ -55,9 +55,9 @@ var MapOrder = &Analyzer{
 // scheduleSinks are callee names that put the loop element into the
 // simulation's total order: DES scheduling and packet transmission.
 var scheduleSinks = map[string]bool{
-	"Schedule": true, "ScheduleCall": true, "ScheduleCallU": true,
+	"Schedule": true, "ScheduleCallU": true,
 	"ScheduleCallSeqU": true, "ScheduleFanout": true,
-	"After": true, "AfterCall": true, "AfterCallU": true, "Every": true,
+	"After": true, "Every": true,
 	"Broadcast": true, "Unicast": true, "Send": true, "SendLogical": true,
 }
 

@@ -13,10 +13,10 @@ import (
 // sim stands in for the DES scheduling and transmission surface.
 type sim struct{}
 
-func (s *sim) Schedule(at float64, fn func())      {}
-func (s *sim) ScheduleCall(at float64, arg any)    {}
-func (s *sim) Broadcast(from int, size int) int    { return 0 }
-func (s *sim) Unicast(from, to int, size int) bool { return true }
+func (s *sim) Schedule(at float64, fn func())                                    {}
+func (s *sim) ScheduleCallU(at float64, fn func(any, uint64), arg any, u uint64) {}
+func (s *sim) Broadcast(from int, size int) int                                  { return 0 }
+func (s *sim) Unicast(from, to int, size int) bool                               { return true }
 func (s *sim) ScheduleFanout(at []float64, fn func(any, uint64), arg any, u []uint64) {
 }
 

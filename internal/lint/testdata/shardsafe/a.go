@@ -34,9 +34,9 @@ type Simulator struct{ now float64 }
 
 type engine struct{}
 
-func (e *engine) ScheduleLaneDirect(lane int, at float64, fn func(), arg any, u uint64) {}
-func (e *engine) LogIntent(from, to int, at float64, fn func(), arg any, u uint64)      {}
-func (e *engine) ScheduleCall(at float64, fn func(arg any), arg any)                    {}
+func (e *engine) ScheduleLaneDirect(lane int, at float64, fn func(), arg any, u uint64)   {}
+func (e *engine) LogIntent(from, to int, at float64, fn func(), arg any, u uint64)        {}
+func (e *engine) ScheduleCallU(at float64, fn func(arg any, u uint64), arg any, u uint64) {}
 
 var sharedTotal uint64
 

@@ -35,14 +35,14 @@ func (w *Network) laneGuarded(ls *laneState, serial bool) {
 	}
 }
 
-// laneDefer schedules a *serial* callback from lane context: the
-// ScheduleCall family runs on the serial loop after the window, so the
-// callback's hub write is sanctioned (no want).
+// laneDefer schedules a *serial* callback from lane context: a
+// ScheduleCallU callback runs on the serial loop after the window, so
+// the callback's hub write is sanctioned (no want).
 func laneDefer(ls *laneState, e *engine, w *Network) {
 	ls.lost++
-	e.ScheduleCall(1.0, func(arg any) {
+	e.ScheduleCallU(1.0, func(arg any, _ uint64) {
 		w.counter++
-	}, nil)
+	}, nil, 0)
 }
 
 // globalDeep: a package-level write two calls below a plain-function

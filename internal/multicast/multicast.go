@@ -86,10 +86,11 @@ func (b *bitset) add(i int) bool {
 
 // flight is the record of one Send, carried by pointer in the header of
 // every copy of the packet: what all copies have in common (group,
-// payload size) and what has already happened to the packet (the three
-// duplicate-suppression sets). The copies are the only strong holders,
-// so the record dies with the last one in flight. Writes happen in geo
-// consumes and broadcast deliveries, which are serial-lane events.
+// payload size), what has already happened to the packet (the three
+// duplicate-suppression sets) and the backing store of its per-cube
+// headers. The copies are the only strong holders, so the record dies
+// with the last one in flight. Writes happen in geo consumes and
+// broadcast deliveries, which are serial-lane events.
 type flight struct {
 	group   membership.Group
 	payload int // application payload in bytes
@@ -97,6 +98,21 @@ type flight struct {
 	cubes   bitset // hypercubes entered, by HID (step 4 runs once per cube)
 	slots   bitset // CH slots that forwarded within their cube (step 5)
 	members bitset // members delivered to, by node ID (step 6)
+
+	cubeHdrs []header // the intra-cube headers, one per cube that forwards inside
+}
+
+// cubeHeader returns the header under which the packet travels inside
+// one entered hypercube, carved from the send's one backing slice. The
+// slice is sized on first use from the mesh tree, which holds every
+// cube the send can enter, so a send allocates it once however many
+// cubes it crosses.
+func (fl *flight) cubeHeader(mesh route.MeshTree, tree map[logicalid.CHID]logicalid.CHID) *header {
+	if fl.cubeHdrs == nil {
+		fl.cubeHdrs = make([]header, 0, len(mesh))
+	}
+	fl.cubeHdrs = append(fl.cubeHdrs, header{fl: fl, MeshTree: mesh, CubeTree: tree, IntraCube: true})
+	return &fl.cubeHdrs[len(fl.cubeHdrs)-1]
 }
 
 // header is the encapsulated routing state carried by DataKind packets.
@@ -456,7 +472,7 @@ func (s *Service) forwardWithinCube(slot logicalid.CHID, uid uint64, born des.Ti
 			continue
 		}
 		if !out.IntraCube {
-			out = &header{fl: hdr.fl, MeshTree: hdr.MeshTree, CubeTree: tree, IntraCube: true}
+			out = hdr.fl.cubeHeader(hdr.MeshTree, tree)
 		}
 		pkt := s.acquire(DataKind, from, dst, s.packetSize(out), born, uid, hops+1, out)
 		s.bb.SendLogical(slot, childSlot, pkt)

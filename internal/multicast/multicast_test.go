@@ -425,3 +425,43 @@ func TestNoEntryCHCounted(t *testing.T) {
 		t.Fatalf("NoEntryCH %d want 1", tb.mc.NoEntryCH)
 	}
 }
+
+// TestSendAllocationsIndependentOfCubes: a send's per-cube headers come
+// from one backing slice, so a send into all four hypercubes allocates
+// no more than one into a single foreign cube. Trees are cached and
+// pools warm, and the testbed's allocating observer is detached, so what
+// is left is the send's own records.
+func TestSendAllocationsIndependentOfCubes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheTTL = 1e6 // every measured send reuses the warm-up's trees
+	tb := newTestbed(t, cfg)
+	at := func(cx, cy int) *network.Node {
+		return tb.addMember(tb.grid.Index(vcgrid.VC{CX: cx, CY: cy}), 30, 0)
+	}
+	// Source in cube 3; every member sits off its cube's entry slot, so
+	// each entered cube forwards inside under a header of its own.
+	src := at(6, 6)
+	one, all := membership.Group(1), membership.Group(2)
+	tb.ms.Join(at(1, 1).ID, one)
+	for _, m := range []*network.Node{at(1, 2), at(5, 1), at(1, 6), at(4, 4)} {
+		tb.ms.Join(m.ID, all)
+	}
+	tb.prepare()
+	tb.mc.onDeliver = nil
+	allocs := func(g membership.Group, members uint64) float64 {
+		return testing.AllocsPerRun(10, func() {
+			before := tb.mc.Delivered
+			if tb.mc.Send(src.ID, g, 64) == 0 {
+				t.Fatal("send failed")
+			}
+			tb.drain()
+			if got := tb.mc.Delivered - before; got != members {
+				t.Fatalf("group %d: delivered %d want %d", g, got, members)
+			}
+		})
+	}
+	single, four := allocs(one, 1), allocs(all, 4)
+	if four > single {
+		t.Fatalf("a send into four hypercubes allocates %v times, one into a single foreign cube %v", four, single)
+	}
+}

@@ -94,8 +94,13 @@ type Packet struct {
 	// logical CH-to-CH forwards in it); the network never touches it. It
 	// sits in Control's padding, so it costs the packet no size.
 	Relays int32
-	// Hops counts physical transmissions so far; the network increments
-	// it on every delivery.
+	// Hops counts physical transmissions so far: the network increments
+	// it once per Unicast or Broadcast of the packet, so every receiver
+	// of one broadcast sees the same count. A handler that relays a copy
+	// it received (Clone, then send) gets the path length of that copy.
+	// A relayed control flood re-broadcasts the one packet it received,
+	// so its Hops counts every relay of the flood so far, not a path
+	// length.
 	Hops int
 	// Born is the simulated time the packet's application payload was
 	// created, for end-to-end delay measurement across re-encapsulation.
@@ -149,18 +154,15 @@ type Node struct {
 	rng xrand.Rand    // private stream, split off the network's at AddNode
 	pre radio.Precomp // cached link budget of Radio
 
-	// Traffic counters (transmissions this node performed). Receive
-	// counters live in the network's dense per-node arrays — the
-	// delivery hot path updates them without loading the Node — and are
-	// read through RxPackets/RxBytes.
+	// Traffic counters (transmissions this node performed). The receive
+	// counter lives in the network's dense per-node array — the delivery
+	// hot path updates it without loading the Node — and is read through
+	// RxBytes.
 	TxPackets, TxBytes uint64
 	// ForwardLoad counts transmissions done on behalf of others (the
 	// load-balancing experiments read it).
 	ForwardLoad uint64
 }
-
-// RxPackets returns how many packets the node has received.
-func (n *Node) RxPackets() uint64 { return n.net.hot[n.ID].rxPkts }
 
 // RxBytes returns how many bytes the node has received.
 func (n *Node) RxBytes() uint64 { return n.net.hot[n.ID].rxBytes }
@@ -401,10 +403,9 @@ type posMemo struct {
 }
 
 // nodeHot is the per-node record of the delivery hot path. Field order
-// keeps the three words deliver always touches (counters and handler)
+// keeps the two words deliver always touches (byte counter and handler)
 // adjacent.
 type nodeHot struct {
-	rxPkts  uint64
 	rxBytes uint64
 	handler Handler
 	node    *Node
@@ -1002,10 +1003,12 @@ func (w *Network) InRange(a, b NodeID) bool {
 }
 
 // account charges a transmission to the sender and the lane's per-kind
-// counters. The node counters are safe from lane context because a
-// node only transmits from events executing on its own shard; the kind
-// counters are lane-private and folded at read time.
+// counters, and counts the hop on the packet. The node counters are
+// safe from lane context because a node only transmits from events
+// executing on its own shard; the kind counters are lane-private and
+// folded at read time.
 func (w *Network) account(ls *laneState, n *Node, pkt *Packet) {
+	pkt.Hops++
 	n.TxPackets++
 	n.TxBytes += uint64(pkt.Size)
 	kc := ls.lastKC
@@ -1187,8 +1190,6 @@ func (w *Network) Broadcast(from NodeID, pkt *Packet) int {
 func (w *Network) deliverLS(ls *laneState, from, to NodeID, pkt *Packet) {
 	e := &w.hot[to]
 	if e.up { // may have gone down while the packet was in flight
-		pkt.Hops++
-		e.rxPkts++
 		e.rxBytes += uint64(pkt.Size)
 		if e.handler != nil {
 			e.handler(e.node, from, pkt)
@@ -1382,7 +1383,7 @@ func (w *Network) ResetTraffic() {
 		n.TxPackets, n.TxBytes, n.ForwardLoad = 0, 0, 0
 	}
 	for i := range w.hot {
-		w.hot[i].rxPkts, w.hot[i].rxBytes = 0, 0
+		w.hot[i].rxBytes = 0
 	}
 }
 

@@ -222,8 +222,34 @@ func TestResetTraffic(t *testing.T) {
 	sim.Run()
 	net.ResetTraffic()
 	st := net.Stats()
-	if st.ControlBytes != 0 || len(st.KindTx) != 0 || a.TxPackets != 0 || b.RxPackets() != 0 {
+	if st.ControlBytes != 0 || len(st.KindTx) != 0 || a.TxPackets != 0 || b.RxBytes() != 0 {
 		t.Fatal("ResetTraffic left residue")
+	}
+	// One receive counter (bytes), the handler, the node and liveness.
+	if size := unsafe.Sizeof(nodeHot{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 32 {
+		t.Fatalf("nodeHot is %d bytes, want 32", size)
+	}
+}
+
+// TestBroadcastHopsSharedByReceivers: the receivers of one broadcast
+// share its packet, so each must read the same hop count — one more
+// than the sender's — whatever order their deliveries run in.
+func TestBroadcastHopsSharedByReceivers(t *testing.T) {
+	sim, net := testNet()
+	a := addStatic(net, 300, 300)
+	var hops []int
+	for _, x := range []float64{400, 200, 450} {
+		addStatic(net, x, 350).SetHandler(func(_ *Node, _ NodeID, pkt *Packet) { hops = append(hops, pkt.Hops) })
+	}
+	net.Broadcast(a.ID, &Packet{Kind: "x", Src: a.ID, Dst: NoNode, Size: 10, Hops: 2})
+	sim.Run()
+	if len(hops) != 3 {
+		t.Fatalf("%d receivers want 3", len(hops))
+	}
+	for i, h := range hops {
+		if h != 3 {
+			t.Fatalf("receiver %d read hops %d want 3 (all: %v)", i, h, hops)
+		}
 	}
 }
 

@@ -20,7 +20,9 @@ type Counts struct {
 	Sent, Expected, Delivered, Stale int
 	// MeanDelay, P50Delay, and P95Delay summarize end-to-end delivery
 	// delay in seconds; MeanHops the hop count the arm reports per
-	// delivery (logical hops on hvdb, physical on the flat schemes).
+	// delivery: logical CH-to-CH hops on hvdb, and on the flat schemes
+	// the physical transmissions the delivering copy took from the
+	// source, geo-routed legs included.
 	MeanDelay, P50Delay, P95Delay float64
 	MeanHops                      float64
 	// CtrlPerNodeS is control overhead in bytes/node/second over the
