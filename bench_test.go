@@ -14,7 +14,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/geom"
 	"repro/internal/hypercube"
 	"repro/internal/logicalid"
 	"repro/internal/membership"
@@ -22,50 +21,8 @@ import (
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
-	"repro/internal/vcgrid"
 	"repro/internal/xrand"
 )
-
-// Ablation: plain-binary (the paper's Figure 3 layout) vs Gray-coded
-// grid-to-label mapping. The metric is the mean physical length (in
-// cells) of a logical hypercube link: Gray labels make every in-block
-// link grid-adjacent, the paper's layout trades half of them for
-// two-cell jumps.
-func BenchmarkAblationLabelMapping(b *testing.B) {
-	grid := vcgrid.New(geom.RectWH(0, 0, 2000, 2000), 250)
-	run := func(b *testing.B, opts ...logicalid.Option) {
-		var total, links, maxLen int
-		for i := 0; i < b.N; i++ {
-			s, err := logicalid.New(grid, 4, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total, links, maxLen = 0, 0, 0
-			for _, vc := range s.BlockVCs(0) {
-				p := s.PlaceOf(vc)
-				for _, nb := range hypercube.AllNeighbors(p.HNID, 4) {
-					w := s.VCAt(0, nb)
-					if grid.Valid(w) {
-						d := vcgrid.DistVCs(vc, w)
-						total += d
-						links++
-						if d > maxLen {
-							maxLen = d
-						}
-					}
-				}
-			}
-		}
-		// Both mappings average 1.5 cells per logical link, but the
-		// binary layout bounds the longest link at 2 cells while Gray's
-		// axis wraparound (00<->10) spans 3 — the paper's choice keeps
-		// the worst-case physical realization of a logical hop shorter.
-		b.ReportMetric(float64(total)/float64(links), "cells/logical-link")
-		b.ReportMetric(float64(maxLen), "max-cells/link")
-	}
-	b.Run("binary", func(b *testing.B) { run(b) })
-	b.Run("gray", func(b *testing.B) { run(b, logicalid.WithGrayLabels()) })
-}
 
 // Ablation: the local route horizon k (paper: "k is a system parameter,
 // e.g. k = 4") — table size and beacon cost vs reach.

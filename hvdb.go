@@ -56,7 +56,7 @@
 //	internal/vcgrid     virtual circles (paper §3, Fig. 2 geometry)
 //	internal/cluster    mobility-prediction clustering ([23]; paper §3)
 //	internal/graph      incomplete dense graphs (routes, trees, connectivity) and sparse BFS trees
-//	internal/hypercube  labels, e-cube paths, disjoint paths; the cube's graph shape
+//	internal/hypercube  labels, disjoint paths; the cube's bit-flip graph shape with e-cube routing
 //	internal/logicalid  CHID/HNID/HID/MNID identifier algebra (§4.1)
 //	internal/meshtier   incomplete 2-D mesh tier (§3); the mesh's graph shape
 //	internal/georoute   greedy + perimeter location-based unicast ([11])

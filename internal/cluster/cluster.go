@@ -286,18 +286,6 @@ func (m *Manager) VCOfNode(id network.NodeID) vcgrid.VC {
 	return m.vcByNode[id]
 }
 
-// Members returns the nodes whose home VC (last election) is vc,
-// including the CH itself.
-func (m *Manager) Members(vc vcgrid.VC) []network.NodeID {
-	var out []network.NodeID
-	for _, n := range m.net.Nodes() {
-		if n.Up() && m.vcByNode[n.ID] == vc {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // HeadSlots returns the indices (vcgrid.Grid.Index) of the VCs that
 // currently have a cluster head, in ascending order; CHOf names each
 // head. The slice is shared and valid until the next election: callers

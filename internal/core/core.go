@@ -1,8 +1,7 @@
 // Package core assembles the paper's primary contribution: the logical
 // Hypercube-based Virtual Dynamic Backbone (HVDB). It binds the mobile
 // node tier (package cluster) to the hypercube tier (packages hypercube
-// and logicalid) and the mesh tier (package meshtier), classifies
-// cluster heads into border (BCH) and inner (ICH) roles, and runs the
+// and logicalid) and the mesh tier (package meshtier), and runs the
 // paper's Figure 4 algorithm — proactive local logical route
 // maintenance — in which every CH periodically beacons its local
 // logical route state (delay and bandwidth per route) to its
@@ -224,9 +223,6 @@ func (b *Backbone) Clusters() *cluster.Manager { return b.cm }
 // Net returns the underlying network.
 func (b *Backbone) Net() *network.Network { return b.net }
 
-// Config returns the active configuration.
-func (b *Backbone) Config() Config { return b.cfg }
-
 // HandleInner registers an upper-layer consumer (membership summaries,
 // multicast data) for logically-routed packets of the given kind.
 func (b *Backbone) HandleInner(kind string, h network.Handler) {
@@ -257,11 +253,6 @@ func (b *Backbone) SlotOfNode(id network.NodeID) logicalid.CHID {
 		return -1
 	}
 	return logicalid.CHID(b.scheme.Grid().Index(b.cm.VCOfNode(id)))
-}
-
-// IsBCH reports whether the slot's CH is a border cluster head.
-func (b *Backbone) IsBCH(slot logicalid.CHID) bool {
-	return b.scheme.IsBorder(b.scheme.Grid().FromIndex(int(slot)))
 }
 
 // Trees returns the backbone's shared multicast-tree cache.

@@ -159,12 +159,11 @@ func TestLogicalNeighborsSkipEmptyVCs(t *testing.T) {
 
 func TestBCHClassification(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
-	grid := tb.scheme.Grid()
 	// (3,0) is on the block 0/1 border: BCH. (1,1) is interior: ICH.
-	if !tb.bb.IsBCH(logicalid.CHID(grid.Index(vcgrid.VC{CX: 3, CY: 0}))) {
+	if !tb.scheme.IsBorder(vcgrid.VC{CX: 3, CY: 0}) {
 		t.Fatal("(3,0) should be a BCH")
 	}
-	if tb.bb.IsBCH(logicalid.CHID(grid.Index(vcgrid.VC{CX: 1, CY: 1}))) {
+	if tb.scheme.IsBorder(vcgrid.VC{CX: 1, CY: 1}) {
 		t.Fatal("(1,1) should be an ICH")
 	}
 }

@@ -164,11 +164,6 @@ func (h Handle) Cancel() bool {
 	return true
 }
 
-// Pending reports whether the event has neither run nor been cancelled.
-func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.dead
-}
-
 // Ladder geometry. numBuckets near-tier buckets of defaultWidth seconds
 // each cover roughly one second of simulated time at the default width;
 // the spill heap absorbs everything beyond. Width adapts between

@@ -13,6 +13,7 @@ type refEntry struct {
 	seq  uint64
 	id   int
 	dead bool
+	ran  bool
 }
 
 type refHeap []*refEntry
@@ -140,7 +141,7 @@ func testLadderMatchesHeapOrder(t *testing.T, delay func(uint64, float64) Durati
 		// Try a few draws for a still-pending victim; a miss is fine.
 		for try := 0; try < 4 && len(handles) > 0; try++ {
 			id := int(rng.next() % uint64(len(handles)))
-			if handles[id].Pending() {
+			if e := entries[id]; !e.dead && !e.ran {
 				if !handles[id].Cancel() {
 					t.Fatalf("cancel of pending handle %d reported false", id)
 				}
@@ -152,6 +153,7 @@ func testLadderMatchesHeapOrder(t *testing.T, delay func(uint64, float64) Durati
 	}
 	runOp = func(arg any, _ uint64) {
 		popped = append(popped, arg.(int))
+		entries[arg.(int)].ran = true
 		// Keep the op mix flowing from inside callbacks, where
 		// scheduling interacts with the partially drained current
 		// bucket.
@@ -327,6 +329,7 @@ func TestFanoutMatchesHeapOrder(t *testing.T) {
 	}
 	runOp = func(arg any, _ uint64) {
 		popped = append(popped, arg.(int))
+		entries[arg.(int)].ran = true
 		step()
 	}
 	runMember = func(_ any, u uint64) {

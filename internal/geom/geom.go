@@ -47,9 +47,6 @@ type Vector struct {
 // Vec is shorthand for Vector{dx, dy}.
 func Vec(dx, dy float64) Vector { return Vector{DX: dx, DY: dy} }
 
-// Add returns the component-wise sum v+w.
-func (v Vector) Add(w Vector) Vector { return Vector{v.DX + w.DX, v.DY + w.DY} }
-
 // Scale returns v scaled by s.
 func (v Vector) Scale(s float64) Vector { return Vector{v.DX * s, v.DY * s} }
 

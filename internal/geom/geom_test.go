@@ -66,9 +66,6 @@ func TestVectorOps(t *testing.T) {
 	if got := v.Scale(2); !almostEq(got.Len(), 10) {
 		t.Errorf("Scale(2).Len()=%v want 10", got.Len())
 	}
-	if got := v.Add(Vec(-3, -4)); got != (Vector{}) {
-		t.Errorf("Add inverse = %v want zero", got)
-	}
 	if got := v.Dot(Vec(4, -3)); !almostEq(got, 0) {
 		t.Errorf("perpendicular Dot=%v want 0", got)
 	}

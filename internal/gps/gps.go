@@ -68,12 +68,3 @@ func (n *Noisy) Fix(src Source, now float64) Fix {
 	}
 	return f
 }
-
-// StaticSource is a Source pinned at one point with zero velocity; handy
-// in tests and for infrastructure nodes.
-type StaticSource geom.Point
-
-// TrueFix implements Source.
-func (s StaticSource) TrueFix(float64) Fix {
-	return Fix{Pos: geom.Point(s)}
-}

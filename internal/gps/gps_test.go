@@ -8,6 +8,14 @@ import (
 	"repro/internal/xrand"
 )
 
+// StaticSource is a Source pinned at one point with zero velocity.
+type StaticSource geom.Point
+
+// TrueFix implements Source.
+func (s StaticSource) TrueFix(float64) Fix {
+	return Fix{Pos: geom.Point(s)}
+}
+
 func TestOracleReportsTruth(t *testing.T) {
 	src := StaticSource(geom.Pt(10, 20))
 	f := Oracle{}.Fix(src, 5)

@@ -95,10 +95,6 @@ func (g *Graph[V, S]) Members() []V {
 	return out
 }
 
-// Neighbors returns the present neighbours of v in adjacency order (v
-// itself need not be present, which lets a joining node probe the graph).
-func (g *Graph[V, S]) Neighbors(v V) []V { return g.adj(v, nil) }
-
 // adj is the adjacency every search over g walks: the shape's, restricted
 // to present nodes.
 func (g *Graph[V, S]) adj(u V, buf []V) []V {

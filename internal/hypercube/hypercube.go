@@ -1,6 +1,6 @@
 // Package hypercube implements the n-dimensional hypercube geometry the
-// HVDB model is built on: labels and Hamming distance, neighbor
-// enumeration, e-cube (dimension-ordered) paths, and the node-disjoint
+// HVDB model is built on: labels, neighbor enumeration, the e-cube
+// (dimension-ordered) preferred path, and the node-disjoint
 // parallel-paths construction behind the paper's high-availability
 // claim. Cube is the incomplete hypercube — following Katseff's
 // incomplete hypercubes, which the paper generalizes, any nodes may be
@@ -36,12 +36,6 @@ func (l Label) String() string { return fmt.Sprintf("%b", uint32(l)) }
 // paper's figures (e.g. "0101" in a 4-cube).
 func (l Label) Bits(dim int) string {
 	return fmt.Sprintf("%0*b", dim, uint32(l))
-}
-
-// Hamming returns the Hamming distance between two labels — the paper's
-// H(u, v).
-func Hamming(a, b Label) int {
-	return bits.OnesCount32(uint32(a ^ b))
 }
 
 // Flip returns the label with bit i (0-based from the least significant
@@ -128,12 +122,6 @@ func ECubeNext(cur, dst Label) Label {
 	}
 	i := bits.TrailingZeros32(diff)
 	return cur.Flip(i)
-}
-
-// ECubePath returns the complete e-cube path from src to dst, inclusive
-// of both endpoints.
-func ECubePath(src, dst Label) []Label {
-	return dims(0).Path(src, dst, nil) // the e-cube path is the same in every dimension
 }
 
 // DisjointPaths returns up to n node-disjoint paths (sharing only the

@@ -3,29 +3,16 @@ package hypercube
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/xrand"
 )
 
-func TestHamming(t *testing.T) {
-	cases := []struct {
-		a, b Label
-		d    int
-	}{
-		{0b0000, 0b0000, 0},
-		{0b0000, 0b1111, 4},
-		{0b1010, 0b0101, 4},
-		{0b1000, 0b1001, 1},
-		{0b1000, 0b1101, 2},
-	}
-	for _, c := range cases {
-		if got := Hamming(c.a, c.b); got != c.d {
-			t.Errorf("Hamming(%04b,%04b)=%d want %d", c.a, c.b, got, c.d)
-		}
-	}
-}
+// hamming is the paper's H(u, v): the number of bits in which two
+// labels differ.
+func hamming(a, b Label) int { return bits.OnesCount32(uint32(a ^ b)) }
 
 func TestLabelBits(t *testing.T) {
 	if got := Label(0b0101).Bits(4); got != "0101" {
@@ -74,8 +61,14 @@ func TestCompleteProperties(t *testing.T) {
 		}
 		// Regularity: every node has exactly n neighbors.
 		for _, l := range c.Labels() {
-			if len(c.Neighbors(l)) != dim {
-				t.Fatalf("node %v has %d neighbors want %d", l, len(c.Neighbors(l)), dim)
+			n := 0
+			for _, nb := range AllNeighbors(l, dim) {
+				if c.Has(nb) {
+					n++
+				}
+			}
+			if n != dim {
+				t.Fatalf("node %v has %d neighbors want %d", l, n, dim)
 			}
 		}
 	}
@@ -109,7 +102,7 @@ func TestAddOutOfRangePanics(t *testing.T) {
 
 func TestECubePath(t *testing.T) {
 	// E-cube corrects lowest dimension first.
-	path := ECubePath(0b000, 0b101)
+	path := dims(3).Path(0b000, 0b101, nil)
 	want := []Label{0b000, 0b001, 0b101}
 	if len(path) != len(want) {
 		t.Fatalf("path %v want %v", path, want)
@@ -127,7 +120,7 @@ func TestECubePath(t *testing.T) {
 func TestECubePathLengthIsHammingProperty(t *testing.T) {
 	f := func(a, b uint16) bool {
 		src, dst := Label(a&0xFF), Label(b&0xFF)
-		return len(ECubePath(src, dst))-1 == Hamming(src, dst)
+		return len(dims(8).Path(src, dst, nil))-1 == hamming(src, dst)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -144,7 +137,7 @@ func TestRouteComplete(t *testing.T) {
 		t.Fatal("route endpoints wrong")
 	}
 	for i := 1; i < len(p); i++ {
-		if Hamming(p[i-1], p[i]) != 1 {
+		if hamming(p[i-1], p[i]) != 1 {
 			t.Fatalf("route step %v -> %v is not a hypercube edge", p[i-1], p[i])
 		}
 	}
@@ -229,7 +222,7 @@ func TestDisjointPathsAreDisjointAndValid(t *testing.T) {
 				t.Fatalf("path %d endpoints wrong: %v", pi, p)
 			}
 			for i := 1; i < len(p); i++ {
-				if Hamming(p[i-1], p[i]) != 1 {
+				if hamming(p[i-1], p[i]) != 1 {
 					t.Fatalf("path %d has non-edge step: %v", pi, p)
 				}
 			}
@@ -345,7 +338,7 @@ func TestMulticastTreeComplete(t *testing.T) {
 			if !ok {
 				t.Fatalf("dest %v dangling at %v", d, cur)
 			}
-			if Hamming(parent, cur) != 1 {
+			if hamming(parent, cur) != 1 {
 				t.Fatalf("tree edge %v-%v not a hypercube edge", parent, cur)
 			}
 			cur = parent
@@ -433,7 +426,7 @@ func TestRouteShortestProperty(t *testing.T) {
 			t.Fatalf("route len %d but bfs distance %d", len(p), want)
 		}
 		for i := 1; i < len(p); i++ {
-			if Hamming(p[i-1], p[i]) != 1 || !c.Has(p[i]) {
+			if hamming(p[i-1], p[i]) != 1 || !c.Has(p[i]) {
 				t.Fatalf("invalid route %v", p)
 			}
 		}

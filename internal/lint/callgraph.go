@@ -425,8 +425,8 @@ func (ex *extractor) call(fi *FuncInfo, call *ast.CallExpr, paramIdx map[types.O
 		fi.Sinks = append(fi.Sinks, fmt.Sprintf("calls %s, entering the event/transmission order", name))
 	case emitSinks[name]:
 		fi.Sinks = append(fi.Sinks, fmt.Sprintf("emits output via %s", name))
-	case (name == "Add" || name == "Merge") && isStatsAccumCallInfo(info, call):
-		fi.Sinks = append(fi.Sinks, fmt.Sprintf("%s on a stats accumulator folds a float sum, order-sensitive in the last ulp", name))
+	case name == "Add" && isStatsAccumCallInfo(info, call):
+		fi.Sinks = append(fi.Sinks, "Add on a stats accumulator folds a float sum, order-sensitive in the last ulp")
 	}
 
 	// Schedule-callback tracking: fn and arg positions.

@@ -16,7 +16,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/ast"
 	"regexp"
 	"strings"
@@ -124,17 +123,4 @@ func matchWant(wants []*expectation, file string, line int, msg string) bool {
 		}
 	}
 	return false
-}
-
-// Fprint is a debugging aid: it renders a Result the way the hvdblint
-// CLI does, one diagnostic per line, for t.Log during suite authoring.
-func Fprint(res *lint.Result) string {
-	var b strings.Builder
-	for _, d := range res.Diags {
-		fmt.Fprintf(&b, "%s\n", d)
-	}
-	for _, d := range res.Suppressed {
-		fmt.Fprintf(&b, "%s [suppressed: %s]\n", d, d.Reason)
-	}
-	return b.String()
 }

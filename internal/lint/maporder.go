@@ -29,12 +29,11 @@ import (
 //   - floating-point compound assignment to an outer variable: float
 //     addition is not associative, so even a "commutative" sum is
 //     order-observable in the last ulp;
-//   - Add/Merge on an internal/stats accumulator (Sample, LogHist):
-//     both fold observations into a float sum behind the method call,
-//     so they are the same hidden float reduction — and for the
-//     retained-sample types the order is fully observable (percentiles
-//     interpolate in insertion order). LogHist bin counts merge
-//     commutatively, but its exact-mean sum does not.
+//   - Add on an internal/stats accumulator (Sample, LogHist): it folds
+//     observations into a float sum behind the method call, so it is
+//     the same hidden float reduction — and for the retained-sample
+//     types the order is fully observable (percentiles interpolate in
+//     insertion order).
 //
 // Integer counters, map/set writes, and per-iteration locals are not
 // sinks. Since PR 10 the check also follows the loop element one call
@@ -141,8 +140,8 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, encl *ast.BlockStmt) {
 				addSink(fmt.Sprintf("calls %s, entering the event/transmission order", name))
 			case emitSinks[name]:
 				addSink(fmt.Sprintf("emits output via %s", name))
-			case (name == "Add" || name == "Merge") && isStatsAccumCall(pass, v):
-				addSink(fmt.Sprintf("%s on a stats accumulator folds a float sum, order-sensitive in the last ulp", name))
+			case name == "Add" && isStatsAccumCall(pass, v):
+				addSink("Add on a stats accumulator folds a float sum, order-sensitive in the last ulp")
 			default:
 				// One level through a module-local helper: if the loop
 				// element flows into a callee whose summary records
@@ -274,7 +273,7 @@ func isSortCall(pass *Pass, call *ast.CallExpr) bool {
 }
 
 // isStatsAccumCall reports whether the call's receiver is a type from
-// the internal/stats package — the accumulators whose Add/Merge fold a
+// the internal/stats package — the accumulators whose Add folds a
 // float sum. Matching by package rather than by type name keeps future
 // accumulators (digest types, histograms) covered automatically.
 func isStatsAccumCall(pass *Pass, call *ast.CallExpr) bool {

@@ -82,12 +82,6 @@ var hubTypes = map[string]bool{
 	"Mux":       true,
 }
 
-// laneScheduleFuncs take a callback that executes on a lane.
-var laneScheduleFuncs = map[string]bool{
-	"ScheduleLaneDirect": true,
-	"LogIntent":          true,
-}
-
 func runShardSafe(pass *Pass) {
 	if !shardPackages[pass.Pkg.Path()] || pass.Module == nil {
 		return

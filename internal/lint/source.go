@@ -40,24 +40,6 @@ func LoadDir(importPath, dir string) (*Package, error) {
 	return checkFiles(importPath, dir, fset, files)
 }
 
-// AnalyzeSource type-checks one in-memory file and runs the given
-// analyzers (all of them when none are given) — the programmatic
-// entry point for examples and quick experiments:
-//
-//	res, err := lint.AnalyzeSource("repro/internal/demo", "demo.go", src)
-func AnalyzeSource(importPath, filename, src string, analyzers ...*Analyzer) (*Result, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := checkFiles(importPath, ".", fset, []*ast.File{f})
-	if err != nil {
-		return nil, err
-	}
-	return Analyze([]*Package{pkg}, analyzers...), nil
-}
-
 func checkFiles(importPath, srcDir string, fset *token.FileSet, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

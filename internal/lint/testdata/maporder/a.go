@@ -158,16 +158,6 @@ func statsAccumInMapOrder(delays map[int]float64) float64 {
 	return s.Mean()
 }
 
-// statsMergeInMapOrder merges per-key histograms in map order: bin
-// counts commute, but the exact-mean float sum does not associate.
-func statsMergeInMapOrder(parts map[int]*stats.LogHist) *stats.LogHist {
-	var whole stats.LogHist
-	for _, h := range parts { // want "Merge on a stats accumulator"
-		whole.Merge(h)
-	}
-	return &whole
-}
-
 // statsAccumSortedKeys is the sanctioned shape: fold in sorted key
 // order. The range is over the sorted slice, not the map: clean.
 func statsAccumSortedKeys(delays map[int]float64) float64 {

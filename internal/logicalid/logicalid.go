@@ -44,28 +44,18 @@ type Scheme struct {
 	meshRows       int
 	colBits        int // bits of the label taken from the column index
 	rowBits        int // bits of the label taken from the row index
-	useGray        bool
 
 	// blocks[h] is BlockVCs(h): static geometry, so it is enumerated
 	// once here instead of per inter-cube forward.
 	blocks [][]vcgrid.VC
 }
 
-// Option configures a Scheme.
-type Option func(*Scheme)
-
-// WithGrayLabels switches the in-block mapping from plain binary
-// interleaving (the paper's Figure 3 layout) to Gray-coded interleaving,
-// under which *every* grid-adjacent VC pair inside a block is also a
-// hypercube neighbor. It exists for the label-mapping ablation.
-func WithGrayLabels() Option { return func(s *Scheme) { s.useGray = true } }
-
 // New builds the identifier scheme for the given grid and hypercube
 // dimension. The block shape is 2^ceil(dim/2) columns by
 // 2^floor(dim/2) rows (square for even dim, 2:1 for odd). The grid need
 // not divide evenly into blocks: edge blocks simply have absent labels,
 // i.e. incomplete hypercubes, which the model embraces.
-func New(grid *vcgrid.Grid, dim int, opts ...Option) (*Scheme, error) {
+func New(grid *vcgrid.Grid, dim int) (*Scheme, error) {
 	if dim < 1 || dim > hypercube.MaxDim {
 		return nil, fmt.Errorf("logicalid: dimension %d out of range [1,%d]", dim, hypercube.MaxDim)
 	}
@@ -76,9 +66,6 @@ func New(grid *vcgrid.Grid, dim int, opts ...Option) (*Scheme, error) {
 	s.blockH = 1 << uint(s.rowBits)
 	s.meshCols = (grid.Cols() + s.blockW - 1) / s.blockW
 	s.meshRows = (grid.Rows() + s.blockH - 1) / s.blockH
-	for _, o := range opts {
-		o(s)
-	}
 	s.blocks = make([][]vcgrid.VC, s.NumHypercubes())
 	all := make([]vcgrid.VC, 0, grid.Count())
 	for h := range s.blocks {
@@ -114,25 +101,10 @@ func (s *Scheme) MeshSize() (cols, rows int) { return s.meshCols, s.meshRows }
 // NumHypercubes returns the number of mesh nodes.
 func (s *Scheme) NumHypercubes() int { return s.meshCols * s.meshRows }
 
-// gray returns the standard reflected binary Gray code of v.
-func gray(v int) int { return v ^ (v >> 1) }
-
-// grayInv inverts gray.
-func grayInv(g int) int {
-	v := 0
-	for ; g != 0; g >>= 1 {
-		v ^= g
-	}
-	return v
-}
-
 // interleave packs row and column index bits into a label, row bit
 // first from the MSB end, alternating while both have bits left; the
 // axis with more bits contributes the leading bits.
 func (s *Scheme) interleave(bx, by int) hypercube.Label {
-	if s.useGray {
-		bx, by = gray(bx), gray(by)
-	}
 	label := 0
 	ci, ri := s.colBits-1, s.rowBits-1
 	for pos := s.dim - 1; pos >= 0; pos-- {
@@ -162,9 +134,6 @@ func (s *Scheme) deinterleave(l hypercube.Label) (bx, by int) {
 			bx |= bit << uint(ci)
 			ci--
 		}
-	}
-	if s.useGray {
-		bx, by = grayInv(bx), grayInv(by)
 	}
 	return bx, by
 }
@@ -240,25 +209,4 @@ func (s *Scheme) BlockVCs(h HID) []vcgrid.VC { return s.blocks[h] }
 // CHIDToPlace resolves a CHID to its full logical location.
 func (s *Scheme) CHIDToPlace(c CHID) Place {
 	return s.PlaceOf(s.grid.FromIndex(int(c)))
-}
-
-// BorderPairs returns, for the hypercube pair (h, g) adjacent on the
-// mesh, the VC pairs (one in h, one in g) whose tiles share an edge —
-// the candidate BCH-BCH logical links between adjacent mesh nodes. It
-// returns nil when h and g are not mesh-adjacent.
-func (s *Scheme) BorderPairs(h, g HID) [][2]vcgrid.VC {
-	hx, hy := s.MeshCoord(h)
-	gx, gy := s.MeshCoord(g)
-	dx, dy := gx-hx, gy-hy
-	if dx*dx+dy*dy != 1 {
-		return nil
-	}
-	var out [][2]vcgrid.VC
-	for _, v := range s.BlockVCs(h) {
-		w := vcgrid.VC{CX: v.CX + dx, CY: v.CY + dy}
-		if s.grid.Valid(w) && s.PlaceOf(w).HID == g {
-			out = append(out, [2]vcgrid.VC{v, w})
-		}
-	}
-	return out
 }

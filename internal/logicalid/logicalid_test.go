@@ -12,10 +12,10 @@ import (
 
 // scheme8x8 reproduces the paper's Figure 2 configuration: an 8*8 VC
 // MANET divided into four 4-dimensional logical hypercubes.
-func scheme8x8(t *testing.T, opts ...Option) *Scheme {
+func scheme8x8(t *testing.T) *Scheme {
 	t.Helper()
 	g := vcgrid.New(geom.RectWH(0, 0, 2000, 2000), 250)
-	s, err := New(g, 4, opts...)
+	s, err := New(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,25 +184,6 @@ func TestIsBorder(t *testing.T) {
 	}
 }
 
-func TestBorderPairs(t *testing.T) {
-	s := scheme8x8(t)
-	pairs := s.BorderPairs(0, 1) // horizontally adjacent blocks
-	if len(pairs) != 4 {
-		t.Fatalf("%d border pairs want 4", len(pairs))
-	}
-	for _, pr := range pairs {
-		if s.PlaceOf(pr[0]).HID != 0 || s.PlaceOf(pr[1]).HID != 1 {
-			t.Fatalf("pair %v crosses wrong blocks", pr)
-		}
-		if vcgrid.DistVCs(pr[0], pr[1]) != 1 {
-			t.Fatalf("pair %v not adjacent", pr)
-		}
-	}
-	if s.BorderPairs(0, 3) != nil {
-		t.Fatal("diagonal blocks are not mesh-adjacent")
-	}
-}
-
 func TestOddDimension(t *testing.T) {
 	g := vcgrid.New(geom.RectWH(0, 0, 2000, 1000), 250) // 8x4 VCs
 	s, err := New(g, 3)
@@ -266,39 +247,6 @@ func TestBadDimension(t *testing.T) {
 	}
 }
 
-func TestGrayLabelsAdjacency(t *testing.T) {
-	s := scheme8x8(t, WithGrayLabels())
-	// Under Gray labelling every horizontally or vertically adjacent
-	// pair inside a block differs in exactly one bit.
-	for by := 0; by < 4; by++ {
-		for bx := 0; bx < 4; bx++ {
-			p := s.PlaceOf(vcgrid.VC{CX: bx, CY: by})
-			if bx+1 < 4 {
-				q := s.PlaceOf(vcgrid.VC{CX: bx + 1, CY: by})
-				if hypercube.Hamming(p.HNID, q.HNID) != 1 {
-					t.Fatalf("gray horizontal pair (%d,%d) hamming != 1", bx, by)
-				}
-			}
-			if by+1 < 4 {
-				q := s.PlaceOf(vcgrid.VC{CX: bx, CY: by + 1})
-				if hypercube.Hamming(p.HNID, q.HNID) != 1 {
-					t.Fatalf("gray vertical pair (%d,%d) hamming != 1", bx, by)
-				}
-			}
-		}
-	}
-	// Round trip still holds under Gray labels.
-	for cy := 0; cy < 8; cy++ {
-		for cx := 0; cx < 8; cx++ {
-			v := vcgrid.VC{CX: cx, CY: cy}
-			p := s.PlaceOf(v)
-			if s.VCAt(p.HID, p.HNID) != v {
-				t.Fatalf("gray round trip failed at %v", v)
-			}
-		}
-	}
-}
-
 // Property check mirroring §4.1: CHID<->HNID one-to-one within a block,
 // HNID->HID many-to-one, HID<->MNID one-to-one (HID serves as the MNID).
 func TestIdentifierRelations(t *testing.T) {
@@ -351,14 +299,10 @@ func TestRoundTripProperty(t *testing.T) {
 
 // TestHNIDUniquenessProperty: within any block, labels never collide.
 func TestHNIDUniquenessProperty(t *testing.T) {
-	f := func(dimSeed, graySeed uint8) bool {
+	f := func(dimSeed uint8) bool {
 		dim := 1 + int(dimSeed%6)
-		var opts []Option
-		if graySeed%2 == 1 {
-			opts = append(opts, WithGrayLabels())
-		}
 		g := vcgrid.New(geom.RectWH(0, 0, 1600, 1600), 100) // 16x16
-		s, err := New(g, dim, opts...)
+		s, err := New(g, dim)
 		if err != nil {
 			return false
 		}

@@ -544,15 +544,10 @@ func (s *Service) MNTSummary(slot logicalid.CHID) map[Group]int {
 	return out
 }
 
-// LocalMembers returns the nodes of the slot's cluster known to have
-// joined the group — the delivery set of Figure 6 step 6 — sorted.
-func (s *Service) LocalMembers(slot logicalid.CHID, g Group) []network.NodeID {
-	return s.AppendLocalMembers(nil, slot, g)
-}
-
-// AppendLocalMembers appends LocalMembers(slot, g) to dst, sorted, and
-// returns the extended slice (the usual append contract), so the data
-// plane can reuse one scratch buffer across CH visits.
+// AppendLocalMembers appends the nodes of the slot's cluster known to
+// have joined the group — the delivery set of Figure 6 step 6 — to dst,
+// sorted, and returns the extended slice (the usual append contract), so
+// the data plane can reuse one scratch buffer across CH visits.
 func (s *Service) AppendLocalMembers(dst []network.NodeID, slot logicalid.CHID, g Group) []network.NodeID {
 	mark := len(dst)
 	for id, seen := range s.slot(slot).localView[g] {
@@ -833,15 +828,4 @@ func (s *Service) CubeMembers(slot logicalid.CHID, g Group) []logicalid.CHID {
 		}
 	})
 	return network.SortedIDs(out)
-}
-
-// HTGroupsKnown returns how many hypercube slots the MT view of the
-// given slot attributes to the group (coverage measure for convergence
-// experiments).
-func (s *Service) HTGroupsKnown(slot logicalid.CHID, g Group) int {
-	hids := s.slot(slot).mtView[g]
-	if hids == nil {
-		return 0
-	}
-	return hids.n
 }

@@ -142,7 +142,7 @@ func TestLocalRoundBuildsMNTSummary(t *testing.T) {
 	if sum[5] != 2 || sum[6] != 1 {
 		t.Fatalf("MNT summary %v want {5:2, 6:1}", sum)
 	}
-	members := tb.ms.LocalMembers(slotIdx(tb, 0, 0), 5)
+	members := tb.ms.AppendLocalMembers(nil, slotIdx(tb, 0, 0), 5)
 	if len(members) != 2 {
 		t.Fatalf("local members %v", members)
 	}
@@ -341,8 +341,8 @@ func TestStartStopTickers(t *testing.T) {
 	tb.ms.Stop()
 	// The periodic machinery alone should have propagated membership
 	// network-wide: HT period 8 fires at t=8 and t=16.
-	if got := tb.ms.HTGroupsKnown(slotIdx(tb, 7, 7), 5); got != 1 {
-		t.Fatalf("MT coverage %d want 1", got)
+	if hids := tb.ms.slot(slotIdx(tb, 7, 7)).mtView[5]; hids == nil || hids.n != 1 {
+		t.Fatalf("MT coverage %+v want 1 hypercube", hids)
 	}
 }
 

@@ -80,27 +80,11 @@ func New(cols, rows int) *Mesh {
 	return &Mesh{graph.New[ID](cols*rows, grid{cols, rows})}
 }
 
-// Complete returns a mesh with every node present.
-func Complete(cols, rows int) *Mesh {
-	m := New(cols, rows)
-	for id := 0; id < m.Size(); id++ {
-		m.Add(ID(id))
-	}
-	return m
-}
-
 // Cols returns the number of columns.
 func (m *Mesh) Cols() int { return m.Shape().cols }
 
 // Rows returns the number of rows.
 func (m *Mesh) Rows() int { return m.Shape().rows }
 
-// Coord returns the (x, y) of an ID.
-func (m *Mesh) Coord(id ID) (x, y int) { return m.Shape().coord(id) }
-
 // At returns the ID at (x, y), or -1 outside the mesh.
 func (m *Mesh) At(x, y int) ID { return m.Shape().at(x, y) }
-
-// XYPath returns the dimension-ordered path from src to dst (x first,
-// then y), ignoring presence — the complete-mesh baseline route.
-func (m *Mesh) XYPath(src, dst ID) []ID { return m.Shape().Path(src, dst, nil) }

@@ -8,14 +8,23 @@ import (
 	"repro/internal/xrand"
 )
 
+// complete returns a mesh with every node present.
+func complete(cols, rows int) *Mesh {
+	m := New(cols, rows)
+	for id := 0; id < m.Size(); id++ {
+		m.Add(ID(id))
+	}
+	return m
+}
+
 func TestShapeAndCoords(t *testing.T) {
-	m := Complete(4, 3)
+	m := complete(4, 3)
 	if m.Cols() != 4 || m.Rows() != 3 || m.Size() != 12 || m.Count() != 12 {
 		t.Fatal("shape wrong")
 	}
-	x, y := m.Coord(7)
+	x, y := m.Shape().coord(7)
 	if x != 3 || y != 1 {
-		t.Fatalf("Coord(7) = %d,%d", x, y)
+		t.Fatalf("coord(7) = %d,%d", x, y)
 	}
 	if m.At(3, 1) != 7 {
 		t.Fatalf("At(3,1) = %d", m.At(3, 1))
@@ -60,22 +69,18 @@ func TestAddPanicsOutOfRange(t *testing.T) {
 }
 
 func TestNeighbors(t *testing.T) {
-	m := Complete(3, 3)
-	if got := len(m.Neighbors(4)); got != 4 { // center
+	m := complete(3, 3)
+	if got := len(m.Shape().Adjacent(4, nil)); got != 4 { // center
 		t.Fatalf("center neighbors %d", got)
 	}
-	if got := len(m.Neighbors(0)); got != 2 { // corner
+	if got := len(m.Shape().Adjacent(0, nil)); got != 2 { // corner
 		t.Fatalf("corner neighbors %d", got)
-	}
-	m.Remove(1)
-	if got := len(m.Neighbors(0)); got != 1 {
-		t.Fatalf("neighbors after removal %d", got)
 	}
 }
 
 func TestXYPath(t *testing.T) {
-	m := Complete(4, 4)
-	p := m.XYPath(0, 15) // (0,0) -> (3,3)
+	m := complete(4, 4)
+	p := m.Shape().Path(0, 15, nil) // (0,0) -> (3,3)
 	if len(p) != 7 {
 		t.Fatalf("XY path length %d want 7", len(p))
 	}
@@ -84,14 +89,14 @@ func TestXYPath(t *testing.T) {
 		t.Fatalf("XY path %v should go x-first", p)
 	}
 	// Reverse direction.
-	q := m.XYPath(15, 0)
+	q := m.Shape().Path(15, 0, nil)
 	if len(q) != 7 || q[1] != 14 {
 		t.Fatalf("reverse XY path %v", q)
 	}
 }
 
 func TestRouteCompleteAndFault(t *testing.T) {
-	m := Complete(4, 4)
+	m := complete(4, 4)
 	p := m.Route(0, 15)
 	if len(p) != 7 {
 		t.Fatalf("route length %d", len(p))
@@ -112,7 +117,7 @@ func TestRouteCompleteAndFault(t *testing.T) {
 func TestRouteAdjacencyValidity(t *testing.T) {
 	rng := xrand.New(1)
 	for trial := 0; trial < 200; trial++ {
-		m := Complete(5, 5)
+		m := complete(5, 5)
 		for i := 0; i < 8; i++ {
 			m.Remove(ID(rng.Intn(25)))
 		}
@@ -127,8 +132,8 @@ func TestRouteAdjacencyValidity(t *testing.T) {
 			continue
 		}
 		for i := 1; i < len(p); i++ {
-			x1, y1 := m.Coord(p[i-1])
-			x2, y2 := m.Coord(p[i])
+			x1, y1 := m.Shape().coord(p[i-1])
+			x2, y2 := m.Shape().coord(p[i])
 			man := abs(x1-x2) + abs(y1-y2)
 			if man != 1 || !m.Has(p[i]) {
 				t.Fatalf("invalid route step %d->%d in %v", p[i-1], p[i], p)
@@ -157,7 +162,7 @@ func TestRouteDisconnected(t *testing.T) {
 }
 
 func TestRouteSelfAndMissing(t *testing.T) {
-	m := Complete(2, 2)
+	m := complete(2, 2)
 	if p := m.Route(1, 1); len(p) != 1 {
 		t.Fatalf("self route %v", p)
 	}
@@ -186,7 +191,7 @@ func TestConnected(t *testing.T) {
 }
 
 func TestMulticastTree(t *testing.T) {
-	m := Complete(4, 4)
+	m := complete(4, 4)
 	tree, missed := m.MulticastTree(0, []ID{5, 15, 12})
 	if len(missed) != 0 {
 		t.Fatalf("missed %v", missed)
@@ -201,8 +206,8 @@ func TestMulticastTree(t *testing.T) {
 			if !ok {
 				t.Fatalf("dangling node %d", cur)
 			}
-			x1, y1 := m.Coord(parent)
-			x2, y2 := m.Coord(cur)
+			x1, y1 := m.Shape().coord(parent)
+			x2, y2 := m.Shape().coord(cur)
 			if abs(x1-x2)+abs(y1-y2) != 1 {
 				t.Fatalf("non-adjacent tree edge %d-%d", parent, cur)
 			}
@@ -212,7 +217,7 @@ func TestMulticastTree(t *testing.T) {
 }
 
 func TestMulticastTreeSharing(t *testing.T) {
-	m := Complete(4, 1) // a line: 0-1-2-3
+	m := complete(4, 1) // a line: 0-1-2-3
 	tree, _ := m.MulticastTree(0, []ID{2, 3})
 	// Path to 3 extends path to 2; tree = {0,1,2,3}.
 	if len(tree) != 4 {
@@ -221,7 +226,7 @@ func TestMulticastTreeSharing(t *testing.T) {
 }
 
 func TestMulticastTreeFaultsAndMissed(t *testing.T) {
-	m := Complete(3, 3)
+	m := complete(3, 3)
 	m.Remove(1) // block XY path 0->2
 	tree, missed := m.MulticastTree(0, []ID{2})
 	if len(missed) != 0 {
@@ -252,12 +257,12 @@ func TestMulticastTreeFaultsAndMissed(t *testing.T) {
 }
 
 func TestDistanceCompleteManhattan(t *testing.T) {
-	m := Complete(6, 6)
+	m := complete(6, 6)
 	rng := xrand.New(2)
 	for trial := 0; trial < 100; trial++ {
 		a, b := ID(rng.Intn(36)), ID(rng.Intn(36))
-		x1, y1 := m.Coord(a)
-		x2, y2 := m.Coord(b)
+		x1, y1 := m.Shape().coord(a)
+		x2, y2 := m.Shape().coord(b)
 		if got := m.Distance(a, b); got != abs(x1-x2)+abs(y1-y2) {
 			t.Fatalf("distance %d->%d = %d want manhattan", a, b, got)
 		}
@@ -280,7 +285,7 @@ func TestTreeShapesPinned(t *testing.T) {
 	}
 	for _, shape := range [][2]int{{1, 1}, {2, 3}, {4, 4}, {5, 3}, {7, 7}, {9, 12}, {14, 6}, {14, 14}} {
 		for trial := 0; trial < 6; trial++ {
-			m := Complete(shape[0], shape[1])
+			m := complete(shape[0], shape[1])
 			fault := []float64{0, 0.1, 0.25}[trial%3]
 			for id := 0; id < m.Size(); id++ {
 				if rng.Bool(fault) {

@@ -3,6 +3,7 @@ package multicast
 import (
 	"testing"
 
+	"repro/internal/hypercube"
 	"repro/internal/logicalid"
 	"repro/internal/vcgrid"
 )
@@ -33,8 +34,10 @@ func TestDeliveryWhenLabelGraphDisconnected(t *testing.T) {
 	// absent).
 	cube := tb.bb.Cube(0)
 	place := tb.scheme.PlaceOf(vcgrid.VC{CX: 1, CY: 1})
-	if got := len(cube.Neighbors(place.HNID)); got != 0 {
-		t.Fatalf("label 0011 still has %d label neighbors; setup wrong", got)
+	for _, nb := range hypercube.AllNeighbors(place.HNID, cube.Dim()) {
+		if cube.Has(nb) {
+			t.Fatalf("label 0011 still has label neighbor %v; setup wrong", nb)
+		}
 	}
 
 	member := tb.addMember(tb.grid.Index(vcgrid.VC{CX: 1, CY: 1}), 30, 0)

@@ -81,7 +81,7 @@ func (tb *testbed) deliveredTo(uid uint64, member network.NodeID) bool {
 func (tb *testbed) addMember(vcIdx int, dx, dy float64) *network.Node {
 	c := tb.grid.Center(tb.grid.FromIndex(vcIdx))
 	n := tb.net.AddNode(&mobility.Static{P: geom.Pt(c.X+dx, c.Y+dy)}, radio.DefaultMN, nil, false)
-	tb.mux.BindNode(n)
+	n.SetHandler(tb.mux.Dispatch)
 	tb.members = append(tb.members, n)
 	return n
 }
@@ -378,7 +378,7 @@ func TestSendFailureLeavesNoFlight(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
 	// Out of every CH's radio range.
 	far := tb.net.AddNode(&mobility.Static{P: geom.Pt(9000, 9000)}, radio.DefaultMN, nil, false)
-	tb.mux.BindNode(far)
+	far.SetHandler(tb.mux.Dispatch)
 	tb.prepare()
 	// The node's position maps to a headed VC, so Send gets past the
 	// CH lookup and fails at the geo-routed hop to that CH.

@@ -11,10 +11,6 @@ package network
 // and poolpair report both, each naming the full call path; plain
 // builds never compile this file, so the module stays lint-clean.
 
-// FaultSeedLintActive reports that the seeded lint faults are compiled
-// in (mirrors multicast.FaultSeedActive from the PR 7 pattern).
-const FaultSeedLintActive = true
-
 // faultSeedLaneProbe is a lane function: the hub write it reaches
 // through two helpers is a cross-shard race were it ever scheduled.
 func (w *Network) faultSeedLaneProbe(ls *laneState) {

@@ -47,23 +47,19 @@ func TestSendersCountedOncePerKind(t *testing.T) {
 	}
 }
 
+// TestInRangeAndString: the range decision sends run (Neighbors) admits
+// the near node only, and drops it once it is down.
 func TestInRangeAndString(t *testing.T) {
 	_, net := testNet()
 	a := addStatic(net, 0, 0)
 	b := addStatic(net, 100, 0)
-	c := addStatic(net, 900, 0)
-	if !net.InRange(a.ID, b.ID) {
-		t.Fatal("adjacent nodes should be in range")
-	}
-	if net.InRange(a.ID, c.ID) {
-		t.Fatal("distant nodes should be out of range")
+	addStatic(net, 900, 0)
+	if nb := net.Neighbors(a.ID); len(nb) != 1 || nb[0] != b.ID {
+		t.Fatalf("in range of a: %v, want only b", nb)
 	}
 	b.Fail()
-	if net.InRange(a.ID, b.ID) {
-		t.Fatal("down node should not be in range")
-	}
-	if net.InRange(a.ID, NodeID(99)) || net.InRange(NodeID(-2), a.ID) {
-		t.Fatal("invalid IDs should not be in range")
+	if nb := net.Neighbors(a.ID); len(nb) != 0 {
+		t.Fatalf("in range of a with b down: %v, want none", nb)
 	}
 	s := net.String()
 	if !strings.Contains(s, "nodes=3") || !strings.Contains(s, "up=2") {
@@ -76,9 +72,6 @@ func TestNodeAccessors(t *testing.T) {
 	a := addStatic(net, 5, 5)
 	if a.Net() != net {
 		t.Fatal("Net() accessor wrong")
-	}
-	if a.Rand() == nil {
-		t.Fatal("node PRNG missing")
 	}
 	if a.Fix().Pos != a.TruePos() {
 		t.Fatal("oracle fix should match truth")

@@ -66,6 +66,3 @@ func Bind(w *Network) *Mux {
 	}
 	return m
 }
-
-// BindNode installs the mux on one node (used when nodes join late).
-func (m *Mux) BindNode(n *Node) { n.SetHandler(m.Dispatch) }

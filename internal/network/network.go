@@ -173,9 +173,6 @@ func (n *Node) Up() bool { return n.net.hot[n.ID].up }
 // SetHandler installs the packet receive callback.
 func (n *Node) SetHandler(h Handler) { n.net.hot[n.ID].handler = h }
 
-// Rand returns the node's private PRNG stream.
-func (n *Node) Rand() *xrand.Rand { return &n.rng }
-
 // Capacity returns the node's residual-bandwidth meter for QoS
 // admission, materializing it on first touch. A fresh meter is fully
 // free, so lazy allocation is observationally identical to the eager
@@ -991,15 +988,6 @@ func (w *Network) scanNeighbors(ls *laneState, n *Node, now des.Time) {
 		}
 	}
 	ls.nbrMemoIDs, ls.nbrMemoPos = ids, pos
-}
-
-// InRange reports whether a's radio currently reaches b and both are up.
-func (w *Network) InRange(a, b NodeID) bool {
-	na, nb := w.Node(a), w.Node(b)
-	if na == nil || nb == nil || !w.hot[a].up || !w.hot[b].up {
-		return false
-	}
-	return na.pre.InRange2(w.truePos(na).Dist2(w.truePos(nb)))
 }
 
 // account charges a transmission to the sender and the lane's per-kind

@@ -30,9 +30,6 @@ type Lane struct {
 	idx int
 }
 
-// Index returns the lane's shard index.
-func (l *Lane) Index() int { return l.idx }
-
 // Now returns the lane's clock: the executing lane event's timestamp
 // inside a parallel window, the serial simulator clock otherwise.
 func (l *Lane) Now() des.Time {
@@ -112,9 +109,6 @@ func (w *Network) OnShard(fn func(k int)) {
 // (0 before the first node). It is the natural conservative lookahead:
 // no transmission can deliver sooner than one quantum after its send.
 func (w *Network) Grain() float64 { return w.grain }
-
-// Sharded reports whether EnableSharding has been applied.
-func (w *Network) Sharded() bool { return w.eng != nil }
 
 // EnableSharding binds the network to eng. confinedPrefix names the
 // packet-kind prefix whose relay deliveries are confined to the

@@ -207,8 +207,8 @@ func TestHardAdmissionDeterministic(t *testing.T) {
 	// The first cached admission populated the route cache's mesh entry
 	// and the second reused it: versions hold between the two, and the
 	// mesh tree is the only part of admission that is memoized.
-	if c := w.BB.Trees(); c.Misses == 0 || c.Hits == 0 || c.Len() == 0 {
-		t.Fatalf("cached admission did not go through the route cache (hits=%d misses=%d len=%d)",
-			c.Hits, c.Misses, c.Len())
+	if c := w.BB.Trees(); c.Misses == 0 || c.Hits == 0 {
+		t.Fatalf("cached admission did not go through the route cache (hits=%d misses=%d)",
+			c.Hits, c.Misses)
 	}
 }

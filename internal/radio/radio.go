@@ -14,7 +14,6 @@ package radio
 import (
 	"math"
 
-	"repro/internal/geom"
 	"repro/internal/xrand"
 )
 
@@ -45,25 +44,6 @@ var DefaultMN = Model{Range: 250, Bandwidth: 2e6, ProcDelay: 1e-3}
 // DefaultCH is the stronger cluster-head-capable radio the paper's
 // non-dynamic-property assumption grants backbone nodes.
 var DefaultCH = Model{Range: 350, Bandwidth: 11e6, ProcDelay: 0.5e-3}
-
-// InRange reports whether a transmitter with this model reaches a
-// receiver at distance d.
-func (m Model) InRange(d float64) bool { return d <= m.Range }
-
-// Reaches reports whether a transmitter at a reaches a receiver at b.
-func (m Model) Reaches(a, b geom.Point) bool {
-	return a.Dist2(b) <= m.Range*m.Range
-}
-
-// TxDelay returns the one-hop latency for a packet of the given size
-// (bytes) over distance d (meters). Distance beyond range still returns
-// a finite value; range enforcement is the caller's job (the network
-// layer), keeping this function total.
-func (m Model) TxDelay(sizeBytes int, d float64) float64 {
-	transmission := float64(sizeBytes*8) / m.Bandwidth
-	propagation := d / lightSpeed
-	return transmission + propagation + m.ProcDelay
-}
 
 // Lost draws the loss process once.
 func (m Model) Lost(rng *xrand.Rand) bool {
@@ -110,8 +90,9 @@ func (p Precomp) InRange2(d2 float64) bool { return d2 <= p.Range2 }
 func (p Precomp) DelayQuantum() float64 { return p.ProcDelay }
 
 // HopDelay2 returns the one-hop latency for a packet of the given size
-// (bytes) over squared distance d2 (square meters) — Model.TxDelay with
-// the division and the caller's sqrt folded in.
+// (bytes) over squared distance d2 (square meters): transmission
+// (size/bandwidth) plus propagation (distance/c) plus ProcDelay. Range
+// enforcement is the caller's job (the network layer).
 func (p Precomp) HopDelay2(sizeBytes int, d2 float64) float64 {
 	return float64(sizeBytes)*p.SecPerByte + math.Sqrt(d2)*invLightSpeed + p.ProcDelay
 }
@@ -131,9 +112,6 @@ func NewCapacity(total float64) *Capacity {
 	}
 	return &Capacity{total: total}
 }
-
-// Total returns the configured capacity.
-func (c *Capacity) Total() float64 { return c.total }
 
 // Free returns the unreserved bits/second.
 func (c *Capacity) Free() float64 { return math.Max(0, c.total-c.reserved) }

@@ -123,6 +123,3 @@ func (c *Cache) InvalidateAll() {
 	c.Invalidated += uint64(len(c.mesh))
 	clear(c.mesh)
 }
-
-// Len returns the number of live entries.
-func (c *Cache) Len() int { return len(c.mesh) }

@@ -36,8 +36,8 @@ func TestCacheHitMissAndVersionReplacement(t *testing.T) {
 	if computes != 2 {
 		t.Fatal("topology version move must recompute")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("stale entry not replaced: len=%d", c.Len())
+	if len(c.mesh) != 1 {
+		t.Fatalf("stale entry not replaced: len=%d", len(c.mesh))
 	}
 	c.MeshTree(Versions{Topo: 2, Summary: 9}, k, compute)
 	if computes != 3 {
@@ -51,8 +51,8 @@ func TestCacheKeysAreIndependent(t *testing.T) {
 	c.MeshTree(v, MeshKey{Group: 0, Root: 1, Slot: 4}, func() MeshTree { return MeshTree{1: 1} })
 	c.MeshTree(v, MeshKey{Group: 1, Root: 1, Slot: 4}, func() MeshTree { return MeshTree{1: 1} })
 	c.MeshTree(v, MeshKey{Group: 0, Root: 1, Slot: 5}, func() MeshTree { return MeshTree{1: 1} })
-	if c.Len() != 3 {
-		t.Fatalf("expected 3 independent entries, got %d", c.Len())
+	if len(c.mesh) != 3 {
+		t.Fatalf("expected 3 independent entries, got %d", len(c.mesh))
 	}
 	if c.Misses != 3 {
 		t.Fatalf("misses=%d want 3", c.Misses)
@@ -71,7 +71,7 @@ func TestCacheBypassRecomputes(t *testing.T) {
 	if computes != 2 {
 		t.Fatalf("bypass must recompute every lookup, computes=%d", computes)
 	}
-	if c.Len() != 0 {
+	if len(c.mesh) != 0 {
 		t.Fatal("bypass must not store entries")
 	}
 	c.SetBypass(false)
@@ -89,19 +89,19 @@ func TestCacheInvalidation(t *testing.T) {
 	for g := 0; g < 3; g++ {
 		c.MeshTree(v, mk(g), func() MeshTree { return nil })
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len=%d want 3", c.Len())
+	if len(c.mesh) != 3 {
+		t.Fatalf("len=%d want 3", len(c.mesh))
 	}
 	c.InvalidateGroup(1)
-	if c.Len() != 2 {
-		t.Fatalf("group eviction left len=%d want 2", c.Len())
+	if len(c.mesh) != 2 {
+		t.Fatalf("group eviction left len=%d want 2", len(c.mesh))
 	}
 	if c.Invalidated != 1 {
 		t.Fatalf("Invalidated=%d want 1", c.Invalidated)
 	}
 	c.InvalidateAll()
-	if c.Len() != 0 || c.Invalidated != 3 {
-		t.Fatalf("InvalidateAll left len=%d invalidated=%d", c.Len(), c.Invalidated)
+	if len(c.mesh) != 0 || c.Invalidated != 3 {
+		t.Fatalf("InvalidateAll left len=%d invalidated=%d", len(c.mesh), c.Invalidated)
 	}
 	// Evicted keys recompute on next lookup.
 	misses := c.Misses
@@ -128,8 +128,8 @@ func TestSnapshotMemoTTL(t *testing.T) {
 	if got, hit := get(2.5); got != 2 || hit {
 		t.Fatalf("past TTL got (%d, %v) want recomputed (2, false)", got, hit)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("len=%d want 1", m.Len())
+	if len(m.entries) != 1 {
+		t.Fatalf("len=%d want 1", len(m.entries))
 	}
 }
 

@@ -35,6 +35,3 @@ func (m *SnapshotMemo[K, V]) Get(now des.Time, ttl des.Duration, k K, compute fu
 	m.entries[k] = snapEntry[V]{val: v, expires: now + ttl}
 	return v, false
 }
-
-// Len returns the number of stored entries (live and expired).
-func (m *SnapshotMemo[K, V]) Len() int { return len(m.entries) }

@@ -55,10 +55,6 @@ type Config struct {
 	// Workers caps the number of runs executing concurrently. Zero or
 	// negative means GOMAXPROCS.
 	Workers int
-	// Context, when non-nil, allows early cancellation: once done, no
-	// further runs are dispatched (in-flight runs finish) and the
-	// context's error is returned unless a run already failed.
-	Context context.Context
 }
 
 // PanicError wraps a panic raised inside a run.
@@ -76,8 +72,8 @@ func (e *PanicError) Error() string {
 // returns the n results in run order. Each run receives its positional
 // identity and derived seed. The first error (smallest run index among
 // failed runs) is returned alongside the partial results; runs not yet
-// dispatched when an error or cancellation occurs are skipped and leave
-// zero values in the result slice.
+// dispatched when an error occurs are skipped and leave zero values in
+// the result slice.
 func Map[T any](cfg Config, baseSeed uint64, n int, fn func(Run) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
@@ -93,15 +89,11 @@ func Map[T any](cfg Config, baseSeed uint64, n int, fn func(Run) (T, error)) ([]
 		workers = n
 	}
 
-	parent := cfg.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Feed run indices; stop feeding once cancelled so a failure or an
-	// external cancellation skips the tail of the batch.
+	// Feed run indices; stop feeding once cancelled so a failure skips
+	// the tail of the batch.
 	indices := make(chan int)
 	go func() {
 		defer close(indices)
@@ -134,9 +126,6 @@ func Map[T any](cfg Config, baseSeed uint64, n int, fn func(Run) (T, error)) ([]
 		if err != nil {
 			return results, err
 		}
-	}
-	if err := parent.Err(); err != nil {
-		return results, err
 	}
 	return results, nil
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -110,23 +109,6 @@ func TestMapErrorCancelsTail(t *testing.T) {
 	// immediately (at most one more run may already be queued).
 	if n := executed.Load(); n > 4 {
 		t.Fatalf("executed %d runs after early failure", n)
-	}
-}
-
-func TestMapContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var executed atomic.Int32
-	_, err := Map(Config{Workers: 1, Context: ctx}, 0, 1000, func(r Run) (int, error) {
-		if executed.Add(1) == 3 {
-			cancel()
-		}
-		return r.Index, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := executed.Load(); n > 5 {
-		t.Fatalf("executed %d runs after cancellation", n)
 	}
 }
 

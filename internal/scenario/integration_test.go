@@ -43,10 +43,10 @@ func TestMemberMigratesAcrossHypercubes(t *testing.T) {
 	// The migrating member: starts at VC (2,2) (cube 0), moves east at
 	// 10 m/s, crossing into cube 1 (x >= 1000) at t=37.5.
 	mover := w.Net.AddNode(&slowMover{from: geom.Pt(625, 625), vel: geom.Vec(10, 0)}, radio.DefaultMN, nil, false)
-	w.Mux.BindNode(mover)
+	mover.SetHandler(w.Mux.Dispatch)
 	// A static source in cube 2.
 	src := w.Net.AddNode(&mobility.Static{P: geom.Pt(625, 1625)}, radio.DefaultMN, nil, false)
-	w.Mux.BindNode(src)
+	src.SetHandler(w.Mux.Dispatch)
 	w.MS.Join(mover.ID, 3)
 
 	stk := startHVDB(t, w)

@@ -80,9 +80,6 @@ func TestShardedBuildEnables(t *testing.T) {
 	if got := w.Eng.Shards(); got != 4 {
 		t.Fatalf("shards %d want 4", got)
 	}
-	if !w.Net.Sharded() {
-		t.Fatal("network not bound to the engine")
-	}
 }
 
 // TestShardCountByteIdentical is the tentpole contract: the same spec

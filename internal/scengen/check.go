@@ -35,17 +35,6 @@ type CheckConfig struct {
 	Shards []int
 }
 
-// DefaultCheckConfig is the smoke-tier configuration: a small
-// Figure 2 world with lossy ordinary radios (loss draws and capacity
-// serialization make transmission order observable).
-func DefaultCheckConfig() CheckConfig {
-	spec := scenario.DefaultSpec()
-	spec.Nodes = 60
-	spec.MembersPerGroup = 10
-	spec.LossProb = 0.05
-	return CheckConfig{Spec: spec, Warmup: 10, Arms: []string{"hvdb"}, Workers: 4, Shards: []int{2, 4}}
-}
-
 // Invariant names reported in Violations.
 const (
 	// InvRun: the script must execute without error on a world that has

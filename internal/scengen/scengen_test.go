@@ -12,6 +12,17 @@ import (
 	"repro/internal/scenario"
 )
 
+// DefaultCheckConfig is the smoke-tier configuration: a small
+// Figure 2 world with lossy ordinary radios (loss draws and capacity
+// serialization make transmission order observable).
+func DefaultCheckConfig() CheckConfig {
+	spec := scenario.DefaultSpec()
+	spec.Nodes = 60
+	spec.MembersPerGroup = 10
+	spec.LossProb = 0.05
+	return CheckConfig{Spec: spec, Warmup: 10, Arms: []string{"hvdb"}, Workers: 4, Shards: []int{2, 4}}
+}
+
 // TestGenerateValidAndDeterministic checks the generator's two ground
 // rules over a seed sweep: every script passes Validate (and survives
 // a JSON round-trip unchanged), and the same seed always yields the

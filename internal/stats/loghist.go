@@ -82,9 +82,6 @@ func (h *LogHist) Add(x float64) {
 // N returns the observation count.
 func (h *LogHist) N() int { return int(h.count) }
 
-// Sum returns the exact sum of the observations.
-func (h *LogHist) Sum() float64 { return h.sum }
-
 // Mean returns the exact mean (0 when empty).
 func (h *LogHist) Mean() float64 {
 	if h.count == 0 {
@@ -92,10 +89,6 @@ func (h *LogHist) Mean() float64 {
 	}
 	return h.sum / float64(h.count)
 }
-
-// Min and Max return the exact extremes (0 when empty).
-func (h *LogHist) Min() float64 { return h.min }
-func (h *LogHist) Max() float64 { return h.max }
 
 // Percentile returns the p-th percentile with Sample.Percentile's
 // conventions (empty is 0, p<=0 the minimum, p>=100 the maximum,
@@ -129,9 +122,6 @@ func (h *LogHist) Percentile(p float64) float64 {
 	return math.Min(math.Max(v, h.min), h.max)
 }
 
-// Median is the 50th percentile.
-func (h *LogHist) Median() float64 { return h.Percentile(50) }
-
 // orderStat approximates the 0-based k-th smallest observation from
 // the bins, spreading a bin's n observations evenly across its value
 // range.
@@ -152,29 +142,6 @@ func (h *LogHist) orderStat(k uint64) float64 {
 		cum += n
 	}
 	return h.max
-}
-
-// Merge folds another histogram into this one. The bin counts, the
-// observation count, and min/max make this an order-insensitive
-// reduction; the sum is a float sum, so Mean can differ in the last
-// ulps across merge orders — merge in a deterministic order when the
-// result feeds the byte-identical-tables contract, exactly as for
-// Accumulator.Merge.
-func (h *LogHist) Merge(o *LogHist) {
-	if o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.count == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	for i := range o.bins {
-		h.bins[i] += o.bins[i]
-	}
 }
 
 // Fingerprint digests the full histogram state (count, sum, extremes,

@@ -14,11 +14,11 @@ func TestLogHistEmptyContract(t *testing.T) {
 	var h LogHist
 	for name, got := range map[string]float64{
 		"Mean":            h.Mean(),
-		"Sum":             h.Sum(),
-		"Min":             h.Min(),
-		"Max":             h.Max(),
-		"Median":          h.Median(),
+		"sum":             h.sum,
+		"min":             h.min,
+		"max":             h.max,
 		"Percentile(0)":   h.Percentile(0),
+		"Percentile(50)":  h.Percentile(50),
 		"Percentile(95)":  h.Percentile(95),
 		"Percentile(100)": h.Percentile(100),
 	} {
@@ -28,11 +28,6 @@ func TestLogHistEmptyContract(t *testing.T) {
 	}
 	if h.N() != 0 {
 		t.Errorf("empty LogHist N = %d", h.N())
-	}
-	var o LogHist
-	h.Merge(&o) // merging empties stays empty
-	if h.N() != 0 || h.Mean() != 0 {
-		t.Error("merge of two empty LogHists is not empty")
 	}
 }
 
@@ -139,19 +134,20 @@ func TestLogHistPercentileErrorBound(t *testing.T) {
 }
 
 // TestLogHistDeterministicAndMergeOrderInsensitive: the same
-// observations fingerprint identically on every run, and a merge of
-// per-part histograms is independent of merge order (integer-valued
-// observations keep the float sum exact, so even the sum agrees).
+// observations fingerprint identically on every run, and a histogram
+// fed two parts one after the other is independent of which part comes
+// first (integer-valued observations keep the float sum exact, so even
+// the sum agrees).
 func TestLogHistDeterministicAndMergeOrderInsensitive(t *testing.T) {
-	mk := func() (whole, a, b LogHist) {
+	mk := func() (whole LogHist, a, b []float64) {
 		rng := xrand.New(99)
 		for i := 0; i < 4096; i++ {
 			x := float64(rng.Intn(1 << 16))
 			whole.Add(x)
 			if i%2 == 0 {
-				a.Add(x)
+				a = append(a, x)
 			} else {
-				b.Add(x)
+				b = append(b, x)
 			}
 		}
 		return whole, a, b
@@ -162,14 +158,20 @@ func TestLogHistDeterministicAndMergeOrderInsensitive(t *testing.T) {
 		t.Fatal("identical observation streams fingerprint differently")
 	}
 	var ab, ba LogHist
-	ab.Merge(&a1)
-	ab.Merge(&b1)
-	ba.Merge(&b2)
-	ba.Merge(&a2)
+	for _, part := range [][]float64{a1, b1} {
+		for _, x := range part {
+			ab.Add(x)
+		}
+	}
+	for _, part := range [][]float64{b2, a2} {
+		for _, x := range part {
+			ba.Add(x)
+		}
+	}
 	if ab.Fingerprint() != ba.Fingerprint() {
-		t.Fatal("merge order changed the merged histogram")
+		t.Fatal("part order changed the histogram")
 	}
 	if ab.N() != w1.N() || ab.Percentile(95) != w1.Percentile(95) {
-		t.Fatal("merged histogram disagrees with the directly built one")
+		t.Fatal("histogram of the parts disagrees with the interleaved one")
 	}
 }

@@ -11,7 +11,7 @@
 // must render such runs as defined numbers, never NaN or a panic. Every
 // reduction here therefore has a pinned empty-input result:
 //
-//   - Accumulator and Sample moments (Mean, Std, Var, Min, Max) are 0;
+//   - Accumulator and Sample moments (Mean, Std, Var, Max) are 0;
 //   - Sample.Percentile and Sample.Median are 0;
 //   - JainIndex of no loads is 0 (no flows — fairness is undefined and
 //     reported as the out-of-range sentinel), while all-zero loads are
@@ -54,14 +54,8 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N returns the number of observations.
-func (a *Accumulator) N() uint64 { return a.n }
-
 // Mean returns the sample mean, or 0 with no observations.
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Sum returns the total of all observations.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
 
 // Var returns the unbiased sample variance.
 func (a *Accumulator) Var() float64 {
@@ -74,9 +68,6 @@ func (a *Accumulator) Var() float64 {
 // Std returns the sample standard deviation.
 func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (a *Accumulator) Min() float64 { return a.min }
-
 // Max returns the largest observation, or 0 with no observations.
 func (a *Accumulator) Max() float64 { return a.max }
 
@@ -84,29 +75,6 @@ func (a *Accumulator) Max() float64 { return a.max }
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
 		a.n, a.Mean(), a.Std(), a.min, a.max)
-}
-
-// Merge folds the other accumulator into a (parallel reduction across
-// replicated runs). Chan-style merging keeps the harness single-pass.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
 }
 
 // Sample retains every observation so exact percentiles can be computed.
@@ -125,10 +93,6 @@ func (s *Sample) Add(x float64) {
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
-
-// Values returns the recorded observations (shared slice; callers must
-// not modify it).
-func (s *Sample) Values() []float64 { return s.xs }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (s *Sample) Mean() float64 {

@@ -61,9 +61,6 @@ func (g *Grid) Rows() int { return g.rows }
 // Count returns the total number of VCs.
 func (g *Grid) Count() int { return g.cols * g.rows }
 
-// CellSize returns the square tile side length in meters.
-func (g *Grid) CellSize() float64 { return g.cellSize }
-
 // Radius returns the VC radius (the circumradius of a tile), the
 // paper's "diameter of VCs" divided by two. A relative epsilon of slack
 // absorbs floating-point rounding so that tile corners — which lie at

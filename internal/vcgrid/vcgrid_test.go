@@ -18,8 +18,8 @@ func TestDimensions(t *testing.T) {
 	if g.Cols() != 8 || g.Rows() != 8 || g.Count() != 64 {
 		t.Fatalf("grid %dx%d count %d want 8x8/64", g.Cols(), g.Rows(), g.Count())
 	}
-	if g.CellSize() != 250 {
-		t.Fatalf("cell size %v", g.CellSize())
+	if g.cellSize != 250 {
+		t.Fatalf("cell size %v", g.cellSize)
 	}
 	if r := g.Radius(); math.Abs(r-250/math.Sqrt2) > 1e-6 {
 		t.Fatalf("radius %v", r)
