@@ -176,7 +176,7 @@ func runFuzz(spec scenario.Spec, arm string, n int, seed uint64, outDir string, 
 	prof := scengen.DefaultProfile()
 	prof.Groups = spec.Groups // scripts may reference every flag-built group
 	res := scengen.Campaign(scengen.CampaignConfig{
-		Check:       scengen.CheckConfig{Spec: spec, Warmup: des.Duration(warm), Arms: []string{arm}},
+		Check:       fuzzCheck(spec, arm, warm),
 		Profile:     prof,
 		Seed:        seed,
 		Scripts:     n,
@@ -204,6 +204,15 @@ func runFuzz(spec scenario.Spec, arm string, n int, seed uint64, outDir string, 
 	fmt.Printf("\nfuzz: %d of %d scripts violated invariants (base seed %#x)\n",
 		len(res.Failures), res.Scripts, seed)
 	return 1
+}
+
+// fuzzCheck is the invariant set of a -fuzz campaign: the smoke
+// campaign's, shard-count independence at 2 and 4 shards included.
+func fuzzCheck(spec scenario.Spec, arm string, warm float64) scengen.CheckConfig {
+	return scengen.CheckConfig{
+		Spec: spec, Warmup: des.Duration(warm), Arms: []string{arm},
+		Workers: 4, Shards: []int{2, 4},
+	}
 }
 
 // loadScript resolves a -script argument: a built-in script name first,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/scenario"
@@ -26,5 +27,21 @@ func TestTrialClusterCountsCoverTrafficPhase(t *testing.T) {
 	}
 	if res.elections == 0 {
 		t.Error("traffic phase counted no elections")
+	}
+}
+
+// TestFuzzChecksEveryInvariant: the -fuzz campaign checks what the
+// smoke campaign checks, so its CheckConfig sets the worker pool and
+// the shard counts (an empty Shards list skips the shards invariant).
+func TestFuzzChecksEveryInvariant(t *testing.T) {
+	cfg := fuzzCheck(scenario.DefaultSpec(), "hvdb", 10)
+	if cfg.Workers != 4 {
+		t.Errorf("fuzz Workers = %d, want 4", cfg.Workers)
+	}
+	if !slices.Equal(cfg.Shards, []int{2, 4}) {
+		t.Errorf("fuzz Shards = %v, want [2 4]", cfg.Shards)
+	}
+	if !slices.Equal(cfg.Arms, []string{"hvdb"}) || cfg.Warmup != 10 {
+		t.Errorf("fuzz config %+v does not carry the flag arm and warm-up", cfg)
 	}
 }

@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"sort"
-
 	"repro/internal/des"
 	"repro/internal/geom"
 	"repro/internal/georoute"
@@ -36,6 +34,21 @@ const (
 type PBM struct {
 	arm
 	geo *georoute.Router
+
+	// Forwarding scratch, reused by every decision: the node's
+	// neighbours with their positions, and the successors chosen, in
+	// ID order. A decision never re-enters another (its transmissions
+	// deliver later), so one set suffices.
+	nbrs   []network.NodeID
+	nbrPos []geom.Point
+	succs  []pbmSucc
+}
+
+// pbmSucc is one successor of a splitting decision and the header of
+// the copy it gets.
+type pbmSucc struct {
+	id network.NodeID
+	h  *pbmHeader
 }
 
 // pbmHeader carries the remaining destinations of one packet copy.
@@ -49,7 +62,7 @@ type pbmHeader struct {
 // NewPBM attaches the protocol to the network's mux. It installs its own
 // geo-routing layer for stuck-destination recovery.
 func NewPBM(net *network.Network, mux *network.Mux) *PBM {
-	p := &PBM{arm: newArm(net)}
+	p := &PBM{arm: newArm(net), nbrPos: make([]geom.Point, 0, 32)} // non-nil: NeighborsPos fills positions only then
 	p.geo = georoute.Attach(net, mux)
 	p.geo.Deliver(PBMRecoverKind, func(n *network.Node, inner *network.Packet) {
 		// Perimeter-recovered single-destination copy arrived.
@@ -99,9 +112,9 @@ func (p *PBM) Send(src network.NodeID, g protocol.Group, payloadSize int) uint64
 // source, preserved in Src for forwarding-load accounting.
 func (p *PBM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, born des.Time, hops int, hdr *pbmHeader) {
 	pos := p.net.Node(u).TruePos()
-	nbrs := p.net.Neighbors(u)
+	p.nbrs, p.nbrPos = p.net.NeighborsPos(u, p.nbrs[:0], p.nbrPos[:0])
 	// Partition destinations by best-progress neighbor.
-	bySucc := make(map[network.NodeID]*pbmHeader)
+	succs := p.succs[:0]
 	for i, dest := range hdr.Dests {
 		target := hdr.Targets[i]
 		if dest == u {
@@ -110,12 +123,12 @@ func (p *PBM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, bo
 		// Arrived next to the destination?
 		best := network.NoNode
 		bestD := pos.Dist(target)
-		for _, nb := range nbrs {
+		for j, nb := range p.nbrs {
 			if nb == dest {
 				best = nb
 				break
 			}
-			if d := p.net.Node(nb).TruePos().Dist(target); d < bestD {
+			if d := p.nbrPos[j].Dist(target); d < bestD {
 				best, bestD = nb, d
 			}
 		}
@@ -129,30 +142,31 @@ func (p *PBM) forward(u, origin network.NodeID, g protocol.Group, uid uint64, bo
 			p.geo.Send(u, target, dest, inner)
 			continue
 		}
-		h := bySucc[best]
-		if h == nil {
-			h = &pbmHeader{fl: hdr.fl, PayloadSize: hdr.PayloadSize}
-			bySucc[best] = h
+		// Successors stay in ID order (the transmission order below
+		// feeds the sender's loss stream).
+		k := 0
+		for k < len(succs) && succs[k].id < best {
+			k++
 		}
+		if k == len(succs) || succs[k].id != best {
+			succs = append(succs, pbmSucc{})
+			copy(succs[k+1:], succs[k:])
+			succs[k] = pbmSucc{id: best, h: &pbmHeader{fl: hdr.fl, PayloadSize: hdr.PayloadSize}}
+		}
+		h := succs[k].h
 		h.Dests = append(h.Dests, dest)
 		h.Targets = append(h.Targets, target)
 	}
-	// Transmit per successor in ID order (map order must not feed the
-	// sender's loss stream).
-	succs := make([]network.NodeID, 0, len(bySucc))
-	for succ := range bySucc {
-		succs = append(succs, succ)
-	}
-	sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
-	for _, succ := range succs {
-		h := bySucc[succ]
+	for _, s := range succs {
 		pkt := &network.Packet{
-			Kind: PBMDataKind, Src: origin, Dst: succ, Group: int(g),
-			Size: h.PayloadSize + 8 + 20*len(h.Dests), // per-dest position in header
-			Hops: hops, Born: born, UID: uid, Payload: h,
+			Kind: PBMDataKind, Src: origin, Dst: s.id, Group: int(g),
+			Size: s.h.PayloadSize + 8 + 20*len(s.h.Dests), // per-dest position in header
+			Hops: hops, Born: born, UID: uid, Payload: s.h,
 		}
-		p.net.Unicast(u, succ, pkt)
+		p.net.Unicast(u, s.id, pkt)
 	}
+	clear(succs) // drop the header references until the next decision
+	p.succs = succs
 }
 
 func (p *PBM) onData(n *network.Node, _ network.NodeID, pkt *network.Packet) {

@@ -320,7 +320,7 @@ func (r *Router) forward(rl *rlane, n *network.Node, h *Header) bool {
 	}
 	pos := rl.lane.TruePosOf(n.ID)
 	// Anycast completion: nobody closer to the target.
-	next := r.bestGreedy(rl, n, pos, h.Target)
+	next := rl.lane.GreedyNext(n.ID, h.Target)
 	if h.FinalDst == network.NoNode && next == network.NoNode && !h.Recovering {
 		r.consume(rl, n, h)
 		return true
@@ -395,21 +395,6 @@ func (r *Router) consume(rl *rlane, n *network.Node, h *Header) {
 func (r *Router) drop(rl *rlane, h *Header, why DropCause) {
 	rl.dropped[why]++
 	r.releaseHeader(rl, h)
-}
-
-// bestGreedy returns the neighbor strictly closer to the target than n
-// itself, minimizing remaining distance; NoNode when none (local
-// maximum). Distances compare squared — same winner, no square roots.
-func (r *Router) bestGreedy(rl *rlane, n *network.Node, pos, target geom.Point) network.NodeID {
-	best := network.NoNode
-	bestD2 := pos.Dist2(target)
-	rl.nbrBuf, rl.nbrPos = rl.lane.NeighborsPos(n.ID, rl.nbrBuf[:0], rl.nbrPos[:0])
-	for i, id := range rl.nbrBuf {
-		if d2 := rl.nbrPos[i].Dist2(target); d2 < bestD2 {
-			best, bestD2 = id, d2
-		}
-	}
-	return best
 }
 
 // perimeterNext applies the right-hand rule on the Gabriel-planarized

@@ -3,6 +3,12 @@ package network
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/des"
+	"repro/internal/geom"
+	"repro/internal/mobility"
+	"repro/internal/radio"
+	"repro/internal/xrand"
 )
 
 // BenchmarkBroadcastFanout measures the full broadcast hot path —
@@ -84,3 +90,69 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkGreedyNext times one greedy next-hop query at data-1k's
+// density: 1,000 waypoint movers (MN radio) over 4 x 4 km (62.5
+// nodes/km^2) plus a static CH-radio anchor at every 250 m VC centre,
+// which makes the index cells 350 m. Queries draw a random sender and a
+// random in-arena target, and the clock steps 1 ms every 64 queries, so
+// movers need exact position fixes as they do in a run. "scan" is the
+// query it replaced: the sender's whole neighbour list with positions,
+// then a strict-< pass for the neighbour nearest the target.
+func BenchmarkGreedyNext(b *testing.B) {
+	arena := geom.RectWH(0, 0, 4000, 4000)
+	build := func() (*des.Simulator, *Network, []NodeID, []geom.Point) {
+		sim := des.New()
+		rng := xrand.New(7)
+		net := New(sim, arena, rng.Split())
+		for x := 125.0; x < 4000; x += 250 {
+			for y := 125.0; y < 4000; y += 250 {
+				net.AddNode(&mobility.Static{P: geom.Pt(x, y)}, radio.DefaultCH, nil, true)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			net.AddNode(mobility.NewWaypoint(arena, 1, 5, 10, rng.Split()), radio.DefaultMN, nil, false)
+		}
+		senders := make([]NodeID, 4096)
+		targets := make([]geom.Point, len(senders))
+		for i := range senders {
+			senders[i] = NodeID(rng.Intn(net.Len()))
+			targets[i] = geom.Pt(rng.Range(0, 4000), rng.Range(0, 4000))
+		}
+		return sim, net, senders, targets
+	}
+	run := func(b *testing.B, query func(net *Network, id NodeID, target geom.Point) NodeID) {
+		sim, net, senders, targets := build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%64 == 0 {
+				sim.RunUntil(sim.Now() + 1e-3)
+			}
+			k := i % len(senders)
+			sink = query(net, senders[k], targets[k])
+		}
+	}
+	b.Run("greedy", func(b *testing.B) {
+		run(b, func(net *Network, id NodeID, target geom.Point) NodeID {
+			return net.LaneAt(0).GreedyNext(id, target)
+		})
+	})
+	var ids []NodeID
+	pos := []geom.Point{} // non-nil: NeighborsPos appends positions only to a non-nil slice
+	b.Run("scan", func(b *testing.B) {
+		run(b, func(net *Network, id NodeID, target geom.Point) NodeID {
+			best := NoNode
+			bestD2 := net.LaneAt(0).TruePosOf(id).Dist2(target)
+			ids, pos = net.NeighborsPos(id, ids[:0], pos[:0])
+			for i, nb := range ids {
+				if d2 := pos[i].Dist2(target); d2 < bestD2 {
+					best, bestD2 = nb, d2
+				}
+			}
+			return best
+		})
+	})
+}
+
+var sink NodeID

@@ -27,9 +27,11 @@
 //     candidates exactly. Static nodes — the anchor CH population —
 //     never refresh at all. Cell buckets carry each member's anchor
 //     position inline, so the prefilter is a sequential scan, and a
-//     one-entry memo replays repeated same-sender same-instant queries
-//     (a CH geo-routing one envelope per logical neighbor) without
-//     rescanning.
+//     one-entry memo replays repeated same-sender same-instant list
+//     queries without rescanning. Greedy forwarding asks for one
+//     neighbour instead of the list (Lane.GreedyNext): it walks the
+//     cells nearest the target first and skips, unfixed, every entry
+//     whose anchor is too far from the target to win.
 //   - The delivery path runs on dense per-node arrays (liveness,
 //     receive counters, handlers, plus the spatial SoA slice), never
 //     loading *Node structs, and per-node positions at the current
@@ -239,10 +241,9 @@ type laneState struct {
 	// full spatialState spans two lines on its own.
 	exact []posMemo
 
-	// One-entry neighbor-query memo. Protocol bursts query the same
-	// sender repeatedly within one instant (a CH geo-routes one
-	// envelope per logical neighbor back to back); the memo replays
-	// the result as two appends instead of a grid scan. topoVer
+	// One-entry neighbor-query memo: a repeated list query of the same
+	// sender within one instant (Broadcast, NeighborsPos) replays the
+	// result as two appends instead of a grid scan. topoVer
 	// invalidates it on any index membership change.
 	nbrMemoID  NodeID
 	nbrMemoAt  des.Time
@@ -925,17 +926,8 @@ func (w *Network) scanNeighbors(ls *laneState, n *Node, now des.Time) {
 	id := n.ID
 	ls.nbrMemoID, ls.nbrMemoAt, ls.nbrMemoVer = id, now, w.topoVer
 	ids, pos := ls.nbrMemoIDs[:0], ls.nbrMemoPos[:0]
-	w.refreshTo(now) //hvdb:serialonly in-window the barrier has refreshed past the window bound, so the pop loop body never executes; index writes below this edge happen in serial context only
-
-	p := w.truePosAt(ls, id, now)
-	// A node in range r has its anchor position within r+slack of p, so
-	// scanning the cells overlapping that disc and prefiltering on the
-	// anchor (no mobility advance) is exhaustive; only candidates inside
-	// the shell get the exact position check.
-	reach := n.Radio.Range + w.slack
+	p, reach, c0, c1 := w.scanBox(ls, n, now)
 	reach2 := reach * reach
-	c0 := w.cellOf(geom.Pt(p.X-reach, p.Y-reach))
-	c1 := w.cellOf(geom.Pt(p.X+reach, p.Y+reach))
 	r2 := n.pre.Range2
 	// Enumeration order is load-bearing (see the bucket-order comment):
 	// cells are walked row-major — cy ascending, cx ascending — exactly
@@ -988,6 +980,158 @@ func (w *Network) scanNeighbors(ls *laneState, n *Node, now des.Time) {
 		}
 	}
 	ls.nbrMemoIDs, ls.nbrMemoPos = ids, pos
+}
+
+// scanBox is the prologue both grid queries share: it brings the index
+// up to now, evaluates the sender's exact position p, and returns the
+// scan reach with the cell box covering the disc of that radius around
+// p. A node in radio range r has its anchor within r+slack of p, so the
+// box holds every neighbour, and a prefilter on the anchor (no mobility
+// advance) leaves only the candidates inside the slack shell for the
+// exact position check.
+func (w *Network) scanBox(ls *laneState, n *Node, now des.Time) (p geom.Point, reach float64, c0, c1 cellKey) {
+	w.refreshTo(now) //hvdb:serialonly in-window the barrier has refreshed past the window bound, so the pop loop body never executes; index writes below this edge happen in serial context only
+	p = w.truePosAt(ls, n.ID, now)
+	reach = n.Radio.Range + w.slack
+	c0 = w.cellOf(geom.Pt(p.X-reach, p.Y-reach))
+	c1 = w.cellOf(geom.Pt(p.X+reach, p.Y+reach))
+	return p, reach, c0, c1
+}
+
+// greedyCell is one cell of a greedy query's scan box and its squared
+// gap to the target.
+type greedyCell struct {
+	gap2   float64
+	cx, cy int
+}
+
+// greedyNextLS returns the sender's neighbour strictly closer to target
+// than the sender, nearest first — greedy forwarding's next hop — or
+// NoNode. The winner is the one a strict-< pass over neighborsPosLS's
+// list would keep, found without building the list:
+//
+//   - It visits the scan box's cells nearest-to-target first. A cell's
+//     gap is the distance from the target to its span (0 for the
+//     clamped border cells, whose anchors may lie outside them); box
+//     corners farther than the reach from the sender are dropped.
+//   - An exact position is within slack of its anchor, so an entry
+//     whose anchor lies farther than cut = |best| + slack from the
+//     target cannot win or tie: it is skipped with no position fix, and
+//     the walk stops at the first cell whose gap exceeds cut. A small
+//     margin on both bounds lets float rounding only admit an entry,
+//     never prune one.
+//   - The best starts at the sender's own distance (strict progress).
+//     Exact distance ties go to the lower (row-major cell, bucket slot)
+//     rank, which is the enumeration order of the full scan, so the
+//     winner is the same node.
+//
+// It neither reads nor fills the neighbour memo.
+func (w *Network) greedyNextLS(ls *laneState, now des.Time, id NodeID, target geom.Point) NodeID {
+	n := w.Node(id)
+	if n == nil || !w.hot[id].up {
+		return NoNode
+	}
+	p, reach, c0, c1 := w.scanBox(ls, n, now)
+	margin := 1e-9 * (math.Abs(p.X) + math.Abs(p.Y) + math.Abs(target.X) + math.Abs(target.Y) + reach)
+	reach2 := reach * reach
+	reachCut := reach + margin
+	reachCut2 := reachCut * reachCut
+
+	// Squared gaps per box column and row, to the target and to the
+	// sender; a cell's gap is a column's plus a row's. The box spans at
+	// most 4x4 cells (reach is at most 1.5 cells), so nothing here
+	// leaves the stack.
+	var colBuf, rowBuf [4][2]float64
+	cols, rows := colBuf[:0], rowBuf[:0]
+	for cx := c0.cx; cx <= c1.cx; cx++ {
+		g, s := w.axisGap(cx, w.gridCols, w.gridMinX, target.X), w.axisGap(cx, w.gridCols, w.gridMinX, p.X)
+		cols = append(cols, [2]float64{g * g, s * s})
+	}
+	for cy := c0.cy; cy <= c1.cy; cy++ {
+		g, s := w.axisGap(cy, w.gridRows, w.gridMinY, target.Y), w.axisGap(cy, w.gridRows, w.gridMinY, p.Y)
+		rows = append(rows, [2]float64{g * g, s * s})
+	}
+	var cellBuf [16]greedyCell
+	cells := cellBuf[:0]
+	for j, row := range rows {
+		for i, col := range cols {
+			if col[1]+row[1] <= reachCut2 {
+				cells = append(cells, greedyCell{gap2: col[0] + row[0], cx: c0.cx + i, cy: c0.cy + j})
+			}
+		}
+	}
+
+	r2 := n.pre.Range2
+	best, bestRank, bestSlot := NoNode, 0, 0
+	bestD2 := p.Dist2(target)
+	cut := math.Sqrt(bestD2) + w.slack + margin
+	cut2 := cut * cut
+	for k := range cells {
+		// Select the nearest cell left: the walk usually stops after
+		// two or three, so a full sort would be wasted.
+		m := k
+		for j := k + 1; j < len(cells); j++ {
+			if cells[j].gap2 < cells[m].gap2 {
+				m = j
+			}
+		}
+		if cells[m].gap2 > cut2 {
+			break // every cell left is at least as far
+		}
+		cells[k], cells[m] = cells[m], cells[k]
+		c := cellKey{cells[k].cx, cells[k].cy}
+		t := w.tileAt(c)
+		if t == nil {
+			continue
+		}
+		bucket := t.buckets[tileSlot(c)]
+		rank := c.cy*w.gridCols + c.cx
+		for i := range bucket {
+			e := &bucket[i]
+			tx, ty := e.x-target.X, e.y-target.Y
+			if tx*tx+ty*ty > cut2 {
+				continue
+			}
+			dx, dy := p.X-e.x, p.Y-e.y
+			d2 := dx*dx + dy*dy
+			if d2 > reach2 || e.id == id {
+				continue
+			}
+			q := geom.Pt(e.x, e.y)
+			if e.static {
+				if d2 > r2 {
+					continue
+				}
+			} else if q = w.truePosAt(ls, e.id, now); p.Dist2(q) > r2 {
+				continue
+			}
+			d2 = q.Dist2(target)
+			if d2 < bestD2 {
+				best, bestRank, bestSlot, bestD2 = e.id, rank, i, d2
+				cut = math.Sqrt(bestD2) + w.slack + margin
+				cut2 = cut * cut
+			} else if d2 == bestD2 && best != NoNode && (rank < bestRank || rank == bestRank && i < bestSlot) {
+				best, bestRank, bestSlot = e.id, rank, i
+			}
+		}
+	}
+	return best
+}
+
+// axisGap is the distance along one axis from v to grid line i's span
+// (n lines from origin), 0 inside it and on the clamped border lines.
+func (w *Network) axisGap(i, n int, origin, v float64) float64 {
+	if i == 0 || i == n-1 {
+		return 0
+	}
+	lo := origin + float64(i)*w.cellSize
+	if v < lo {
+		return lo - v
+	}
+	if hi := lo + w.cellSize; v > hi {
+		return v - hi
+	}
+	return 0
 }
 
 // account charges a transmission to the sender and the lane's per-kind

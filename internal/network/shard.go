@@ -51,6 +51,15 @@ func (l *Lane) NeighborsPos(id NodeID, ids []NodeID, pos []geom.Point) ([]NodeID
 	return l.w.neighborsPosLS(l.w.lane(l.idx), l.Now(), id, ids, pos)
 }
 
+// GreedyNext returns the neighbour of id strictly closer to target than
+// id itself, nearest first — greedy geographic forwarding's next hop —
+// or NoNode when none makes progress. It is the first minimum, under
+// strict <, over NeighborsPos's list in order, found without building
+// the list (see greedyNextLS).
+func (l *Lane) GreedyNext(id NodeID, target geom.Point) NodeID {
+	return l.w.greedyNextLS(l.w.lane(l.idx), l.Now(), id, target)
+}
+
 // Unicast is Network.Unicast charged to the lane's counters and clock.
 func (l *Lane) Unicast(from, to NodeID, pkt *Packet) bool {
 	return l.w.unicastLS(l.w.lane(l.idx), l.Now(), from, to, pkt)
