@@ -35,6 +35,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/cliflag"
@@ -91,14 +92,7 @@ func main() {
 		cli.Fail("-fuzz generates its own scripts; it is mutually exclusive with -script")
 	}
 
-	known := false
-	for _, name := range protocol.Names() {
-		if name == *proto {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(protocol.Names(), *proto) {
 		fmt.Fprintf(os.Stderr, "hvdbsim: unknown protocol %q\nusage: -protocol takes one of: %s\n",
 			*proto, strings.Join(protocol.Names(), ", "))
 		os.Exit(2)
@@ -242,16 +236,13 @@ type trialConfig struct {
 // world-level figures around them.
 type trialResult struct {
 	scenario.Counts
-	desc                 string
-	grid                 string
-	proto                string
-	script               string
-	clusters             int
-	endTime              float64
-	dataBytes            uint64
-	energyJ, energyMaxJ  float64
-	chChanges, elections uint64          // traffic phase only
-	drops                []scenario.Drop // traffic phase only
+	desc                string
+	grid                string
+	proto               string
+	script              string
+	endTime             float64
+	dataBytes           uint64
+	energyJ, energyMaxJ float64
 }
 
 // runTrial builds one world, drives the warm-up and traffic phases
@@ -279,23 +270,16 @@ func runTrial(spec scenario.Spec, cfg trialConfig, verbose bool) (trialResult, e
 
 	stk.Start()
 	w.WarmUp(des.Duration(cfg.warm))
-	res.clusters = len(w.CM.HeadSlots())
 	if verbose {
 		fmt.Printf("%s | %s | protocol %s\n", res.desc, res.grid, cfg.proto)
-		fmt.Printf("warm-up done at t=%.1fs: %d clusters headed\n", float64(w.Sim.Now()), res.clusters)
+		fmt.Printf("warm-up done at t=%.1fs: %d clusters headed\n", float64(w.Sim.Now()), len(w.CM.HeadSlots()))
 	}
-	// Every figure below covers the traffic phase only: counters the
-	// warm-up does not reset are read here and subtracted at the end.
-	warmDrops := w.Drops()
-	warmChanges, warmElections := w.CM.Changes(), w.CM.Elections()
-
 	if cfg.script != nil {
 		res.script = cfg.script.Name
-		sr, err := w.RunScript(stk, cfg.script)
+		res.Counts, err = w.RunScript(stk, cfg.script)
 		if err != nil {
 			return trialResult{}, err
 		}
-		res.Counts = sr.Counts
 	} else {
 		// Traffic phase: CBR per group from a random source, then a
 		// drain that is also the meter's release window.
@@ -320,12 +304,6 @@ func runTrial(spec scenario.Spec, cfg trialConfig, verbose bool) (trialResult, e
 			res.energyMaxJ = j
 		}
 	}
-	res.chChanges = w.CM.Changes() - warmChanges
-	res.elections = w.CM.Elections() - warmElections
-	res.drops = w.Drops()
-	for i := range res.drops {
-		res.drops[i].N -= warmDrops[i].N
-	}
 	return res, nil
 }
 
@@ -347,12 +325,12 @@ func printSingle(r trialResult) {
 	fmt.Printf("  data traffic        %d bytes total\n", r.dataBytes)
 	fmt.Printf("  forwarding fairness %.3f (Jain index)\n", r.Jain)
 	fmt.Printf("  radio energy        %.3f J total, %.3f J at the busiest node\n", r.energyJ, r.energyMaxJ)
-	fmt.Printf("  cluster stability   %d CH changes over %d elections\n", r.chChanges, r.elections)
-	causes := make([]string, len(r.drops))
-	for i, d := range r.drops {
-		causes[i] = fmt.Sprintf("%s %d", d.Cause, d.N)
+	fmt.Printf("  cluster stability   %d CH changes over %d elections\n", r.CHChanges, r.Elections)
+	causes := scenario.DropCauses()
+	for i, n := range r.Drops {
+		causes[i] += fmt.Sprintf(" %d", n)
 	}
-	fmt.Printf("  packet drops        %s\n", strings.Join(causes, ", "))
+	fmt.Printf("  packet drops        %s\n", strings.Join(causes[:], ", "))
 }
 
 func printAggregate(seed uint64, results []trialResult) {
@@ -391,6 +369,6 @@ func printAggregate(seed uint64, results []trialResult) {
 	metric("control overhead", "B/node/s", func(r trialResult) float64 { return r.CtrlPerNodeS })
 	metric("forwarding fairness", "(Jain)", func(r trialResult) float64 { return r.Jain })
 	metric("radio energy", "J", func(r trialResult) float64 { return r.energyJ })
-	metric("CH changes", "", func(r trialResult) float64 { return float64(r.chChanges) })
+	metric("CH changes", "", func(r trialResult) float64 { return float64(r.CHChanges) })
 	fmt.Printf("\n(± is the 95%% confidence half-width over %d trials)\n", len(results))
 }

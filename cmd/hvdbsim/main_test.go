@@ -22,10 +22,10 @@ func TestTrialClusterCountsCoverTrafficPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.chChanges != 0 {
-		t.Errorf("traffic phase counted %d CH changes on a static anchored world, want 0", res.chChanges)
+	if res.CHChanges != 0 {
+		t.Errorf("traffic phase counted %d CH changes on a static anchored world, want 0", res.CHChanges)
 	}
-	if res.elections == 0 {
+	if res.Elections == 0 {
 		t.Error("traffic phase counted no elections")
 	}
 }

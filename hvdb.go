@@ -30,10 +30,11 @@
 // World.Meter is the one delivery meter: sends made through it are
 // judged against the group as it stood when the packet left — the
 // members current and up — and come back from Close as a Counts
-// (deliveries, stale deliveries, delay, control overhead, fairness).
-// Group changes during a measurement go through Meter.Join and
-// Meter.Leave so the audience stays right. World.RunScript is a client
-// of the same meter.
+// (deliveries, stale deliveries, delay, control overhead, fairness,
+// drops by cause, events, CH changes and elections, all over the
+// meter's own window). Group changes during a measurement go through
+// Meter.Join and Meter.Leave so the audience stays right.
+// World.RunScript is a client of the same meter and returns its Counts.
 //
 // An arm keeps no per-packet state: a send's record rides its copies
 // and is collected with the last one.
@@ -168,9 +169,6 @@ type Script = scenario.Script
 
 // Directive is one timed action of a Script.
 type Directive = scenario.Directive
-
-// ScriptResult reports the measured outcome of one script run.
-type ScriptResult = scenario.ScriptResult
 
 // Meter measures the traffic sent through it on one Protocol; build one
 // with World.Meter. Counts is what its Close returns.

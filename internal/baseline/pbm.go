@@ -62,7 +62,7 @@ type pbmHeader struct {
 // NewPBM attaches the protocol to the network's mux. It installs its own
 // geo-routing layer for stuck-destination recovery.
 func NewPBM(net *network.Network, mux *network.Mux) *PBM {
-	p := &PBM{arm: newArm(net), nbrPos: make([]geom.Point, 0, 32)} // non-nil: NeighborsPos fills positions only then
+	p := &PBM{arm: newArm(net)}
 	p.geo = georoute.Attach(net, mux)
 	p.geo.Deliver(PBMRecoverKind, func(n *network.Node, inner *network.Packet) {
 		// Perimeter-recovered single-destination copy arrived.

@@ -139,7 +139,7 @@ func BenchmarkGreedyNext(b *testing.B) {
 		})
 	})
 	var ids []NodeID
-	pos := []geom.Point{} // non-nil: NeighborsPos appends positions only to a non-nil slice
+	var pos []geom.Point
 	b.Run("scan", func(b *testing.B) {
 		run(b, func(net *Network, id NodeID, target geom.Point) NodeID {
 			best := NoNode

@@ -21,7 +21,7 @@ func bruteGreedy(net *Network, id NodeID, target geom.Point) (best NodeID, ties 
 		return best, 0
 	}
 	bestD2 := net.LaneAt(0).TruePosOf(id).Dist2(target)
-	ids, pos := net.NeighborsPos(id, nil, []geom.Point{})
+	ids, pos := net.NeighborsPos(id, nil, nil)
 	for i, nb := range ids {
 		d2 := pos[i].Dist2(target)
 		if d2 < bestD2 {

@@ -889,31 +889,31 @@ func (w *Network) Neighbors(id NodeID) []NodeID {
 // then checked against its exact current position, so results are exact
 // despite the index being refreshed lazily.
 func (w *Network) NeighborsAppend(id NodeID, out []NodeID) []NodeID {
-	out, _ = w.NeighborsPos(id, out, nil)
-	return out
+	ids, _ := w.neighborMemo(&w.laneState, w.sim.Now(), id)
+	return append(out, ids...)
 }
 
 // NeighborsPos is NeighborsAppend that additionally appends each
-// neighbor's exact current position to pos (parallel to ids) when pos
-// is non-nil. Routing hot paths use it to avoid recomputing positions
-// the range check already produced.
+// neighbor's exact current position to pos, parallel to ids. Routing
+// hot paths use it to avoid recomputing positions the range check
+// already produced.
 func (w *Network) NeighborsPos(id NodeID, ids []NodeID, pos []geom.Point) ([]NodeID, []geom.Point) {
-	return w.neighborsPosLS(&w.laneState, w.sim.Now(), id, ids, pos)
+	mi, mp := w.neighborMemo(&w.laneState, w.sim.Now(), id)
+	return append(ids, mi...), append(pos, mp...)
 }
 
-func (w *Network) neighborsPosLS(ls *laneState, now des.Time, id NodeID, ids []NodeID, pos []geom.Point) ([]NodeID, []geom.Point) {
+// neighborMemo returns id's neighbours at now and their positions from
+// the lane's one-entry memo, scanning on a miss; nil when id is absent
+// or down. The slices are the memo's own, so callers copy them out.
+func (w *Network) neighborMemo(ls *laneState, now des.Time, id NodeID) ([]NodeID, []geom.Point) {
 	n := w.Node(id)
 	if n == nil || !w.hot[id].up {
-		return ids, pos
+		return nil, nil
 	}
 	if ls.nbrMemoID != id || ls.nbrMemoAt != now || ls.nbrMemoVer != w.topoVer {
 		w.scanNeighbors(ls, n, now)
 	}
-	ids = append(ids, ls.nbrMemoIDs...)
-	if pos != nil {
-		pos = append(pos, ls.nbrMemoPos...)
-	}
-	return ids, pos
+	return ls.nbrMemoIDs, ls.nbrMemoPos
 }
 
 // scanNeighbors runs the grid scan for the sender at the given instant
@@ -1007,7 +1007,7 @@ type greedyCell struct {
 
 // greedyNextLS returns the sender's neighbour strictly closer to target
 // than the sender, nearest first — greedy forwarding's next hop — or
-// NoNode. The winner is the one a strict-< pass over neighborsPosLS's
+// NoNode. The winner is the one a strict-< pass over NeighborsPos's
 // list would keep, found without building the list:
 //
 //   - It visits the scan box's cells nearest-to-target first. A cell's

@@ -57,6 +57,27 @@ func TestNeighbors(t *testing.T) {
 	_ = c
 }
 
+// TestNeighborsPosNilBuffers: positions come back parallel to the IDs
+// whether or not the caller's buffers start nil, on a memo miss and on
+// the hit that follows it.
+func TestNeighborsPosNilBuffers(t *testing.T) {
+	_, net := testNet()
+	a := addStatic(net, 0, 0)
+	addStatic(net, 100, 0)
+	addStatic(net, 0, 200)
+	for round := 0; round < 2; round++ {
+		ids, pos := net.NeighborsPos(a.ID, nil, nil)
+		if len(ids) != 2 || len(pos) != len(ids) {
+			t.Fatalf("round %d: %d neighbours with %d positions", round, len(ids), len(pos))
+		}
+		for i, id := range ids {
+			if want := net.Node(id).TruePos(); pos[i] != want {
+				t.Fatalf("round %d: neighbour %d at %v, want %v", round, id, pos[i], want)
+			}
+		}
+	}
+}
+
 func TestNeighborsExcludeDown(t *testing.T) {
 	_, net := testNet()
 	a := addStatic(net, 0, 0)

@@ -48,7 +48,8 @@ func (l *Lane) TruePosOf(id NodeID) geom.Point {
 // NeighborsPos is Network.NeighborsPos against the lane's memo and
 // clock.
 func (l *Lane) NeighborsPos(id NodeID, ids []NodeID, pos []geom.Point) ([]NodeID, []geom.Point) {
-	return l.w.neighborsPosLS(l.w.lane(l.idx), l.Now(), id, ids, pos)
+	mi, mp := l.w.neighborMemo(l.w.lane(l.idx), l.Now(), id)
+	return append(ids, mi...), append(pos, mp...)
 }
 
 // GreedyNext returns the neighbour of id strictly closer to target than

@@ -21,13 +21,6 @@ const scriptSeedSalt = 0x5c71b7e1a9d2f04d
 // the script's horizon so in-flight packets settle.
 const drainMargin des.Duration = 5
 
-// ScriptResult reports the measured outcome of one script run: the
-// script's name and what the run's Meter counted.
-type ScriptResult struct {
-	Script string
-	Counts
-}
-
 // scriptRun is the live state of one script execution. Sends and
 // membership changes go through the meter, which does the accounting.
 type scriptRun struct {
@@ -51,17 +44,17 @@ type churnVictim struct {
 }
 
 // RunScript plays a script against this world through one protocol arm
-// and returns the measured outcome. The stack should be started and the
-// world warmed up first; traffic counters measured by the result cover
-// the span from the call to the returned Elapsed.
+// and returns what the run's Meter counted. The stack should be started
+// and the world warmed up first; the counts cover the span from the
+// call to the returned Elapsed.
 //
 // Determinism: every directive draws from its own positionally derived
 // PRNG stream (runner.DeriveSeed over the world seed), so results are a
 // pure function of (spec, script) regardless of how many sibling worlds
 // run concurrently.
-func (w *World) RunScript(stk protocol.Stack, sc *Script) (*ScriptResult, error) {
+func (w *World) RunScript(stk protocol.Stack, sc *Script) (Counts, error) {
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return Counts{}, err
 	}
 	// Group references are checked against this world (static Validate
 	// cannot know the group population): a typoed group would otherwise
@@ -72,7 +65,7 @@ func (w *World) RunScript(stk protocol.Stack, sc *Script) (*ScriptResult, error)
 			continue
 		}
 		if _, ok := w.Members[membership.Group(d.Group)]; !ok {
-			return nil, fmt.Errorf("scenario: script %q directive %d: group %d not in this world (have %d groups)",
+			return Counts{}, fmt.Errorf("scenario: script %q directive %d: group %d not in this world (have %d groups)",
 				sc.Name, i, d.Group, len(w.Members))
 		}
 	}
@@ -87,7 +80,7 @@ func (w *World) RunScript(stk protocol.Stack, sc *Script) (*ScriptResult, error)
 		r.schedule(start, d, rng)
 	}
 	w.RunUntil(start + des.Duration(sc.Horizon()) + drainMargin)
-	return &ScriptResult{Script: sc.Name, Counts: r.m.Close()}, nil
+	return r.m.Close(), nil
 }
 
 // schedule installs one directive's events on the simulator.

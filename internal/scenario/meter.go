@@ -4,13 +4,16 @@ import (
 	"slices"
 
 	"repro/internal/des"
+	"repro/internal/georoute"
 	"repro/internal/membership"
 	"repro/internal/network"
 	"repro/internal/protocol"
 	"repro/internal/stats"
 )
 
-// Counts is what a Meter measured between World.Meter and Close.
+// Counts is the one record of a measured run: everything a Meter
+// counted between World.Meter and Close, and nothing from outside that
+// window.
 type Counts struct {
 	// Sent counts successful sends; Expected the audience-member
 	// deliveries those sends could have produced (live current members
@@ -47,6 +50,39 @@ type Counts struct {
 	// worker-, and shard-count-invariant.
 	DelaySamples int
 	DelayDigest  uint64
+	// Drops counts abandoned packets by cause, in DropCauses order;
+	// Events the simulator events executed; CHChanges and Elections the
+	// cluster manager's head changes and elections. All fold across
+	// lanes, so none depends on Spec.Shards.
+	Drops                        [NumDrops]uint64
+	Events, CHChanges, Elections uint64
+}
+
+// NumDrops is the number of drop causes Counts.Drops separates.
+const NumDrops = 2 + int(georoute.NumDropCauses) + 2
+
+// DropCauses names the entries of Counts.Drops, in order: radio
+// losses, receptions cut by the receiver going down in flight, the geo
+// router's drops by cause, and the HVDB data plane's two dead ends.
+func DropCauses() [NumDrops]string {
+	n := [NumDrops]string{0: "radio loss", 1: "receiver down", NumDrops - 2: "no CH to enter", NumDrops - 1: "QoS gate blocked"}
+	for c := georoute.DropCause(0); c < georoute.NumDropCauses; c++ {
+		n[2+int(c)] = "geo " + c.String()
+	}
+	return n
+}
+
+// totals returns the cumulative counters a meter reports as deltas.
+// Radio, receiver-down and control counts restart at ResetTraffic,
+// which WarmUp calls before any meter opens.
+func (w *World) totals() (c Counts, ctrl uint64) {
+	st := w.Net.Stats()
+	geo := w.BB.Geo().Drops()
+	c.Drops[0], c.Drops[1] = st.Lost, st.ReceiverDown
+	copy(c.Drops[2:], geo[:])
+	c.Drops[NumDrops-2], c.Drops[NumDrops-1] = w.MC.NoEntryCH, w.MC.QoSBlocked
+	c.Events, c.CHChanges, c.Elections = w.Sim.Executed(), w.CM.Changes(), w.CM.Elections()
+	return c, st.ControlBytes
 }
 
 // PDR returns Delivered / Expected.
@@ -79,6 +115,7 @@ type Meter struct {
 	stk   protocol.Stack
 	ttl   des.Duration
 	start des.Time
+	open  Counts // totals at open
 	ctrl0 uint64
 	c     Counts
 
@@ -116,12 +153,14 @@ type audPending struct {
 // the audience empty. Building a meter schedules nothing and draws no
 // randomness.
 func (w *World) Meter(stk protocol.Stack, ttl des.Duration) *Meter {
+	open, ctrl0 := w.totals()
 	m := &Meter{
 		w:        w,
 		stk:      stk,
 		ttl:      ttl,
 		start:    w.Sim.Now(),
-		ctrl0:    w.Net.Stats().ControlBytes,
+		open:     open,
+		ctrl0:    ctrl0,
 		current:  make(map[membership.Group]map[network.NodeID]bool),
 		audience: make(map[uint64][]network.NodeID),
 	}
@@ -232,9 +271,14 @@ func (m *Meter) Close() Counts {
 	c := m.c
 	c.AudienceOpen = len(m.audience)
 	c.Elapsed = now - m.start
+	t, ctrl := m.w.totals()
 	if n := m.w.Net.Len(); n > 0 && c.Elapsed > 0 {
-		c.CtrlPerNodeS = float64(m.w.Net.Stats().ControlBytes-m.ctrl0) / float64(n) / float64(c.Elapsed)
+		c.CtrlPerNodeS = float64(ctrl-m.ctrl0) / float64(n) / float64(c.Elapsed)
 	}
+	for i := range c.Drops {
+		c.Drops[i] = t.Drops[i] - m.open.Drops[i]
+	}
+	c.Events, c.CHChanges, c.Elections = t.Events-m.open.Events, t.CHChanges-m.open.CHChanges, t.Elections-m.open.Elections
 	c.Jain = stats.JainIndex(m.w.Net.ForwardLoads())
 	c.MeanDelay = m.delays.Mean()
 	c.P50Delay = m.delays.Percentile(50)

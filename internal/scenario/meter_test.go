@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"repro/internal/georoute"
 	"repro/internal/network"
 	"repro/internal/protocol"
 )
@@ -135,7 +136,7 @@ func TestAudienceBoundedAndReleasedAtTeardown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Counts
+			return res
 		}},
 		{"meter", func(t *testing.T, w *World, stk protocol.Stack) Counts {
 			m := w.Meter(stk, drainMargin)
@@ -188,5 +189,62 @@ func TestAudienceBoundedAndReleasedAtTeardown(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestMeterCountsOwnWindow: Counts' drop causes, Events, CHChanges and
+// Elections cover the meter's window and nothing before it. The
+// default world plays partition-heal once to pile up geo drops and CH
+// changes ahead of the window, then again under the measured meter,
+// whose counts must be exactly the cumulative counters read by hand at
+// Close minus those read at open.
+func TestMeterCountsOwnWindow(t *testing.T) {
+	type cumulative struct {
+		drops                      [NumDrops]uint64
+		events, changes, elections uint64
+	}
+	read := func(w *World) cumulative {
+		st := w.Net.Stats()
+		c := cumulative{events: w.Sim.Executed(), changes: w.CM.Changes(), elections: w.CM.Elections()}
+		c.drops[0], c.drops[1] = st.Lost, st.ReceiverDown
+		for i, n := range w.BB.Geo().Drops() {
+			c.drops[2+i] = n
+		}
+		c.drops[NumDrops-2], c.drops[NumDrops-1] = w.MC.NoEntryCH, w.MC.QoSBlocked
+		return c
+	}
+	w, err := Build(DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stk := startHVDB(t, w)
+	w.WarmUp(15)
+	sc, err := BuiltinScript("partition-heal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RunScript(stk, sc); err != nil {
+		t.Fatal(err)
+	}
+	open := read(w)
+	if open.drops[2+int(georoute.DropTTL)] == 0 || open.changes == 0 {
+		t.Fatalf("no geo TTL drops or CH changes before the window (%+v): the test premise is broken", open)
+	}
+	res, err := w.RunScript(stk, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := read(w)
+	stk.Stop()
+	want := cumulative{events: end.events - open.events, changes: end.changes - open.changes, elections: end.elections - open.elections}
+	for i := range want.drops {
+		want.drops[i] = end.drops[i] - open.drops[i]
+	}
+	got := cumulative{drops: res.Drops, events: res.Events, changes: res.CHChanges, elections: res.Elections}
+	if got != want {
+		t.Fatalf("meter counted outside its window:\n  got  %+v\n  want %+v", got, want)
+	}
+	if got.drops[2+int(georoute.DropTTL)] == 0 || got.changes == 0 || got.events == 0 {
+		t.Fatalf("window counts are vacuous: %+v", got)
 	}
 }

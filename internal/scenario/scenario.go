@@ -319,26 +319,6 @@ func (w *World) WarmUp(d des.Duration) {
 	w.Net.ResetTraffic()
 }
 
-// Drop is one named count of packets the world abandoned.
-type Drop struct {
-	Cause string
-	N     uint64
-}
-
-// Drops returns every per-cause count of abandoned packets, in a fixed
-// order: radio losses and receptions cut by the receiver going down
-// (both since the last ResetTraffic), the geo router's drops by cause,
-// and the HVDB data plane's two dead ends (both since Build). Every
-// count folds across lanes, so it does not depend on Spec.Shards.
-func (w *World) Drops() []Drop {
-	st := w.Net.Stats()
-	d := []Drop{{"radio loss", st.Lost}, {"receiver down", st.ReceiverDown}}
-	for c, n := range w.BB.Geo().Drops() {
-		d = append(d, Drop{"geo " + georoute.DropCause(c).String(), n})
-	}
-	return append(d, Drop{"no CH to enter", w.MC.NoEntryCH}, Drop{"QoS gate blocked", w.MC.QoSBlocked})
-}
-
 // CBR schedules constant-bit-rate multicast traffic: the provided send
 // function (a Meter.Send closure) fires every interval, count times.
 func (w *World) CBR(send func() uint64, interval des.Duration, count int) {

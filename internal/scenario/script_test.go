@@ -109,7 +109,7 @@ func TestRunScriptDeliversAndIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *ScriptResult {
+	run := func() Counts {
 		spec := DefaultSpec()
 		spec.Seed = 7
 		spec.Nodes = 60
@@ -264,7 +264,7 @@ func TestScriptMemberChurnTracksAudience(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Counts
+			return res
 		}},
 		{"meter", func(t *testing.T, w *World, stk protocol.Stack) Counts {
 			m := w.Meter(stk, drainMargin)

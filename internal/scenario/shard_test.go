@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -96,12 +97,13 @@ func TestShardCountByteIdentical(t *testing.T) {
 
 // TestShardDropCountsIndependent plays two lossy built-in scripts on
 // the default world (the one hvdbsim runs with no flags) at shards 1
-// and 2: every per-cause drop count must match, the geo causes must
-// sum to Router.Dropped, and the counts must not be vacuous —
-// partition-heal loses packets to the radio and to geo TTL expiry,
-// churn-storm to receivers that went down in flight.
+// and 2: every per-cause drop count the meter reports must match, its
+// geo causes must sum to what Router.Dropped gained over the script,
+// and the counts must not be vacuous — partition-heal loses packets to
+// the radio and to geo TTL expiry, churn-storm to receivers that went
+// down in flight.
 func TestShardDropCountsIndependent(t *testing.T) {
-	run := func(script string, shards int) []Drop {
+	run := func(script string, shards int) [NumDrops]uint64 {
 		spec := DefaultSpec()
 		spec.Shards = shards
 		w, err := Build(spec)
@@ -117,28 +119,22 @@ func TestShardDropCountsIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.RunScript(stk, sc); err != nil {
+		dropped := w.BB.Geo().Dropped()
+		res, err := w.RunScript(stk, sc)
+		if err != nil {
 			t.Fatal(err)
 		}
 		stk.Stop()
 		var geo uint64
-		for _, n := range w.BB.Geo().Drops() {
+		for _, n := range res.Drops[2 : NumDrops-2] {
 			geo += n
 		}
-		if geo != w.BB.Geo().Dropped() {
-			t.Fatalf("%s shards=%d: geo causes sum to %d, Dropped is %d", script, shards, geo, w.BB.Geo().Dropped())
+		if want := w.BB.Geo().Dropped() - dropped; geo != want {
+			t.Fatalf("%s shards=%d: geo causes sum to %d, Dropped gained %d", script, shards, geo, want)
 		}
-		return w.Drops()
+		return res.Drops
 	}
-	nonzero := func(d []Drop) map[string]bool {
-		m := map[string]bool{}
-		for _, x := range d {
-			if x.N > 0 {
-				m[x.Cause] = true
-			}
-		}
-		return m
-	}
+	causes := DropCauses()
 	for _, tc := range []struct {
 		script string
 		want   []string // causes that must be nonzero
@@ -147,12 +143,12 @@ func TestShardDropCountsIndependent(t *testing.T) {
 		{"churn-storm", []string{"receiver down"}},
 	} {
 		serial := run(tc.script, 1)
-		if got := run(tc.script, 2); fmt.Sprint(got) != fmt.Sprint(serial) {
+		if got := run(tc.script, 2); got != serial {
 			t.Fatalf("%s: drop counts diverged:\n  serial:   %v\n  shards=2: %v", tc.script, serial, got)
 		}
-		nz := nonzero(serial)
 		for _, c := range tc.want {
-			if !nz[c] {
+			i := slices.Index(causes[:], c)
+			if i < 0 || serial[i] == 0 {
 				t.Errorf("%s: no %q drops counted: %v", tc.script, c, serial)
 			}
 		}

@@ -45,11 +45,9 @@ func runScriptedWorld(t *testing.T, script string, bypass bool) string {
 	stk.Stop()
 	assertNoPacketLeaks(t, w)
 	// %v renders float64s at shortest-round-trip precision, so string
-	// equality below is bit equality — the comparison really is
-	// byte-identical, not identical-to-9-digits.
-	return fmt.Sprintf("%s sent=%d expected=%d delivered=%d stale=%d mean=%v p50=%v p95=%v ctrl=%v jain=%v elapsed=%v",
-		res.Script, res.Sent, res.Expected, res.Delivered, res.Stale,
-		res.MeanDelay, res.P50Delay, res.P95Delay, res.CtrlPerNodeS, res.Jain, res.Elapsed)
+	// equality below is bit equality over every counter — the comparison
+	// really is byte-identical, not identical-to-9-digits.
+	return fmt.Sprintf("%s %+v", script, res)
 }
 
 // TestTreeCacheTransparent runs the churn-storm and partition-heal

@@ -63,12 +63,13 @@ const (
 	// zero deliveries mean zero delay metrics, PDR and Jain in [0,1].
 	InvStats = "stats"
 	// InvStream: the streaming-metrics contract — every audience entry
-	// is released by script teardown (ScriptResult.AudienceOpen == 0,
+	// is released by script teardown (Counts.AudienceOpen == 0,
 	// the audience-map analogue of the pool-leak check), and the delay
 	// histogram absorbed exactly one observation per counted delivery
-	// (DelaySamples == Delivered). The histogram's full-state digest is
-	// part of the fingerprint, so its rerun/worker/shard invariance is
-	// enforced by the fp comparisons of those invariants.
+	// (DelaySamples == Delivered). The histogram's full-state digest,
+	// like every other Counts field, is in the fingerprint, so its
+	// rerun/worker/shard invariance is enforced by the fp comparisons
+	// of those invariants.
 	InvStream = "stream"
 )
 
@@ -108,10 +109,7 @@ func (r *Report) String() string {
 // runOutcome is the observable result of one script run, reduced to
 // exactly what the invariants compare.
 type runOutcome struct {
-	// fp renders every measured field at %v (shortest round-trip)
-	// precision plus the executed-event count and the per-cause drop
-	// counts, so string equality is bit equality.
-	fp        string
+	fp        string // see fingerprint
 	inflight  int
 	statsErr  string
 	streamErr string
@@ -144,10 +142,7 @@ func runArm(spec scenario.Spec, arm string, sc *scenario.Script, warmup des.Dura
 	w.RunUntil(w.Sim.Now() + 5) // drain in-flight deliveries and stopped tickers
 	w.Sim.Run()                 // and any stragglers past the drain window
 	return runOutcome{
-		fp: fmt.Sprintf("sent=%d expected=%d delivered=%d stale=%d mean=%v p50=%v p95=%v ctrl=%v jain=%v elapsed=%v events=%d delaydg=%#x audpeak=%d drops=%v",
-			res.Sent, res.Expected, res.Delivered, res.Stale,
-			res.MeanDelay, res.P50Delay, res.P95Delay, res.CtrlPerNodeS, res.Jain, res.Elapsed,
-			w.Sim.Executed(), res.DelayDigest, res.AudiencePeak, w.Drops()),
+		fp:        fingerprint(res, w.Sim.Executed()),
 		inflight:  w.Net.PooledInFlight(),
 		statsErr:  statsContract(res),
 		streamErr: streamContract(res),
@@ -155,9 +150,16 @@ func runArm(spec scenario.Spec, arm string, sc *scenario.Script, warmup des.Dura
 	}
 }
 
+// fingerprint renders every Counts field at %v (shortest round-trip)
+// precision plus the world's total executed events, so string equality
+// is bit equality and a field added to Counts is covered as it lands.
+func fingerprint(c scenario.Counts, events uint64) string {
+	return fmt.Sprintf("%+v events=%d", c, events)
+}
+
 // streamContract checks the streaming-metrics bookkeeping of a result;
 // it returns "" when the result honors it.
-func streamContract(res *scenario.ScriptResult) string {
+func streamContract(res scenario.Counts) string {
 	if res.AudienceOpen != 0 {
 		return fmt.Sprintf("%d audience entries still tracked at teardown", res.AudienceOpen)
 	}
@@ -172,7 +174,7 @@ func streamContract(res *scenario.ScriptResult) string {
 
 // statsContract checks the empty-sample/no-NaN contract of a result;
 // it returns "" when the result honors it.
-func statsContract(res *scenario.ScriptResult) string {
+func statsContract(res scenario.Counts) string {
 	fields := map[string]float64{
 		"mean": res.MeanDelay, "p50": res.P50Delay, "p95": res.P95Delay,
 		"ctrl": res.CtrlPerNodeS, "jain": res.Jain, "pdr": res.PDR(),

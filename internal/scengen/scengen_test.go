@@ -218,3 +218,27 @@ func FuzzScriptInvariants(f *testing.F) {
 		}
 	})
 }
+
+// TestFingerprintCoversEveryCount: two outcomes that differ in one
+// counter only must fingerprint differently — hop accounting and a
+// single drop cause included — or the rerun, workers and shards
+// invariants cannot see that counter.
+func TestFingerprintCoversEveryCount(t *testing.T) {
+	base := scenario.Counts{Sent: 10, Expected: 40, Delivered: 38, MeanHops: 3.25, Events: 12345}
+	base.Drops[0] = 7
+	hops, drop := base, base
+	hops.MeanHops = 3.5
+	drop.Drops[scenario.NumDrops-1]++
+	ref := fingerprint(base, 99999)
+	for _, tc := range []struct {
+		field string
+		c     scenario.Counts
+	}{{"MeanHops", hops}, {"Drops", drop}} {
+		if fingerprint(tc.c, 99999) == ref {
+			t.Errorf("outcomes differing only in %s share the fingerprint %q", tc.field, ref)
+		}
+	}
+	if fingerprint(base, 99998) == ref {
+		t.Error("the total event count is not in the fingerprint")
+	}
+}
