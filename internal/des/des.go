@@ -20,33 +20,36 @@
 //   - The imminent tier holds only the bucket currently being drained:
 //     a sorted run popped by advancing a head index, plus a 4-ary side
 //     heap for events scheduled after the bucket started draining (the
-//     causality chains of the current instant). Pops are
-//     sequential reads over cache-resident entries instead of
-//     log-depth sifts over the whole pending set. Bucket 0 of each
-//     epoch never becomes a run, by design: an epoch starts with the
-//     clock inside it (rebase leaves cur = 0), so everything placed
-//     there — the earliest pending instant the roll re-based at, and
-//     what it schedules within one bucket width — goes through the
-//     side heap. Draining it as an ordinary bucket measured no faster
-//     on world-5k and slower on arms-160 (DESIGN.md, "Complexity
-//     ledger"). A bucket becomes
-//     current by being copied into one kernel-owned run buffer
-//     together with every fan-out member (ScheduleFanout) that falls
-//     in it, so a broadcast's receivers are sorted once with their
-//     bucket instead of sifting one by one through the side heap.
+//     causality chains of the current instant). Pops are sequential
+//     reads over cache-resident entries instead of log-depth sifts
+//     over the whole pending set. Bucket 0 of each epoch never becomes
+//     a run, by design: an epoch starts with the clock inside it
+//     (rebase leaves cur = 0), so everything placed there — the
+//     earliest pending instant the roll re-based at, and what it
+//     schedules within one bucket width — goes through the side heap.
+//     Draining it as an ordinary bucket measured no faster (DESIGN.md,
+//     "Complexity ledger"). A bucket becomes current by being copied
+//     into one kernel-owned run buffer together with every fan-out
+//     member (ScheduleFanout) that falls in it, so a broadcast's
+//     receivers are ordered once with their bucket instead of sifting
+//     one by one through the side heap.
 //   - The near tier is an array of numBuckets FIFO buckets of width
 //     s.width seconds each. A bucket is a list of fixed-size chunks
 //     filled in schedule order (Tang, Goh & Thng's linked-list bucket,
 //     with slabs of chunkSize entries instead of one node per event),
 //     taken from one kernel free list and returned to it when the
 //     bucket becomes current, so entry memory follows the pending set,
-//     not the largest burst each bucket ever saw. A bucket is sorted
-//     once, when the clock reaches it (one sequential pass when its
+//     not the largest burst each bucket ever saw. A bucket is ordered
+//     once, when the clock reaches it: one sequential pass when its
 //     entries arrived in timestamp order, as same-instant protocol
-//     rounds do). The width follows the hop-delay quantum of the
-//     workload (see SetGrain; the network layer feeds it the radio
-//     processing-delay floor) and re-adapts to the observed
-//     per-bucket occupancy on every epoch roll.
+//     rounds do, and otherwise one distribution of the run over slots
+//     of its timestamp span (orderRun; the ladder's finer rung in
+//     place of a comparison sort). The width follows the hop-delay
+//     quantum of the workload (see SetGrain; the network layer feeds
+//     it the radio processing-delay floor) and re-adapts to the
+//     observed per-bucket occupancy on every epoch roll, but never
+//     past the quantum: a bucket no wider than the least hop delay
+//     sends each hop to a later bucket, not into the side heap.
 //   - The spill tier is one 4-ary heap for everything beyond the near
 //     horizon (protocol timers, long timeouts, Infinity sentinels).
 //     When the near tier drains, the epoch rolls: the ladder re-bases
@@ -89,6 +92,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Time is simulated time in seconds since the start of the run.
@@ -167,9 +171,10 @@ func (h Handle) Cancel() bool {
 // Ladder geometry. numBuckets near-tier buckets of defaultWidth seconds
 // each cover roughly one second of simulated time at the default width;
 // the spill heap absorbs everything beyond. Width adapts between
-// minWidth and maxWidth (see roll) so both microsecond-scale delivery
-// storms and sparse timer-only phases keep bucket occupancy near
-// occupancyTarget.
+// minWidth and the SetGrain quantum (maxWidth until one is set; see
+// roll) so microsecond-scale delivery storms keep bucket occupancy near
+// occupancyTarget and sparse timer-only phases do not widen buckets
+// past the hop delay.
 const (
 	numBuckets      = 1024
 	defaultWidth    = 1e-3
@@ -233,13 +238,18 @@ type Simulator struct {
 	freeChunks *chunk
 	freeFan    [][]*fanout
 
-	grain  float64 // width hint from SetGrain, applied at the next roll
-	placed uint64  // near-tier placements this epoch (occupancy feedback)
+	// slots is orderRun's stack of slot bounds, one level per
+	// recursion; runFor drops it after a burst as it does the run.
+	slots []int32
+
+	grain   float64 // width hint from SetGrain, applied at the next roll
+	quantum float64 // the last grain SetGrain reported: the width's ceiling
+	placed  uint64  // near-tier placements this epoch (occupancy feedback)
 }
 
 // New returns an empty simulator with the clock at zero.
 func New() *Simulator {
-	s := &Simulator{width: defaultWidth}
+	s := &Simulator{width: defaultWidth, quantum: maxWidth}
 	s.rebase(0)
 	return s
 }
@@ -269,12 +279,15 @@ func (s *Simulator) Pending() int { return s.count }
 // radio tier's per-hop processing-delay floor, radio.Precomp.
 // DelayQuantum). The hint applies immediately while the queue is empty
 // and at the next epoch roll otherwise; occupancy feedback keeps
-// adapting from there. A non-positive grain is ignored.
+// adapting from there, halving the width freely but doubling it no
+// further than the grain, which stays the width's ceiling until the
+// next SetGrain. A non-positive grain is ignored.
 func (s *Simulator) SetGrain(d Duration) {
 	if d <= 0 {
 		return
 	}
 	g := math.Min(math.Max(float64(d), minWidth), maxWidth)
+	s.quantum = g
 	if s.count == 0 {
 		// Empty queue: apply now, re-anchoring the window at the clock
 		// (the old base may lie far in the past after a long drain, and
@@ -549,7 +562,7 @@ func (s *Simulator) front() *entry {
 // kernel's run buffer in the order they were filled and go back to the
 // free list; then the members packed behind its fan-outs that fall in
 // this bucket join the run, and members due in later buckets take their
-// own entries there. The run is sorted once. Entries are stored in
+// own entries there. The run is ordered once. Entries are stored in
 // sequence order, so a bucket whose timestamps happen to be monotone —
 // same-instant protocol rounds, steady streams — is already sorted and
 // the check is one sequential pass.
@@ -571,7 +584,7 @@ func (s *Simulator) takeBucket() {
 	}
 	*b = bucket{}
 	if !sortedEntries(run) {
-		sortEntries(run)
+		s.orderRun(run, 0)
 	}
 	s.run, s.head = run, 0
 }
@@ -581,10 +594,15 @@ func (s *Simulator) takeBucket() {
 // once its burst has drained, when a bucket needing a quarter of it or
 // less comes along, rather than idling at peak size until the next
 // burst; a recurring burst thus costs one allocation per recurrence.
+// orderRun's slot stack, one bound per entry of the run it grew for,
+// drops by the same rule.
 func (s *Simulator) runFor(need int) []entry {
 	run := s.run[:0]
 	if c := cap(run); c > burstCap && need <= c/4 {
 		run = nil
+	}
+	if c := cap(s.slots); c > burstCap && need <= c/4 {
+		s.slots = nil
 	}
 	if cap(run) < need {
 		run = make([]entry, 0, max(need, 2*cap(run)))
@@ -635,8 +653,10 @@ func (s *Simulator) roll() {
 	earliest := s.spill[0].at
 
 	// Width feedback: halve when buckets ran hot, double when the epoch
-	// was sparse. placed counts near-tier placements since the last
-	// roll, so the measure tracks what the buckets actually absorbed.
+	// was sparse, up to the quantum (a wider bucket would take the next
+	// hop of a burst into the bucket draining it, and so the side heap).
+	// placed counts near-tier placements since the last roll, so the
+	// measure tracks what the buckets actually absorbed.
 	// The dead band between the two thresholds is wide (64x) on
 	// purpose: protocol workloads alternate bursty and quiet epochs,
 	// and a width that followed every swing would be sized for the
@@ -648,7 +668,7 @@ func (s *Simulator) roll() {
 	} else if occ := float64(s.placed) / numBuckets; occ > 4*occupancyTarget {
 		s.width = math.Max(s.width/2, minWidth)
 	} else if occ < occupancyTarget/16 {
-		s.width = math.Min(s.width*2, maxWidth)
+		s.width = math.Min(s.width*2, s.quantum)
 	}
 	s.placed = 0
 
@@ -679,49 +699,94 @@ func (s *Simulator) roll() {
 	}
 }
 
-// sortEntries sorts a run by (at, seq) with direct field comparisons
-// (a quicksort/insertion hybrid; the generic comparator-closure sorts
-// showed up in burst-bucket profiles). Keys are unique (seq is), so
-// stability is irrelevant.
-func sortEntries(h []entry) {
-	for len(h) > 24 {
-		// Median-of-three pivot to the front, then Hoare partition.
-		m := len(h) / 2
-		last := len(h) - 1
-		if h[m].less(h[0]) {
-			h[m], h[0] = h[0], h[m]
-		}
-		if h[last].less(h[0]) {
-			h[last], h[0] = h[0], h[last]
-		}
-		if h[last].less(h[m]) {
-			h[last], h[m] = h[m], h[last]
-		}
-		pivot := h[m]
-		i, j := 0, last
-		for {
-			for h[i].less(pivot) {
-				i++
-			}
-			for pivot.less(h[j]) {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			h[i], h[j] = h[j], h[i]
-			i++
-			j--
-		}
-		// Recurse into the smaller half, loop on the larger.
-		if j+1 < len(h)-j-1 {
-			sortEntries(h[:j+1])
-			h = h[j+1:]
-		} else {
-			sortEntries(h[j+1:])
-			h = h[:j+1]
+// smallRun is the slot size up to which orderRun finishes with an
+// insertion sort instead of distributing further.
+const smallRun = 32
+
+// key returns the entry's ordering key as an unsigned integer: the bit
+// pattern of its timestamp (sign cleared, so -0 and +0 agree), which
+// orders like the timestamp because no event is scheduled before time
+// zero, or its sequence number when bySeq is set.
+func (e *entry) key(bySeq bool) uint64 {
+	if bySeq {
+		return e.seq
+	}
+	return math.Float64bits(float64(e.at)) &^ (1 << 63)
+}
+
+// orderRun sorts a run by (at, seq) by distributing it on its
+// timestamps rather than comparing them (the ladder queue's answer to
+// an overfull bucket is a finer rung, not a comparison sort). The run's
+// key span is cut into at most len(h)/4 slots by a shift of key-lo, a
+// monotone slot function; an in-place American flag sort moves every
+// entry into its slot, and each slot is ordered the same way in turn,
+// by insertion sort once it is small. A slot whose entries share one
+// timestamp distributes on their sequence numbers instead. Levels keep
+// their slot bounds on the s.slots stack from top up.
+func (s *Simulator) orderRun(h []entry, top int) {
+	if len(h) <= smallRun {
+		insertionSort(h)
+		return
+	}
+	lo, hi := keySpan(h, false)
+	bySeq := lo == hi
+	if bySeq {
+		if lo, hi = keySpan(h, true); lo == hi {
+			return // every key equal: any order is sorted
 		}
 	}
+	shift := max(bits.Len64(hi-lo)-bits.Len(uint(len(h)/8)), 0)
+	ns := int((hi-lo)>>shift) + 1
+	if len(s.slots) < top+2*ns {
+		// Room for one bound per entry: the levels below fit as well.
+		s.slots = slices.Grow(s.slots[:top], len(h))
+		s.slots = s.slots[:cap(s.slots)]
+	}
+	// end[i] is where slot i ends once the run is distributed; next[i]
+	// is where its next entry goes meanwhile.
+	end, next := s.slots[top:top+ns], s.slots[top+ns:top+2*ns]
+	clear(end)
+	for i := range h {
+		end[(h[i].key(bySeq)-lo)>>shift]++
+	}
+	var at int32
+	for i, c := range end {
+		next[i] = at
+		at += c
+		end[i] = at
+	}
+	for i := range end {
+		for next[i] < end[i] {
+			e := h[next[i]]
+			for j := int((e.key(bySeq) - lo) >> shift); j != i; j = int((e.key(bySeq) - lo) >> shift) {
+				e, h[next[j]] = h[next[j]], e
+				next[j]++
+			}
+			h[next[i]] = e
+			next[i]++
+		}
+	}
+	var from int32
+	for _, to := range end {
+		if to-from > 1 {
+			s.orderRun(h[from:to], top+ns)
+		}
+		from = to
+	}
+}
+
+// keySpan returns the least and greatest key in h.
+func keySpan(h []entry, bySeq bool) (lo, hi uint64) {
+	lo, hi = h[0].key(bySeq), h[0].key(bySeq)
+	for i := 1; i < len(h); i++ {
+		k := h[i].key(bySeq)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return lo, hi
+}
+
+// insertionSort sorts a short run by (at, seq).
+func insertionSort(h []entry) {
 	for i := 1; i < len(h); i++ {
 		e := h[i]
 		j := i - 1

@@ -2,6 +2,9 @@ package des
 
 import (
 	"container/heap"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -515,14 +518,198 @@ func TestBucketStorageFollowsPending(t *testing.T) {
 		t.Fatalf("free list went from %d to %d chunks over identical cycles", kept, n)
 	}
 
+	// A burst in reverse timestamp order, so orderRun distributes it and
+	// its slot stack grows past burstCap too.
 	start := begin()
-	for i := 0; i < 2*burstCap; i++ {
-		s.ScheduleCallU(start+0.5, noop, nil, 0)
+	slots := 0
+	peek := func(any, uint64) { slots = max(slots, cap(s.slots)) }
+	const burst = 4 * burstCap
+	for i := 0; i < burst; i++ {
+		s.ScheduleCallU(start+0.5+Time(burst-i)*1e-9, peek, nil, 0)
 	}
 	s.ScheduleCallU(start+0.75, noop, nil, 0)
 	s.Run()
+	if slots <= burstCap {
+		t.Fatalf("the %d-entry burst grew the slot stack to %d only; it no longer tests the drop", burst, slots)
+	}
 	if c := cap(s.run); c > burstCap {
-		t.Fatalf("run buffer keeps %d entries after its %d-entry burst drained", c, 2*burstCap)
+		t.Fatalf("run buffer keeps %d entries after its %d-entry burst drained", c, burst)
+	}
+	if c := cap(s.slots); c > burstCap {
+		t.Fatalf("slot stack keeps %d bounds after its %d-entry burst drained", c, burst)
+	}
+}
+
+// dsmBurst returns n run entries shaped like one bucket of a DSM round
+// on arms-160: fan-outs of 2–21 members whose base instants spread over
+// about a microsecond, each member later by its receiver's distance over
+// c (up to 250 m), one in sixteen sharing a timestamp with an earlier
+// member. The run holds what takeBucket copies: first every fan-out's
+// entry (its earliest member) in schedule order, then each fan-out's
+// other members in receiver order.
+func dsmBurst(n int, rng *xorshift) []entry {
+	type fan struct {
+		seq  uint64
+		at   []Time
+		lead int
+	}
+	var fans []fan
+	seq := uint64(1 << 20)
+	for left := n; left > 0; {
+		m := min(left, 2+int(rng.next()%20))
+		if left-m == 1 {
+			m++ // no fan-out of one
+		}
+		left -= m
+		f := fan{seq: seq, at: make([]Time, m)}
+		base := 7.25 + Time(rng.float())*1.2e-6
+		for i := range f.at {
+			f.at[i] = base + Time(rng.float()*250/299_792_458)
+			if i > 0 && rng.next()%16 == 0 {
+				f.at[i] = f.at[rng.next()%uint64(i)]
+			}
+			if f.at[i] < f.at[f.lead] {
+				f.lead = i
+			}
+		}
+		seq += uint64(m)
+		fans = append(fans, f)
+	}
+	h := make([]entry, 0, n)
+	for _, f := range fans {
+		h = append(h, entry{at: f.at[f.lead], seq: f.seq + uint64(f.lead)})
+	}
+	for _, f := range fans {
+		for i, at := range f.at {
+			if i != f.lead {
+				h = append(h, entry{at: at, seq: f.seq + uint64(i)})
+			}
+		}
+	}
+	return h
+}
+
+// TestRunOrderMatchesSort holds orderRun to a reference comparison sort
+// on the run shapes the kernel meets and the edges of its slot
+// function: one shared timestamp (ordered by sequence numbers assigned
+// out of order, as reserved ones are), far-apart clusters, fan-out
+// blocks, timestamps one ulp apart (at zero too, where the next float
+// is subnormal), Infinity sentinels, sizes around the small-slot
+// cutoff, and a 150k-entry DSM round.
+func TestRunOrderMatchesSort(t *testing.T) {
+	rng := xorshift(0x0dd5eed)
+	// shuffled returns n entries at the times at(i), with sequence
+	// numbers 0..n-1 in a random order.
+	shuffled := func(n int, at func(i int) Time) []entry {
+		h := make([]entry, n)
+		for i := range h {
+			h[i] = entry{at: at(i), seq: uint64(i)}
+		}
+		for i := n - 1; i > 0; i-- {
+			j := int(rng.next() % uint64(i+1))
+			h[i].seq, h[j].seq = h[j].seq, h[i].seq
+		}
+		return h
+	}
+	ulp := func(x float64) func(int) Time {
+		return func(int) Time {
+			if rng.next()%2 == 0 {
+				return Time(x)
+			}
+			return Time(math.Nextafter(x, math.Inf(1)))
+		}
+	}
+	cases := []struct {
+		name string
+		h    []entry
+	}{
+		{"one-timestamp", shuffled(5000, func(int) Time { return 3.5 })},
+		{"two-clusters", shuffled(5000, func(i int) Time {
+			if i%2 == 0 {
+				return 1 + Time(rng.float())*1e-6
+			}
+			return 1e6 + Time(rng.float())*1e-6
+		})},
+		{"fan-out-blocks", dsmBurst(20_000, &rng)},
+		{"one-ulp", shuffled(5000, ulp(3.7))},
+		{"one-ulp-at-zero", shuffled(5000, ulp(0))},
+		{"sentinels", shuffled(5000, func(i int) Time {
+			if i%3 == 0 {
+				return Infinity
+			}
+			return Time(rng.float())
+		})},
+		{"dsm-round", dsmBurst(150_000, &rng)},
+	}
+	for _, n := range []int{2, smallRun - 1, smallRun, smallRun + 1, 2*smallRun + 1, 8 * smallRun} {
+		cases = append(cases, struct {
+			name string
+			h    []entry
+		}{fmt.Sprintf("size-%d", n), shuffled(n, func(int) Time { return Time(rng.next()%8) * 1e-3 })})
+	}
+	s := New()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := slices.Clone(c.h)
+			slices.SortFunc(want, func(a, b entry) int {
+				if a.less(b) {
+					return -1
+				}
+				return 1
+			})
+			got := slices.Clone(c.h)
+			s.orderRun(got, 0)
+			for i := range want {
+				if got[i].at != want[i].at || got[i].seq != want[i].seq {
+					t.Fatalf("entry %d of %d is (%v, %d), want (%v, %d)",
+						i, len(want), got[i].at, got[i].seq, want[i].at, want[i].seq)
+				}
+			}
+		})
+	}
+}
+
+// TestHopSkipsDrainingBucket holds the bucket width to the hop-delay
+// quantum. A sparse timer phase (one tick a second for a minute) used
+// to double the width to maxWidth, so the hops of a chain that then
+// starts, each one quantum plus transmission and propagation after the
+// last, landed in the bucket already draining and went through the
+// side heap, fan-outs and all. With the ceiling each lands in a later
+// bucket.
+func TestHopSkipsDrainingBucket(t *testing.T) {
+	const q = 5e-4
+	s := New()
+	s.SetGrain(q)
+	ticks := s.Every(1, 1, func() {})
+	rng := xorshift(0x40b)
+	var at [8]Time
+	var u [8]uint64
+	noop := func(any, uint64) {}
+	hops := 0
+	var hop func(any, uint64)
+	hop = func(any, uint64) {
+		if hops++; hops == 2000 {
+			ticks.Stop()
+			return
+		}
+		side := len(s.side)
+		next := s.Now() + q + 46.5e-6 // 64 bytes at 11 Mb/s
+		s.ScheduleCallU(next+Time(rng.float()*350/299_792_458), hop, nil, 0)
+		for i := range at {
+			at[i] = next + Time(rng.float()*350/299_792_458)
+		}
+		s.ScheduleFanout(at[:], noop, nil, u[:])
+		if len(s.side) != side {
+			t.Fatalf("hop %d at %v went to the side heap at width %v", hops, s.Now(), s.width)
+		}
+	}
+	s.Schedule(60.25, func() { s.ScheduleCallU(s.Now()+q+46.5e-6, hop, nil, 0) })
+	s.Run()
+	if hops != 2000 {
+		t.Fatalf("the chain ran %d hops, want 2000", hops)
+	}
+	if s.width > q {
+		t.Fatalf("width %v above the %v quantum", s.width, q)
 	}
 }
 
@@ -552,4 +739,21 @@ func BenchmarkScheduleCall(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		s.Step()
 	}
+}
+
+// BenchmarkRunOrder orders the 150k-entry DSM-round burst of
+// TestRunOrderMatchesSort, the largest run arms-160 drains; ns/entry is
+// the time per run entry.
+func BenchmarkRunOrder(b *testing.B) {
+	rng := xorshift(0x0dd5eed)
+	burst := dsmBurst(150_000, &rng)
+	run := make([]entry, len(burst))
+	s := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		copy(run, burst)
+		s.orderRun(run, 0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(burst)), "ns/entry")
 }
