@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/baseline"
@@ -337,10 +338,10 @@ func Figure5(o Options) []*Table {
 		for slot := 0; slot < w.Grid.Count(); slot++ {
 			for g := 0; g < a.groups; g++ {
 				total++
-				view := w.MS.MTSummary(logicalid.CHID(slot), membership.Group(g))
+				view := w.MS.MTSummaryHIDs(logicalid.CHID(slot), membership.Group(g))
 				ok := true
 				for h := range truth[membership.Group(g)] {
-					if !view[h] {
+					if !slices.Contains(view, h) {
 						ok = false
 						break
 					}

@@ -53,7 +53,7 @@ func TestDesignateSelfUnique(t *testing.T) {
 	}
 	// Self-only criterion must pick a slot that actually hosts members.
 	sum := tb.ms.MNTSummary(got[0])
-	if sum[5] == 0 {
+	if countOf(sum, 5) == 0 {
 		t.Fatalf("self criterion picked memberless slot %d", got[0])
 	}
 }

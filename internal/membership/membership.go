@@ -22,8 +22,9 @@
 package membership
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -34,6 +35,37 @@ import (
 
 // Group identifies a multicast group.
 type Group int
+
+// GroupCount is one entry of a summary: a group and its member count.
+// Summaries are slices of them sorted by group, non-zero counts only.
+type GroupCount struct {
+	Group Group
+	Count int
+}
+
+// countOf returns g's count in a summary (0 when absent).
+func countOf(sum []GroupCount, g Group) int {
+	i, ok := slices.BinarySearchFunc(sum, g, func(e GroupCount, g Group) int { return cmp.Compare(e.Group, g) })
+	if !ok {
+		return 0
+	}
+	return sum[i].Count
+}
+
+// sortedCounts sorts pairs by group and sums the counts of equal groups,
+// both in place, and returns the result as a fresh summary.
+func sortedCounts(pairs []GroupCount) []GroupCount {
+	slices.SortFunc(pairs, func(a, b GroupCount) int { return cmp.Compare(a.Group, b.Group) })
+	out := pairs[:0]
+	for _, p := range pairs {
+		if k := len(out) - 1; k >= 0 && out[k].Group == p.Group {
+			out[k].Count += p.Count
+		} else {
+			out = append(out, p)
+		}
+	}
+	return slices.Clone(out)
+}
 
 // Packet kinds of the membership plane.
 const (
@@ -162,76 +194,29 @@ func (l *lanes[V]) each(f func(origin logicalid.CHID, v V)) {
 	}
 }
 
-// hidSet is a bitset over hypercube IDs — the MT view's "which cubes
-// have members" set, stored densely so the per-reception HT merge is a
-// couple of word operations instead of nested map traffic.
-type hidSet struct {
-	bits []uint64
-	n    int
-}
-
-func newHidSet(numHID int) *hidSet {
-	return &hidSet{bits: make([]uint64, (numHID+63)/64)}
-}
-
-func (s *hidSet) has(h logicalid.HID) bool {
-	i := int(h)
-	w := i >> 6
-	return w >= 0 && w < len(s.bits) && s.bits[w]&(1<<uint(i&63)) != 0
-}
-
-func (s *hidSet) add(h logicalid.HID) {
-	if s.has(h) {
-		return
-	}
-	// HIDs are always within the numHID the set was sized for (they
-	// come from internal summary payloads); an out-of-range index is a
-	// mapping bug and panics.
-	i := int(h)
-	s.bits[i>>6] |= 1 << uint(i&63)
-	s.n++
-}
-
-func (s *hidSet) remove(h logicalid.HID) {
-	if !s.has(h) {
-		return
-	}
-	i := int(h)
-	s.bits[i>>6] &^= 1 << uint(i&63)
-	s.n--
-}
-
-// hids returns the member HIDs in ascending order.
-func (s *hidSet) hids() []logicalid.HID {
-	out := make([]logicalid.HID, 0, s.n)
-	for w, word := range s.bits {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, logicalid.HID(w*64+bits.TrailingZeros64(word)))
-		}
-	}
-	return out
-}
-
 // slotState is the membership view accumulated at one CH slot. The MNT
 // view and flood dedup are lanes (see lanes); the MT view is a
-// per-group hypercube bitset. All of it is behaviorally identical to
-// the map-of-maps layout it replaced — the dense layout exists because
-// onMNT/onHT run once per flood reception, which at 10k nodes is the
-// simulator's hottest protocol-plane path.
+// group × hypercube bitset. The dense layout exists because onMNT/onHT
+// run once per flood reception, which at 10k nodes is the simulator's
+// hottest protocol-plane path.
 type slotState struct {
 	// hid is the slot's own hypercube, fixed by geometry.
 	hid logicalid.HID
 
-	// localView: group -> member nodes of this cluster with the time
-	// their report was last refreshed (from Local-Membership messages).
-	localView map[Group]map[network.NodeID]des.Time
+	// localView: the last Local-Membership report of each member node
+	// of this cluster and when it arrived. An empty report deletes the
+	// node.
+	localView map[network.NodeID]localReport
 
-	// mnt: origin -> that origin's group counts, laned by origin label.
-	mnt lanes[map[Group]int]
+	// mnt: origin -> that origin's MNT summary, laned by origin label.
+	mnt lanes[[]GroupCount]
 
-	// mtView: group -> hypercubes known to contain members (from
-	// HT-Summary broadcasts plus own hypercube).
-	mtView map[Group]*hidSet
+	// mt is the MT view (HT-Summary broadcasts plus own hypercube): a
+	// row of Service.mtWords words per group of mtGroups, in that order;
+	// bit h of a group's row says hypercube h has members of the group.
+	// A group gets its row when a summary first carries it here.
+	mtGroups []Group // sorted
+	mt       []uint64
 
 	// Flood dedup, the highest sequence seen per origin: seenMNT laned
 	// by origin label, seenHT by the origin's hypercube (one designated
@@ -242,9 +227,8 @@ type slotState struct {
 func newSlotState(hid logicalid.HID, labels, numHID int) *slotState {
 	return &slotState{
 		hid:       hid,
-		localView: make(map[Group]map[network.NodeID]des.Time),
-		mnt:       newLanes[map[Group]int](labels),
-		mtView:    make(map[Group]*hidSet),
+		localView: make(map[network.NodeID]localReport),
+		mnt:       newLanes[[]GroupCount](labels),
 		seenMNT:   newLanes[uint64](labels),
 		seenHT:    newLanes[uint64](numHID),
 	}
@@ -255,13 +239,20 @@ type summaryMsg struct {
 	Origin logicalid.CHID
 	HID    logicalid.HID
 	Seq    uint64
-	Groups map[Group]int
+	Groups []GroupCount
 }
 
 // localMsg is the wire form of Local-Membership reports.
 type localMsg struct {
 	Member network.NodeID
 	Groups []Group
+}
+
+// localReport is a CH's record of one member's last report. groups is
+// the report's own slice, which no one mutates.
+type localReport struct {
+	groups []Group
+	seen   des.Time
 }
 
 // Service runs the membership plane over a backbone.
@@ -278,8 +269,11 @@ type Service struct {
 	active  []network.NodeID // sorted keys of members
 	slots   []*slotState     // by CH slot index (grid.Count() lanes)
 	labels  int              // 2^dim, the in-cube label space
-	numHID  int              // hypercube count of the mesh tier
+	mtWords int              // words per MT-view row: ⌈hypercubes/64⌉
 	seq     uint64
+
+	// pairs is sortedCounts's input, reused across summaries.
+	pairs []GroupCount
 
 	// version counts mutations of the summary views trees are computed
 	// from (the MNT and MT views); see SummaryVersion.
@@ -303,7 +297,7 @@ func New(bb *core.Backbone, cfg Config) *Service {
 		members: make(map[network.NodeID]*memberState),
 		slots:   make([]*slotState, bb.Scheme().Grid().Count()),
 		labels:  1 << uint(bb.Scheme().Dim()),
-		numHID:  bb.Scheme().NumHypercubes(),
+		mtWords: (bb.Scheme().NumHypercubes() + 63) / 64,
 	}
 	bb.HandleInner(LocalKind, s.onLocal)
 	bb.HandleInner(MNTKind, s.onMNT)
@@ -314,8 +308,8 @@ func New(bb *core.Backbone, cfg Config) *Service {
 // memberState is the member-side record of one node that currently
 // belongs to a group, or still owes its final empty report.
 type memberState struct {
-	joined   map[Group]bool
-	reported bool // sent a non-empty report last round
+	joined   []Group // sorted
+	reported bool    // sent a non-empty report last round
 }
 
 // state returns the node's member record, materializing it (and
@@ -323,12 +317,10 @@ type memberState struct {
 func (s *Service) state(id network.NodeID) *memberState {
 	st := s.members[id]
 	if st == nil {
-		st = &memberState{joined: make(map[Group]bool)}
+		st = &memberState{}
 		s.members[id] = st
-		i := sort.Search(len(s.active), func(i int) bool { return s.active[i] >= id })
-		s.active = append(s.active, 0)
-		copy(s.active[i+1:], s.active[i:])
-		s.active[i] = id
+		i, _ := slices.BinarySearch(s.active, id)
+		s.active = slices.Insert(s.active, i, id)
 	}
 	return st
 }
@@ -336,34 +328,41 @@ func (s *Service) state(id network.NodeID) *memberState {
 // Join records that the node joined the group (Figure 5 step 1); the
 // change propagates on the next Local-Membership round.
 func (s *Service) Join(id network.NodeID, g Group) {
-	s.state(id).joined[g] = true
+	st := s.state(id)
+	if i, ok := slices.BinarySearch(st.joined, g); !ok {
+		st.joined = slices.Insert(st.joined, i, g)
+	}
 }
 
 // Leave records that the node left the group.
 func (s *Service) Leave(id network.NodeID, g Group) {
 	if st := s.members[id]; st != nil {
-		delete(st.joined, g)
+		if i, ok := slices.BinarySearch(st.joined, g); ok {
+			st.joined = slices.Delete(st.joined, i, i+1)
+		}
 	}
 }
 
 // IsMember reports whether the node has joined the group. It is the
-// data plane's per-listener filter: O(1), no allocation.
+// data plane's per-listener filter: one map probe and a binary search,
+// no allocation.
 func (s *Service) IsMember(id network.NodeID, g Group) bool {
 	st := s.members[id]
-	return st != nil && st.joined[g]
+	if st == nil {
+		return false
+	}
+	_, ok := slices.BinarySearch(st.joined, g)
+	return ok
 }
 
-// GroupsOf returns the groups the node has joined, sorted.
+// GroupsOf returns a copy of the groups the node has joined, sorted.
+// Local-Membership reports carry it, and CHs keep the report's slice.
 func (s *Service) GroupsOf(id network.NodeID) []Group {
 	st := s.members[id]
 	if st == nil {
 		return nil
 	}
-	out := make([]Group, 0, len(st.joined))
-	for g := range st.joined {
-		out = append(out, g)
-	}
-	return network.SortedIDs(out)
+	return slices.Clone(st.joined)
 }
 
 // Start schedules the three periodic rounds.
@@ -387,7 +386,7 @@ func (s *Service) Stop() {
 func (s *Service) slot(c logicalid.CHID) *slotState {
 	st := s.slots[c]
 	if st == nil {
-		st = newSlotState(s.bb.Scheme().CHIDToPlace(c).HID, s.labels, s.numHID)
+		st = newSlotState(s.bb.Scheme().CHIDToPlace(c).HID, s.labels, s.bb.Scheme().NumHypercubes())
 		s.slots[c] = st
 	}
 	return st
@@ -395,7 +394,7 @@ func (s *Service) slot(c logicalid.CHID) *slotState {
 
 // SummaryVersion counts mutations of the views multicast trees are
 // computed from — the per-cube MNT views (CubeMembers' input) and the
-// MT views (MTSummary's input). A tree memoized at one version is
+// MT views (MTSummaryHIDs' input). A tree memoized at one version is
 // guaranteed to equal a fresh computation while the version holds,
 // which is the membership half of the internal/route cache key.
 func (s *Service) SummaryVersion() uint64 { return s.version }
@@ -406,27 +405,14 @@ func (s *Service) labelOf(origin logicalid.CHID) int {
 	return int(s.bb.Scheme().CHIDToPlace(origin).HNID)
 }
 
-// setMNT stores origin's group counts, bumping the summary version when
+// setMNT stores origin's summary, bumping the summary version when
 // the stored view changes or origin is installed into its lane.
-func (s *Service) setMNT(st *slotState, origin logicalid.CHID, groups map[Group]int) {
+func (s *Service) setMNT(st *slotState, origin logicalid.CHID, groups []GroupCount) {
 	idx := s.labelOf(origin)
 	prev := st.mnt.get(idx, origin)
-	if st.mnt.set(idx, origin, groups) || !equalGroupCounts(prev, groups) {
+	if st.mnt.set(idx, origin, groups) || !slices.Equal(prev, groups) {
 		s.version++
 	}
-}
-
-// equalGroupCounts reports whether two group-count views are identical.
-func equalGroupCounts(a, b map[Group]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for g, c := range a {
-		if b[g] != c {
-			return false
-		}
-	}
-	return true
 }
 
 // LocalRound is Figure 5 step 2: every member MN reports its
@@ -499,22 +485,11 @@ func (s *Service) onLocal(n *network.Node, _ network.NodeID, pkt *network.Packet
 
 func (s *Service) absorbLocal(slot logicalid.CHID, msg *localMsg) {
 	st := s.slot(slot)
-	now := s.bb.Net().Sim().Now()
-	// Replace this member's memberships.
-	for g, members := range st.localView {
-		delete(members, msg.Member)
-		if len(members) == 0 {
-			delete(st.localView, g)
-		}
+	if len(msg.Groups) == 0 {
+		delete(st.localView, msg.Member)
+		return
 	}
-	for _, g := range msg.Groups {
-		m, ok := st.localView[g]
-		if !ok {
-			m = make(map[network.NodeID]des.Time)
-			st.localView[g] = m
-		}
-		m[msg.Member] = now
-	}
+	st.localView[msg.Member] = localReport{groups: msg.Groups, seen: s.bb.Net().Sim().Now()}
 }
 
 // fresh reports whether a member's report is still within LocalTTL.
@@ -525,23 +500,19 @@ func (s *Service) fresh(seen des.Time) bool {
 	return s.bb.Net().Sim().Now()-seen <= s.cfg.LocalTTL
 }
 
-// MNTSummary returns the CH slot's aggregated cluster membership:
-// group -> member count (Figure 5 step 3's message body).
-func (s *Service) MNTSummary(slot logicalid.CHID) map[Group]int {
-	st := s.slot(slot)
-	out := make(map[Group]int, len(st.localView))
-	for g, members := range st.localView {
-		n := 0
-		for _, seen := range members {
-			if s.fresh(seen) {
-				n++
+// MNTSummary returns the CH slot's aggregated cluster membership, the
+// fresh member count of each group (Figure 5 step 3's message body).
+func (s *Service) MNTSummary(slot logicalid.CHID) []GroupCount {
+	pairs := s.pairs[:0]
+	for _, r := range s.slot(slot).localView {
+		if s.fresh(r.seen) {
+			for _, g := range r.groups {
+				pairs = append(pairs, GroupCount{g, 1})
 			}
 		}
-		if n > 0 {
-			out[g] = n
-		}
 	}
-	return out
+	s.pairs = pairs
+	return sortedCounts(pairs)
 }
 
 // AppendLocalMembers appends the nodes of the slot's cluster known to
@@ -550,8 +521,8 @@ func (s *Service) MNTSummary(slot logicalid.CHID) map[Group]int {
 // the data plane can reuse one scratch buffer across CH visits.
 func (s *Service) AppendLocalMembers(dst []network.NodeID, slot logicalid.CHID, g Group) []network.NodeID {
 	mark := len(dst)
-	for id, seen := range s.slot(slot).localView[g] {
-		if s.fresh(seen) {
+	for id, r := range s.slot(slot).localView {
+		if s.fresh(r.seen) && slices.Contains(r.groups, g) {
 			dst = append(dst, id)
 		}
 	}
@@ -622,16 +593,15 @@ func (s *Service) onMNT(n *network.Node, _ network.NodeID, pkt *network.Packet) 
 }
 
 // HTSummary returns the slot's aggregation over its hypercube (Figure 5
-// step 4's message body): group -> total member count in the hypercube.
-func (s *Service) HTSummary(slot logicalid.CHID) map[Group]int {
-	st := s.slot(slot)
-	out := make(map[Group]int)
-	st.mnt.each(func(_ logicalid.CHID, groups map[Group]int) {
-		for g, c := range groups {
-			out[g] += c
-		}
+// step 4's message body): each group's total member count in the
+// hypercube.
+func (s *Service) HTSummary(slot logicalid.CHID) []GroupCount {
+	pairs := s.pairs[:0]
+	s.slot(slot).mnt.each(func(_ logicalid.CHID, groups []GroupCount) {
+		pairs = append(pairs, groups...)
 	})
-	return out
+	s.pairs = pairs
+	return sortedCounts(pairs)
 }
 
 // Designated reports whether the slot currently self-selects as its
@@ -654,8 +624,8 @@ func (s *Service) Designated(slot logicalid.CHID) bool {
 	}
 	score := func(c logicalid.CHID) int {
 		total := 0
-		for _, cnt := range st.mnt.get(s.labelOf(c), c) {
-			total += cnt
+		for _, e := range st.mnt.get(s.labelOf(c), c) {
+			total += e.Count
 		}
 		if s.cfg.Designation == DesignateSelf {
 			return total
@@ -664,15 +634,15 @@ func (s *Service) Designated(slot logicalid.CHID) bool {
 			if scheme.CHIDToPlace(nb).HID != myHID {
 				continue
 			}
-			for _, cnt := range st.mnt.get(s.labelOf(nb), nb) {
-				total += cnt
+			for _, e := range st.mnt.get(s.labelOf(nb), nb) {
+				total += e.Count
 			}
 		}
 		return total
 	}
 	mine := score(slot)
 	designated := true
-	st.mnt.each(func(origin logicalid.CHID, _ map[Group]int) {
+	st.mnt.each(func(origin logicalid.CHID, _ []GroupCount) {
 		if !designated || origin == slot || scheme.CHIDToPlace(origin).HID != myHID {
 			return
 		}
@@ -746,67 +716,56 @@ func (s *Service) onHT(n *network.Node, _ network.NodeID, pkt *network.Packet) {
 	s.floodHT(slot, msg, n.ID)
 }
 
-// recordMT merges an HT summary into a slot's MT view (Figure 5 step 5).
-func (s *Service) recordMT(slot logicalid.CHID, hid logicalid.HID, groups map[Group]int) {
+// recordMT merges an HT summary into a slot's MT view (Figure 5 step
+// 5): bit hid of a group's row is set exactly when the summary carries
+// the group, so a group that vanished from hid is cleared. Rows and
+// summary are both sorted by group, so one merged walk covers them.
+func (s *Service) recordMT(slot logicalid.CHID, hid logicalid.HID, groups []GroupCount) {
 	st := s.slot(slot)
+	w := s.mtWords
+	// hid < NumHypercubes: a summary carries its origin's cube as the
+	// scheme assigned it.
+	word, bit := int(hid)>>6, uint64(1)<<uint(hid&63)
 	changed := false
-	// Clear stale claims of this hypercube first: a group that vanished
-	// from hid must not linger in the MT view.
-	for g, hids := range st.mtView {
-		if hids.has(hid) {
-			if _, still := groups[g]; !still {
-				hids.remove(hid)
-				changed = true
-				if hids.n == 0 {
-					delete(st.mtView, g)
-				}
-			}
+	for r := 0; r < len(st.mtGroups) || len(groups) > 0; r++ {
+		if len(groups) > 0 && (r == len(st.mtGroups) || groups[0].Group < st.mtGroups[r]) {
+			st.mtGroups = slices.Insert(st.mtGroups, r, groups[0].Group)
+			st.mt = slices.Insert(st.mt, r*w, make([]uint64, w)...)
 		}
-	}
-	for g, cnt := range groups {
-		if cnt <= 0 {
-			continue
+		i := r*w + word
+		old := st.mt[i]
+		if len(groups) > 0 && groups[0].Group == st.mtGroups[r] {
+			st.mt[i] |= bit
+			groups = groups[1:]
+		} else {
+			st.mt[i] &^= bit
 		}
-		hids, ok := st.mtView[g]
-		if !ok {
-			hids = newHidSet(s.numHID)
-			st.mtView[g] = hids
-		}
-		if !hids.has(hid) {
-			hids.add(hid)
-			changed = true
-		}
+		changed = changed || st.mt[i] != old
 	}
 	if changed {
 		s.version++
 	}
 }
 
-// MTSummary returns the hypercubes the slot believes contain members of
-// the group — Figure 6's routing input. The map is a copy; tree
-// construction uses MTSummaryHIDs instead, whose slot order feeds
-// MulticastTree deterministically.
-func (s *Service) MTSummary(slot logicalid.CHID, g Group) map[logicalid.HID]bool {
-	out := make(map[logicalid.HID]bool)
-	if hids := s.slot(slot).mtView[g]; hids != nil {
-		for _, h := range hids.hids() {
-			out[h] = true
+// MTSummaryHIDs returns the hypercubes the slot believes contain
+// members of the group, in ascending HID order, or nil when there are
+// none — Figure 6's routing input, the deterministic destination list
+// handed to mesh-tier tree construction (greedy MulticastTree output
+// depends on destination order).
+func (s *Service) MTSummaryHIDs(slot logicalid.CHID, g Group) []logicalid.HID {
+	st := s.slot(slot)
+	r, ok := slices.BinarySearch(st.mtGroups, g)
+	if !ok {
+		return nil
+	}
+	w := s.mtWords
+	var out []logicalid.HID
+	for i, x := range st.mt[r*w : (r+1)*w] {
+		for ; x != 0; x &= x - 1 {
+			out = append(out, logicalid.HID(i*64+bits.TrailingZeros64(x)))
 		}
 	}
 	return out
-}
-
-// MTSummaryHIDs returns the same set as MTSummary as a slice in
-// ascending HID order — the deterministic destination list handed to
-// mesh-tier tree construction (greedy MulticastTree output depends on
-// destination order, so order-sensitive consumers must never range the
-// map form).
-func (s *Service) MTSummaryHIDs(slot logicalid.CHID, g Group) []logicalid.HID {
-	hids := s.slot(slot).mtView[g]
-	if hids == nil {
-		return nil
-	}
-	return hids.hids()
 }
 
 // CubeMembers returns the CH slots within the given slot's hypercube
@@ -819,11 +778,11 @@ func (s *Service) CubeMembers(slot logicalid.CHID, g Group) []logicalid.CHID {
 	st := s.slot(slot)
 	myHID := st.hid
 	var out []logicalid.CHID
-	st.mnt.each(func(origin logicalid.CHID, groups map[Group]int) {
+	st.mnt.each(func(origin logicalid.CHID, groups []GroupCount) {
 		if scheme.CHIDToPlace(origin).HID != myHID {
 			return
 		}
-		if groups[g] > 0 {
+		if countOf(groups, g) > 0 {
 			out = append(out, origin)
 		}
 	})

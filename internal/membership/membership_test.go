@@ -28,7 +28,7 @@ type testbed struct {
 	grid   *vcgrid.Grid
 }
 
-func newTestbed(t *testing.T, cfg Config) *testbed {
+func newTestbed(t testing.TB, cfg Config) *testbed {
 	t.Helper()
 	tb := &testbed{}
 	tb.sim = des.New()
@@ -96,6 +96,11 @@ func TestJoinLeaveGroupsOf(t *testing.T) {
 	if gs := tb.ms.GroupsOf(3); len(gs) != 1 || gs[0] != 9 {
 		t.Fatalf("after leave %v", gs)
 	}
+	// GroupsOf hands out a copy: writing to it changes no membership.
+	tb.ms.GroupsOf(3)[0] = 4
+	if !tb.ms.IsMember(3, 9) || tb.ms.IsMember(3, 4) {
+		t.Fatalf("writing GroupsOf's result changed membership: %v", tb.ms.GroupsOf(3))
+	}
 }
 
 func TestIsMember(t *testing.T) {
@@ -138,10 +143,26 @@ func TestLocalRoundBuildsMNTSummary(t *testing.T) {
 	tb.ms.Join(m2.ID, 6)
 	tb.ms.LocalRound()
 	tb.drain()
-	sum := tb.ms.MNTSummary(slotIdx(tb, 0, 0))
-	if sum[5] != 2 || sum[6] != 1 {
-		t.Fatalf("MNT summary %v want {5:2, 6:1}", sum)
+	want := []GroupCount{{5, 2}, {6, 1}}
+	if sum := tb.ms.MNTSummary(slotIdx(tb, 0, 0)); !slices.Equal(sum, want) {
+		t.Fatalf("MNT summary %v want %v", sum, want)
 	}
+	// The CH keeps each report's group slice: a Join or Leave after the
+	// round must not reach its view before the next report does.
+	tb.ms.Leave(m2.ID, 5)
+	tb.ms.Join(m1.ID, 4)
+	if sum := tb.ms.MNTSummary(slotIdx(tb, 0, 0)); !slices.Equal(sum, want) {
+		t.Fatalf("MNT summary %v before the next round, want %v", sum, want)
+	}
+	tb.ms.LocalRound()
+	tb.drain()
+	if sum, next := tb.ms.MNTSummary(slotIdx(tb, 0, 0)), []GroupCount{{4, 1}, {5, 1}, {6, 1}}; !slices.Equal(sum, next) {
+		t.Fatalf("MNT summary %v after the next round, want %v", sum, next)
+	}
+	tb.ms.Leave(m1.ID, 4)
+	tb.ms.Join(m2.ID, 5)
+	tb.ms.LocalRound()
+	tb.drain()
 	members := tb.ms.AppendLocalMembers(nil, slotIdx(tb, 0, 0), 5)
 	if len(members) != 2 {
 		t.Fatalf("local members %v", members)
@@ -163,7 +184,7 @@ func TestCHSelfMembershipNeedsNoRadio(t *testing.T) {
 	if got := tb.net.Stats().KindTx[LocalKind]; got != 0 {
 		t.Fatalf("CH self-report transmitted %d packets", got)
 	}
-	if sum := tb.ms.MNTSummary(slotIdx(tb, 2, 2)); sum[4] != 1 {
+	if sum := tb.ms.MNTSummary(slotIdx(tb, 2, 2)); countOf(sum, 4) != 1 {
 		t.Fatalf("self membership missing: %v", sum)
 	}
 }
@@ -175,13 +196,13 @@ func TestLeavePropagatesOnNextRound(t *testing.T) {
 	tb.ms.Join(m.ID, 5)
 	tb.ms.LocalRound()
 	tb.drain()
-	if tb.ms.MNTSummary(slotIdx(tb, 0, 0))[5] != 1 {
+	if countOf(tb.ms.MNTSummary(slotIdx(tb, 0, 0)), 5) != 1 {
 		t.Fatal("join not recorded")
 	}
 	tb.ms.Leave(m.ID, 5)
 	tb.ms.LocalRound()
 	tb.drain()
-	if got := tb.ms.MNTSummary(slotIdx(tb, 0, 0))[5]; got != 0 {
+	if got := countOf(tb.ms.MNTSummary(slotIdx(tb, 0, 0)), 5); got != 0 {
 		t.Fatalf("leave not propagated: count %d", got)
 	}
 }
@@ -198,13 +219,13 @@ func TestMNTFloodStaysInsideHypercube(t *testing.T) {
 	// Every CH of hypercube 0 sees the group in its HT summary.
 	for _, vc := range tb.scheme.BlockVCs(0) {
 		slot := logicalid.CHID(tb.grid.Index(vc))
-		if tb.ms.HTSummary(slot)[5] != 1 {
+		if countOf(tb.ms.HTSummary(slot), 5) != 1 {
 			t.Fatalf("slot %d (cube 0) missing group in HT summary", slot)
 		}
 	}
 	// A CH of hypercube 3 must not have absorbed the MNT flood.
 	farSlot := slotIdx(tb, 7, 7)
-	if got := tb.ms.HTSummary(farSlot)[5]; got != 0 {
+	if got := countOf(tb.ms.HTSummary(farSlot), 5); got != 0 {
 		t.Fatalf("MNT flood leaked to another hypercube: count %d", got)
 	}
 }
@@ -244,12 +265,8 @@ func TestHTBroadcastReachesWholeNetwork(t *testing.T) {
 	tb.sim.RunUntil(tb.sim.Now() + 10)
 	// Every CH in the network should now attribute group 5 to cube 0.
 	for i := 0; i < tb.grid.Count(); i++ {
-		hids := tb.ms.MTSummary(logicalid.CHID(i), 5)
-		if !hids[0] {
-			t.Fatalf("slot %d MT view missing group 5 in cube 0: %v", i, hids)
-		}
-		if len(hids) != 1 {
-			t.Fatalf("slot %d sees group 5 in %d cubes want 1", i, len(hids))
+		if hids := tb.ms.MTSummaryHIDs(logicalid.CHID(i), 5); !slices.Equal(hids, []logicalid.HID{0}) {
+			t.Fatalf("slot %d sees group 5 in cubes %v want [0]", i, hids)
 		}
 	}
 	if tb.ms.HTBroadcasts == 0 {
@@ -292,20 +309,70 @@ func TestMTViewClearsStaleHypercubes(t *testing.T) {
 	tb.sim.RunUntil(tb.sim.Now() + 5)
 	tb.ms.HTRound()
 	tb.sim.RunUntil(tb.sim.Now() + 10)
-	if !tb.ms.MTSummary(slotIdx(tb, 7, 7), 5)[0] {
-		t.Fatal("setup: group should be visible network-wide")
+	if hids := tb.ms.MTSummaryHIDs(slotIdx(tb, 7, 7), 5); !slices.Equal(hids, []logicalid.HID{0}) {
+		t.Fatalf("setup: group 5 in cubes %v at (7,7), want [0]", hids)
+	}
+	// An HT round that changes nothing bumps no version.
+	v := tb.ms.SummaryVersion()
+	tb.ms.HTRound()
+	tb.sim.RunUntil(tb.sim.Now() + 10)
+	if got := tb.ms.SummaryVersion(); got != v {
+		t.Fatalf("no-op HT round bumped SummaryVersion %d -> %d", v, got)
 	}
 	// The member leaves; after fresh Local/MNT/HT rounds the MT views
-	// must drop the group.
+	// must drop the group, each slot's view bumping the version once.
 	tb.ms.Leave(m.ID, 5)
 	tb.ms.LocalRound()
 	tb.drain()
 	tb.ms.MNTRound()
 	tb.sim.RunUntil(tb.sim.Now() + 5)
+	v = tb.ms.SummaryVersion()
 	tb.ms.HTRound()
 	tb.sim.RunUntil(tb.sim.Now() + 10)
-	if hids := tb.ms.MTSummary(slotIdx(tb, 7, 7), 5); len(hids) != 0 {
-		t.Fatalf("stale MT view: %v", hids)
+	if got, want := tb.ms.SummaryVersion()-v, uint64(tb.grid.Count()); got != want {
+		t.Fatalf("dropping group 5 bumped SummaryVersion %d times, want one per slot (%d)", got, want)
+	}
+	for i := 0; i < tb.grid.Count(); i++ {
+		if hids := tb.ms.MTSummaryHIDs(logicalid.CHID(i), 5); hids != nil {
+			t.Fatalf("stale MT view at slot %d: %v, want nil", i, hids)
+		}
+	}
+
+	// One slot, one summary at a time: a summary clears exactly the
+	// bits of the groups it drops and bumps once if any bit moved.
+	st := slotIdx(tb, 3, 3)
+	const far = Group(1 << 40)
+	for _, step := range []struct {
+		what   string
+		hid    logicalid.HID
+		groups []GroupCount
+		bumps  uint64
+		want   map[Group][]logicalid.HID
+	}{
+		{"cube 1 gains 2 and 7", 1, []GroupCount{{2, 1}, {7, 3}}, 1, map[Group][]logicalid.HID{2: {1}, 7: {1}}},
+		{"cube 2 gains 7", 2, []GroupCount{{7, 1}}, 1, map[Group][]logicalid.HID{2: {1}, 7: {1, 2}}},
+		{"cube 1 repeats", 1, []GroupCount{{2, 1}, {7, 3}}, 0, map[Group][]logicalid.HID{2: {1}, 7: {1, 2}}},
+		{"cube 1 recounts", 1, []GroupCount{{2, 4}, {7, 1}}, 0, map[Group][]logicalid.HID{2: {1}, 7: {1, 2}}},
+		{"cube 1 drops 7", 1, []GroupCount{{2, 4}}, 1, map[Group][]logicalid.HID{2: {1}, 7: {2}}},
+		{"cube 2 drops 7", 2, nil, 1, map[Group][]logicalid.HID{2: {1}, 7: nil}},
+		{"cube 2 stays empty", 2, nil, 0, map[Group][]logicalid.HID{2: {1}, 7: nil}},
+		{"cube 3 gains a far group", 3, []GroupCount{{far, 1}}, 1, map[Group][]logicalid.HID{2: {1}, far: {3}}},
+	} {
+		v := tb.ms.SummaryVersion()
+		tb.ms.recordMT(st, step.hid, step.groups)
+		if got := tb.ms.SummaryVersion() - v; got != step.bumps {
+			t.Fatalf("%s: bumped %d times, want %d", step.what, got, step.bumps)
+		}
+		for g, want := range step.want {
+			if got := tb.ms.MTSummaryHIDs(st, g); !slices.Equal(got, want) || (want == nil) != (got == nil) {
+				t.Fatalf("%s: group %d in cubes %v, want %v", step.what, g, got, want)
+			}
+		}
+	}
+	// Rows follow the groups the slot has heard of (5 from the floods
+	// above, then 2, 7 and far), not the largest group ID.
+	if v := tb.ms.slot(st); !slices.Equal(v.mtGroups, []Group{2, 5, 7, far}) || len(v.mt) != 4*tb.ms.mtWords {
+		t.Fatalf("MT rows for groups %v in %d words, want [2 5 7 %d] in %d", v.mtGroups, len(v.mt), far, 4*tb.ms.mtWords)
 	}
 }
 
@@ -341,8 +408,8 @@ func TestStartStopTickers(t *testing.T) {
 	tb.ms.Stop()
 	// The periodic machinery alone should have propagated membership
 	// network-wide: HT period 8 fires at t=8 and t=16.
-	if hids := tb.ms.slot(slotIdx(tb, 7, 7)).mtView[5]; hids == nil || hids.n != 1 {
-		t.Fatalf("MT coverage %+v want 1 hypercube", hids)
+	if hids := tb.ms.MTSummaryHIDs(slotIdx(tb, 7, 7), 5); len(hids) != 1 {
+		t.Fatalf("MT coverage %v want 1 hypercube", hids)
 	}
 }
 

@@ -113,19 +113,20 @@ func TestSetMNTBumpRule(t *testing.T) {
 		t.Fatal("no two slots share a label; the test premise is broken")
 	}
 	st := tb.ms.slot(a)
-	groups := func() map[Group]int { return map[Group]int{1: 2} }
+	groups := func() []GroupCount { return []GroupCount{{1, 2}} }
 	for _, step := range []struct {
 		what   string
 		origin logicalid.CHID
-		groups map[Group]int
+		groups []GroupCount
 		bump   bool
 	}{
 		{"install a", a, groups(), true},
 		{"same counts for a", a, groups(), false},
-		{"new counts for a", a, map[Group]int{1: 3}, true},
+		{"new counts for a", a, []GroupCount{{1, 3}}, true},
+		{"new group for a", a, []GroupCount{{1, 3}, {4, 1}}, true},
 		{"install b over a", b, groups(), true},
 		{"same counts for b", b, groups(), false},
-		{"re-install a from spill", a, map[Group]int{1: 3}, true},
+		{"re-install a from spill", a, []GroupCount{{1, 3}, {4, 1}}, true},
 	} {
 		v := tb.ms.SummaryVersion()
 		tb.ms.setMNT(st, step.origin, step.groups)
